@@ -24,7 +24,6 @@ from .config import ConfigError, ConfigIssue, ExperimentConfig, build_model, par
 from .covering import (
     CoverInstance,
     RandomCoverInstance,
-    check_hypotheses,
     greedy_cover,
     sample_many,
     verify_greedy_cover,
@@ -244,7 +243,7 @@ def _run_cover_demo(cfg: ExperimentConfig):
             ambient, shapes, centers, K,
             cfg.get("c"), cfg.get("alpha"), cfg.get("delta"), cfg.get("epsilon"),
         )
-    hyp = check_hypotheses(inst)
+    hyp = inst.hypotheses
     summary = [
         ("subcommand", "cover-demo"),
         ("kind", kind),

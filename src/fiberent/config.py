@@ -102,8 +102,8 @@ _SCHEMAS = {
 }
 
 _REQUIRED = {
-    "smb-run": ("seed", "model", "n_max"),
-    "cond-entropy": ("seed", "model", "n_max"),
+    "smb-run": ("seed", "model"),
+    "cond-entropy": ("seed", "model"),
     "folner-check": ("seed", "group", "n_max"),
     "cocycle-check": ("seed", "model"),
     "cover-demo": ("seed", "kind", "ambient_n", "delta", "epsilon"),
@@ -208,6 +208,10 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     for key in _REQUIRED[subcommand]:
         if key not in values and not any(i.key == key for i in issues):
             issues.append(ConfigIssue(key, 0, "required key missing"))
+    if subcommand in ("smb-run", "cond-entropy") and not (
+        {"n_max", "sides"} & lines_seen.keys()
+    ):
+        issues.append(ConfigIssue("n_max", 0, "required key missing (or give sides)"))
     for key, default in _DEFAULTS.items():
         if _lookup_kind(schema, key) is not None:
             values.setdefault(key, default)
@@ -292,6 +296,8 @@ def _validate_schedule(v: dict) -> list:
         size = n_max ** 4 if isinstance(group, HeisenbergGroup) else n_max ** group.d
         if n_max < 1 or size > 2 ** 20:
             issues.append(ConfigIssue("n_max", 0, "largest window exceeds 2^20 points"))
+    if sides is not None and n_max is not None:
+        issues.append(ConfigIssue("sides", 0, "give either n_max or sides, not both"))
     return issues
 
 

@@ -18,6 +18,7 @@ failure on a hypothesis-passing instance is reported, never masked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +63,11 @@ class CoverInstance:
             _as_unit_fraction(delta, "delta"), _as_unit_fraction(epsilon, "epsilon"),
         )
 
+    @functools.cached_property
+    def hypotheses(self) -> "HypothesisReport":
+        """check_hypotheses(self), evaluated once: instances are immutable."""
+        return check_hypotheses(self)
+
 
 @dataclass(frozen=True)
 class RandomCoverInstance:
@@ -96,6 +102,11 @@ class RandomCoverInstance:
             _as_unit_fraction(delta, "delta"),
             _as_unit_fraction(epsilon, "epsilon"),
         )
+
+    @functools.cached_property
+    def hypotheses(self) -> "HypothesisReport":
+        """check_hypotheses(self), evaluated once: instances are immutable."""
+        return check_hypotheses(self)
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,12 @@ class CoverSolution:
         return dict(self.multiplicity)
 
 
+def _require_hypotheses(inst) -> None:
+    report = inst.hypotheses
+    if not report.ok:
+        raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
+
+
 def _accept_blocks(layers, delta: Fraction) -> CoverSolution:
     """Shared thinning loop: accept a block iff its overlap with the
     already-covered region is at most delta * |shape|, scanning layers in
@@ -260,9 +277,7 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     that bound is asserted on every run.  The stronger conclusion
     inequalities are the verifier's to evaluate per instance.
     """
-    report = check_hypotheses(inst)
-    if not report.ok:
-        raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
+    _require_hypotheses(inst)
     layers = []
     for i in range(len(inst.shapes), 0, -1):
         makers, centers = _layer(inst.ambient.group, inst.shapes[i - 1], inst.centers[i - 1].sorted_elements())
@@ -281,9 +296,7 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
     retained centers are then thinned exactly like the greedy builder.
     The output is a pure function of (instance, seed).
     """
-    report = check_hypotheses(inst)
-    if not report.ok:
-        raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
+    _require_hypotheses(inst)
     mc = inst.ambient.group.mul_coords
     covered: set = set()
     lam: dict = {}

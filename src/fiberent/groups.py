@@ -7,19 +7,23 @@ group of upper-triangular integer matrices, written as coordinate triples
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a * b').
 
 Elements are immutable and carry their group, so mixed-group operations
-fail loudly.  All set operations are exact; Python integers never
-overflow, so no width checks are needed.
+fail loudly.  All set operations are exact.  Set products run as numpy
+int64 kernels: each product e * f is encoded as a linear key on the
+bounding box of E * F, which is worked out first in Python integers.
+When a coordinate, a bound or the box volume would not fit in int64 with
+a factor-2 margin (|value| <= 2^62), the product falls back to Python
+pair enumeration, whose integers never overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 class GroupMismatchError(ValueError):
@@ -234,74 +238,223 @@ def inverse_set(F: FiniteSubset) -> FiniteSubset:
     )
 
 
-# Above this many coordinate pairs, abelian set products switch to the
+# Above this many coordinate pairs, dense Z^d set products switch to the
 # FFT-convolution backend (support of the convolution of indicator arrays).
 _FFT_PAIR_THRESHOLD = 2_000_000
+# Products are keyed in int64 only while every key, coordinate and bound
+# stays within this magnitude, so no intermediate sum can wrap.
+_INT64_MARGIN = 2 ** 62
+# At most about this many pairs are keyed at once, so peak memory is flat.
+_CHUNK_PAIRS = 1 << 20
+# A bitmap over the box marks keys when the box is at most
+# _BITMAP_PAIRS_FACTOR times the pair count and at most _BITMAP_MAX cells;
+# sparser products keep a running sorted unique instead.
+_BITMAP_PAIRS_FACTOR = 4
+_BITMAP_MAX = 1 << 26
+
+
+class _Plan(NamedTuple):
+    """E and F as int64 coordinate rows, plus the bounding box of E * F.
+
+    A product e * f is keyed by its row-major offset in the box
+    [lo, lo + shape).  In the Heisenberg group the c coordinate of e * f
+    carries the twist a_e * b'_f, whose least value over E x F is
+    cross_lo (a corner product, since the twist is bilinear).
+    """
+
+    group: DiscreteGroup
+    ea: np.ndarray
+    fa: np.ndarray
+    lo: tuple
+    shape: tuple
+    cross_lo: int
+
+    @property
+    def pairs(self) -> int:
+        return len(self.ea) * len(self.fa)
+
+    @property
+    def volume(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def fft(self) -> bool:
+        """Large dense Z^d products take the FFT route."""
+        return (
+            isinstance(self.group, ZdGroup)
+            and self.pairs > _FFT_PAIR_THRESHOLD
+            and self.volume <= self.pairs
+        )
+
+
+def _plan(E: FiniteSubset, F: FiniteSubset) -> Optional[_Plan]:
+    """The keying plan for E * F, or None when int64 cannot hold it safely."""
+    try:
+        ea = np.array([e.coords for e in E.elements], dtype=np.int64)
+        fa = np.array([f.coords for f in F.elements], dtype=np.int64)
+    except OverflowError:
+        return None
+    elo, ehi = ea.min(axis=0).tolist(), ea.max(axis=0).tolist()
+    flo, fhi = fa.min(axis=0).tolist(), fa.max(axis=0).tolist()
+    lo = [x + y for x, y in zip(elo, flo)]
+    hi = [x + y for x, y in zip(ehi, fhi)]
+    corners = [0]
+    if isinstance(E.group, HeisenbergGroup):
+        corners = [a * b for a in (elo[0], ehi[0]) for b in (flo[1], fhi[1])]
+        lo[2] += min(corners)
+        hi[2] += max(corners)
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if math.prod(shape) > _INT64_MARGIN or any(
+        abs(v) > _INT64_MARGIN for v in (*lo, *hi, *corners)
+    ):
+        return None
+    return _Plan(E.group, ea, fa, tuple(lo), shape, min(corners))
+
+
+def _key_chunks(plan: _Plan) -> Iterator[np.ndarray]:
+    """Keys of all products e * f, a block of E rows at a time."""
+    strides = np.array(
+        [math.prod(plan.shape[i + 1:]) for i in range(len(plan.shape))], dtype=np.int64
+    )
+    ke = (plan.ea - plan.ea.min(axis=0)) @ strides
+    kf = (plan.fa - plan.fa.min(axis=0)) @ strides
+    heisenberg = isinstance(plan.group, HeisenbergGroup)
+    rows = max(1, _CHUNK_PAIRS // len(kf))
+    for i in range(0, len(ke), rows):
+        keys = np.add.outer(ke[i:i + rows], kf)
+        if heisenberg:
+            # c is the last coordinate, so its stride is 1.
+            twist = np.multiply.outer(plan.ea[i:i + rows, 0], plan.fa[:, 1])
+            twist -= plan.cross_lo
+            keys += twist
+        yield keys.ravel()
+
+
+def _enumerated_keys(plan: _Plan) -> np.ndarray:
+    """Sorted distinct keys of E * F from all pairs."""
+    if plan.volume <= min(_BITMAP_PAIRS_FACTOR * plan.pairs, _BITMAP_MAX):
+        seen = np.zeros(plan.volume, dtype=bool)
+        for keys in _key_chunks(plan):
+            seen[keys] = True
+        return np.flatnonzero(seen)
+    # Merge chunk uniques only once they outweigh the running result, so
+    # each key is re-sorted O(log) times.
+    acc = np.empty(0, dtype=np.int64)
+    pending: list = []
+    waiting = 0
+    for keys in _key_chunks(plan):
+        pending.append(np.unique(keys))
+        waiting += pending[-1].size
+        if waiting > acc.size:
+            acc = np.unique(np.concatenate([acc, *pending]))
+            pending, waiting = [], 0
+    return np.unique(np.concatenate([acc, *pending])) if pending else acc
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length pocketfft transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank, by FFT."""
+    axes = tuple(range(in1.ndim))
+    shape = [a + b - 1 for a, b in zip(in1.shape, in2.shape)]
+    fshape = [_fast_len(n) for n in shape]
+    spectrum = np.fft.rfftn(in1, fshape, axes=axes)
+    spectrum *= np.fft.rfftn(in2, fshape, axes=axes)
+    full = np.fft.irfftn(spectrum, fshape, axes=axes)
+    return full[tuple(slice(0, n) for n in shape)]
+
+
+def _indicator(rows: np.ndarray) -> np.ndarray:
+    """0/1 array over the bounding box of a Z^d point set."""
+    offsets = rows - rows.min(axis=0)
+    ind = np.zeros(tuple((offsets.max(axis=0) + 1).tolist()), dtype=np.float64)
+    ind[tuple(offsets.T)] = 1.0
+    return ind
+
+
+def _fft_keys(plan: _Plan) -> np.ndarray:
+    """Sorted keys of a Z^d product as the support of the pair counts.
+
+    The convolution of the indicator arrays of E and F counts the pairs
+    behind each point of E + F, on exactly the box that keys index.  It is
+    trusted only if every entry is within 1/4 of a non-negative integer
+    and the counts add up to |E| |F|; otherwise the pairs are enumerated.
+    """
+    conv = fftconvolve(_indicator(plan.ea), _indicator(plan.fa))
+    counts = np.rint(conv)
+    if (
+        np.abs(conv - counts).max() > 0.25
+        or counts.min() < 0
+        or counts.sum() != plan.pairs
+    ):
+        return _enumerated_keys(plan)
+    return np.flatnonzero(counts)
+
+
+def _decode(plan: _Plan, keys: np.ndarray) -> FiniteSubset:
+    coords = np.stack(np.unravel_index(keys, plan.shape), axis=1)
+    coords += np.array(plan.lo, dtype=np.int64)
+    group = plan.group
+    return FiniteSubset(
+        group, frozenset(GroupElement(group, c) for c in map(tuple, coords.tolist()))
+    )
 
 
 def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     """Exact set product {e * f : e in E, f in F}, deduplicated.
 
-    For large inputs in Z^d the product is computed as the support of a
-    convolution of indicator arrays, which is exact for integer counts;
-    otherwise all pairs are enumerated.
+    Products are keyed on the bounding box of E * F and deduplicated in
+    int64: large dense Z^d products as the support of an FFT convolution
+    of indicator arrays (checked entry by entry, else enumerated), all
+    others by enumerating every pair in numpy.  When int64 cannot hold
+    the box with margin, the pairs are enumerated in Python integers.
     """
     _require_same_group(E.group, F.group)
     if not E.elements or not F.elements:
         return FiniteSubset(E.group, frozenset())
-    if (
-        isinstance(E.group, ZdGroup)
-        and len(E.elements) * len(F.elements) > _FFT_PAIR_THRESHOLD
-    ):
-        return _zd_product_fft(E, F)
+    plan = _plan(E, F)
+    if plan is None:
+        return _product_set_naive(E, F)
+    if plan.fft:
+        return _zd_product_fft(E, F, plan)
+    return _decode(plan, _enumerated_keys(plan))
+
+
+def _product_set_naive(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
+    """Product set by Python enumeration of every pair; the exact reference."""
     mc = E.group.mul_coords
     out = {mc(e.coords, f.coords) for e in E.elements for f in F.elements}
     return FiniteSubset(E.group, frozenset(GroupElement(E.group, c) for c in out))
 
 
-def _zd_product_counts(E: FiniteSubset, F: FiniteSubset):
-    """Pair counts of e + f on a dense grid, via indicator convolution."""
-    ea = np.array(sorted(e.coords for e in E.elements), dtype=np.int64)
-    fa = np.array(sorted(f.coords for f in F.elements), dtype=np.int64)
-    elo, ehi = ea.min(axis=0), ea.max(axis=0)
-    flo, fhi = fa.min(axis=0), fa.max(axis=0)
-    eind = np.zeros(tuple(int(h - l + 1) for l, h in zip(elo, ehi)), dtype=np.float64)
-    find = np.zeros(tuple(int(h - l + 1) for l, h in zip(flo, fhi)), dtype=np.float64)
-    eind[tuple((ea - elo).T)] = 1.0
-    find[tuple((fa - flo).T)] = 1.0
-    counts = np.rint(fftconvolve(eind, find)).astype(np.int64)
-    counts[counts < 0] = 0
-    # The convolution mass must equal the number of pairs exactly; this
-    # guards against any loss of integer counts to roundoff.
-    if int(counts.sum()) != len(E.elements) * len(F.elements):
-        raise ArithmeticError("FFT product lost integer mass; inputs too large")
-    return counts, elo + flo
-
-
-def _zd_product_fft(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
-    group: ZdGroup = E.group  # type: ignore[assignment]
-    counts, origin = _zd_product_counts(E, F)
-    support = np.argwhere(counts > 0)
-    return FiniteSubset(
-        group,
-        frozenset(
-            GroupElement(group, tuple(int(v) for v in row + origin)) for row in support
-        ),
-    )
+def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: Optional[_Plan] = None) -> FiniteSubset:
+    """The Z^d FFT route of product_set."""
+    if plan is None:
+        plan = _plan(E, F)
+    if plan is None:
+        return _product_set_naive(E, F)
+    return _decode(plan, _fft_keys(plan))
 
 
 def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
-    """|EF| without materializing EF; exact, and cheap for large Z^d boxes."""
+    """|EF| without building EF's elements; the keys are only counted."""
     _require_same_group(E.group, F.group)
     if not E.elements or not F.elements:
         return 0
-    if (
-        isinstance(E.group, ZdGroup)
-        and len(E.elements) * len(F.elements) > _FFT_PAIR_THRESHOLD
-    ):
-        counts, _ = _zd_product_counts(E, F)
-        return int(np.count_nonzero(counts))
-    return len(product_set(E, F))
+    plan = _plan(E, F)
+    if plan is None:
+        return len(_product_set_naive(E, F))
+    return len(_fft_keys(plan) if plan.fft else _enumerated_keys(plan))
 
 
 def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:

@@ -1,6 +1,8 @@
 """Config parsing, validation diagnostics, and the CLI contract."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,22 @@ class TestDiagnostics:
         issues = issues_of("model = bernoulli\np = 0.5, 0.5\nn_max = 2\n", "smb-run")
         assert [(i.key, i.line) for i in issues] == [("seed", 0)]
         assert "required" in issues[0].reason
+
+    @pytest.mark.parametrize("subcommand", ["smb-run", "cond-entropy"])
+    def test_schedule_needs_n_max_or_sides(self, subcommand):
+        base = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\n"
+        issues = issues_of(base, subcommand)
+        assert [(i.key, i.line) for i in issues] == [("n_max", 0)]
+        assert "required" in issues[0].reason and "sides" in issues[0].reason
+        assert parse_config(base + "sides = 2, 4\n", subcommand).get("sides") == (2, 4)
+        assert parse_config(base + "n_max = 3\n", subcommand).get("n_max") == 3
+
+    @pytest.mark.parametrize("subcommand", ["smb-run", "cond-entropy"])
+    def test_schedule_rejects_both_n_max_and_sides(self, subcommand):
+        text = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 3\nsides = 2, 4\n"
+        issues = issues_of(text, subcommand)
+        assert [i.key for i in issues] == ["sides"]
+        assert "not both" in issues[0].reason
 
     def test_duplicate_key_cites_first_line(self):
         issues = issues_of(SMB_MIN + "seed = 6\n", "smb-run")
@@ -417,3 +435,19 @@ class TestCliRuns:
         rc, out = run(tmp_path, "cond-entropy", text)
         assert rc == EXIT_OK
         assert capsys.readouterr().out == f"cond-entropy: ok ({out})\n"
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED_CONFIGS) >= 9
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs_and_passes(path, tmp_path, capsys):
+    subcommand = re.search(r"^subcommand\s*=\s*(\S+)", path.read_text(), re.M).group(1)
+    out = str(tmp_path / (path.stem + ".csv"))
+    rc = main([subcommand, "--config", str(path), "--out", out])
+    assert rc == EXIT_OK, capsys.readouterr().err
+    assert read_summary(out)["assertion"] == "pass"

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberent.covering as covering_mod
 from fiberent.groups import HeisenbergGroup, ZdGroup, mul, subset_from_coords
+from fiberent.rng import derive_seed
 from fiberent.covering import (
     CoverInstance,
     CoverSolution,
@@ -538,3 +540,73 @@ class TestRandomConclusionFailures:
         assert report.mean_total_size < 10
         assert not report.coverage_ok
         assert not report.ok
+
+
+def growth_failing_random_instance():
+    # |[0,8)^{-1} [0,2)| = 9 > (1 + 1/2) * 2 fails the across-row growth bound
+    return RandomCoverInstance.create(
+        Z1.box(60),
+        [[Z1.box(8)], [Z1.box(2)]],
+        [
+            [subset_from_coords(Z1, [(8 * k,) for k in range(7)])],
+            [subset_from_coords(Z1, [(2 * k,) for k in range(28)])],
+        ],
+        K=Z1.box(4), C=Fraction(6),
+        alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+    )
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    calls = []
+    original = covering_mod.check_hypotheses
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(covering_mod, "check_hypotheses", counting)
+    return calls
+
+
+class TestHypothesesOncePerInstance:
+    def test_sample_many_checks_hypotheses_once(self, counted_checks):
+        inst = multiplicity_chain_instance()
+        sols = sample_many(inst, 200, 7)
+        assert len(sols) == 200
+        assert len(counted_checks) == 1
+        sample_random_cover(inst, 8)
+        assert len(counted_checks) == 1
+
+    def test_greedy_cover_checks_hypotheses_once(self, counted_checks):
+        inst = two_scale_z1_instance()
+        assert greedy_cover(inst) == greedy_cover(inst)
+        assert len(counted_checks) == 1
+
+    def test_cached_verdict_equals_fresh_check(self):
+        for inst in (two_scale_z2_instance(), heisenberg_random_instance(),
+                     growth_failing_random_instance()):
+            assert inst.hypotheses == check_hypotheses(inst)
+
+    def test_sample_many_is_per_sample_cover(self):
+        inst = coverage_two_row_instance()
+        seed = 13
+        expected = [
+            sample_random_cover(inst, derive_seed(seed, "cover", k)) for k in range(50)
+        ]
+        assert sample_many(inst, 50, seed) == expected
+
+    def test_failing_instances_still_raise(self):
+        inst = growth_failing_random_instance()
+        for _ in range(2):  # the cached failing verdict raises again
+            with pytest.raises(HypothesisError):
+                sample_random_cover(inst, 1)
+            with pytest.raises(HypothesisError):
+                sample_many(inst, 100, 1)
+        escaping = CoverInstance.create(
+            Z1.box(10), [Z1.box(3)], [subset_from_coords(Z1, [(8,)])],
+            delta=Fraction(1, 10), epsilon=Fraction(1, 2),
+        )
+        for _ in range(2):
+            with pytest.raises(HypothesisError):
+                greedy_cover(escaping)

@@ -1,7 +1,12 @@
 """Group algebra: laws, finite subsets, product sets, both route checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,7 +152,7 @@ def test_fft_product_route_matches_naive(monkeypatch):
         Z2, {(x, y) for x in range(7) for y in range(5)} | {(-3, 2), (10, -4)}
     )
     F = subset_from_coords(Z2, {(x, y) for x in range(4) for y in range(6)})
-    naive = product_set(E, F)
+    naive = groups_mod._product_set_naive(E, F)
     monkeypatch.setattr(groups_mod, "_FFT_PAIR_THRESHOLD", 1)
     fft = product_set(E, F)
     assert fft.coords_set() == naive.coords_set()
@@ -159,8 +164,169 @@ def test_fft_route_matches_on_random_zd_sets(EF):
     E, F = EF
     if not isinstance(E.group, ZdGroup):
         return
-    naive = product_set(E, F).coords_set()
+    naive = groups_mod._product_set_naive(E, F).coords_set()
     assert groups_mod._zd_product_fft(E, F).coords_set() == naive
+
+
+def naive_coords(E, F):
+    return groups_mod._product_set_naive(E, F).coords_set()
+
+
+def assert_kernel_matches_naive(E, F):
+    want = naive_coords(E, F)
+    assert product_set(E, F).coords_set() == want
+    assert product_set_size(E, F) == len(want)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(GROUPS), st.data())
+def test_product_kernel_matches_naive_on_every_group(group, data):
+    cs = coords_strategy(group, bound=data.draw(st.sampled_from([3, 8, 1000])))
+    E = subset_from_coords(group, data.draw(st.frozensets(cs, min_size=1, max_size=12)))
+    F = subset_from_coords(group, data.draw(st.frozensets(cs, min_size=1, max_size=12)))
+    assert_kernel_matches_naive(E, F)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_product_kernel_dense_boxes_use_bitmap(group, monkeypatch):
+    E = inverse_set(group.box(*([3] * len(group.identity().coords))))
+    F = group.box(*([4] * len(group.identity().coords)))
+    plan = groups_mod._plan(E, F)
+    assert plan.volume <= groups_mod._BITMAP_PAIRS_FACTOR * plan.pairs
+    # Several small chunks: the bitmap must collect all of them.
+    monkeypatch.setattr(groups_mod, "_CHUNK_PAIRS", 50)
+    assert_kernel_matches_naive(E, F)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_product_kernel_sparse_sets_use_sorted_unique(group, monkeypatch):
+    dims = len(group.identity().coords)
+    E = subset_from_coords(
+        group, {tuple(random_element(group, 10 ** 4, 5, "e", i).coords) for i in range(60)})
+    F = subset_from_coords(
+        group, {tuple(random_element(group, 10 ** 4, 5, "f", i).coords) for i in range(40)}
+        | {(0,) * dims, (1,) + (0,) * (dims - 1)})
+    plan = groups_mod._plan(E, F)
+    assert plan.volume > groups_mod._BITMAP_PAIRS_FACTOR * plan.pairs
+    # Chunks of a few rows each exercise the running merge of uniques.
+    monkeypatch.setattr(groups_mod, "_CHUNK_PAIRS", 90)
+    assert_kernel_matches_naive(E, F)
+    # A set times its own translate repeats products across chunks.
+    assert_kernel_matches_naive(E, E.union(translate(E, group.element(*([1] * dims)))))
+
+
+def test_heisenberg_negative_coordinates_twist_bounds():
+    # a spans [-5, 3] and b' spans [-4, 6]: the twist a * b' ranges over
+    # [-30, 20], so its least and greatest values are corner products.
+    E = subset_from_coords(H, [(a, b, c) for a in (-5, -1, 3) for b in (-2, 2) for c in (-7, 0)])
+    F = subset_from_coords(H, [(a, b, c) for a in (-3, 0) for b in (-4, 1, 6) for c in (-1, 5)])
+    plan = groups_mod._plan(E, F)
+    assert plan.cross_lo == -30
+    assert plan.lo[2] == -7 + -1 + -30
+    assert plan.lo[2] + plan.shape[2] - 1 == 0 + 5 + 20
+    assert_kernel_matches_naive(E, F)
+    assert_kernel_matches_naive(F, E)
+    assert_kernel_matches_naive(inverse_set(E), E)
+
+
+@pytest.fixture
+def naive_calls(monkeypatch):
+    calls = []
+    original = groups_mod._product_set_naive
+
+    def counting(E, F):
+        calls.append((E, F))
+        return original(E, F)
+
+    monkeypatch.setattr(groups_mod, "_product_set_naive", counting)
+    return calls
+
+
+@pytest.mark.parametrize("E_coords, F_coords, group, fallback", [
+    # Within the margin: keyed in int64.
+    ([(2 ** 61,), (2 ** 61 - 5,)], [(1,), (3,)], Z1, False),
+    ([(-(2 ** 61), 4), (-(2 ** 61) + 2, 4)], [(-(2 ** 61) + 1, 0), (-(2 ** 61), 2)], Z2, False),
+    # A bound of E * F reaches past 2^62.
+    ([(2 ** 62 - 1,), (2 ** 62 - 4,)], [(1,), (2,)], Z1, True),
+    ([(-(2 ** 62), 0)], [(-1, 0), (0, 3)], Z2, True),
+    # Coordinates beyond int64 itself.
+    ([(2 ** 70,), (3,)], [(1,), (-2 ** 64,)], Z1, True),
+    ([(0, 0, 2 ** 63)], [(1, 2, 3)], H, True),
+    # The Heisenberg twist a * b' alone passes 2^62.
+    ([(2 ** 31, 0, 0), (1, 1, 1)], [(0, 2 ** 31 + 1, 0), (2, 0, 5)], H, True),
+    # A box volume past 2^62 with every coordinate small enough.
+    ([(0, 0, 0), (2 ** 21, 2 ** 21, 2 ** 21)], [(0, 0, 0)], Z3, True),
+])
+def test_product_int64_guard_falls_back_exactly(E_coords, F_coords, group, fallback,
+                                                naive_calls):
+    E = subset_from_coords(group, E_coords)
+    F = subset_from_coords(group, F_coords)
+    want = {group.mul_coords(e, f) for e in E_coords for f in F_coords}
+    assert product_set(E, F).coords_set() == want
+    assert product_set_size(E, F) == len(want)
+    assert len(naive_calls) == (2 if fallback else 0)
+
+
+def _add_half_to_first_cell(conv):
+    conv[(0,) * conv.ndim] += 0.5
+
+
+def _cancelling_errors(conv):
+    # +0.6 on an empty cell and -0.6 on a cell counting two pairs: the
+    # rounded mass is unchanged, but the support gains a point.
+    counts = np.rint(conv)
+    conv[tuple(np.argwhere(counts == 0)[0])] += 0.6
+    conv[tuple(np.argwhere(counts >= 2)[0])] -= 0.6
+
+
+@pytest.mark.parametrize("perturb", [_add_half_to_first_cell, _cancelling_errors])
+def test_fft_rounding_guard_falls_back_to_keys(perturb, monkeypatch):
+    E = subset_from_coords(Z2, {(x, y) for x in range(6) for y in range(5)} | {(9, -2)})
+    F = subset_from_coords(Z2, {(x, y) for x in range(4) for y in range(7)})
+    want = naive_coords(E, F)
+    exact_conv, exact_keys = groups_mod.fftconvolve, groups_mod._enumerated_keys
+    fallbacks = []
+
+    def perturbed(in1, in2):
+        out = exact_conv(in1, in2).copy()
+        perturb(out)
+        return out
+
+    def enumerated(plan):
+        fallbacks.append(plan.pairs)
+        return exact_keys(plan)
+
+    monkeypatch.setattr(groups_mod, "_FFT_PAIR_THRESHOLD", 1)
+    monkeypatch.setattr(groups_mod, "fftconvolve", perturbed)
+    monkeypatch.setattr(groups_mod, "_enumerated_keys", enumerated)
+    assert product_set(E, F).coords_set() == want
+    assert product_set_size(E, F) == len(want)
+    assert fallbacks == [len(E) * len(F)] * 2
+
+
+def test_fftconvolve_matches_direct_sums():
+    a = np.arange(12, dtype=np.float64).reshape(3, 4) % 5
+    b = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0]])
+    want = np.zeros((4, 6))
+    for i, j in np.ndindex(a.shape):
+        want[i:i + 2, j:j + 3] += a[i, j] * b
+    assert np.allclose(groups_mod.fftconvolve(a, b), want, atol=1e-9)
+
+
+def test_fast_len_is_five_smooth():
+    assert [groups_mod._fast_len(n) for n in (1, 7, 11, 13, 17, 97, 127)] == [
+        1, 8, 12, 15, 18, 100, 128]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(groups_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, fiberent.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_group_mismatch_is_rejected():
