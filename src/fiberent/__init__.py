@@ -31,7 +31,6 @@ from .entropy import (
     conditional_information,
     fiber_entropy_closed_form,
     information,
-    shannon_entropy,
     smb_trace,
 )
 from .folner import (
@@ -62,9 +61,7 @@ from .groups import (
 )
 from .measures import (
     CellId,
-    DisintegratedMeasure,
     PartitionSpec,
-    ZeroMeasureError,
     canonical_partition,
     cell_log_measure,
     cell_measure,
@@ -74,7 +71,6 @@ from .measures import (
     conditional_label_distribution,
     enumerate_cells,
     marginal_cell_measure,
-    measure_for,
 )
 from .rds import (
     BernoulliModel,
@@ -82,14 +78,14 @@ from .rds import (
     RandomAlphabetModel,
     SkewPoint,
     SymbolicConfiguration,
-    base_action,
+    ZeroMeasureError,
     bowen_distance,
     check_cocycle,
     configuration_from_pins,
     constant_configuration,
     exact_distribution,
-    fiber_map,
     sample_point,
+    shannon_entropy,
     shift,
     skew,
 )

@@ -54,14 +54,15 @@ class ExperimentConfig:
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 # Per-subcommand schema: key (or regex for indexed families) -> value kind.
-# Kinds: u64, int, number, unit (rational in (0,1]), string, dist, intlist,
-# choice:<a|b|...>.
+# Kinds: u64, int:<min> (integer >= min), number, unit (rational in (0,1]),
+# string, dist, intlist, choice:<a|b|...>.  Each int's minimum is the least
+# value its runner can use.
 _COMMON = {
     "seed": "u64",
     "out": "string",
     "subcommand": "choice:" + "|".join(SUBCOMMANDS),
     "tolerance": "number",
-    "workers": "int",
+    "workers": "int:1",
 }
 
 _MODEL_KEYS = {
@@ -76,27 +77,27 @@ _MODEL_KEYS = {
 _SCHEMAS = {
     "smb-run": {
         **_COMMON, **_MODEL_KEYS,
-        "n_max": "int", "sides": "intlist", "trajectories": "int",
+        "n_max": "int:1", "sides": "intlist", "trajectories": "int:1",
     },
     "cond-entropy": {
         **_COMMON, **_MODEL_KEYS,
-        "n_max": "int", "sides": "intlist",
-        "method": "choice:exact|monte-carlo", "samples": "int",
+        "n_max": "int:1", "sides": "intlist",
+        "method": "choice:exact|monte-carlo", "samples": "int:1",
     },
     "folner-check": {
-        **_COMMON, "group": "group", "n_max": "int", "tempered_bound": "number",
+        **_COMMON, "group": "group", "n_max": "int:1", "tempered_bound": "number",
     },
     "cocycle-check": {
         **_COMMON, **_MODEL_KEYS,
-        "checks": "int", "window_n": "int", "radius": "int",
+        "checks": "int:1", "window_n": "int:1", "radius": "int:0",
     },
     "cover-demo": {
         **_COMMON,
         "kind": "choice:greedy|random",
-        "ambient_n": "int", "delta": "unit", "epsilon": "unit",
-        "alpha": "unit", "c": "number", "samples": "int",
+        "ambient_n": "int:1", "delta": "unit", "epsilon": "unit",
+        "alpha": "unit", "c": "number", "samples": "int:100",
         "k_set": "intlist",
-        re.compile(r"^shape_(\d+)(_(\d+))?$"): "int",
+        re.compile(r"^shape_(\d+)(_(\d+))?$"): "int:1",
         re.compile(r"^centers_(\d+)(_(\d+))?$"): "intlist",
     },
 }
@@ -140,8 +141,12 @@ def _parse_scalar(kind: str, raw: str):
         if not 0 <= v < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         return v
-    if kind == "int":
-        return int(raw)
+    if kind.startswith("int:"):
+        v = int(raw)
+        least = int(kind.split(":", 1)[1])
+        if v < least:
+            raise ValueError(f"must be >= {least}")
+        return v
     if kind in ("number", "unit"):
         v = Fraction(raw)
         if kind == "unit" and not 0 < v < 1:
@@ -244,7 +249,7 @@ def _cross_validate(cfg: ExperimentConfig) -> list:
     if sub == "folner-check":
         group = v["group"]
         cap = 6 if isinstance(group, HeisenbergGroup) else 64
-        if v["n_max"] < 1 or v["n_max"] > cap:
+        if v["n_max"] > cap:
             issues.append(ConfigIssue("n_max", 0, f"must be in 1..{cap} for {group.tag}"))
     if sub == "cover-demo":
         issues.extend(_validate_cover_keys(v))
@@ -294,7 +299,7 @@ def _validate_schedule(v: dict) -> list:
             issues.append(ConfigIssue("sides", 0, "largest window exceeds 2^20 points"))
     if n_max is not None:
         size = n_max ** 4 if isinstance(group, HeisenbergGroup) else n_max ** group.d
-        if n_max < 1 or size > 2 ** 20:
+        if size > 2 ** 20:
             issues.append(ConfigIssue("n_max", 0, "largest window exceeds 2^20 points"))
     if sides is not None and n_max is not None:
         issues.append(ConfigIssue("sides", 0, "give either n_max or sides, not both"))

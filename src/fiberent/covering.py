@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .groups import FiniteSubset, inverse_set, product_set
 from .rng import derive_seed, uniform01
@@ -227,28 +227,28 @@ def _require_hypotheses(inst) -> None:
         raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
 
 
-def _accept_blocks(layers, delta: Fraction) -> CoverSolution:
-    """Shared thinning loop: accept a block iff its overlap with the
-    already-covered region is at most delta * |shape|, scanning layers in
-    the given order and centers lexicographically within each layer.
+def _thin(inst, layers) -> CoverSolution:
+    """The one thinning loop: accept a block iff its overlap with the
+    already-covered region is at most delta * |shape|.
+
+    `layers(covered)` yields (pick key, shape, center coords) per layer in
+    scan order; it is resumed only after the previous layer is thinned, so
+    a layer may depend on how much is covered so far.
     """
+    mc = inst.ambient.group.mul_coords
     covered: set = set()
     lam: dict = {}
     picks = []
     total = 0
-    for key_prefix, shape, center_coords in layers:
-        size = len(shape)
-        block_offsets = shape
-        for a in center_coords:
-            block = [None] * size
-            overlap = 0
-            for idx, f in enumerate(block_offsets):
-                c = f(a)
-                block[idx] = c
-                if c in covered:
-                    overlap += 1
-            if overlap <= delta * size:
-                picks.append(key_prefix + (a,))
+    for key, shape, centers in layers(covered):
+        offsets = [f.coords for f in shape.sorted_elements()]
+        size = len(offsets)
+        limit = inst.delta * size
+        for ac in centers:
+            block = [mc(fc, ac) for fc in offsets]
+            overlap = sum(1 for c in block if c in covered)
+            if overlap <= limit:
+                picks.append(key + (ac,))
                 total += size
                 for c in block:
                     covered.add(c)
@@ -261,13 +261,6 @@ def _accept_blocks(layers, delta: Fraction) -> CoverSolution:
     )
 
 
-def _layer(group, shape: FiniteSubset, centers) -> tuple:
-    mc = group.mul_coords
-    offsets = [f.coords for f in shape.sorted_elements()]
-    makers = [lambda a, fc=fc: mc(fc, a) for fc in offsets]
-    return makers, [a.coords for a in centers]
-
-
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
     """Deterministic cover: shapes from largest index down, centers in
     lexicographic order, delta-fraction overlap acceptance.
@@ -278,11 +271,13 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     inequalities are the verifier's to evaluate per instance.
     """
     _require_hypotheses(inst)
-    layers = []
-    for i in range(len(inst.shapes), 0, -1):
-        makers, centers = _layer(inst.ambient.group, inst.shapes[i - 1], inst.centers[i - 1].sorted_elements())
-        layers.append(((i,), makers, centers))
-    sol = _accept_blocks(layers, inst.delta)
+
+    def layers(covered):
+        for i in range(len(inst.shapes), 0, -1):
+            centers = [a.coords for a in inst.centers[i - 1].sorted_elements()]
+            yield (i,), inst.shapes[i - 1], centers
+
+    sol = _thin(inst, layers)
     assert (1 - inst.delta) * sol.total_size <= sol.union_size
     return sol
 
@@ -297,40 +292,24 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
     The output is a pure function of (instance, seed).
     """
     _require_hypotheses(inst)
-    mc = inst.ambient.group.mul_coords
-    covered: set = set()
-    lam: dict = {}
-    picks = []
-    total = 0
     goal = inst.alpha * len(inst.ambient)
-    for i in range(len(inst.shapes), 0, -1):
-        for j in range(len(inst.shapes[i - 1]), 0, -1):
-            shape = inst.shapes[i - 1][j - 1]
-            offsets = [f.coords for f in shape.sorted_elements()]
-            size = len(offsets)
-            gap = goal - len(covered)
-            q = min(Fraction(1), inst.delta * max(Fraction(0), gap) / size)
-            if q == 0:
-                continue
-            q_float = float(q)
-            for a in inst.centers[i - 1][j - 1].sorted_elements():
-                ac = a.coords
-                if q != 1 and uniform01(seed, "keep", i, j, ac) >= q_float:
+
+    def layers(covered):
+        for i in range(len(inst.shapes), 0, -1):
+            for j in range(len(inst.shapes[i - 1]), 0, -1):
+                shape = inst.shapes[i - 1][j - 1]
+                gap = goal - len(covered)
+                q = min(Fraction(1), inst.delta * max(Fraction(0), gap) / len(shape))
+                if q == 0:
                     continue
-                block = [mc(fc, ac) for fc in offsets]
-                overlap = sum(1 for c in block if c in covered)
-                if overlap <= inst.delta * size:
-                    picks.append((i, j, ac))
-                    total += size
-                    for c in block:
-                        covered.add(c)
-                        lam[c] = lam.get(c, 0) + 1
-    return CoverSolution(
-        picks=tuple(picks),
-        covered=frozenset(covered),
-        total_size=total,
-        multiplicity=tuple(sorted(lam.items())),
-    )
+                centers = [a.coords for a in inst.centers[i - 1][j - 1].sorted_elements()]
+                if q != 1:
+                    q_float = float(q)
+                    centers = [ac for ac in centers
+                               if uniform01(seed, "keep", i, j, ac) < q_float]
+                yield (i, j), shape, centers
+
+    return _thin(inst, layers)
 
 
 @dataclass(frozen=True)

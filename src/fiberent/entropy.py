@@ -27,34 +27,14 @@ from typing import Optional, Sequence
 from .folner import FolnerSequence
 from .groups import FiniteSubset, GroupElement, inverse, translate
 from .measures import (
-    BernoulliModel,
     CellId,
-    DisintegratedMeasure,
-    MarkovModel,
     PartitionSpec,
-    RandomAlphabetModel,
-    ZeroMeasureError,
-    _log_matrix,
-    _log_or_raise,
-    _log_table,
-    _markov_gap_power,
     canonical_partition,
     cell_measure,
     cell_of,
     conditional_label_distribution,
-    measure_for,
 )
-from .rds import SkewPoint, sample_point, skew
-
-
-def shannon_entropy(dist: Sequence) -> float:
-    """-sum p ln p in nats, with 0 ln 0 = 0."""
-    values = [float(p) for p in dist]
-    if any(v < -1e-15 for v in values):
-        raise ValueError("negative probability")
-    if abs(math.fsum(values) - 1.0) > 1e-12:
-        raise ValueError(f"distribution sums to {math.fsum(values)}, not 1")
-    return -math.fsum(v * math.log(v) for v in values if v > 0.0)
+from .rds import SkewPoint, ZeroMeasureError, sample_point, shannon_entropy, skew
 
 
 def log_fraction(fr: Fraction) -> float:
@@ -64,30 +44,28 @@ def log_fraction(fr: Fraction) -> float:
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def information(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteSubset,
-                p: SkewPoint) -> float:
+def information(mu, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> float:
     """Pointwise information -ln mu_omega(cell of p over F)."""
-    return -log_fraction(cell_measure(mu, p.omega, cell_of(mu.model, xi, F, p)))
+    return -log_fraction(cell_measure(mu, p.omega, cell_of(mu, xi, F, p)))
 
 
-def conditional_information(mu: DisintegratedMeasure, xi: PartitionSpec,
+def conditional_information(mu, xi: PartitionSpec,
                             cond_set: FiniteSubset, p: SkewPoint) -> float:
     """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(cell over cond_set)."""
     e = cond_set.group.identity()
     if e in cond_set:
         raise ValueError("conditioning set may not contain the identity")
-    model = mu.model
     big = FiniteSubset(cond_set.group, cond_set.elements | {e})
-    numerator = cell_measure(mu, p.omega, cell_of(model, xi, big, p))
+    numerator = cell_measure(mu, p.omega, cell_of(mu, xi, big, p))
     if len(cond_set) == 0:
         return -log_fraction(numerator)
-    denominator = cell_measure(mu, p.omega, cell_of(model, xi, cond_set, p))
+    denominator = cell_measure(mu, p.omega, cell_of(mu, xi, cond_set, p))
     if denominator == 0:
         raise ZeroMeasureError("conditioning cell has measure zero")
     return -log_fraction(numerator / denominator)
 
 
-def chain_rule_terms(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteSubset,
+def chain_rule_terms(mu, xi: PartitionSpec, F: FiniteSubset,
                      order: Sequence[GroupElement], p: SkewPoint) -> list:
     """Telescoping decomposition of information(F) along an enumeration.
 
@@ -98,17 +76,16 @@ def chain_rule_terms(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteSubse
     """
     if frozenset(order) != F.elements:
         raise ValueError("order must enumerate F exactly once")
-    model = mu.model
     remaining = set(F.elements)
     terms = []
     for g in order:
         remaining.discard(g)
         D = translate(FiniteSubset(F.group, frozenset(remaining)), inverse(g))
-        terms.append(conditional_information(mu, xi, D, skew(model, g, p)))
+        terms.append(conditional_information(mu, xi, D, skew(mu, g, p)))
     return terms
 
 
-def chain_rule_residual(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteSubset,
+def chain_rule_residual(mu, xi: PartitionSpec, F: FiniteSubset,
                         order: Sequence[GroupElement], p: SkewPoint) -> float:
     """|information(F) - sum of telescoping terms| for one enumeration."""
     total = information(mu, xi, F, p)
@@ -119,19 +96,7 @@ def fiber_entropy_closed_form(model, xi: PartitionSpec) -> float:
     """Exact fiber entropy of the canonical partition, in nats."""
     if xi.atoms != model.fiber_alphabet_size:
         raise ValueError("partition does not match the model's fiber alphabet")
-    if isinstance(model, BernoulliModel):
-        return shannon_entropy(model.p)
-    if isinstance(model, RandomAlphabetModel):
-        return math.fsum(
-            float(pb) * shannon_entropy(row)
-            for pb, row in zip(model.base_p, model.fiber_ps)
-        )
-    if isinstance(model, MarkovModel):
-        return math.fsum(
-            float(pi_i) * shannon_entropy(row)
-            for pi_i, row in zip(model.stationary, model.transition)
-        )
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.fiber_entropy()
 
 
 @dataclass(frozen=True)
@@ -172,13 +137,8 @@ class EntropyReport:
     trace: ConvergenceTrace
 
 
-def _is_prefix_interval(coords_set: frozenset) -> bool:
-    """True iff a Z^1 coordinate set is exactly {0, 1, ..., s-1}."""
-    return coords_set == frozenset((i,) for i in range(len(coords_set)))
-
-
-def _trace_schedule(seq: FolnerSequence, n_values: Sequence[int]):
-    """Per-row evaluation plan: (n, size, new or full coords), plus a mode."""
+def _trace_schedule(seq: FolnerSequence, n_values: Sequence[int]) -> list:
+    """The scheduled n values, checked against the sequence."""
     ns = list(n_values)
     if any(a >= b for a, b in zip(ns, ns[1:])) or not ns:
         raise ValueError("n_values must be non-empty and strictly increasing")
@@ -190,68 +150,11 @@ def _trace_schedule(seq: FolnerSequence, n_values: Sequence[int]):
 def _smb_worker(args) -> list:
     """Information totals for one trajectory, one value per scheduled n.
 
-    Pure function of (model, schedule, seed, index): safe to farm out to
+    Pure function of (model, plan, seed, index): safe to farm out to
     worker processes, and byte-identical regardless of scheduling.
     """
-    model, mode, schedule, seed, index = args
-    point = sample_point(model, seed, index)
-    x, omega = point.x, point.omega
-    totals = []
-    if mode == "product":
-        table = _log_table(model.p)
-        running = 0.0
-        for _, _, new_coords in schedule:
-            running -= math.fsum(_log_or_raise(table[x.value_at(c)]) for c in new_coords)
-            totals.append(running)
-    elif mode == "conditional":
-        tables = tuple(_log_table(row) for row in model.fiber_ps)
-        running = 0.0
-        for _, _, new_coords in schedule:
-            running -= math.fsum(
-                _log_or_raise(tables[omega.value_at(c)][x.value_at(c)])
-                for c in new_coords
-            )
-            totals.append(running)
-    elif mode == "markov-interval":
-        pi_table = _log_table(model.stationary)
-        step = _log_matrix(model.transition, 1)
-        running = -_log_or_raise(pi_table[x.value_at((0,))])
-        upto = 1
-        for _, size, _ in schedule:
-            while upto < size:
-                a, b = x.value_at((upto - 1,)), x.value_at((upto,))
-                running -= _log_or_raise(step[a][b])
-                upto += 1
-            totals.append(running)
-    else:  # markov-general: no incremental structure, evaluate each window
-        pi_table = _log_table(model.stationary)
-        for _, _, coords in schedule:
-            positions = sorted((c[0], x.value_at(c)) for c in coords)
-            total = -_log_or_raise(pi_table[positions[0][1]])
-            for (i, a), (j, b) in zip(positions, positions[1:]):
-                total -= _log_or_raise(_log_matrix(model.transition, j - i)[a][b])
-            totals.append(total)
-    return totals
-
-
-def _smb_mode_and_schedule(model, seq: FolnerSequence, ns: list):
-    sets = [seq.set(n) for n in ns]
-    coord_sets = [F.coords_set() for F in sets]
-    if isinstance(model, (BernoulliModel, RandomAlphabetModel)):
-        mode = "product" if isinstance(model, BernoulliModel) else "conditional"
-        schedule = []
-        prev: frozenset = frozenset()
-        for n, F, cs in zip(ns, sets, coord_sets):
-            schedule.append((n, len(F), tuple(sorted(cs - prev))))
-            prev = cs
-        return mode, schedule
-    if isinstance(model, MarkovModel):
-        if all(_is_prefix_interval(cs) for cs in coord_sets):
-            return "markov-interval", [(n, len(F), ()) for n, F in zip(ns, sets)]
-        return "markov-general", [
-            (n, len(F), tuple(sorted(cs))) for n, F, cs in zip(ns, sets, coord_sets)
-        ]
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    model, plan, seed, index = args
+    return model.smb_totals(plan, sample_point(model, seed, index))
 
 
 def _mean_and_se(values: list) -> tuple:
@@ -275,16 +178,18 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
-    mode, schedule = _smb_mode_and_schedule(model, seq, ns)
+    sets = [seq.set(n) for n in ns]
+    plan = model.smb_plan([F.coords_set() for F in sets])
     target = fiber_entropy_closed_form(model, canonical_partition(model))
-    tasks = [(model, mode, schedule, seed, t) for t in range(trajectories)]
+    tasks = [(model, plan, seed, t) for t in range(trajectories)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trajectory = list(pool.map(_smb_worker, tasks, chunksize=8))
     else:
         per_trajectory = [_smb_worker(t) for t in tasks]
     rows = []
-    for row_index, (n, size, _) in enumerate(schedule):
+    for row_index, (n, F) in enumerate(zip(ns, sets)):
+        size = len(F)
         rates = [totals[row_index] / size for totals in per_trajectory]
         mean, se = _mean_and_se(rates)
         rows.append(TraceRow(n=n, folner_size=size, estimate=mean, target=target, std_error=se))
@@ -302,50 +207,7 @@ def conditional_entropy_exact(model, xi: PartitionSpec, cond_set: FiniteSubset) 
     """
     if xi.atoms != model.fiber_alphabet_size:
         raise ValueError("partition does not match the model's fiber alphabet")
-    if isinstance(model, BernoulliModel):
-        return shannon_entropy(model.p)
-    if isinstance(model, RandomAlphabetModel):
-        return math.fsum(
-            float(pb) * shannon_entropy(row)
-            for pb, row in zip(model.base_p, model.fiber_ps)
-        )
-    if isinstance(model, MarkovModel):
-        return _markov_conditional_entropy(model, cond_set)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _markov_conditional_entropy(model: MarkovModel, cond_set: FiniteSubset) -> float:
-    positions = sorted(g.coords[0] for g in cond_set)
-    if 0 in positions:
-        raise ValueError("conditioning set may not contain the identity")
-    left = max((p for p in positions if p < 0), default=None)
-    right = min((p for p in positions if p > 0), default=None)
-    P, pi = model.transition, model.stationary
-    size = len(pi)
-    if left is None and right is None:
-        return shannon_entropy(pi)
-    if right is None:
-        rows = _markov_gap_power(P, -left)
-        return math.fsum(float(pi[a]) * shannon_entropy(rows[a]) for a in range(size))
-    if left is None:
-        step = _markov_gap_power(P, right)
-        total = 0.0
-        for b in range(size):
-            dist = tuple(pi[c] * step[c][b] / pi[b] for c in range(size))
-            total += float(pi[b]) * shannon_entropy(dist)
-        return total
-    la = _markov_gap_power(P, -left)
-    rb = _markov_gap_power(P, right)
-    bridge = _markov_gap_power(P, right - left)
-    total = 0.0
-    for a in range(size):
-        for b in range(size):
-            w = pi[a] * bridge[a][b]
-            if w == 0:
-                continue
-            dist = tuple(la[a][c] * rb[c][b] / bridge[a][b] for c in range(size))
-            total += float(w) * shannon_entropy(dist)
-    return total
+    return model.conditional_entropy(cond_set)
 
 
 def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
@@ -367,7 +229,6 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
     xi = canonical_partition(model)
     target = fiber_entropy_closed_form(model, xi)
-    mu = measure_for(model)
     e = seq.group.identity()
     rows = []
     for n in ns:
@@ -380,7 +241,7 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
             for i in range(samples):
                 point = sample_point(model, seed, i)
                 cond_cell = cell_of(model, xi, cond, point) if len(cond) else CellId(cond, ())
-                dist = conditional_label_distribution(mu, point.omega, cond_cell, e)
+                dist = conditional_label_distribution(model, point.omega, cond_cell, e)
                 values.append(shannon_entropy(dist))
             est, se = _mean_and_se(values)
         rows.append(TraceRow(n=n, folner_size=len(F), estimate=est, target=target, std_error=se))

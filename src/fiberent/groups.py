@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iterproduct
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -461,13 +460,6 @@ def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
     """|A symmetric-difference B|, exactly."""
     _require_same_group(A.group, B.group)
     return len(A.elements ^ B.elements)
-
-
-def density_ratio(numerator: int, F: FiniteSubset) -> Fraction:
-    """Exact cardinality ratio numerator / |F|."""
-    if not F.elements:
-        raise ValueError("denominator set is empty")
-    return Fraction(numerator, len(F.elements))
 
 
 def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> GroupElement:

@@ -1,10 +1,11 @@
-"""Disintegrated measures, partition cells, and closed-form cell measures.
+"""Partitions, cylinder cells, and exact cell measures.
 
 A measure on Omega x X is stored as its disintegration: the base marginal
-P (owned by the model) plus a rule giving mu_omega of any cylinder cell
-exactly, as a Fraction.  No densities, no empirical measures: the only
-statistical error anywhere downstream is the averaging the limit theorems
-themselves perform.
+P plus a rule giving mu_omega of any cylinder cell exactly, as a Fraction.
+Each model carries those rules itself (see the rds module), so the model
+is the measure: every `mu` argument below is a model.  No densities, no
+empirical measures: the only statistical error anywhere downstream is the
+averaging the limit theorems themselves perform.
 
 Cells are cylinder sets: a finite window F and one atom label per window
 coordinate.  With the canonical partition (label = x at the identity) the
@@ -17,15 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iterproduct
-from typing import Optional
 
 from .groups import FiniteSubset, GroupElement, translate
 from .rds import (
-    BernoulliModel,
-    MarkovModel,
-    RandomAlphabetModel,
+    EnumerationSizeError,
     SkewPoint,
     SymbolicConfiguration,
     constant_configuration,
@@ -33,42 +30,25 @@ from .rds import (
 )
 from .rng import derive_seed
 
-ZERO_COORDINATE = "zero-coordinate"
-
-MARKOV_GAP_CAP = 64
-
 ENUMERATION_LIMIT = 10 ** 6
-
-
-class ZeroMeasureError(ValueError):
-    """A cell of measure zero was queried for information."""
-
-
-class EnumerationSizeError(ValueError):
-    """A full cell enumeration would exceed the configured limit."""
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Finite partition of Omega x X given by a local label function.
-
-    The canonical kind labels a point by the fiber symbol at the identity,
-    label(omega, x) = x_e; its atom count is the fiber alphabet size and
-    its locality is the singleton {e}.
+    """Finite partition of Omega x X labelling a point by the fiber symbol
+    at the identity, label(omega, x) = x_e; its atom count is the fiber
+    alphabet size and its locality is the singleton {e}.
     """
 
-    kind: str
     atoms: int
 
     def __post_init__(self) -> None:
-        if self.kind != ZERO_COORDINATE:
-            raise ValueError(f"unsupported partition kind: {self.kind}")
         if self.atoms < 1:
             raise ValueError("a partition needs at least one atom")
 
 
 def canonical_partition(model) -> PartitionSpec:
-    return PartitionSpec(ZERO_COORDINATE, model.fiber_alphabet_size)
+    return PartitionSpec(model.fiber_alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -104,123 +84,27 @@ def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
     return CellId(F, labels)
 
 
-@dataclass(frozen=True)
-class DisintegratedMeasure:
-    """Closed-form cell-measure rule for one model's invariant measure."""
-
-    model: object
-
-    @property
-    def kind(self) -> str:
-        return self.model.kind
+def measure_for(model):
+    """The measure of a model is the model itself (`perfbench/` calls this)."""
+    return model
 
 
-def measure_for(model) -> DisintegratedMeasure:
-    return DisintegratedMeasure(model)
-
-
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k))
-        for i in range(k)
-    )
-
-
-@lru_cache(maxsize=None)
-def _matrix_power(transition: tuple, n: int) -> tuple:
-    """Exact n-th power of a rational matrix, n >= 1."""
-    if n == 1:
-        return transition
-    half = _matrix_power(transition, n // 2)
-    out = _mat_mul(half, half)
-    if n % 2:
-        out = _mat_mul(out, transition)
-    return out
-
-
-def _markov_gap_power(transition: tuple, gap: int) -> tuple:
-    if gap > MARKOV_GAP_CAP:
-        raise EnumerationSizeError(
-            f"Markov gap {gap} exceeds the marginalization cap {MARKOV_GAP_CAP}"
-        )
-    return _matrix_power(transition, gap)
-
-
-@lru_cache(maxsize=None)
-def _log_table(dist: tuple) -> tuple:
-    return tuple(math.log(p) if p > 0 else None for p in map(float, dist))
-
-
-@lru_cache(maxsize=None)
-def _log_matrix(transition: tuple, gap: int) -> tuple:
-    power = _markov_gap_power(transition, gap)
-    return tuple(_log_table(row) for row in power)
-
-
-def _log_or_raise(entry: Optional[float]) -> float:
-    if entry is None:
-        raise ZeroMeasureError("zero-measure cell")
-    return entry
-
-
-def cell_measure(mu: DisintegratedMeasure, omega: SymbolicConfiguration, cell: CellId) -> Fraction:
+def cell_measure(mu, omega: SymbolicConfiguration, cell: CellId) -> Fraction:
     """Exact mu_omega of the cylinder cell."""
-    model = mu.model
-    if isinstance(model, BernoulliModel):
-        out = Fraction(1)
-        for _, label in cell.labels:
-            out *= model.p[label]
-        return out
-    if isinstance(model, RandomAlphabetModel):
-        out = Fraction(1)
-        for coords, label in cell.labels:
-            out *= model.fiber_ps[omega.value_at(coords)][label]
-        return out
-    if isinstance(model, MarkovModel):
-        return _markov_cell_measure(model, cell)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return mu.cell_measure(omega, cell.labels)
 
 
-def _markov_cell_measure(model: MarkovModel, cell: CellId) -> Fraction:
-    positions = [(c[0], label) for c, label in cell.labels]
-    if not positions:
-        return Fraction(1)
-    out = model.stationary[positions[0][1]]
-    for (i, a), (j, b) in zip(positions, positions[1:]):
-        out *= _markov_gap_power(model.transition, j - i)[a][b]
-    return out
-
-
-def cell_log_measure(mu: DisintegratedMeasure, omega: SymbolicConfiguration, cell: CellId) -> float:
+def cell_log_measure(mu, omega: SymbolicConfiguration, cell: CellId) -> float:
     """ln of cell_measure, summed from per-coordinate log tables.
 
     Stays finite-precision-stable at windows of thousands of coordinates
     where the Fraction route would be exact but the probability itself
     underflows any float.
     """
-    model = mu.model
-    if isinstance(model, BernoulliModel):
-        table = _log_table(model.p)
-        return sum(_log_or_raise(table[label]) for _, label in cell.labels)
-    if isinstance(model, RandomAlphabetModel):
-        tables = tuple(_log_table(row) for row in model.fiber_ps)
-        return sum(
-            _log_or_raise(tables[omega.value_at(coords)][label])
-            for coords, label in cell.labels
-        )
-    if isinstance(model, MarkovModel):
-        positions = [(c[0], label) for c, label in cell.labels]
-        if not positions:
-            return 0.0
-        total = _log_or_raise(_log_table(model.stationary)[positions[0][1]])
-        for (i, a), (j, b) in zip(positions, positions[1:]):
-            total += _log_or_raise(_log_matrix(model.transition, j - i)[a][b])
-        return total
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return mu.cell_log_measure(omega, cell.labels)
 
 
-def enumerate_cells(mu: DisintegratedMeasure, omega: SymbolicConfiguration,
+def enumerate_cells(mu, omega: SymbolicConfiguration,
                     xi: PartitionSpec, F: FiniteSubset) -> list:
     """All (cell, exact measure) pairs of the join over F."""
     count = xi.atoms ** len(F)
@@ -234,7 +118,7 @@ def enumerate_cells(mu: DisintegratedMeasure, omega: SymbolicConfiguration,
     return out
 
 
-def check_invariance(mu: DisintegratedMeasure, g: GroupElement,
+def check_invariance(mu, g: GroupElement,
                      omega: SymbolicConfiguration, xi: PartitionSpec,
                      F: FiniteSubset) -> bool:
     """Exact check of the pushforward identity F_{g,omega} mu_omega = mu_{g omega}.
@@ -256,20 +140,9 @@ def check_invariance(mu: DisintegratedMeasure, g: GroupElement,
     return True
 
 
-def marginal_cell_measure(mu: DisintegratedMeasure, cell: CellId) -> Fraction:
+def marginal_cell_measure(mu, cell: CellId) -> Fraction:
     """Closed-form integral of mu_omega(cell) over the base measure P."""
-    model = mu.model
-    if isinstance(model, (BernoulliModel, MarkovModel)):
-        # mu_omega does not depend on omega.
-        return cell_measure(mu, constant_omega(model), cell)
-    if isinstance(model, RandomAlphabetModel):
-        out = Fraction(1)
-        for _, label in cell.labels:
-            out *= sum(
-                pb * row[label] for pb, row in zip(model.base_p, model.fiber_ps)
-            )
-        return out
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return mu.marginal_cell_measure(cell.labels)
 
 
 def constant_omega(model) -> SymbolicConfiguration:
@@ -300,7 +173,7 @@ class DisintegrationReport:
         return all(r.within_3se for r in self.rows)
 
 
-def check_disintegration(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteSubset,
+def check_disintegration(mu, xi: PartitionSpec, F: FiniteSubset,
                          samples: int, seed: int) -> DisintegrationReport:
     """Monte Carlo check of mu(R) = integral of mu_omega(R_omega) dP.
 
@@ -309,9 +182,8 @@ def check_disintegration(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteS
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    model = mu.model
     omegas = [
-        model.sample_omega(derive_seed(seed, "traj", i)) for i in range(samples)
+        mu.sample_omega(derive_seed(seed, "traj", i)) for i in range(samples)
     ]
     rows = []
     reference = omegas[0]
@@ -331,51 +203,7 @@ def check_disintegration(mu: DisintegratedMeasure, xi: PartitionSpec, F: FiniteS
     return DisintegrationReport(rows=tuple(rows), samples=samples)
 
 
-def conditional_label_distribution(mu: DisintegratedMeasure, omega: SymbolicConfiguration,
+def conditional_label_distribution(mu, omega: SymbolicConfiguration,
                                    cond: CellId, at: GroupElement) -> tuple:
-    """Exact distribution of the label at `at` given the labels in `cond`.
-
-    For product models the conditional collapses to the single-coordinate
-    distribution; for the Markov chain only the nearest conditioning
-    neighbors on each side matter.
-    """
-    model = mu.model
-    if isinstance(model, BernoulliModel):
-        return model.p
-    if isinstance(model, RandomAlphabetModel):
-        return model.fiber_ps[omega.value(at)]
-    if isinstance(model, MarkovModel):
-        return _markov_conditional(model, cond, at.coords[0])
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _markov_conditional(model: MarkovModel, cond: CellId, k: int) -> tuple:
-    P = model.transition
-    pi = model.stationary
-    size = len(pi)
-    left = None
-    right = None
-    for coords, label in cond.labels:
-        pos = coords[0]
-        if pos == k:
-            raise ValueError("conditioning set may not contain the target coordinate")
-        if pos < k and (left is None or pos > left[0]):
-            left = (pos, label)
-        if pos > k and (right is None or pos < right[0]):
-            right = (pos, label)
-    if left is None and right is None:
-        return pi
-    if right is None:
-        step = _markov_gap_power(P, k - left[0])
-        return tuple(step[left[1]][c] for c in range(size))
-    if left is None:
-        # Bayes against the stationary marginal of the right neighbor.
-        step = _markov_gap_power(P, right[0] - k)
-        total = pi[right[1]]
-        return tuple(pi[c] * step[c][right[1]] / total for c in range(size))
-    a, b = left[1], right[1]
-    la, rb = _markov_gap_power(P, k - left[0]), _markov_gap_power(P, right[0] - k)
-    bridge = _markov_gap_power(P, right[0] - left[0])[a][b]
-    if bridge == 0:
-        raise ZeroMeasureError("conditioning cell has measure zero")
-    return tuple(la[a][c] * rb[c][b] / bridge for c in range(size))
+    """Exact distribution of the label at `at` given the labels in `cond`."""
+    return mu.conditional_label_distribution(omega, cond.labels, at)

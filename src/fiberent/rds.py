@@ -12,15 +12,22 @@ Action convention, used everywhere: the group acts by
 so shifting a configuration by g multiplies its frame offset by g on the
 left.  All cocycle identities below depend on this choice.
 
-All three models use the shift as fiber map, F_{g, omega} x = g . x,
-independent of omega; the omega-dependence lives in the fiber measures
-(see the measures module).  This keeps entropies in closed form while the
+The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
+it is written once, on ShiftModel, which every model extends.  The
+omega-dependence lives in the fiber measures mu_omega.  Each model owns
+its measure and entropy rules: exact and log cell measures, the base
+marginal, conditional label laws, closed-form fiber and conditional
+entropies, and its SMB evaluation plan.  The measures and entropy modules
+call these rules; they do not branch on the model.  Bernoulli is the
+random-alphabet model with a one-symbol base, so there is one product
+rule and one Markov rule.  This keeps entropies in closed form while the
 disintegration is genuinely random for the mixed-alphabet model.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -280,33 +287,84 @@ def _stationary_distribution(transition: tuple) -> tuple:
     return tuple(rhs)
 
 
-@dataclass(frozen=True)
-class BernoulliModel:
-    """Trivial base; fiber measure is the i.i.d. product of `p` on A^G."""
+MARKOV_GAP_CAP = 64
 
-    group: DiscreteGroup
-    p: tuple
 
-    kind = "bernoulli"
+class ZeroMeasureError(ValueError):
+    """A cell of measure zero was queried for information."""
 
-    @staticmethod
-    def create(group: DiscreteGroup, p: Sequence) -> "BernoulliModel":
-        return BernoulliModel(group, exact_distribution(p))
 
-    @property
-    def base_alphabet_size(self) -> int:
-        return 1
+class EnumerationSizeError(ValueError):
+    """A cell enumeration or a Markov gap would exceed its configured limit."""
 
-    @property
-    def fiber_alphabet_size(self) -> int:
-        return len(self.p)
 
-    def sample_omega(self, stream_seed: int) -> SymbolicConfiguration:
-        return constant_configuration(self.group, 1)
+def shannon_entropy(dist: Sequence) -> float:
+    """-sum p ln p in nats, with 0 ln 0 = 0."""
+    values = [float(p) for p in dist]
+    if any(v < -1e-15 for v in values):
+        raise ValueError("negative probability")
+    if abs(math.fsum(values) - 1.0) > 1e-12:
+        raise ValueError(f"distribution sums to {math.fsum(values)}, not 1")
+    return -math.fsum(v * math.log(v) for v in values if v > 0.0)
 
-    def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
-        sampler = ProductSampler(self.p, derive_seed(stream_seed, "x"))
-        return SymbolicConfiguration(self.group, len(self.p), sampler, self.group.identity(), {})
+
+@lru_cache(maxsize=None)
+def _log_table(dist: tuple) -> tuple:
+    return tuple(math.log(p) if p > 0 else None for p in map(float, dist))
+
+
+def _log_or_raise(entry: Optional[float]) -> float:
+    if entry is None:
+        raise ZeroMeasureError("zero-measure cell")
+    return entry
+
+
+def _mat_mul(a: tuple, b: tuple) -> tuple:
+    k = len(a)
+    return tuple(
+        tuple(sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k))
+        for i in range(k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _matrix_power(transition: tuple, n: int) -> tuple:
+    """Exact n-th power of a rational matrix, n >= 1."""
+    if n == 1:
+        return transition
+    half = _matrix_power(transition, n // 2)
+    out = _mat_mul(half, half)
+    if n % 2:
+        out = _mat_mul(out, transition)
+    return out
+
+
+def _markov_gap_power(transition: tuple, gap: int) -> tuple:
+    if gap > MARKOV_GAP_CAP:
+        raise EnumerationSizeError(
+            f"Markov gap {gap} exceeds the marginalization cap {MARKOV_GAP_CAP}"
+        )
+    return _matrix_power(transition, gap)
+
+
+@lru_cache(maxsize=None)
+def _log_matrix(transition: tuple, gap: int) -> tuple:
+    return tuple(_log_table(row) for row in _markov_gap_power(transition, gap))
+
+
+def _is_prefix_interval(coords_set: frozenset) -> bool:
+    """True iff a Z^1 coordinate set is exactly {0, 1, ..., s-1}."""
+    return coords_set == frozenset((i,) for i in range(len(coords_set)))
+
+
+class ShiftModel:
+    """What the three models share: the fiber map is the shift.
+
+    Each model also carries its own measure and entropy rules.  A cell is
+    given to them as `labels`, a tuple of (coords, atom index) pairs
+    sorted by coords; an SMB plan is whatever `smb_plan` returns, and only
+    the same model's `smb_totals` reads it.
+    """
 
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
@@ -314,7 +372,7 @@ class BernoulliModel:
 
 
 @dataclass(frozen=True)
-class RandomAlphabetModel:
+class RandomAlphabetModel(ShiftModel):
     """Base i.i.d. from `base_p`; fiber symbol at g drawn from row omega_g.
 
     The fiber measure mu_omega is the product over g of fiber_ps[omega_g],
@@ -357,17 +415,104 @@ class RandomAlphabetModel:
             self.group, self.fiber_alphabet_size, sampler, self.group.identity(), {}
         )
 
-    def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
-                  x: SymbolicConfiguration) -> SymbolicConfiguration:
-        return shift(x, g)
+    def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
+        """rows[omega_c] for each coordinate c: the fiber row used there."""
+        return [rows[omega.value_at(c)] for c in coords]
+
+    def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
+        rows = self._rows_at(omega, [c for c, _ in labels], self.fiber_ps)
+        out = Fraction(1)
+        for row, (_, label) in zip(rows, labels):
+            out *= row[label]
+        return out
+
+    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
+        tables = self._rows_at(omega, [c for c, _ in labels], self._log_tables)
+        return sum(_log_or_raise(table[label]) for table, (_, label) in zip(tables, labels))
+
+    def marginal_cell_measure(self, labels: tuple) -> Fraction:
+        out = Fraction(1)
+        for _, label in labels:
+            out *= sum(pb * row[label] for pb, row in zip(self.base_p, self.fiber_ps))
+        return out
+
+    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
+                                       at: GroupElement) -> tuple:
+        """Sites are independent given omega: the row omega selects at `at`."""
+        return self._rows_at(omega, [at.coords], self.fiber_ps)[0]
+
+    def fiber_entropy(self) -> float:
+        return math.fsum(
+            float(pb) * shannon_entropy(row) for pb, row in zip(self.base_p, self.fiber_ps)
+        )
+
+    def conditional_entropy(self, cond_set: FiniteSubset) -> float:
+        """Sites are independent given omega, so conditioning changes nothing."""
+        return self.fiber_entropy()
+
+    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
+        """A product cell's log measure is a sum over sites, so each row
+        adds only the coordinates its window gained."""
+        rows, prev = [], frozenset()
+        for cs in windows:
+            rows.append(tuple(sorted(cs - prev)))
+            prev = cs
+        return "product", tuple(rows)
+
+    def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
+        x, omega = point.x, point.omega
+        tables = self._log_tables
+        running, totals = 0.0, []
+        for coords in plan[1]:
+            rows = self._rows_at(omega, coords, tables)
+            running -= math.fsum(_log_or_raise(row[x.value_at(c)]) for row, c in zip(rows, coords))
+            totals.append(running)
+        return totals
+
+    @property
+    def _log_tables(self) -> tuple:
+        return tuple(_log_table(row) for row in self.fiber_ps)
+
+
+class BernoulliModel(RandomAlphabetModel):
+    """Trivial base; fiber measure is the i.i.d. product of `p` on A^G.
+
+    This is the random-alphabet model with a one-symbol base, so it shares
+    every rule of that model; it only never reads omega, which is constant.
+    """
+
+    kind = "bernoulli"
+
+    def __init__(self, group: DiscreteGroup, p: tuple):
+        super().__init__(group, (Fraction(1),), (p,))
+
+    @staticmethod
+    def create(group: DiscreteGroup, p: Sequence) -> "BernoulliModel":
+        return BernoulliModel(group, exact_distribution(p))
+
+    @property
+    def p(self) -> tuple:
+        return self.fiber_ps[0]
+
+    def sample_omega(self, stream_seed: int) -> SymbolicConfiguration:
+        return constant_configuration(self.group, 1)
+
+    def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
+        sampler = ProductSampler(self.p, derive_seed(stream_seed, "x"))
+        return SymbolicConfiguration(self.group, len(self.p), sampler, self.group.identity(), {})
+
+    def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
+        return [rows[0]] * len(coords)
 
 
 @dataclass(frozen=True)
-class MarkovModel:
+class MarkovModel(ShiftModel):
     """Trivial base; fiber measure is a stationary Markov chain on Z.
 
     Only the one-dimensional lattice supports this model: the chain's
     consistency under marginalization is a property of linear orders.
+    A cell's measure is the stationary weight of its leftmost label times
+    one gap-power transition per pair of neighbouring labels.
     """
 
     transition: tuple
@@ -406,23 +551,132 @@ class MarkovModel:
             self.group, self.fiber_alphabet_size, sampler, self.group.identity(), {}
         )
 
-    def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
-                  x: SymbolicConfiguration) -> SymbolicConfiguration:
-        return shift(x, g)
+    def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
+        if not labels:
+            return Fraction(1)
+        positions = [(c[0], label) for c, label in labels]
+        out = self.stationary[positions[0][1]]
+        for (i, a), (j, b) in zip(positions, positions[1:]):
+            out *= _markov_gap_power(self.transition, j - i)[a][b]
+        return out
 
+    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
+        if not labels:
+            return 0.0
+        positions = [(c[0], label) for c, label in labels]
+        total = _log_or_raise(_log_table(self.stationary)[positions[0][1]])
+        for (i, a), (j, b) in zip(positions, positions[1:]):
+            total += _log_or_raise(_log_matrix(self.transition, j - i)[a][b])
+        return total
 
-def base_action(model, g: GroupElement, omega: SymbolicConfiguration) -> SymbolicConfiguration:
-    return shift(omega, g)
+    def marginal_cell_measure(self, labels: tuple) -> Fraction:
+        """mu_omega does not depend on omega."""
+        return self.cell_measure(None, labels)
 
+    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
+                                       at: GroupElement) -> tuple:
+        """Only the nearest conditioning neighbours on each side matter."""
+        k = at.coords[0]
+        P, pi = self.transition, self.stationary
+        size = len(pi)
+        left = right = None
+        for coords, label in cond_labels:
+            pos = coords[0]
+            if pos == k:
+                raise ValueError("conditioning set may not contain the target coordinate")
+            if pos < k and (left is None or pos > left[0]):
+                left = (pos, label)
+            if pos > k and (right is None or pos < right[0]):
+                right = (pos, label)
+        if left is None and right is None:
+            return pi
+        if right is None:
+            step = _markov_gap_power(P, k - left[0])
+            return tuple(step[left[1]][c] for c in range(size))
+        if left is None:
+            # Bayes against the stationary marginal of the right neighbor.
+            step = _markov_gap_power(P, right[0] - k)
+            total = pi[right[1]]
+            return tuple(pi[c] * step[c][right[1]] / total for c in range(size))
+        a, b = left[1], right[1]
+        la, rb = _markov_gap_power(P, k - left[0]), _markov_gap_power(P, right[0] - k)
+        bridge = _markov_gap_power(P, right[0] - left[0])[a][b]
+        if bridge == 0:
+            raise ZeroMeasureError("conditioning cell has measure zero")
+        return tuple(la[a][c] * rb[c][b] / bridge for c in range(size))
 
-def fiber_map(model, g: GroupElement, omega: SymbolicConfiguration,
-              x: SymbolicConfiguration) -> SymbolicConfiguration:
-    return model.fiber_map(g, omega, x)
+    def fiber_entropy(self) -> float:
+        return math.fsum(
+            float(pi_i) * shannon_entropy(row)
+            for pi_i, row in zip(self.stationary, self.transition)
+        )
+
+    def conditional_entropy(self, cond_set: FiniteSubset) -> float:
+        """Entropy of the two-sided bridge between the nearest conditioning
+        neighbours of 0, averaged over their joint law."""
+        positions = sorted(g.coords[0] for g in cond_set)
+        if 0 in positions:
+            raise ValueError("conditioning set may not contain the identity")
+        left = max((p for p in positions if p < 0), default=None)
+        right = min((p for p in positions if p > 0), default=None)
+        P, pi = self.transition, self.stationary
+        size = len(pi)
+        if left is None and right is None:
+            return shannon_entropy(pi)
+        if right is None:
+            rows = _markov_gap_power(P, -left)
+            return math.fsum(float(pi[a]) * shannon_entropy(rows[a]) for a in range(size))
+        if left is None:
+            step = _markov_gap_power(P, right)
+            total = 0.0
+            for b in range(size):
+                dist = tuple(pi[c] * step[c][b] / pi[b] for c in range(size))
+                total += float(pi[b]) * shannon_entropy(dist)
+            return total
+        la = _markov_gap_power(P, -left)
+        rb = _markov_gap_power(P, right)
+        bridge = _markov_gap_power(P, right - left)
+        total = 0.0
+        for a in range(size):
+            for b in range(size):
+                w = pi[a] * bridge[a][b]
+                if w == 0:
+                    continue
+                dist = tuple(la[a][c] * rb[c][b] / bridge[a][b] for c in range(size))
+                total += float(w) * shannon_entropy(dist)
+        return total
+
+    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
+        """Prefix intervals {0..s-1} grow by one transition per new site;
+        any other windows are evaluated whole."""
+        if all(_is_prefix_interval(cs) for cs in windows):
+            return "markov-interval", tuple(len(cs) for cs in windows)
+        return "markov-general", tuple(tuple(sorted(cs)) for cs in windows)
+
+    def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
+        mode, rows = plan
+        x = point.x
+        if mode == "markov-general":
+            return [
+                -self.cell_log_measure(point.omega, tuple((c, x.value_at(c)) for c in coords))
+                for coords in rows
+            ]
+        step = _log_matrix(self.transition, 1)
+        running = -_log_or_raise(_log_table(self.stationary)[x.value_at((0,))])
+        upto = 1
+        totals = []
+        for size in rows:
+            while upto < size:
+                a, b = x.value_at((upto - 1,)), x.value_at((upto,))
+                running -= _log_or_raise(step[a][b])
+                upto += 1
+            totals.append(running)
+        return totals
 
 
 def skew(model, g: GroupElement, p: SkewPoint) -> SkewPoint:
     """The skew product (omega, x) -> (g . omega, F_{g, omega} x)."""
-    return SkewPoint(base_action(model, g, p.omega), fiber_map(model, g, p.omega, p.x))
+    return SkewPoint(shift(p.omega, g), model.fiber_map(g, p.omega, p.x))
 
 
 def sample_point(model, seed: int, index: int) -> SkewPoint:
@@ -439,9 +693,9 @@ def sample_point(model, seed: int, index: int) -> SkewPoint:
 def check_cocycle(model, g1: GroupElement, g2: GroupElement, p: SkewPoint,
                   window: FiniteSubset) -> bool:
     """Exact test of F_{g2, g1.omega} o F_{g1, omega} = F_{g2 g1, omega} on a window."""
-    omega1 = base_action(model, g1, p.omega)
-    lhs = fiber_map(model, g2, omega1, fiber_map(model, g1, p.omega, p.x))
-    rhs = fiber_map(model, mul(g2, g1), p.omega, p.x)
+    omega1 = shift(p.omega, g1)
+    lhs = model.fiber_map(g2, omega1, model.fiber_map(g1, p.omega, p.x))
+    rhs = model.fiber_map(mul(g2, g1), p.omega, p.x)
     return lhs.agrees_on(rhs, window)
 
 

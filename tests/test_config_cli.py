@@ -1,5 +1,6 @@
 """Config parsing, validation diagnostics, and the CLI contract."""
 
+import hashlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,11 @@ p = 0.7, 0.3
 n_max = 4
 trajectories = 6
 """
+
+
+SMB_BASE = "seed = 5\nmodel = bernoulli\np = 0.7, 0.3\n"
+
+COCYCLE_BASE = "seed = 3\nmodel = bernoulli\np = 0.5, 0.5\n"
 
 
 def issues_of(text, subcommand):
@@ -415,6 +421,34 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "config error" in err and "'p'" in err
 
+    @pytest.mark.parametrize("subcommand, base, bad", [
+        ("cocycle-check", COCYCLE_BASE, "checks = 0"),
+        ("cocycle-check", COCYCLE_BASE, "window_n = 0"),
+        ("cocycle-check", COCYCLE_BASE, "radius = -1"),
+        ("smb-run", SMB_BASE + "n_max = 4\n", "trajectories = 0"),
+        ("smb-run", SMB_BASE, "n_max = 0"),
+        ("folner-check", "seed = 1\ngroup = zd:2\n", "n_max = 0"),
+        ("cover-demo", "seed = 1\nkind = greedy\ndelta = 0.25\nepsilon = 0.5\n"
+                       "shape_1 = 2\ncenters_1 = 0\n", "ambient_n = 0"),
+        ("cover-demo", "seed = 11\nkind = random\nambient_n = 60\ndelta = 0.25\n"
+                       "epsilon = 0.5\nalpha = 0.08\nc = 6\nk_set = 0, 1\n"
+                       "shape_1_1 = 4\ncenters_1_1 = 0, 3\n", "samples = 99"),
+        ("cover-demo", "seed = 11\nkind = random\nambient_n = 60\ndelta = 0.25\n"
+                       "epsilon = 0.5\nalpha = 0.08\nc = 6\nk_set = 0, 1\n"
+                       "centers_1_1 = 0, 3\n", "shape_1_1 = 0"),
+        ("cond-entropy", SMB_BASE + "n_max = 3\nmethod = monte-carlo\n", "samples = 0"),
+    ], ids=["checks", "window_n", "radius", "trajectories", "smb-n_max", "folner-n_max",
+            "ambient_n", "cover-samples", "shape", "cond-samples"])
+    def test_int_below_its_minimum_is_config_error(self, tmp_path, capsys, subcommand, base, bad):
+        text = base + bad + "\n"
+        rc, out = run(tmp_path, subcommand, text)
+        assert rc == EXIT_CONFIG
+        key = bad.split(" = ")[0]
+        line = text.splitlines().index(bad) + 1
+        err = capsys.readouterr().err
+        assert f"config error: key '{key}' (line {line}): must be >=" in err
+        assert not Path(out).exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ok.cfg",
                         "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 2\ntrajectories = 2\n")
@@ -439,9 +473,44 @@ class TestCliRuns:
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
+# sha256 of each shipped config's CSV and of its .summary without the
+# echoed `csv:` path line.  Recorded before the per-model rules moved onto
+# the model classes; a change that alters samples or figures on purpose
+# updates these digests and says so.
+SHIPPED_DIGESTS = {
+    "cocycle_heisenberg.cfg": (
+        "26a5c80268fe623119660137b683ffa8ee0134bbcf46b5aba4cc3c986a0aff8b",
+        "4c0e2d309259fece262d727763061ab5c84eaafce1c776619c502974795edb8d"),
+    "cond_entropy_markov.cfg": (
+        "ab1e6c48bd8f578240c13b3217928157ca306d0fc2c41b94152c281ad28e731d",
+        "dd79c78f6e071bdda90d3f320ba2cb9cb3f440764525ee3c8da546b50fe829e8"),
+    "cover_greedy.cfg": (
+        "17389cd1e690bdaef425bdfb7c89d95908b31e82f6e3d2e62e02409d073b3305",
+        "cc7e721b6dc2c69e2f99e5afacf2dab68c63091512143c25fbdd50b2f884af3e"),
+    "cover_random.cfg": (
+        "37b260b3b2a3ec3f4b97fd71cd7e6b91f1fdb0e194c2476ff0f199bf2792be19",
+        "fbcaad846abdf0b7fce251ebdbdfb6aad265d2b0dd7428fa570cafed67fa4287"),
+    "folner_heisenberg.cfg": (
+        "26058472836dd5650c6c4a02841257b7c1494698961df4031626636c7e5516ac",
+        "767591a5f8783170df5d0317ebf895ac5ed8911c0eb98988936dca561d412ab8"),
+    "folner_z3.cfg": (
+        "5d4fa3b5cc2fb808879800a84504dfaa1b174b22071b58afffc7f9f96e743c41",
+        "028a8b978297d00430a1c19871e66e060a06174b5e27dc6dd329f74fbeec4f36"),
+    "smb_bernoulli_z2.cfg": (
+        "e7aa545cf92da00d27dee13fcc6392dd47df4a00548a9f2a0495a16e70132403",
+        "215e7c5a1a7e88f5fa8a2eaaebb3c680ba162e6a13f1778f2cde29de096b0380"),
+    "smb_markov.cfg": (
+        "50598ae5872f1904dec027aa4404e7c4baad004fd86104033cc3090a997cfb70",
+        "41bd3444848027af2f3f668150aed796bcdb9f4cec6185590c51aba3a1b633fc"),
+    "smb_mixed_z2.cfg": (
+        "13b8f4e837939e73fe2b956d0c1163fc1e13df2dec0e112203bc66a08cc7ea29",
+        "e54e3ab3de25b83824de48953226b881300066f94731129b6c1b19614fed225a"),
+}
+
 
 def test_configs_are_shipped():
     assert len(SHIPPED_CONFIGS) >= 9
+    assert sorted(SHIPPED_DIGESTS) == [p.name for p in SHIPPED_CONFIGS]
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
@@ -451,3 +520,8 @@ def test_shipped_config_runs_and_passes(path, tmp_path, capsys):
     rc = main([subcommand, "--config", str(path), "--out", out])
     assert rc == EXIT_OK, capsys.readouterr().err
     assert read_summary(out)["assertion"] == "pass"
+    with open(out, "rb") as fh:
+        csv_digest = hashlib.sha256(fh.read()).hexdigest()
+    with open(out + ".summary", "rb") as fh:
+        summary = b"".join(line for line in fh if not line.startswith(b"csv: "))
+    assert (csv_digest, hashlib.sha256(summary).hexdigest()) == SHIPPED_DIGESTS[path.name]

@@ -7,25 +7,30 @@ from itertools import permutations
 
 import pytest
 
-from fiberent.folner import box_folner, box_folner_sizes
+from fiberent.folner import FolnerSequence, box_folner, box_folner_sizes
 from fiberent.groups import ZdGroup, subset_from_coords
 from fiberent.measures import (
-    ZeroMeasureError,
+    PartitionSpec,
     canonical_partition,
+    cell_log_measure,
+    cell_measure,
+    cell_of,
     constant_omega,
     enumerate_cells,
-    measure_for,
 )
 from fiberent.rds import (
     BernoulliModel,
     MarkovModel,
     RandomAlphabetModel,
     SkewPoint,
+    ZeroMeasureError,
     configuration_from_pins,
     sample_point,
+    shannon_entropy,
 )
 from fiberent.entropy import (
     ConvergenceTrace,
+    _smb_worker,
     EntropyReport,
     TraceRow,
     chain_rule_residual,
@@ -36,7 +41,6 @@ from fiberent.entropy import (
     fiber_entropy_closed_form,
     information,
     log_fraction,
-    shannon_entropy,
     smb_trace,
 )
 
@@ -88,20 +92,20 @@ class TestInformation:
     def test_uniform_window(self):
         model = BernoulliModel.create(Z1, [0.5, 0.5])
         p = pinned_point(model, {(k,): 0 for k in range(4)})
-        got = information(measure_for(model), canonical_partition(model), Z1.box(4), p)
+        got = information(model, canonical_partition(model), Z1.box(4), p)
         assert got == pytest.approx(math.log(16), abs=1e-12)
 
     def test_frozen_bernoulli_example(self):
         model = BernoulliModel.create(Z2, [0.7, 0.3])
         p = pinned_point(model, {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
-        got = information(measure_for(model), canonical_partition(model), Z2.box(2, 2), p)
+        got = information(model, canonical_partition(model), Z2.box(2, 2), p)
         assert got == pytest.approx(2.273997636142134, abs=1e-12)
 
     def test_single_coordinate(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         p = pinned_point(model, {(0,): 0})
         got = information(
-            measure_for(model), canonical_partition(model), subset_from_coords(Z1, [(0,)]), p
+            model, canonical_partition(model), subset_from_coords(Z1, [(0,)]), p
         )
         assert got == pytest.approx(-math.log(0.7), abs=1e-12)
 
@@ -109,11 +113,11 @@ class TestInformation:
         model = MarkovModel.create([[0.5, 0.5], [1.0, 0.0]])
         p = pinned_point(model, {(0,): 1, (1,): 1})
         with pytest.raises(ZeroMeasureError):
-            information(measure_for(model), canonical_partition(model), Z1.box(2), p)
+            information(model, canonical_partition(model), Z1.box(2), p)
 
     def test_information_is_nonnegative(self):
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             xi = canonical_partition(model)
             F = model.group.box(2, 2) if model.group.tag == "zd:2" else Z1.box(4)
             for i in range(20):
@@ -124,7 +128,7 @@ class TestInformation:
 class TestConditionalInformation:
     def test_markov_frozen_example(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = measure_for(model)
+        mu = model
         xi = canonical_partition(model)
         p = pinned_point(model, {(0,): 0, (1,): 0, (-1,): 0})
         right = subset_from_coords(Z1, [(1,)])
@@ -138,7 +142,7 @@ class TestConditionalInformation:
 
     def test_empty_conditioning_equals_information(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         xi = canonical_partition(model)
         p = pinned_point(model, {(0,): 1})
         empty = subset_from_coords(Z1, [])
@@ -149,7 +153,7 @@ class TestConditionalInformation:
 
     def test_product_measure_conditioning_is_neutral(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         xi = canonical_partition(model)
         p = pinned_point(model, {(k,): k % 2 for k in range(-2, 3)})
         cond = subset_from_coords(Z1, [(1,), (2,), (-1,)])
@@ -163,7 +167,7 @@ class TestConditionalInformation:
         p = pinned_point(model, {(0,): 0})
         with pytest.raises(ValueError):
             conditional_information(
-                measure_for(model), canonical_partition(model), Z1.box(2), p
+                model, canonical_partition(model), Z1.box(2), p
             )
 
     def test_zero_measure_conditioning_cell(self):
@@ -171,13 +175,13 @@ class TestConditionalInformation:
         p = pinned_point(model, {(0,): 0, (1,): 1, (2,): 1})
         cond = subset_from_coords(Z1, [(1,), (2,)])
         with pytest.raises(ZeroMeasureError):
-            conditional_information(measure_for(model), canonical_partition(model), cond, p)
+            conditional_information(model, canonical_partition(model), cond, p)
 
 
 class TestChainRule:
     def test_exhaustive_small_windows(self):
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             xi = canonical_partition(model)
             if model.group.tag == "zd:2":
                 F = model.group.box(2, 2)
@@ -194,7 +198,7 @@ class TestChainRule:
     def test_sampled_orders_larger_windows(self):
         rng = random.Random(13)
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             xi = canonical_partition(model)
             if model.group.tag == "zd:2":
                 F = model.group.box(3, 2)
@@ -209,7 +213,7 @@ class TestChainRule:
 
     def test_singleton_window_is_unconditional(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         xi = canonical_partition(model)
         F = subset_from_coords(Z1, [(0,)])
         p = pinned_point(model, {(0,): 1})
@@ -223,7 +227,7 @@ class TestChainRule:
         p = pinned_point(model, {(k,): 0 for k in range(3)})
         with pytest.raises(ValueError):
             chain_rule_terms(
-                measure_for(model),
+                model,
                 canonical_partition(model),
                 F,
                 Z1.box(2).sorted_elements(),
@@ -252,10 +256,8 @@ class TestFiberEntropyClosedForm:
 
     def test_partition_mismatch(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        from fiberent.measures import PartitionSpec
-
         with pytest.raises(ValueError):
-            fiber_entropy_closed_form(model, PartitionSpec(canonical_partition(model).kind, 3))
+            fiber_entropy_closed_form(model, PartitionSpec(3))
 
 
 class TestSmbTrace:
@@ -312,7 +314,7 @@ class TestSmbTrace:
         # The pointwise rate can exceed ln(atoms) (an all-minority window
         # has rate -ln 0.3 > ln 2), so the bound is tested in the mean.
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         xi = canonical_partition(model)
         F = Z1.box(4)
         minority = pinned_point(model, {(k,): 1 for k in range(4)})
@@ -320,6 +322,57 @@ class TestSmbTrace:
         trace = smb_trace(model, box_folner(1, 8), trajectories=40, seed=41)
         final = trace.final
         assert final.estimate <= math.log(2) + 3 * final.std_error
+
+
+def _z1_windows(name, coord_lists):
+    sets = tuple(subset_from_coords(Z1, [(k,) for k in ks]) for ks in coord_lists)
+    return FolnerSequence(Z1, sets, name=name)
+
+
+SMB_PLANS = {
+    "product": (BernoulliModel.create(Z2, [0.7, 0.3]), box_folner(2, 5)),
+    "conditional": (
+        RandomAlphabetModel.create(Z2, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]]),
+        box_folner(2, 5),
+    ),
+    "markov-interval": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        box_folner_sizes(1, [1, 3, 8]),
+    ),
+    "markov-general": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        _z1_windows("centred", [range(-k, k + 1) for k in range(4)]
+                    + [list(range(-3, 4)) + [6, 9]]),
+    ),
+}
+
+
+class TestSmbFastPath:
+    """The windowed SMB totals against the exact cell rules, per plan."""
+
+    @pytest.mark.parametrize("case", sorted(SMB_PLANS))
+    def test_worker_totals_match_exact_cell_measures(self, case):
+        model, seq = SMB_PLANS[case]
+        ns = list(range(1, len(seq.sets) + 1))
+        plan = model.smb_plan([seq.set(n).coords_set() for n in ns])
+        assert plan[0] == ("product" if case == "conditional" else case)
+        xi = canonical_partition(model)
+        for index in range(3):
+            totals = _smb_worker((model, plan, 53, index))
+            point = sample_point(model, 53, index)
+            assert len(totals) == len(ns)
+            for n, total in zip(ns, totals):
+                cell = cell_of(model, xi, seq.set(n), point)
+                log_rule = -cell_log_measure(model, point.omega, cell)
+                exact = -log_fraction(cell_measure(model, point.omega, cell))
+                assert total == pytest.approx(log_rule, rel=1e-12, abs=1e-12)
+                assert total == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    def test_bernoulli_rules_never_read_omega(self):
+        model = BernoulliModel.create(Z1, [0.7, 0.3])
+        labels = (((0,), 0), ((1,), 1))
+        assert model.cell_measure(None, labels) == Fraction(21, 100)
+        assert model.cell_log_measure(None, labels) == pytest.approx(math.log(0.21))
 
 
 class TestConditionalEntropy:
@@ -354,7 +407,7 @@ class TestConditionalEntropy:
         got = conditional_entropy_exact(model, xi, cond)
         assert got == pytest.approx(0.24944294556876542, abs=1e-12)
 
-        mu = measure_for(model)
+        mu = model
         om = constant_omega(model)
         big = subset_from_coords(Z1, [(-1,), (0,), (1,)])
         small_measures = {

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from fiberent.groups import (
     GroupMismatchError,
     HeisenbergGroup,
     ZdGroup,
-    density_ratio,
     inverse,
     inverse_set,
     mul,
@@ -353,11 +351,6 @@ def test_box_and_ball_sizes():
     assert len(Z1.ball(2)) == 5
     assert len(Z2.ball(1)) == 9
     assert len(H.ball(1)) == 27
-
-
-def test_density_ratio_is_exact():
-    F = Z1.box(8)
-    assert density_ratio(2, F) == Fraction(1, 4)
 
 
 def test_random_element_is_deterministic_and_bounded():

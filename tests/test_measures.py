@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from fiberent.groups import HeisenbergGroup, ZdGroup, random_element, subset_from_coords
 from fiberent.measures import (
     CellId,
-    EnumerationSizeError,
     PartitionSpec,
-    ZeroMeasureError,
     canonical_partition,
     cell_log_measure,
     cell_measure,
@@ -22,13 +20,14 @@ from fiberent.measures import (
     constant_omega,
     enumerate_cells,
     marginal_cell_measure,
-    measure_for,
 )
 from fiberent.rds import (
     BernoulliModel,
+    EnumerationSizeError,
     MarkovModel,
     RandomAlphabetModel,
     SkewPoint,
+    ZeroMeasureError,
     configuration_from_pins,
     sample_point,
 )
@@ -86,21 +85,21 @@ class TestCellMeasure:
         labels = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
         p = pinned_point(model, labels)
         cell = cell_of(model, canonical_partition(model), Z2.box(2, 2), p)
-        m = cell_measure(measure_for(model), p.omega, cell)
+        m = cell_measure(model, p.omega, cell)
         assert m == Fraction(1029, 10000)
 
     def test_uniform_window_measure(self):
         model = BernoulliModel.create(Z1, [0.5, 0.5])
         p = pinned_point(model, {(0,): 0, (1,): 1, (2,): 1, (3,): 0})
         cell = cell_of(model, canonical_partition(model), Z1.box(4), p)
-        assert cell_measure(measure_for(model), p.omega, cell) == Fraction(1, 16)
+        assert cell_measure(model, p.omega, cell) == Fraction(1, 16)
 
     def test_markov_adjacent_pair(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         p = pinned_point(model, {(0,): 0, (1,): 0})
         F = subset_from_coords(Z1, [(0,), (1,)])
         cell = cell_of(model, canonical_partition(model), F, p)
-        assert cell_measure(measure_for(model), p.omega, cell) == Fraction(3, 5)
+        assert cell_measure(model, p.omega, cell) == Fraction(3, 5)
 
     def test_markov_gap_uses_matrix_power(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
@@ -108,7 +107,7 @@ class TestCellMeasure:
         F = subset_from_coords(Z1, [(0,), (2,)])
         cell = cell_of(model, canonical_partition(model), F, p)
         # pi_0 (P^2)_00 = (2/3)(83/100)
-        assert cell_measure(measure_for(model), p.omega, cell) == Fraction(83, 150)
+        assert cell_measure(model, p.omega, cell) == Fraction(83, 150)
 
     def test_markov_gap_cap(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
@@ -116,14 +115,14 @@ class TestCellMeasure:
         F = subset_from_coords(Z1, [(0,), (100,)])
         cell = cell_of(model, canonical_partition(model), F, p)
         with pytest.raises(EnumerationSizeError):
-            cell_measure(measure_for(model), p.omega, cell)
+            cell_measure(model, p.omega, cell)
 
     def test_zero_measure_pattern(self):
         model = MarkovModel.create([[0.5, 0.5], [1.0, 0.0]])
         p = pinned_point(model, {(0,): 1, (1,): 1})
         F = subset_from_coords(Z1, [(0,), (1,)])
         cell = cell_of(model, canonical_partition(model), F, p)
-        mu = measure_for(model)
+        mu = model
         assert cell_measure(mu, p.omega, cell) == 0
         with pytest.raises(ZeroMeasureError):
             cell_log_measure(mu, p.omega, cell)
@@ -132,7 +131,7 @@ class TestCellMeasure:
         import math
 
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             for i in range(10):
                 p = sample_point(model, 83, i)
                 F = window_for(model)
@@ -147,7 +146,7 @@ class TestCellMeasure:
         p = pinned_point(model, {(0, 0, 0): 0, (1, 1, 1): 1})
         F = subset_from_coords(H, [(0, 0, 0), (1, 1, 1)])
         cell = cell_of(model, canonical_partition(model), F, p)
-        assert cell_measure(measure_for(model), p.omega, cell) == Fraction(21, 100)
+        assert cell_measure(model, p.omega, cell) == Fraction(21, 100)
 
 
 class TestEnumeration:
@@ -161,7 +160,7 @@ class TestEnumeration:
             ],
         }
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             omega = model.sample_omega(5)
             for F in windows[model.group.tag]:
                 pairs = enumerate_cells(mu, omega, canonical_partition(model), F)
@@ -172,7 +171,7 @@ class TestEnumeration:
         model = BernoulliModel.create(Z1, [0.5, 0.5])
         with pytest.raises(EnumerationSizeError):
             enumerate_cells(
-                measure_for(model),
+                model,
                 constant_omega(model),
                 canonical_partition(model),
                 Z1.box(21),
@@ -180,7 +179,7 @@ class TestEnumeration:
 
     def test_sampled_points_land_in_positive_cells(self):
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             for i in range(50):
                 p = sample_point(model, 89, i)
                 cell = cell_of(model, canonical_partition(model), window_for(model), p)
@@ -190,7 +189,7 @@ class TestEnumeration:
 class TestInvariance:
     def test_invariance_random_translates(self):
         for model in all_models():
-            mu = measure_for(model)
+            mu = model
             F = window_for(model)
             for i in range(20):
                 omega = model.sample_omega(1000 + i)
@@ -201,7 +200,7 @@ class TestInvariance:
     @given(st.data())
     def test_refinement_monotonicity(self, data):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         coords = data.draw(
             st.frozensets(
                 st.tuples(st.integers(min_value=-4, max_value=4)),
@@ -220,7 +219,7 @@ class TestInvariance:
 class TestDisintegration:
     def test_marginal_closed_forms(self):
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
-        mu = measure_for(model)
+        mu = model
         cell = CellId.from_map(subset_from_coords(Z1, [(0,)]), {(0,): 0})
         assert marginal_cell_measure(mu, cell) == Fraction(1, 2)
         pair = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
@@ -228,13 +227,13 @@ class TestDisintegration:
 
     def test_marginal_equals_fiber_for_trivial_base(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = measure_for(model)
+        mu = model
         cell = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
         assert marginal_cell_measure(mu, cell) == Fraction(3, 5)
 
     def test_monte_carlo_average_matches_marginal(self):
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
-        mu = measure_for(model)
+        mu = model
         report = check_disintegration(
             mu, canonical_partition(model), Z1.box(2), samples=400, seed=113
         )
@@ -245,7 +244,7 @@ class TestDisintegration:
 
     def test_trivial_base_has_zero_variance(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         report = check_disintegration(
             mu, canonical_partition(model), Z1.box(2), samples=50, seed=3
         )
@@ -257,14 +256,14 @@ class TestDisintegration:
 class TestConditionalLabelDistribution:
     def test_bernoulli_is_unconditional(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = measure_for(model)
+        mu = model
         cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 1})
         dist = conditional_label_distribution(mu, constant_omega(model), cond, Z1.identity())
         assert dist == (Fraction(7, 10), Fraction(3, 10))
 
     def test_random_alphabet_reads_base_row(self):
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
-        mu = measure_for(model)
+        mu = model
         omega = configuration_from_pins(Z1, 2, {(0,): 1})
         cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 0})
         dist = conditional_label_distribution(mu, omega, cond, Z1.identity())
@@ -272,7 +271,7 @@ class TestConditionalLabelDistribution:
 
     def test_markov_two_sided_bridge(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = measure_for(model)
+        mu = model
         cond = CellId.from_map(
             subset_from_coords(Z1, [(-1,), (1,)]), {(-1,): 0, (1,): 0}
         )
@@ -282,7 +281,7 @@ class TestConditionalLabelDistribution:
 
     def test_markov_one_sided_neighbors(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = measure_for(model)
+        mu = model
         left = CellId.from_map(subset_from_coords(Z1, [(-1,)]), {(-1,): 0})
         assert conditional_label_distribution(
             mu, constant_omega(model), left, Z1.identity()
@@ -295,7 +294,7 @@ class TestConditionalLabelDistribution:
 
     def test_markov_only_nearest_neighbors_matter(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = measure_for(model)
+        mu = model
         near = CellId.from_map(
             subset_from_coords(Z1, [(-1,), (1,)]), {(-1,): 0, (1,): 0}
         )
@@ -315,6 +314,4 @@ def test_partition_spec_validation():
     xi = canonical_partition(model)
     assert xi.atoms == 2
     with pytest.raises(ValueError):
-        PartitionSpec("full-orbit", 2)
-    with pytest.raises(ValueError):
-        PartitionSpec(xi.kind, 0)
+        PartitionSpec(0)

@@ -13,13 +13,11 @@ from fiberent.rds import (
     MarkovPathSampler,
     RandomAlphabetModel,
     SkewPoint,
-    base_action,
     bowen_distance,
     check_cocycle,
     configuration_from_pins,
     constant_configuration,
     exact_distribution,
-    fiber_map,
     sample_point,
     shift,
     skew,
@@ -91,8 +89,8 @@ class TestShiftConvention:
                 g1 = random_element(group, 3, 5, "a", i)
                 g2 = random_element(group, 3, 5, "b", i)
                 h = random_element(group, 6, 5, "h", i)
-                lhs = base_action(model, g2, base_action(model, g1, omega))
-                rhs = base_action(model, mul(g2, g1), omega)
+                lhs = shift(shift(omega, g1), g2)
+                rhs = shift(omega, mul(g2, g1))
                 assert lhs.value(h) == rhs.value(h)
 
 
@@ -134,8 +132,8 @@ class TestCocycle:
             for i in range(20):
                 p = sample_point(model, 37, i)
                 g = random_element(group, 3, 41, i)
-                omega_g = base_action(model, g, p.omega)
-                back = fiber_map(model, g.inverse(), omega_g, fiber_map(model, g, p.omega, p.x))
+                omega_g = shift(p.omega, g)
+                back = model.fiber_map(g.inverse(), omega_g, model.fiber_map(g, p.omega, p.x))
                 assert back.agrees_on(p.x, window)
 
     def test_skew_composes(self):
