@@ -22,7 +22,6 @@ from .covering import (
 )
 from .entropy import (
     ConvergenceTrace,
-    EntropyReport,
     TraceRow,
     chain_rule_residual,
     chain_rule_terms,

@@ -7,8 +7,9 @@ cocycle-check, cover-demo.
 Every run writes two artifacts: a CSV with the fixed header
 `n,folner_size,estimate,target,abs_error,std_error` (12 significant
 digits, empty fields where a column does not apply) and a `key: value`
-summary report at <out>.summary.  Both files are written whole, never
-incrementally, so a failing run cannot leave a truncated CSV.
+summary report at <out>.summary.  Each file is written to a temporary
+file in its directory and then renamed over the target, so a failing run
+leaves each artifact either whole or untouched, never truncated.
 
 Exit codes: 0 success, 2 configuration error, 3 assertion failure,
 4 I/O error.  Worker count affects wall time only, never file contents.
@@ -17,6 +18,8 @@ Exit codes: 0 success, 2 configuration error, 3 assertion failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 
@@ -136,10 +139,7 @@ def _run_cond_entropy(cfg: ExperimentConfig):
 
 def _run_folner_check(cfg: ExperimentConfig):
     group = cfg.get("group")
-    if isinstance(group, HeisenbergGroup):
-        seq = heisenberg_folner(cfg.get("n_max"))
-    else:
-        seq = box_folner(group.d, cfg.get("n_max"))
+    seq = _build_sequence(cfg, group)
     report = validate_sequence(seq, check_tempered=False)
     rows = []
     max_tempered = None
@@ -289,6 +289,21 @@ def _run_cover_demo(cfg: ExperimentConfig):
     return rows, summary, report.ok
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`; the temporary file is removed if either step fails."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 _RUNNERS = {
     "smb-run": _run_smb,
     "cond-entropy": _run_cond_entropy,
@@ -345,10 +360,8 @@ def main(argv=None) -> int:
     summary.append(("seed", cfg.get("seed")))
     summary.append(("csv", out_path))
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(rows))
-        with open(out_path + ".summary", "w", encoding="utf-8") as fh:
-            fh.write(_summary_text(summary))
+        _write_atomic(out_path, _csv_text(rows))
+        _write_atomic(out_path + ".summary", _summary_text(summary))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

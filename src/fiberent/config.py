@@ -246,6 +246,9 @@ def _cross_validate(cfg: ExperimentConfig) -> list:
         issues.extend(_validate_model_keys(v))
     if sub in ("smb-run", "cond-entropy"):
         issues.extend(_validate_schedule(v))
+    if sub == "cocycle-check":
+        if _window_size(v.get("group", ZdGroup(1)), v["window_n"]) > _WINDOW_CAP:
+            issues.append(ConfigIssue("window_n", 0, "window exceeds 2^20 points"))
     if sub == "folner-check":
         group = v["group"]
         cap = 6 if isinstance(group, HeisenbergGroup) else 64
@@ -285,6 +288,15 @@ def _validate_model_keys(v: dict) -> list:
     return issues
 
 
+# The most points one window may hold, in SMB schedules and cocycle checks.
+_WINDOW_CAP = 2 ** 20
+
+
+def _window_size(group, n: int) -> int:
+    """Points of the n-th box window: n^d on Z^d, n^4 on the Heisenberg group."""
+    return n ** 4 if isinstance(group, HeisenbergGroup) else n ** group.d
+
+
 def _validate_schedule(v: dict) -> list:
     issues = []
     group = v.get("group", ZdGroup(1))
@@ -295,11 +307,10 @@ def _validate_schedule(v: dict) -> list:
             issues.append(ConfigIssue("sides", 0, "side schedules apply to zd groups only"))
         elif any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
             issues.append(ConfigIssue("sides", 0, "must be positive and strictly increasing"))
-        elif sides[-1] ** getattr(group, "d", 1) > 2 ** 20:
+        elif _window_size(group, sides[-1]) > _WINDOW_CAP:
             issues.append(ConfigIssue("sides", 0, "largest window exceeds 2^20 points"))
     if n_max is not None:
-        size = n_max ** 4 if isinstance(group, HeisenbergGroup) else n_max ** group.d
-        if size > 2 ** 20:
+        if _window_size(group, n_max) > _WINDOW_CAP:
             issues.append(ConfigIssue("n_max", 0, "largest window exceeds 2^20 points"))
     if sides is not None and n_max is not None:
         issues.append(ConfigIssue("sides", 0, "give either n_max or sides, not both"))

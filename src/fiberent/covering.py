@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groups import FiniteSubset, inverse_set, product_set
+from .groups import FiniteSubset, inverse_set, product_set_size, translate, union_of
 from .rng import derive_seed, uniform01
 
 
@@ -131,8 +131,6 @@ class HypothesisReport:
 
 
 def _containment_rows(ambient, shapes, centers, label) -> list:
-    from .groups import translate
-
     rows = []
     for idx, (shape, A) in enumerate(zip(shapes, centers), start=1):
         ok = A.is_subset(ambient) and all(
@@ -143,15 +141,18 @@ def _containment_rows(ambient, shapes, centers, label) -> list:
 
 
 def check_hypotheses(inst) -> HypothesisReport:
-    """Exact evaluation of every hypothesis inequality of the instance."""
+    """Exact evaluation of every hypothesis inequality of the instance.
+
+    Each union of products with a common factor is evaluated as one
+    product of the union: union_j S_j^-1 T = (union_j S_j)^-1 T and
+    union_A K A = K (union A).
+    """
     if isinstance(inst, CoverInstance):
         rows = _containment_rows(inst.ambient, inst.shapes, inst.centers, "shape")
         growth = Fraction(1) + inst.epsilon
         for i in range(1, len(inst.shapes)):
-            union = frozenset()
-            for j in range(i):
-                union |= product_set(inverse_set(inst.shapes[j]), inst.shapes[i]).elements
-            lhs = Fraction(len(union))
+            lhs = Fraction(
+                product_set_size(inverse_set(union_of(inst.shapes[:i])), inst.shapes[i]))
             rhs = growth * len(inst.shapes[i])
             rows.append(CheckRow(f"growth-{i}", lhs, rhs, lhs < rhs))
         return HypothesisReport(tuple(rows))
@@ -167,12 +168,8 @@ def check_hypotheses(inst) -> HypothesisReport:
         ]
 
         def union_up_to(limit, target) -> int:
-            acc = frozenset()
-            for (i, j) in pairs:
-                if (i, j) > limit:
-                    break
-                acc |= product_set(inverse_set(inst.shapes[i][j]), target).elements
-            return len(acc)
+            shapes = union_of(inst.shapes[i][j] for (i, j) in pairs if (i, j) <= limit)
+            return product_set_size(inverse_set(shapes), target)
 
         for i in range(len(inst.shapes)):
             for k in range(len(inst.shapes[i]) - 1):
@@ -189,10 +186,7 @@ def check_hypotheses(inst) -> HypothesisReport:
                 rows.append(CheckRow(f"growth-across-{i + 1}-{k + 1}", lhs, rhs, lhs <= rhs))
         threshold = inst.alpha * len(inst.ambient)
         for i, crow in enumerate(inst.centers, start=1):
-            spread = frozenset()
-            for A in crow:
-                spread |= product_set(inst.K, A).elements
-            lhs = Fraction(len(spread))
+            lhs = Fraction(product_set_size(inst.K, union_of(crow)))
             rows.append(CheckRow(f"alpha-coverage-{i}", lhs, threshold, lhs >= threshold))
         return HypothesisReport(tuple(rows))
 
@@ -241,7 +235,7 @@ def _thin(inst, layers) -> CoverSolution:
     picks = []
     total = 0
     for key, shape, centers in layers(covered):
-        offsets = [f.coords for f in shape.sorted_elements()]
+        offsets = sorted(shape.coords)
         size = len(offsets)
         limit = inst.delta * size
         for ac in centers:
@@ -274,7 +268,7 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
 
     def layers(covered):
         for i in range(len(inst.shapes), 0, -1):
-            centers = [a.coords for a in inst.centers[i - 1].sorted_elements()]
+            centers = sorted(inst.centers[i - 1].coords)
             yield (i,), inst.shapes[i - 1], centers
 
     sol = _thin(inst, layers)
@@ -302,7 +296,7 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
                 q = min(Fraction(1), inst.delta * max(Fraction(0), gap) / len(shape))
                 if q == 0:
                     continue
-                centers = [a.coords for a in inst.centers[i - 1][j - 1].sorted_elements()]
+                centers = sorted(inst.centers[i - 1][j - 1].coords)
                 if q != 1:
                     q_float = float(q)
                     centers = [ac for ac in centers

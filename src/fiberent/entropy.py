@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .folner import FolnerSequence
-from .groups import FiniteSubset, GroupElement, inverse, translate
+from .groups import FiniteSubset, GroupElement, inverse, subset, translate
 from .measures import (
     CellId,
     PartitionSpec,
@@ -52,10 +52,10 @@ def information(mu, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> float:
 def conditional_information(mu, xi: PartitionSpec,
                             cond_set: FiniteSubset, p: SkewPoint) -> float:
     """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(cell over cond_set)."""
-    e = cond_set.group.identity()
-    if e in cond_set:
+    e = cond_set.group.identity().coords
+    if e in cond_set.coords:
         raise ValueError("conditioning set may not contain the identity")
-    big = FiniteSubset(cond_set.group, cond_set.elements | {e})
+    big = FiniteSubset(cond_set.group, cond_set.coords | {e})
     numerator = cell_measure(mu, p.omega, cell_of(mu, xi, big, p))
     if len(cond_set) == 0:
         return -log_fraction(numerator)
@@ -74,12 +74,13 @@ def chain_rule_terms(mu, xi: PartitionSpec, F: FiniteSubset,
     D_j = (F minus {g_1..g_j}) g_j^{-1}.  Summing the terms recovers the
     total information for any enumeration order.
     """
-    if frozenset(order) != F.elements:
+    order = list(order)
+    if len(order) != len(F) or subset(F.group, order) != F:
         raise ValueError("order must enumerate F exactly once")
-    remaining = set(F.elements)
+    remaining = set(F.coords)
     terms = []
     for g in order:
-        remaining.discard(g)
+        remaining.discard(g.coords)
         D = translate(FiniteSubset(F.group, frozenset(remaining)), inverse(g))
         terms.append(conditional_information(mu, xi, D, skew(mu, g, p)))
     return terms
@@ -128,15 +129,6 @@ class ConvergenceTrace:
         return self.rows[-1]
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    model_kind: str
-    atoms: int
-    closed_form: float
-    method: str
-    trace: ConvergenceTrace
-
-
 def _trace_schedule(seq: FolnerSequence, n_values: Sequence[int]) -> list:
     """The scheduled n values, checked against the sequence."""
     ns = list(n_values)
@@ -179,7 +171,7 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
         raise ValueError("trajectories must be >= 1")
     ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
     sets = [seq.set(n) for n in ns]
-    plan = model.smb_plan([F.coords_set() for F in sets])
+    plan = model.smb_plan([F.coords for F in sets])
     target = fiber_entropy_closed_form(model, canonical_partition(model))
     tasks = [(model, plan, seed, t) for t in range(trajectories)]
     if workers > 1:
@@ -233,7 +225,7 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     rows = []
     for n in ns:
         F = seq.set(n)
-        cond = FiniteSubset(seq.group, F.elements - {e})
+        cond = FiniteSubset(seq.group, F.coords - {e.coords})
         if method == "exact":
             est, se = conditional_entropy_exact(model, xi, cond), None
         else:

@@ -1,14 +1,17 @@
 """Folner sequences for Z^d and the Heisenberg group, with exact diagnostics.
 
-A Folner sequence here is a concrete finite list F_1 subseteq ... subseteq F_N
-of finite subsets containing the identity.  Two constructions are provided:
+A Folner sequence here is a concrete finite list F_1, ..., F_N of finite
+subsets of one group; validate_sequence checks that it is nested and that
+F_1 holds the identity.  Two constructions are provided:
 anchored boxes [0, n)^d for Z^d and the anisotropic boxes
 {(a, b, c) : 0 <= a, b < n, 0 <= c < n^2} for the Heisenberg group (the
 central direction must grow quadratically for the defect to vanish).
 
 Everything measurable about a sequence is an exact cardinality ratio:
 the defect |KF delta F| / |F| and the tempered (Shulman) constant
-|union_{k<n} F_k^{-1} F_n| / |F_n| are returned as Fractions.
+|union_{k<n} F_k^{-1} F_n| / |F_n| are returned as Fractions.  The union
+in the tempered constant is one set product, (union_{k<n} F_k)^{-1} F_n,
+so the ratio is exact for any sequence, nested or not.
 """
 
 from __future__ import annotations
@@ -26,22 +29,17 @@ from .groups import (
     product_set,
     product_set_size,
     symmetric_difference_size,
+    union_of,
 )
 
 
 @dataclass(frozen=True)
 class FolnerSequence:
-    """Ordered list of finite subsets F_1, ..., F_N of one group.
-
-    `nested_hint` marks sequences known to satisfy F_k subseteq F_{k+1} by
-    construction; it only enables a shortcut in tempered_constant and is
-    re-verified by validate_sequence.
-    """
+    """Ordered list of finite subsets F_1, ..., F_N of one group."""
 
     group: DiscreteGroup
     sets: tuple
     name: str = "custom"
-    nested_hint: bool = False
 
     def __post_init__(self) -> None:
         if not self.sets:
@@ -66,7 +64,7 @@ def box_folner(d: int, n_max: int) -> FolnerSequence:
         raise ValueError("d and n_max must be positive")
     group = ZdGroup(d)
     sets = tuple(group.box(*([n] * d)) for n in range(1, n_max + 1))
-    return FolnerSequence(group, sets, name=f"box-z{d}", nested_hint=True)
+    return FolnerSequence(group, sets, name=f"box-z{d}")
 
 
 def box_folner_sizes(d: int, sides: list) -> FolnerSequence:
@@ -81,7 +79,7 @@ def box_folner_sizes(d: int, sides: list) -> FolnerSequence:
         raise ValueError("sides must be positive and strictly increasing")
     group = ZdGroup(d)
     sets = tuple(group.box(*([s] * d)) for s in sides)
-    return FolnerSequence(group, sets, name=f"box-z{d}-sched", nested_hint=True)
+    return FolnerSequence(group, sets, name=f"box-z{d}-sched")
 
 
 def heisenberg_folner(n_max: int) -> FolnerSequence:
@@ -90,7 +88,7 @@ def heisenberg_folner(n_max: int) -> FolnerSequence:
         raise ValueError("n_max must be positive")
     group = HeisenbergGroup()
     sets = tuple(group.box(n, n, n * n) for n in range(1, n_max + 1))
-    return FolnerSequence(group, sets, name="box-heisenberg", nested_hint=True)
+    return FolnerSequence(group, sets, name="box-heisenberg")
 
 
 def folner_defect(K: FiniteSubset, F: FiniteSubset) -> Fraction:
@@ -104,18 +102,13 @@ def folner_defect(K: FiniteSubset, F: FiniteSubset) -> Fraction:
 def tempered_constant(seq: FolnerSequence, n: int) -> Fraction:
     """Exact Shulman ratio |union_{k<n} F_k^{-1} F_n| / |F_n|.
 
-    For nested sequences the union collapses to F_{n-1}^{-1} F_n, since
-    F_k subseteq F_{n-1} implies F_k^{-1} F_n subseteq F_{n-1}^{-1} F_n.
+    The union of products is the one product (F_1 u ... u F_{n-1})^{-1} F_n;
+    for a nested sequence that union is F_{n-1}.
     """
     if not 2 <= n <= len(seq.sets):
         raise ValueError(f"n must be in 2..{len(seq.sets)}")
     Fn = seq.set(n)
-    if seq.nested_hint:
-        return Fraction(product_set_size(inverse_set(seq.set(n - 1)), Fn), len(Fn))
-    union_elems = frozenset()
-    for k in range(1, n):
-        union_elems |= product_set(inverse_set(seq.set(k)), Fn).elements
-    return Fraction(len(union_elems), len(Fn))
+    return Fraction(product_set_size(inverse_set(union_of(seq.sets[:n - 1])), Fn), len(Fn))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,17 @@ group of upper-triangular integer matrices, written as coordinate triples
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a * b').
 
 Elements are immutable and carry their group, so mixed-group operations
-fail loudly.  All set operations are exact.  Set products run as numpy
-int64 kernels: each product e * f is encoded as a linear key on the
+fail loudly.  A finite subset is its group plus a frozenset of coordinate
+tuples, the same keys every other layer uses for sites; GroupElements
+appear only at its boundary (`subset`, iteration, `in`,
+`sorted_elements`).  All set operations are exact.  Set products run as
+numpy int64 kernels: each product e * f is encoded as a linear key on the
 bounding box of E * F, which is worked out first in Python integers.
 When a coordinate, a bound or the box volume would not fit in int64 with
 a factor-2 margin (|value| <= 2^62), the product falls back to Python
-pair enumeration, whose integers never overflow.
+pair enumeration, whose integers never overflow.  A union of products
+with a common factor is taken as one product of the union, since
+(A_1 u ... u A_k) B = A_1 B u ... u A_k B.
 """
 
 from __future__ import annotations
@@ -60,18 +65,13 @@ class ZdGroup:
     def ball(self, radius: int) -> "FiniteSubset":
         """Sup-norm ball {g : max|g_i| <= radius}."""
         rng = range(-radius, radius + 1)
-        return FiniteSubset(
-            self, frozenset(GroupElement(self, c) for c in _iterproduct(rng, repeat=self.d))
-        )
+        return FiniteSubset(self, frozenset(_iterproduct(rng, repeat=self.d)))
 
     def box(self, *extents: int) -> "FiniteSubset":
         """Anchored box [0, e_1) x ... x [0, e_d)."""
         if len(extents) != self.d:
             raise ValueError(f"expected {self.d} extents, got {len(extents)}")
-        ranges = [range(e) for e in extents]
-        return FiniteSubset(
-            self, frozenset(GroupElement(self, c) for c in _iterproduct(*ranges))
-        )
+        return FiniteSubset(self, frozenset(_iterproduct(*(range(e) for e in extents))))
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,11 @@ class HeisenbergGroup:
 
     def ball(self, radius: int) -> "FiniteSubset":
         rng = range(-radius, radius + 1)
-        return FiniteSubset(
-            self, frozenset(GroupElement(self, t) for t in _iterproduct(rng, rng, rng))
-        )
+        return FiniteSubset(self, frozenset(_iterproduct(rng, rng, rng)))
 
     def box(self, na: int, nb: int, nc: int) -> "FiniteSubset":
         """{(a, b, c) : 0 <= a < na, 0 <= b < nb, 0 <= c < nc}."""
-        return FiniteSubset(
-            self,
-            frozenset(
-                GroupElement(self, t)
-                for t in _iterproduct(range(na), range(nb), range(nc))
-            ),
-        )
+        return FiniteSubset(self, frozenset(_iterproduct(range(na), range(nb), range(nc))))
 
 
 DiscreteGroup = Union[ZdGroup, HeisenbergGroup]
@@ -159,64 +151,64 @@ def inverse(g: GroupElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class FiniteSubset:
-    """A deduplicated finite set of elements of one group."""
+    """A finite set of elements of one group, held as coordinate tuples."""
 
     group: DiscreteGroup
-    elements: frozenset
-
-    def __post_init__(self) -> None:
-        for el in self.elements:
-            if el.group != self.group:
-                raise GroupMismatchError(
-                    f"element of {el.group.tag} in a {self.group.tag} subset"
-                )
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.elements)
+    coords: frozenset
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.coords)
 
     def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
+        return (GroupElement(self.group, c) for c in self.coords)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
+        return g.group == self.group and g.coords in self.coords
 
     def is_subset(self, other: "FiniteSubset") -> bool:
         _require_same_group(self.group, other.group)
-        return self.elements <= other.elements
+        return self.coords <= other.coords
 
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.elements | other.elements)
+        return FiniteSubset(self.group, self.coords | other.coords)
 
     def difference(self, other: "FiniteSubset") -> "FiniteSubset":
         _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.elements - other.elements)
+        return FiniteSubset(self.group, self.coords - other.coords)
 
     def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
         _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.elements & other.elements)
+        return FiniteSubset(self.group, self.coords & other.coords)
 
     def sorted_elements(self) -> list:
         """Elements in lexicographic coordinate order (the canonical scan order)."""
-        return sorted(self.elements, key=lambda g: g.coords)
-
-    def coords_set(self) -> frozenset:
-        return frozenset(g.coords for g in self.elements)
+        return [GroupElement(self.group, c) for c in sorted(self.coords)]
 
     def __repr__(self) -> str:
-        return f"FiniteSubset({self.group.tag}, n={len(self.elements)})"
+        return f"FiniteSubset({self.group.tag}, n={len(self.coords)})"
 
 
 def subset(group: DiscreteGroup, elements: Iterable[GroupElement]) -> FiniteSubset:
-    return FiniteSubset(group, frozenset(elements))
+    """The subset of `group` holding `elements`, each checked to be of `group`."""
+    coords = set()
+    for g in elements:
+        if g.group != group:
+            raise GroupMismatchError(f"element of {g.group.tag} in a {group.tag} subset")
+        coords.add(g.coords)
+    return FiniteSubset(group, frozenset(coords))
 
 
 def subset_from_coords(group: DiscreteGroup, coords: Iterable[tuple]) -> FiniteSubset:
-    return FiniteSubset(group, frozenset(GroupElement(group, tuple(c)) for c in coords))
+    return FiniteSubset(group, frozenset(map(tuple, coords)))
+
+
+def union_of(sets: Iterable[FiniteSubset]) -> FiniteSubset:
+    """The union of one or more subsets of one group."""
+    first, *rest = sets
+    for S in rest:
+        _require_same_group(first.group, S.group)
+    return FiniteSubset(first.group, first.coords.union(*(S.coords for S in rest)))
 
 
 def translate(F: FiniteSubset, a: GroupElement) -> FiniteSubset:
@@ -224,17 +216,12 @@ def translate(F: FiniteSubset, a: GroupElement) -> FiniteSubset:
     _require_same_group(F.group, a.group)
     mc = F.group.mul_coords
     ac = a.coords
-    return FiniteSubset(
-        F.group, frozenset(GroupElement(F.group, mc(f.coords, ac)) for f in F.elements)
-    )
+    return FiniteSubset(F.group, frozenset(mc(f, ac) for f in F.coords))
 
 
 def inverse_set(F: FiniteSubset) -> FiniteSubset:
     """Elementwise inverse {f^-1 : f in F}."""
-    ic = F.group.inverse_coords
-    return FiniteSubset(
-        F.group, frozenset(GroupElement(F.group, ic(f.coords)) for f in F.elements)
-    )
+    return FiniteSubset(F.group, frozenset(map(F.group.inverse_coords, F.coords)))
 
 
 # Above this many coordinate pairs, dense Z^d set products switch to the
@@ -289,8 +276,8 @@ class _Plan(NamedTuple):
 def _plan(E: FiniteSubset, F: FiniteSubset) -> Optional[_Plan]:
     """The keying plan for E * F, or None when int64 cannot hold it safely."""
     try:
-        ea = np.array([e.coords for e in E.elements], dtype=np.int64)
-        fa = np.array([f.coords for f in F.elements], dtype=np.int64)
+        ea = np.array(list(E.coords), dtype=np.int64)
+        fa = np.array(list(F.coords), dtype=np.int64)
     except OverflowError:
         return None
     elo, ehi = ea.min(axis=0).tolist(), ea.max(axis=0).tolist()
@@ -403,10 +390,7 @@ def _fft_keys(plan: _Plan) -> np.ndarray:
 def _decode(plan: _Plan, keys: np.ndarray) -> FiniteSubset:
     coords = np.stack(np.unravel_index(keys, plan.shape), axis=1)
     coords += np.array(plan.lo, dtype=np.int64)
-    group = plan.group
-    return FiniteSubset(
-        group, frozenset(GroupElement(group, c) for c in map(tuple, coords.tolist()))
-    )
+    return FiniteSubset(plan.group, frozenset(map(tuple, coords.tolist())))
 
 
 def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
@@ -419,7 +403,7 @@ def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     the box with margin, the pairs are enumerated in Python integers.
     """
     _require_same_group(E.group, F.group)
-    if not E.elements or not F.elements:
+    if not E.coords or not F.coords:
         return FiniteSubset(E.group, frozenset())
     plan = _plan(E, F)
     if plan is None:
@@ -432,8 +416,7 @@ def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
 def _product_set_naive(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     """Product set by Python enumeration of every pair; the exact reference."""
     mc = E.group.mul_coords
-    out = {mc(e.coords, f.coords) for e in E.elements for f in F.elements}
-    return FiniteSubset(E.group, frozenset(GroupElement(E.group, c) for c in out))
+    return FiniteSubset(E.group, frozenset(mc(e, f) for e in E.coords for f in F.coords))
 
 
 def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: Optional[_Plan] = None) -> FiniteSubset:
@@ -448,7 +431,7 @@ def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: Optional[_Plan] = No
 def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
     """|EF| without building EF's elements; the keys are only counted."""
     _require_same_group(E.group, F.group)
-    if not E.elements or not F.elements:
+    if not E.coords or not F.coords:
         return 0
     plan = _plan(E, F)
     if plan is None:
@@ -459,7 +442,7 @@ def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
 def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
     """|A symmetric-difference B|, exactly."""
     _require_same_group(A.group, B.group)
-    return len(A.elements ^ B.elements)
+    return len(A.coords ^ B.coords)
 
 
 def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> GroupElement:

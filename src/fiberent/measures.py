@@ -80,8 +80,9 @@ def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
     g is the atom of the shifted point, which for the canonical partition
     is just x_g.
     """
-    labels = tuple(sorted((g.coords, p.x.value(g)) for g in F))
-    return CellId(F, labels)
+    x = p.x
+    x.require_group(F.group)
+    return CellId(F, tuple(sorted((c, x.value_at(c)) for c in F.coords)))
 
 
 def measure_for(model):
@@ -110,7 +111,7 @@ def enumerate_cells(mu, omega: SymbolicConfiguration,
     count = xi.atoms ** len(F)
     if count > ENUMERATION_LIMIT:
         raise EnumerationSizeError(f"{count} cells exceed the enumeration limit")
-    coords = [g.coords for g in F.sorted_elements()]
+    coords = sorted(F.coords)
     out = []
     for assignment in iterproduct(range(xi.atoms), repeat=len(coords)):
         cell = CellId(F, tuple(zip(coords, assignment)))

@@ -206,13 +206,18 @@ class SymbolicConfiguration:
     def value_at(self, coords: tuple) -> int:
         return self.physical_value(self.group.mul_coords(coords, self.offset.coords))
 
+    def require_group(self, group: DiscreteGroup) -> None:
+        if group != self.group:
+            raise GroupMismatchError(f"{group.tag} coordinates on a {self.group.tag} configuration")
+
     def value(self, g: GroupElement) -> int:
-        if g.group != self.group:
-            raise GroupMismatchError(f"{g.group.tag} element on a {self.group.tag} configuration")
+        self.require_group(g.group)
         return self.value_at(g.coords)
 
     def agrees_on(self, other: "SymbolicConfiguration", window: FiniteSubset) -> bool:
-        return all(self.value(g) == other.value(g) for g in window)
+        self.require_group(window.group)
+        other.require_group(window.group)
+        return all(self.value_at(c) == other.value_at(c) for c in window.coords)
 
 
 def constant_configuration(
@@ -235,8 +240,7 @@ def configuration_from_pins(
 
 def shift(config: SymbolicConfiguration, g: GroupElement) -> SymbolicConfiguration:
     """The action (g . c)_h = c_{h g}: left-multiply the frame offset."""
-    if g.group != config.group:
-        raise GroupMismatchError(f"{g.group.tag} element on a {config.group.tag} configuration")
+    config.require_group(g.group)
     return SymbolicConfiguration(
         config.group,
         config.alphabet_size,
@@ -352,9 +356,9 @@ def _log_matrix(transition: tuple, gap: int) -> tuple:
     return tuple(_log_table(row) for row in _markov_gap_power(transition, gap))
 
 
-def _is_prefix_interval(coords_set: frozenset) -> bool:
+def _is_prefix_interval(coords: frozenset) -> bool:
     """True iff a Z^1 coordinate set is exactly {0, 1, ..., s-1}."""
-    return coords_set == frozenset((i,) for i in range(len(coords_set)))
+    return coords == frozenset((i,) for i in range(len(coords)))
 
 
 class ShiftModel:
@@ -376,7 +380,9 @@ class RandomAlphabetModel(ShiftModel):
     """Base i.i.d. from `base_p`; fiber symbol at g drawn from row omega_g.
 
     The fiber measure mu_omega is the product over g of fiber_ps[omega_g],
-    so the disintegration genuinely depends on omega.
+    so the disintegration genuinely depends on omega.  With a one-symbol
+    base omega is constant, so it is never drawn or read per site; the
+    fiber draws are keyed as in the general case, so the samples agree.
     """
 
     group: DiscreteGroup
@@ -404,19 +410,25 @@ class RandomAlphabetModel(ShiftModel):
         return len(self.fiber_ps[0])
 
     def sample_omega(self, stream_seed: int) -> SymbolicConfiguration:
+        if len(self.base_p) == 1:
+            return constant_configuration(self.group, 1)
         sampler = ProductSampler(self.base_p, derive_seed(stream_seed, "omega"))
         return SymbolicConfiguration(self.group, len(self.base_p), sampler, self.group.identity(), {})
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
-        sampler = ConditionalSampler(
-            omega.physical_value, self.fiber_ps, derive_seed(stream_seed, "x")
-        )
+        seed = derive_seed(stream_seed, "x")
+        if len(self.base_p) == 1:
+            sampler = ProductSampler(self.fiber_ps[0], seed)
+        else:
+            sampler = ConditionalSampler(omega.physical_value, self.fiber_ps, seed)
         return SymbolicConfiguration(
             self.group, self.fiber_alphabet_size, sampler, self.group.identity(), {}
         )
 
     def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
         """rows[omega_c] for each coordinate c: the fiber row used there."""
+        if len(rows) == 1:
+            return [rows[0]] * len(coords)
         return [rows[omega.value_at(c)] for c in coords]
 
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
@@ -478,7 +490,7 @@ class BernoulliModel(RandomAlphabetModel):
     """Trivial base; fiber measure is the i.i.d. product of `p` on A^G.
 
     This is the random-alphabet model with a one-symbol base, so it shares
-    every rule of that model; it only never reads omega, which is constant.
+    every rule of that model.
     """
 
     kind = "bernoulli"
@@ -493,16 +505,6 @@ class BernoulliModel(RandomAlphabetModel):
     @property
     def p(self) -> tuple:
         return self.fiber_ps[0]
-
-    def sample_omega(self, stream_seed: int) -> SymbolicConfiguration:
-        return constant_configuration(self.group, 1)
-
-    def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
-        sampler = ProductSampler(self.p, derive_seed(stream_seed, "x"))
-        return SymbolicConfiguration(self.group, len(self.p), sampler, self.group.identity(), {})
-
-    def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
-        return [rows[0]] * len(coords)
 
 
 @dataclass(frozen=True)
@@ -614,7 +616,7 @@ class MarkovModel(ShiftModel):
     def conditional_entropy(self, cond_set: FiniteSubset) -> float:
         """Entropy of the two-sided bridge between the nearest conditioning
         neighbours of 0, averaged over their joint law."""
-        positions = sorted(g.coords[0] for g in cond_set)
+        positions = sorted(c[0] for c in cond_set.coords)
         if 0 in positions:
             raise ValueError("conditioning set may not contain the identity")
         left = max((p for p in positions if p < 0), default=None)
@@ -712,10 +714,9 @@ def _norm_shells(group: DiscreteGroup, radius: int) -> tuple:
 
 
 def _first_mismatch_radius(x: SymbolicConfiguration, y: SymbolicConfiguration,
-                           s: GroupElement, radius: int) -> Optional[int]:
+                           sc: tuple, radius: int) -> Optional[int]:
     """Smallest sup-norm r with (s.x)_h != (s.y)_h at some |h| = r, if any."""
     mc = x.group.mul_coords
-    sc = s.coords
     for r, shell in enumerate(_norm_shells(x.group, radius)):
         for h in shell:
             hs = mc(h, sc)
@@ -736,7 +737,7 @@ def bowen_distance(model, E: FiniteSubset, omega: SymbolicConfiguration,
     if len(E) == 0:
         raise ValueError("E must be non-empty")
     best = 0.0
-    for s in E.sorted_elements():
+    for s in sorted(E.coords):
         r = _first_mismatch_radius(x, y, s, radius)
         if r is not None:
             best = max(best, 2.0 ** (-r))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fiberent.cli as cli_mod
 from fiberent.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from fiberent.config import (
     ConfigError,
@@ -456,6 +457,47 @@ class TestCliRuns:
                    str(tmp_path / "no" / "such" / "dir.csv")])
         assert rc == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    def test_artifacts_are_replaced_whole(self, tmp_path, capsys, monkeypatch):
+        text = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 2\ntrajectories = 2\n"
+        rc, good = run(tmp_path, "smb-run", text)
+        assert rc == EXIT_OK
+        cfg = write_cfg(tmp_path, "again.cfg", text)
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        out = blocked / "run.csv"
+        out.write_text("stale,old")
+        (blocked / "run.csv.summary").mkdir()
+        rc = main(["smb-run", "--config", cfg, "--out", str(out)])
+        assert rc == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in blocked.iterdir()) == ["run.csv", "run.csv.summary"]
+        assert out.read_text() == Path(good).read_text()
+
+        # A failing rename leaves the old CSV as it was, and no temporary file.
+        out.write_text("stale,old")
+
+        def no_rename(src, dst):
+            raise PermissionError(f"cannot rename onto {dst}")
+
+        monkeypatch.setattr(cli_mod.os, "replace", no_rename)
+        rc = main(["smb-run", "--config", cfg, "--out", str(out)])
+        assert rc == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in blocked.iterdir()) == ["run.csv", "run.csv.summary"]
+        assert out.read_text() == "stale,old"
+
+    @pytest.mark.parametrize("group, window_n", [("heisenberg", 100), ("zd:3", 102)])
+    def test_cocycle_window_cap(self, tmp_path, capsys, group, window_n):
+        text = f"{COCYCLE_BASE}group = {group}\nwindow_n = {window_n}\n"
+        rc, out = run(tmp_path, "cocycle-check", text)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: key 'window_n'" in err and "2^20" in err
+        assert not Path(out).exists()
+        largest = 32 if group == "heisenberg" else 101
+        fits = f"{COCYCLE_BASE}group = {group}\nwindow_n = {largest}\n"
+        assert parse_config(fits, "cocycle-check").get("window_n") == largest
 
     def test_seed_override_range(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ok.cfg",

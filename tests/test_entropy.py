@@ -31,7 +31,6 @@ from fiberent.rds import (
 from fiberent.entropy import (
     ConvergenceTrace,
     _smb_worker,
-    EntropyReport,
     TraceRow,
     chain_rule_residual,
     chain_rule_terms,
@@ -225,14 +224,10 @@ class TestChainRule:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         F = Z1.box(3)
         p = pinned_point(model, {(k,): 0 for k in range(3)})
-        with pytest.raises(ValueError):
-            chain_rule_terms(
-                model,
-                canonical_partition(model),
-                F,
-                Z1.box(2).sorted_elements(),
-                p,
-            )
+        twice = F.sorted_elements() + [Z1.element(2)]
+        for order in (Z1.box(2).sorted_elements(), twice, Z2.box(3, 1).sorted_elements()):
+            with pytest.raises(ValueError):
+                chain_rule_terms(model, canonical_partition(model), F, order, p)
 
 
 class TestFiberEntropyClosedForm:
@@ -284,6 +279,21 @@ class TestSmbTrace:
             # sd of the mean plus a floor for the O(1/|F|) finite-size bias
             band = 3 * final.std_error + 0.03
             assert final.abs_error <= band
+
+    def test_one_symbol_base_is_bernoulli_and_never_reads_omega(self):
+        p = (Fraction(7, 10), Fraction(3, 10))
+        bern = BernoulliModel(Z2, p)
+        one = RandomAlphabetModel(Z2, (Fraction(1),), (p,))
+        seq = box_folner(2, 8)
+        assert smb_trace(one, seq, trajectories=6, seed=41) == smb_trace(
+            bern, seq, trajectories=6, seed=41)
+        # No rule and no fiber draw of the one-symbol model looks at omega.
+        labels = (((0, 0), 1), ((0, 1), 0))
+        assert one.cell_measure(None, labels) == Fraction(21, 100)
+        assert one.cell_log_measure(None, labels) == pytest.approx(math.log(0.21), abs=1e-15)
+        x = one.sample_x(None, 41)
+        assert [x.value_at(c) for c in sorted(seq.set(8).coords)] == [
+            bern.sample_x(None, 41).value_at(c) for c in sorted(seq.set(8).coords)]
 
     def test_rows_have_increasing_n_and_sizes(self):
         model = BernoulliModel.create(Z2, [0.7, 0.3])
@@ -354,7 +364,7 @@ class TestSmbFastPath:
     def test_worker_totals_match_exact_cell_measures(self, case):
         model, seq = SMB_PLANS[case]
         ns = list(range(1, len(seq.sets) + 1))
-        plan = model.smb_plan([seq.set(n).coords_set() for n in ns])
+        plan = model.smb_plan([seq.set(n).coords for n in ns])
         assert plan[0] == ("product" if case == "conditional" else case)
         xi = canonical_partition(model)
         for index in range(3):
@@ -466,17 +476,3 @@ def test_trace_row_validation():
                 TraceRow(n=1, folner_size=1, estimate=0.0, target=None, std_error=None),
             )
         )
-
-
-def test_entropy_report_carries_trace():
-    model = BernoulliModel.create(Z1, [0.5, 0.5])
-    trace = smb_trace(model, box_folner(1, 3), trajectories=2, seed=53)
-    report = EntropyReport(
-        model_kind=model.kind,
-        atoms=2,
-        closed_form=math.log(2),
-        method="pointwise-smb",
-        trace=trace,
-    )
-    assert 0.0 <= report.closed_form <= math.log(report.atoms)
-    assert report.trace.final.n == 3

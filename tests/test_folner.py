@@ -17,9 +17,16 @@ from fiberent.folner import (
     tempered_constant,
     validate_sequence,
 )
-from fiberent.groups import HeisenbergGroup, ZdGroup, subset_from_coords
+from fiberent.groups import (
+    HeisenbergGroup,
+    ZdGroup,
+    _product_set_naive,
+    inverse_set,
+    subset_from_coords,
+)
 
 H = HeisenbergGroup()
+Z1 = ZdGroup(1)
 
 
 def test_box_folner_shapes():
@@ -27,7 +34,7 @@ def test_box_folner_shapes():
     assert len(seq.sets) == 10
     assert len(seq.set(1)) == 1
     assert len(seq.set(10)) == 100
-    assert seq.set(3).coords_set() == {(x, y) for x in range(3) for y in range(3)}
+    assert seq.set(3).coords == {(x, y) for x in range(3) for y in range(3)}
     with pytest.raises(IndexError):
         seq.set(0)
     with pytest.raises(IndexError):
@@ -46,7 +53,7 @@ def test_box_folner_sizes_schedule():
 def test_heisenberg_folner_sizes():
     seq = heisenberg_folner(3)
     assert [len(seq.set(n)) for n in (1, 2, 3)] == [1, 16, 81]
-    assert seq.set(2).coords_set() == {
+    assert seq.set(2).coords == {
         (a, b, c) for a in range(2) for b in range(2) for c in range(4)
     }
 
@@ -114,11 +121,36 @@ def test_tempered_bound_for_boxes():
             assert c == Fraction((2 * n - 2) ** d, n**d)
 
 
-def test_tempered_shortcut_matches_full_union():
-    seq = box_folner(2, 8)
-    flat = dataclasses.replace(seq, nested_hint=False)
-    for n in range(2, 9):
-        assert tempered_constant(seq, n) == tempered_constant(flat, n)
+def _skipping_sequence():
+    """A box sequence whose middle set leaves the nest: F_2 = {5, 6}."""
+    return dataclasses.replace(
+        box_folner(1, 3), sets=(Z1.box(1), subset_from_coords(Z1, [(5,), (6,)]), Z1.box(8))
+    )
+
+
+def test_tempered_constant_matches_brute_force_union():
+    """The one-product union equals the union of the per-k products."""
+    skipping = _skipping_sequence()
+    spread = FolnerSequence(
+        ZdGroup(2),
+        tuple(subset_from_coords(ZdGroup(2), pts) for pts in (
+            [(0, 0)], [(0, 0), (3, -1)], [(1, 2), (-2, 0), (4, 4)],
+            [(x, y) for x in range(-1, 3) for y in range(2)],
+        )),
+    )
+    for seq in (box_folner(2, 8), heisenberg_folner(3), skipping, spread):
+        for n in range(2, len(seq.sets) + 1):
+            Fn = seq.set(n)
+            union = set()
+            for k in range(1, n):
+                union |= _product_set_naive(inverse_set(seq.set(k)), Fn).coords
+            assert tempered_constant(seq, n) == Fraction(len(union), len(Fn))
+
+
+def test_tempered_constant_of_non_nested_sequence():
+    # (F_1 u F_2)^{-1} F_3 = {-6, ..., 7}: 14 points over |F_3| = 8.  The
+    # F_2^{-1} F_3 of a nested sequence would give 9/8.
+    assert tempered_constant(_skipping_sequence(), 3) == Fraction(7, 4)
 
 
 def test_heisenberg_defect_brute_force_oracle():
@@ -130,7 +162,7 @@ def test_heisenberg_defect_brute_force_oracle():
     defects = {}
     for n in (2, 4):
         F = {(a, b, c) for a in range(n) for b in range(n) for c in range(n * n)}
-        KF = {hmul(k, f) for k in K.coords_set() for f in F}
+        KF = {hmul(k, f) for k in K.coords for f in F}
         defects[n] = Fraction(len(KF ^ F), len(F))
         assert folner_defect(K, seq.set(n)) == defects[n]
     assert defects[2] == Fraction(5, 4)
@@ -153,7 +185,6 @@ def test_validator_rejects_identity_failure():
         group=ZdGroup(2),
         sets=(subset_from_coords(ZdGroup(2), [(1, 0)]),),
         name="bad",
-        nested_hint=False,
     )
     report = validate_sequence(bad)
     assert not report.identity_ok
@@ -167,7 +198,6 @@ def test_validator_flags_size_gate():
         group=g,
         sets=(g.box(1), g.box(2), g.box(4)),
         name="slow",
-        nested_hint=True,
     )
     report = validate_sequence(seq)
     assert report.size_ok
@@ -176,7 +206,6 @@ def test_validator_flags_size_gate():
         group=g,
         sets=(g.box(1), g.box(2), subset_from_coords(g, [(0,), (1,)])),
         name="stalled",
-        nested_hint=True,
     )
     rep2 = validate_sequence(small)
     assert not rep2.size_ok
@@ -189,7 +218,6 @@ def test_validator_rejects_non_nested():
         group=g,
         sets=(g.box(1), subset_from_coords(g, [(5,), (6,)]), g.box(8)),
         name="skip",
-        nested_hint=False,
     )
     report = validate_sequence(seq)
     assert not report.nested_ok

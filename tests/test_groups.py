@@ -1,5 +1,6 @@
 """Group algebra: laws, finite subsets, product sets, both route checks."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,9 +23,11 @@ from fiberent.groups import (
     product_set,
     product_set_size,
     random_element,
+    subset,
     subset_from_coords,
     symmetric_difference_size,
     translate,
+    union_of,
 )
 
 Z1 = ZdGroup(1)
@@ -97,9 +100,9 @@ def test_heisenberg_inverse_formula():
 
 def test_z1_product_set_examples():
     E = subset_from_coords(Z1, [(0,), (1,)])
-    assert product_set(E, E).coords_set() == {(0,), (1,), (2,)}
+    assert product_set(E, E).coords == {(0,), (1,), (2,)}
     W = product_set(inverse_set(Z1.box(3)), Z1.box(5))
-    assert W.coords_set() == {(k,) for k in range(-2, 5)}
+    assert W.coords == {(k,) for k in range(-2, 5)}
     assert len(W) == 7
 
 
@@ -127,7 +130,7 @@ def test_translate_preserves_cardinality(EF, data):
     a = E.group.element(*data.draw(coords_strategy(E.group)))
     T = translate(E, a)
     assert len(T) == len(E)
-    assert T.coords_set() == {mul(f, a).coords for f in E}
+    assert T.coords == {mul(f, a).coords for f in E}
 
 
 @given(group_subsets())
@@ -135,7 +138,7 @@ def test_inverse_set_involution(EF):
     E, _ = EF
     inv = inverse_set(E)
     assert len(inv) == len(E)
-    assert inverse_set(inv).coords_set() == E.coords_set()
+    assert inverse_set(inv).coords == E.coords
 
 
 @given(group_subsets(), st.data())
@@ -153,7 +156,7 @@ def test_fft_product_route_matches_naive(monkeypatch):
     naive = groups_mod._product_set_naive(E, F)
     monkeypatch.setattr(groups_mod, "_FFT_PAIR_THRESHOLD", 1)
     fft = product_set(E, F)
-    assert fft.coords_set() == naive.coords_set()
+    assert fft.coords == naive.coords
     assert product_set_size(E, F) == len(naive)
 
 
@@ -162,17 +165,17 @@ def test_fft_route_matches_on_random_zd_sets(EF):
     E, F = EF
     if not isinstance(E.group, ZdGroup):
         return
-    naive = groups_mod._product_set_naive(E, F).coords_set()
-    assert groups_mod._zd_product_fft(E, F).coords_set() == naive
+    naive = groups_mod._product_set_naive(E, F).coords
+    assert groups_mod._zd_product_fft(E, F).coords == naive
 
 
 def naive_coords(E, F):
-    return groups_mod._product_set_naive(E, F).coords_set()
+    return groups_mod._product_set_naive(E, F).coords
 
 
 def assert_kernel_matches_naive(E, F):
     want = naive_coords(E, F)
-    assert product_set(E, F).coords_set() == want
+    assert product_set(E, F).coords == want
     assert product_set_size(E, F) == len(want)
 
 
@@ -227,6 +230,41 @@ def test_heisenberg_negative_coordinates_twist_bounds():
     assert_kernel_matches_naive(inverse_set(E), E)
 
 
+@settings(max_examples=200)
+@given(st.sampled_from(GROUPS), st.data())
+def test_product_of_union_is_union_of_products(group, data):
+    """(A_1 u ... u A_k) B = A_1 B u ... u A_k B, sized by the kernel."""
+    cs = coords_strategy(group, bound=6)
+    parts = data.draw(st.lists(st.frozensets(cs, min_size=1, max_size=6), min_size=1,
+                               max_size=4))
+    B = subset_from_coords(group, data.draw(st.frozensets(cs, min_size=1, max_size=6)))
+    A = [subset_from_coords(group, part) for part in parts]
+    want = set()
+    for Ai in A:
+        want |= naive_coords(Ai, B)
+    assert product_set_size(union_of(A), B) == len(want)
+
+
+def test_subset_checks_each_element_group():
+    assert subset(Z2, [Z2.element(1, 2), Z2.element(1, 2)]).coords == {(1, 2)}
+    with pytest.raises(GroupMismatchError):
+        subset(Z2, [Z2.element(0, 0), Z1.element(3)])
+    with pytest.raises(GroupMismatchError):
+        union_of([Z1.box(2), Z2.box(1, 1)])
+
+
+def test_membership_and_iteration_give_group_elements():
+    assert [f.name for f in dataclasses.fields(FiniteSubset)] == ["group", "coords"]
+    F = Z2.box(2, 3)
+    assert Z2.element(1, 2) in F
+    assert Z2.element(2, 0) not in F
+    assert H.element(1, 2, 0) not in H.box(1, 1, 1)
+    assert Z1.element(0) not in Z2.box(1, 1)
+    assert {g.coords for g in F} == F.coords
+    assert all(g.group == Z2 for g in F)
+    assert [g.coords for g in F.sorted_elements()] == sorted(F.coords)
+
+
 @pytest.fixture
 def naive_calls(monkeypatch):
     calls = []
@@ -260,7 +298,7 @@ def test_product_int64_guard_falls_back_exactly(E_coords, F_coords, group, fallb
     E = subset_from_coords(group, E_coords)
     F = subset_from_coords(group, F_coords)
     want = {group.mul_coords(e, f) for e in E_coords for f in F_coords}
-    assert product_set(E, F).coords_set() == want
+    assert product_set(E, F).coords == want
     assert product_set_size(E, F) == len(want)
     assert len(naive_calls) == (2 if fallback else 0)
 
@@ -297,7 +335,7 @@ def test_fft_rounding_guard_falls_back_to_keys(perturb, monkeypatch):
     monkeypatch.setattr(groups_mod, "_FFT_PAIR_THRESHOLD", 1)
     monkeypatch.setattr(groups_mod, "fftconvolve", perturbed)
     monkeypatch.setattr(groups_mod, "_enumerated_keys", enumerated)
-    assert product_set(E, F).coords_set() == want
+    assert product_set(E, F).coords == want
     assert product_set_size(E, F) == len(want)
     assert fallbacks == [len(E) * len(F)] * 2
 
@@ -368,8 +406,8 @@ def test_random_element_is_deterministic_and_bounded():
 def test_finite_subset_set_algebra():
     A = Z1.box(4)
     B = translate(A, Z1.element(2))
-    assert A.union(B).coords_set() == {(k,) for k in range(6)}
-    assert A.intersection(B).coords_set() == {(2,), (3,)}
-    assert A.difference(B).coords_set() == {(0,), (1,)}
+    assert A.union(B).coords == {(k,) for k in range(6)}
+    assert A.intersection(B).coords == {(2,), (3,)}
+    assert A.difference(B).coords == {(0,), (1,)}
     assert A.intersection(B).is_subset(A)
     assert A.sorted_elements() == sorted(A.sorted_elements(), key=lambda g: g.coords)
