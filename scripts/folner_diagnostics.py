@@ -16,7 +16,6 @@ from fiberent.folner import (
     box_folner,
     folner_defect,
     heisenberg_folner,
-    tempered_constant,
     validate_sequence,
 )
 from fiberent.groups import HeisenbergGroup, ZdGroup, subset_from_coords
@@ -47,7 +46,7 @@ def main():
         seq = box_folner(group.d, args.n_max)
 
     K = generator_set(group)
-    report = validate_sequence(seq, check_tempered=True)
+    report = validate_sequence(seq)
     print(f"group={group.tag} sets={len(seq.sets)} K=identity+generators")
     print(f"validation: identity={report.identity_ok} nested={report.nested_ok} "
           f"sizes={report.size_ok} strict={report.size_strict} "
@@ -57,7 +56,7 @@ def main():
         F = seq.set(n)
         defect = folner_defect(K, F)
         if n >= 2:
-            tc = tempered_constant(seq, n)
+            tc = report.tempered[n - 2]
             tc_cols = f"{str(tc):>12} {float(tc):>8.4f}"
         else:
             tc_cols = f"{'':>12} {'':>8}"

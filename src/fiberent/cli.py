@@ -12,7 +12,11 @@ file in its directory and then renamed over the target, so a failing run
 leaves each artifact either whole or untouched, never truncated.
 
 Exit codes: 0 success, 2 configuration error, 3 assertion failure,
-4 I/O error.  Worker count affects wall time only, never file contents.
+4 I/O error, 5 internal error.  Every configuration error is caught by
+the parser and names its key and line; any other exception a runner
+raises is a defect of fiberent, reported as an internal error with no
+artifact written.  Worker count affects wall time only, never file
+contents.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .folner import (
     box_folner,
     box_folner_sizes,
     heisenberg_folner,
-    tempered_constant,
     validate_sequence,
 )
 from .groups import HeisenbergGroup, ZdGroup, random_element, subset_from_coords
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERTION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt(value) -> str:
@@ -140,14 +144,10 @@ def _run_cond_entropy(cfg: ExperimentConfig):
 def _run_folner_check(cfg: ExperimentConfig):
     group = cfg.get("group")
     seq = _build_sequence(cfg, group)
-    report = validate_sequence(seq, check_tempered=False)
-    rows = []
-    max_tempered = None
-    if report.nested_ok:
-        for n in range(2, len(seq.sets) + 1):
-            c = tempered_constant(seq, n)
-            max_tempered = c if max_tempered is None else max(max_tempered, c)
-            rows.append((n, len(seq.set(n)), float(c), None, None, None))
+    report = validate_sequence(seq)
+    rows = [(n, len(seq.set(n)), float(c), None, None, None)
+            for n, c in enumerate(report.tempered, start=2)]
+    max_tempered = report.max_tempered
     bound = cfg.get("tempered_bound")
     ok = report.ok and (
         bound is None or (max_tempered is not None and max_tempered <= bound)
@@ -354,9 +354,9 @@ def main(argv=None) -> int:
     out_path = args.out or cfg.get("out") or f"{args.subcommand}.csv"
     try:
         rows, summary, ok = _RUNNERS[args.subcommand](cfg)
-    except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     summary.append(("seed", cfg.get("seed")))
     summary.append(("csv", out_path))
     try:

@@ -222,7 +222,7 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
             values.setdefault(key, default)
     cfg = ExperimentConfig(subcommand, values)
     if not issues:
-        issues.extend(_cross_validate(cfg))
+        issues.extend(_cross_validate(cfg, lines_seen))
     if issues:
         raise ConfigError(issues)
     return cfg
@@ -238,7 +238,9 @@ def _indexed(values: dict, prefix: str) -> list:
     return [found[i] for i in range(len(found)) if i in found]
 
 
-def _cross_validate(cfg: ExperimentConfig) -> list:
+def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
+    """Issues that involve more than one key; each validator gives
+    (key, reason) and the issue cites that key's line, or 0 if it is absent."""
     issues = []
     v = cfg.values
     sub = cfg.subcommand
@@ -248,17 +250,17 @@ def _cross_validate(cfg: ExperimentConfig) -> list:
         issues.extend(_validate_schedule(v))
     if sub == "cocycle-check":
         if _window_size(v.get("group", ZdGroup(1)), v["window_n"]) > _WINDOW_CAP:
-            issues.append(ConfigIssue("window_n", 0, "window exceeds 2^20 points"))
+            issues.append(("window_n", "window exceeds 2^20 points"))
     if sub == "folner-check":
         group = v["group"]
         cap = 6 if isinstance(group, HeisenbergGroup) else 64
         if v["n_max"] > cap:
-            issues.append(ConfigIssue("n_max", 0, f"must be in 1..{cap} for {group.tag}"))
+            issues.append(("n_max", f"must be in 1..{cap} for {group.tag}"))
     if sub == "cover-demo":
         issues.extend(_validate_cover_keys(v))
     if "workers" in v and not 1 <= v["workers"] <= 64:
-        issues.append(ConfigIssue("workers", 0, "must be in 1..64"))
-    return issues
+        issues.append(("workers", "must be in 1..64"))
+    return [ConfigIssue(key, lines.get(key, 0), reason) for key, reason in issues]
 
 
 def _validate_model_keys(v: dict) -> list:
@@ -266,25 +268,33 @@ def _validate_model_keys(v: dict) -> list:
     model = v.get("model")
     if model == "bernoulli":
         if "p" not in v:
-            issues.append(ConfigIssue("p", 0, "required for model = bernoulli"))
+            issues.append(("p", "required for model = bernoulli"))
     elif model == "random-alphabet":
         base = v.get("base_p")
         if base is None:
-            issues.append(ConfigIssue("base_p", 0, "required for model = random-alphabet"))
+            issues.append(("base_p", "required for model = random-alphabet"))
         else:
             rows = _indexed(v, "fiber_p")
             if len(rows) != len(base):
-                issues.append(ConfigIssue(
-                    "fiber_p_0", 0,
+                issues.append((
+                    "fiber_p_0",
                     f"need fiber_p_0..fiber_p_{len(base) - 1}, found {len(rows)} rows"))
+            issues.extend(
+                (f"fiber_p_{i}", f"must have the {len(rows[0])} symbols of fiber_p_0")
+                for i, row in enumerate(rows) if len(row) != len(rows[0]))
     elif model == "markov":
         rows = _indexed(v, "transition")
         if not rows or any(len(r) != len(rows) for r in rows):
-            issues.append(ConfigIssue(
-                "transition_0", 0, "need a square matrix transition_0..transition_{k-1}"))
+            issues.append((
+                "transition_0", "need a square matrix transition_0..transition_{k-1}"))
+        else:
+            try:
+                MarkovModel(tuple(rows)).stationary
+            except ValueError as exc:
+                issues.append(("transition_0", str(exc)))
         group = v.get("group")
         if group is not None and group != ZdGroup(1):
-            issues.append(ConfigIssue("group", 0, "markov model requires group = zd:1"))
+            issues.append(("group", "markov model requires group = zd:1"))
     return issues
 
 
@@ -304,16 +314,16 @@ def _validate_schedule(v: dict) -> list:
     n_max = v.get("n_max")
     if sides is not None:
         if isinstance(group, HeisenbergGroup):
-            issues.append(ConfigIssue("sides", 0, "side schedules apply to zd groups only"))
+            issues.append(("sides", "side schedules apply to zd groups only"))
         elif any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
-            issues.append(ConfigIssue("sides", 0, "must be positive and strictly increasing"))
+            issues.append(("sides", "must be positive and strictly increasing"))
         elif _window_size(group, sides[-1]) > _WINDOW_CAP:
-            issues.append(ConfigIssue("sides", 0, "largest window exceeds 2^20 points"))
+            issues.append(("sides", "largest window exceeds 2^20 points"))
     if n_max is not None:
         if _window_size(group, n_max) > _WINDOW_CAP:
-            issues.append(ConfigIssue("n_max", 0, "largest window exceeds 2^20 points"))
+            issues.append(("n_max", "largest window exceeds 2^20 points"))
     if sides is not None and n_max is not None:
-        issues.append(ConfigIssue("sides", 0, "give either n_max or sides, not both"))
+        issues.append(("sides", "give either n_max or sides, not both"))
     return issues
 
 
@@ -328,21 +338,21 @@ def _validate_cover_keys(v: dict) -> list:
     )
     if kind == "greedy":
         if not shape_single:
-            issues.append(ConfigIssue("shape_1", 0, "greedy form needs shape_1, shape_2, ..."))
+            issues.append(("shape_1", "greedy form needs shape_1, shape_2, ..."))
         for key in shape_single:
             centers_key = key.replace("shape", "centers")
             if centers_key not in v:
-                issues.append(ConfigIssue(centers_key, 0, f"missing centers for {key}"))
+                issues.append((centers_key, f"missing centers for {key}"))
     elif kind == "random":
         if not shape_double:
-            issues.append(ConfigIssue("shape_1_1", 0, "random form needs shape_i_j keys"))
+            issues.append(("shape_1_1", "random form needs shape_i_j keys"))
         for key in shape_double:
             centers_key = key.replace("shape", "centers")
             if centers_key not in v:
-                issues.append(ConfigIssue(centers_key, 0, f"missing centers for {key}"))
+                issues.append((centers_key, f"missing centers for {key}"))
         for key in ("k_set", "c", "alpha"):
             if key not in v:
-                issues.append(ConfigIssue(key, 0, "required for kind = random"))
+                issues.append((key, "required for kind = random"))
     return issues
 
 

@@ -9,6 +9,9 @@ Two constructions are implemented over finite windows of a group:
   candidate center with a probability proportional to the remaining
   coverage gap and then thins exactly like the greedy builder.
 
+Each instance builds every block S a once, as its cached `layers`; the
+containment hypotheses and every run of either construction read them.
+
 The underlying covering lemmas are existence statements; these builders
 realize the standard constructions and the verifiers evaluate the stated
 conclusion inequalities per instance, exactly where the quantities are
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groups import FiniteSubset, inverse_set, product_set_size, translate, union_of
+from .groups import FiniteSubset, GroupMismatchError, inverse_set, product_set_size, union_of
 from .rng import derive_seed, uniform01
 
 
@@ -37,6 +40,21 @@ def _as_unit_fraction(value, name: str) -> Fraction:
     if not 0 < fr < 1:
         raise ValueError(f"{name} must lie in (0, 1), got {fr}")
     return fr
+
+
+def _layer(ambient: FiniteSubset, key: tuple, shape: FiniteSubset,
+           centers: FiniteSubset) -> tuple:
+    """(key, |S|, blocks) for shape S and center set A: blocks holds
+    (a, S a) for every a in A in lexicographic order, with S a a tuple of
+    the points f a; the order of points inside a block never matters."""
+    group = ambient.group
+    for part in (shape, centers):
+        if part.group != group:
+            raise GroupMismatchError(f"group mismatch: {part.group.tag} vs {group.tag}")
+    mc = group.mul_coords
+    offsets = tuple(shape.coords)
+    blocks = tuple((a, tuple([mc(f, a) for f in offsets])) for a in sorted(centers.coords))
+    return key, len(offsets), blocks
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,12 @@ class CoverInstance:
             ambient, tuple(shapes), tuple(centers),
             _as_unit_fraction(delta, "delta"), _as_unit_fraction(epsilon, "epsilon"),
         )
+
+    @functools.cached_property
+    def layers(self) -> tuple:
+        """_layer of each key (i,) in increasing order, built once."""
+        return tuple(_layer(self.ambient, (i,), S, A)
+                     for i, (S, A) in enumerate(zip(self.shapes, self.centers), start=1))
 
     @functools.cached_property
     def hypotheses(self) -> "HypothesisReport":
@@ -104,6 +128,15 @@ class RandomCoverInstance:
         )
 
     @functools.cached_property
+    def layers(self) -> tuple:
+        """_layer of each key (i, j) in increasing order, built once."""
+        return tuple(
+            _layer(self.ambient, (i, j), S, A)
+            for i, (srow, crow) in enumerate(zip(self.shapes, self.centers), start=1)
+            for j, (S, A) in enumerate(zip(srow, crow), start=1)
+        )
+
+    @functools.cached_property
     def hypotheses(self) -> "HypothesisReport":
         """check_hypotheses(self), evaluated once: instances are immutable."""
         return check_hypotheses(self)
@@ -130,25 +163,24 @@ class HypothesisReport:
         return tuple(r.name for r in self.rows if not r.ok)
 
 
-def _containment_rows(ambient, shapes, centers, label) -> list:
-    rows = []
-    for idx, (shape, A) in enumerate(zip(shapes, centers), start=1):
-        ok = A.is_subset(ambient) and all(
-            translate(shape, a).is_subset(ambient) for a in A
-        )
-        rows.append(CheckRow(f"{label}-containment-{idx}", Fraction(int(ok)), Fraction(1), ok))
-    return rows
-
-
 def check_hypotheses(inst) -> HypothesisReport:
     """Exact evaluation of every hypothesis inequality of the instance.
 
-    Each union of products with a common factor is evaluated as one
-    product of the union: union_j S_j^-1 T = (union_j S_j)^-1 T and
-    union_A K A = K (union A).
+    A containment row passes when every center of its layer lies in F and
+    so does every block built from it.  Each union of products with a
+    common factor is evaluated as one product of the union:
+    union_j S_j^-1 T = (union_j S_j)^-1 T and union_A K A = K (union A).
     """
+    if not isinstance(inst, (CoverInstance, RandomCoverInstance)):
+        raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    F = inst.ambient.coords
+    rows = []
+    for key, _, blocks in inst.layers:
+        ok = all(a in F and F.issuperset(block) for a, block in blocks)
+        name = "-".join(("shape", *map(str, key[:-1]), "containment", str(key[-1])))
+        rows.append(CheckRow(name, Fraction(int(ok)), Fraction(1), ok))
+
     if isinstance(inst, CoverInstance):
-        rows = _containment_rows(inst.ambient, inst.shapes, inst.centers, "shape")
         growth = Fraction(1) + inst.epsilon
         for i in range(1, len(inst.shapes)):
             lhs = Fraction(
@@ -157,59 +189,44 @@ def check_hypotheses(inst) -> HypothesisReport:
             rows.append(CheckRow(f"growth-{i}", lhs, rhs, lhs < rhs))
         return HypothesisReport(tuple(rows))
 
-    if isinstance(inst, RandomCoverInstance):
-        rows = []
-        for i, (srow, crow) in enumerate(zip(inst.shapes, inst.centers), start=1):
-            rows.extend(_containment_rows(inst.ambient, srow, crow, f"shape-{i}"))
-        pairs = [
-            (i, j)
-            for i in range(len(inst.shapes))
-            for j in range(len(inst.shapes[i]))
-        ]
+    def growth_row(name, limit, target, factor) -> CheckRow:
+        shapes = union_of(S for i, row in enumerate(inst.shapes)
+                          for j, S in enumerate(row) if (i, j) <= limit)
+        lhs = Fraction(product_set_size(inverse_set(shapes), target))
+        rhs = factor * len(target)
+        return CheckRow(name, lhs, rhs, lhs <= rhs)
 
-        def union_up_to(limit, target) -> int:
-            shapes = union_of(inst.shapes[i][j] for (i, j) in pairs if (i, j) <= limit)
-            return product_set_size(inverse_set(shapes), target)
-
-        for i in range(len(inst.shapes)):
-            for k in range(len(inst.shapes[i]) - 1):
-                target = inst.shapes[i][k + 1]
-                lhs = Fraction(union_up_to((i, k), target))
-                rhs = inst.C * len(target)
-                rows.append(CheckRow(f"growth-within-{i + 1}-{k + 1}", lhs, rhs, lhs <= rhs))
-        for i in range(len(inst.shapes) - 1):
-            last = (i, len(inst.shapes[i]) - 1)
-            for k in range(len(inst.shapes[i + 1])):
-                target = inst.shapes[i + 1][k]
-                lhs = Fraction(union_up_to(last, target))
-                rhs = (Fraction(1) + inst.epsilon) * len(target)
-                rows.append(CheckRow(f"growth-across-{i + 1}-{k + 1}", lhs, rhs, lhs <= rhs))
-        threshold = inst.alpha * len(inst.ambient)
-        for i, crow in enumerate(inst.centers, start=1):
-            lhs = Fraction(product_set_size(inst.K, union_of(crow)))
-            rows.append(CheckRow(f"alpha-coverage-{i}", lhs, threshold, lhs >= threshold))
-        return HypothesisReport(tuple(rows))
-
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    rows.extend(growth_row(f"growth-within-{i + 1}-{k + 1}", (i, k), row[k + 1], inst.C)
+                for i, row in enumerate(inst.shapes) for k in range(len(row) - 1))
+    rows.extend(growth_row(f"growth-across-{i + 1}-{k + 1}", (i, len(inst.shapes[i]) - 1),
+                           target, 1 + inst.epsilon)
+                for i in range(len(inst.shapes) - 1)
+                for k, target in enumerate(inst.shapes[i + 1]))
+    threshold = inst.alpha * len(inst.ambient)
+    for i, crow in enumerate(inst.centers, start=1):
+        lhs = Fraction(product_set_size(inst.K, union_of(crow)))
+        rows.append(CheckRow(f"alpha-coverage-{i}", lhs, threshold, lhs >= threshold))
+    return HypothesisReport(tuple(rows))
 
 
 @dataclass(frozen=True)
 class CoverSolution:
-    """Chosen translates plus derived coverage statistics.
+    """Chosen translates plus the multiplicity of every covered point.
 
     picks holds (shape index, center coords) for greedy output and
     (i, j, center coords) for sampled output, all 1-based indices in the
-    order the construction accepted them.
+    order the construction accepted them; multiplicity holds
+    (point coords, number of accepted blocks holding it) in coordinate
+    order, one pair per covered point.
     """
 
     picks: tuple
-    covered: frozenset
     total_size: int
     multiplicity: tuple
 
     @property
     def union_size(self) -> int:
-        return len(self.covered)
+        return len(self.multiplicity)
 
     def multiplicity_map(self) -> dict:
         return dict(self.multiplicity)
@@ -221,38 +238,28 @@ def _require_hypotheses(inst) -> None:
         raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
 
 
-def _thin(inst, layers) -> CoverSolution:
+def _thin(delta: Fraction, layers) -> CoverSolution:
     """The one thinning loop: accept a block iff its overlap with the
     already-covered region is at most delta * |shape|.
 
-    `layers(covered)` yields (pick key, shape, center coords) per layer in
-    scan order; it is resumed only after the previous layer is thinned, so
-    a layer may depend on how much is covered so far.
+    `layers(lam)` yields (key, |shape|, blocks) per layer in scan order,
+    where lam maps each covered point to its multiplicity; it is resumed
+    only after the previous layer is thinned, so a layer may depend on how
+    much is covered so far.  Overlaps are integers, so comparing them with
+    floor(delta * |shape|) is exact.
     """
-    mc = inst.ambient.group.mul_coords
-    covered: set = set()
     lam: dict = {}
     picks = []
     total = 0
-    for key, shape, centers in layers(covered):
-        offsets = sorted(shape.coords)
-        size = len(offsets)
-        limit = inst.delta * size
-        for ac in centers:
-            block = [mc(fc, ac) for fc in offsets]
-            overlap = sum(1 for c in block if c in covered)
-            if overlap <= limit:
-                picks.append(key + (ac,))
+    for key, size, blocks in layers(lam):
+        limit = math.floor(delta * size)
+        for center, block in blocks:
+            if sum(map(lam.__contains__, block)) <= limit:
+                picks.append(key + (center,))
                 total += size
                 for c in block:
-                    covered.add(c)
                     lam[c] = lam.get(c, 0) + 1
-    return CoverSolution(
-        picks=tuple(picks),
-        covered=frozenset(covered),
-        total_size=total,
-        multiplicity=tuple(sorted(lam.items())),
-    )
+    return CoverSolution(tuple(picks), total, tuple(sorted(lam.items())))
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
@@ -265,13 +272,7 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     inequalities are the verifier's to evaluate per instance.
     """
     _require_hypotheses(inst)
-
-    def layers(covered):
-        for i in range(len(inst.shapes), 0, -1):
-            centers = sorted(inst.centers[i - 1].coords)
-            yield (i,), inst.shapes[i - 1], centers
-
-    sol = _thin(inst, layers)
+    sol = _thin(inst.delta, lambda lam: reversed(inst.layers))
     assert (1 - inst.delta) * sol.total_size <= sol.union_size
     return sol
 
@@ -283,27 +284,24 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
     q = min(1, delta * max(0, alpha |F| - |covered so far|) / |shape|),
     so sampling pressure decays as the target coverage is approached;
     retained centers are then thinned exactly like the greedy builder.
-    The output is a pure function of (instance, seed).
+    Coverage never shrinks, so the pass ends at the first layer with
+    q = 0.  The output is a pure function of (instance, seed).
     """
     _require_hypotheses(inst)
     goal = inst.alpha * len(inst.ambient)
 
-    def layers(covered):
-        for i in range(len(inst.shapes), 0, -1):
-            for j in range(len(inst.shapes[i - 1]), 0, -1):
-                shape = inst.shapes[i - 1][j - 1]
-                gap = goal - len(covered)
-                q = min(Fraction(1), inst.delta * max(Fraction(0), gap) / len(shape))
-                if q == 0:
-                    continue
-                centers = sorted(inst.centers[i - 1][j - 1].coords)
-                if q != 1:
-                    q_float = float(q)
-                    centers = [ac for ac in centers
-                               if uniform01(seed, "keep", i, j, ac) < q_float]
-                yield (i, j), shape, centers
+    def layers(lam):
+        for (i, j), size, blocks in reversed(inst.layers):
+            q = inst.delta * (goal - len(lam)) / size
+            if q <= 0:
+                return
+            if q < 1:
+                q_float = float(q)
+                blocks = [(a, block) for a, block in blocks
+                          if uniform01(seed, "keep", i, j, a) < q_float]
+            yield (i, j), size, blocks
 
-    return _thin(inst, layers)
+    return _thin(inst.delta, layers)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A Folner sequence here is a concrete finite list F_1, ..., F_N of finite
 subsets of one group; validate_sequence checks that it is nested and that
-F_1 holds the identity.  Two constructions are provided:
+F_1 holds the identity, and reports the tempered constant of every F_n of
+a nested sequence.  Two constructions are provided:
 anchored boxes [0, n)^d for Z^d and the anisotropic boxes
 {(a, b, c) : 0 <= a, b < n, 0 <= c < n^2} for the Heisenberg group (the
 central direction must grow quadratically for the defect to vanish).
@@ -118,53 +119,34 @@ class ValidationReport:
     `size_ok` gates on |F_n| >= n, which every box sequence meets; the
     strict bound |F_n| > n fails for [0,n) in Z^1, so strictness is
     reported separately in `size_strict` rather than failing the sequence.
+    `tempered` holds the tempered constants for n = 2..N, and is empty
+    when the sequence is not nested.
     """
 
     identity_ok: bool
     nested_ok: bool
     size_ok: bool
     size_strict: bool
-    max_tempered: Optional[Fraction]
-    messages: tuple = ()
+    tempered: tuple
 
     @property
     def ok(self) -> bool:
         return self.identity_ok and self.nested_ok and self.size_ok
 
+    @property
+    def max_tempered(self) -> Optional[Fraction]:
+        return max(self.tempered, default=None)
 
-def validate_sequence(seq: FolnerSequence, check_tempered: bool = True) -> ValidationReport:
+
+def validate_sequence(seq: FolnerSequence) -> ValidationReport:
     """Check identity membership, nesting, size growth, and temperedness."""
-    messages = []
-    identity_ok = seq.group.identity() in seq.set(1)
-    if not identity_ok:
-        messages.append("identity not in F_1")
-
-    nested_ok = True
-    for n in range(1, len(seq.sets)):
-        if not seq.sets[n - 1].is_subset(seq.sets[n]):
-            nested_ok = False
-            messages.append(f"F_{n} not contained in F_{n + 1}")
-            break
-
-    size_ok = True
-    size_strict = True
-    for n, F in enumerate(seq.sets, start=1):
-        if len(F) < n:
-            size_ok = False
-            messages.append(f"|F_{n}| = {len(F)} < {n}")
-            break
-        if len(F) <= n:
-            size_strict = False
-
-    max_tempered: Optional[Fraction] = None
-    if check_tempered and nested_ok and len(seq.sets) >= 2:
-        max_tempered = max(tempered_constant(seq, n) for n in range(2, len(seq.sets) + 1))
-
+    sets = seq.sets
+    nested_ok = all(a.is_subset(b) for a, b in zip(sets, sets[1:]))
     return ValidationReport(
-        identity_ok=identity_ok,
+        identity_ok=seq.group.identity() in sets[0],
         nested_ok=nested_ok,
-        size_ok=size_ok,
-        size_strict=size_strict,
-        max_tempered=max_tempered,
-        messages=tuple(messages),
+        size_ok=all(len(F) >= n for n, F in enumerate(sets, start=1)),
+        size_strict=all(len(F) > n for n, F in enumerate(sets, start=1)),
+        tempered=tuple(tempered_constant(seq, n) for n in range(2, len(sets) + 1))
+        if nested_ok else (),
     )

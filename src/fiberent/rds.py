@@ -173,10 +173,15 @@ class MarkovPathSampler:
 
 
 def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
-    """Time-reversed transition matrix Q_ij = pi_j P_ji / pi_i."""
+    """Time-reversed transition matrix Q_ij = pi_j P_ji / pi_i.
+
+    A state with pi_i = 0 is never entered by the stationary chain; its
+    row is pi, only so that every row is a distribution.
+    """
     k = len(stationary)
     return tuple(
         tuple(stationary[j] * transition[j][i] / stationary[i] for j in range(k))
+        if stationary[i] else stationary
         for i in range(k)
     )
 
@@ -632,6 +637,8 @@ class MarkovModel(ShiftModel):
             step = _markov_gap_power(P, right)
             total = 0.0
             for b in range(size):
+                if pi[b] == 0:  # a transient state carries no weight
+                    continue
                 dist = tuple(pi[c] * step[c][b] / pi[b] for c in range(size))
                 total += float(pi[b]) * shannon_entropy(dist)
             return total

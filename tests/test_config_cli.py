@@ -2,14 +2,19 @@
 
 import hashlib
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fiberent.cli as cli_mod
-from fiberent.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+import fiberent.config as config_mod
+from fiberent.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from fiberent.config import (
+    SUBCOMMANDS,
     ConfigError,
     build_model,
     parse_config,
@@ -188,6 +193,18 @@ class TestDiagnostics:
         issues = issues_of(SMB_MIN + "workers = 65\n", "smb-run")
         assert issues[0].key == "workers"
 
+    def test_cross_key_issues_cite_their_own_line(self):
+        text = COCYCLE_BASE + "group = zd:2\nchecks = 4\n\nwindow_n = 2000\n"
+        assert [str(i) for i in issues_of(text, "cocycle-check")] == [
+            "key 'window_n' (line 7): window exceeds 2^20 points"]
+        workers = issues_of(SMB_MIN + "workers = 65\n", "smb-run")
+        assert [(i.key, i.line) for i in workers] == [("workers", 7)]
+        folner = issues_of("seed = 1\nn_max = 65\ngroup = zd:2\n", "folner-check")
+        assert [(i.key, i.line) for i in folner] == [("n_max", 2)]
+        # a key that is absent keeps line 0
+        absent = issues_of("seed = 1\nmodel = bernoulli\nn_max = 2\n", "smb-run")
+        assert [(i.key, i.line) for i in absent] == [("p", 0)]
+
     def test_markov_shape_validation(self):
         base = "seed = 1\nmodel = markov\n"
         assert "square" in issues_of(
@@ -197,6 +214,17 @@ class TestDiagnostics:
             base + "group = zd:2\ntransition_0 = 0.9, 0.1\ntransition_1 = 0.2, 0.8\n",
             "cocycle-check",
         )[0].reason
+
+    def test_fiber_rows_share_one_alphabet(self):
+        text = ("seed = 1\nmodel = random-alphabet\nbase_p = 0.5, 0.5\n"
+                "fiber_p_0 = 0.5, 0.5\nfiber_p_1 = 1\nn_max = 2\n")
+        assert [str(i) for i in issues_of(text, "smb-run")] == [
+            "key 'fiber_p_1' (line 5): must have the 2 symbols of fiber_p_0"]
+
+    def test_markov_needs_a_unique_stationary_vector(self):
+        text = "seed = 1\nmodel = markov\nn_max = 2\ntransition_0 = 1, 0\ntransition_1 = 0, 1\n"
+        assert [str(i) for i in issues_of(text, "smb-run")] == [
+            "key 'transition_0' (line 4): transition matrix has no unique stationary vector"]
 
     def test_random_alphabet_row_count(self):
         text = ("seed = 1\nmodel = random-alphabet\nbase_p = 0.5, 0.5\n"
@@ -499,6 +527,39 @@ class TestCliRuns:
         fits = f"{COCYCLE_BASE}group = {group}\nwindow_n = {largest}\n"
         assert parse_config(fits, "cocycle-check").get("window_n") == largest
 
+    @pytest.mark.parametrize("model_keys, key, line", [
+        ("model = random-alphabet\nbase_p = 0.5, 0.5\n"
+         "fiber_p_0 = 0.5, 0.5\nfiber_p_1 = 1\n", "fiber_p_1", 6),
+        ("model = markov\ntransition_0 = 1, 0\ntransition_1 = 0, 1\n", "transition_0", 4),
+    ], ids=["fiber-alphabets", "markov-stationary"])
+    def test_model_defects_are_config_errors(self, tmp_path, capsys, model_keys, key, line):
+        rc, out = run(tmp_path, "smb-run", "seed = 1\nn_max = 2\n" + model_keys)
+        assert rc == EXIT_CONFIG
+        assert f"config error: key '{key}' (line {line}): " in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("smb-run", "n_max = 3\ntrajectories = 3\n"),
+        ("cond-entropy", "n_max = 3\nmethod = monte-carlo\nsamples = 5\n"),
+        ("cocycle-check", "checks = 20\n"),
+    ])
+    def test_markov_with_a_transient_state_runs(self, tmp_path, capsys, subcommand, extra):
+        text = "seed = 1\nmodel = markov\ntransition_0 = 1, 0\ntransition_1 = 0.2, 0.8\n"
+        rc, out = run(tmp_path, subcommand, text + extra)
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert read_summary(out)["assertion"] == "pass"
+
+    def test_runner_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "smb-run", broken)
+        rc, out = run(tmp_path, "smb-run", SMB_MIN)
+        assert rc == EXIT_INTERNAL == 5
+        assert capsys.readouterr().err == "internal error: boom\n"
+        assert not Path(out).exists()
+        assert not Path(out + ".summary").exists()
+
     def test_seed_override_range(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ok.cfg",
                         "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 2\n")
@@ -567,3 +628,88 @@ def test_shipped_config_runs_and_passes(path, tmp_path, capsys):
     with open(out + ".summary", "rb") as fh:
         summary = b"".join(line for line in fh if not line.startswith(b"csv: "))
     assert (csv_digest, hashlib.sha256(summary).hexdigest()) == SHIPPED_DIGESTS[path.name]
+
+
+# Small valid configs per subcommand; the fuzz test overrides, drops and
+# shuffles their keys and mixes in arbitrary lines.
+FUZZ_BASES = {
+    "smb-run": [
+        {"seed": "1", "model": "bernoulli", "p": "0.5, 0.5", "n_max": "3",
+         "trajectories": "3"},
+        {"seed": "1", "model": "random-alphabet", "group": "zd:2", "base_p": "0.5, 0.5",
+         "fiber_p_0": "0.5, 0.5", "fiber_p_1": "0.9, 0.1", "n_max": "2", "trajectories": "2"},
+    ],
+    "cond-entropy": [
+        {"seed": "1", "model": "markov", "transition_0": "0.9, 0.1",
+         "transition_1": "0.2, 0.8", "n_max": "3"},
+        {"seed": "1", "model": "bernoulli", "p": "0.5, 0.5", "n_max": "2",
+         "method": "monte-carlo", "samples": "3"},
+    ],
+    "folner-check": [{"seed": "1", "group": "zd:2", "n_max": "4"}],
+    "cocycle-check": [{"seed": "1", "model": "bernoulli", "p": "0.5, 0.5",
+                       "checks": "5", "window_n": "2", "radius": "2"}],
+    "cover-demo": [
+        {"seed": "1", "kind": "greedy", "ambient_n": "6", "delta": "0.25",
+         "epsilon": "0.5", "shape_1": "2", "centers_1": "0, 2, 4"},
+        {"seed": "1", "kind": "random", "ambient_n": "6", "delta": "0.25",
+         "epsilon": "0.5", "alpha": "0.5", "c": "6", "k_set": "0, 1", "samples": "100",
+         "shape_1_1": "2", "centers_1_1": "0, 2, 4"},
+    ],
+}
+
+# Instances of the indexed key families of the schemas.
+FUZZ_INDEXED = ("fiber_p_0", "fiber_p_1", "fiber_p_2", "transition_0", "transition_1",
+                "transition_2", "shape_1", "shape_2", "shape_1_1", "shape_1_2", "shape_2_1",
+                "centers_1", "centers_2", "centers_1_1", "centers_1_2", "centers_2_1")
+
+FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+FUZZ_DISTS = ["0.5, 0.5", "1", "1, 0", "0, 1", "0.25, 0.75", "0.9, 0.1", "1/3, 1/3, 1/3"]
+
+
+def fuzz_value(kind):
+    """Mostly a plausible value of the key's kind (ints <= 6), sometimes junk."""
+    if kind.startswith("choice:"):
+        plausible = st.sampled_from(kind.split(":", 1)[1].split("|"))
+    elif kind == "group":
+        plausible = st.sampled_from(["zd:1", "zd:2", "zd:3", "heisenberg"])
+    elif kind == "dist":
+        plausible = st.sampled_from(FUZZ_DISTS)
+    elif kind == "intlist":
+        plausible = st.lists(st.integers(-1, 6), min_size=1, max_size=4).map(
+            lambda xs: ", ".join(map(str, xs)))
+    elif kind in ("unit", "number"):
+        plausible = st.sampled_from(["0.1", "0.25", "0.5", "0.9", "1", "3", "-1"])
+    else:
+        plausible = st.integers(-1, 6).map(str)
+    return st.one_of(plausible, plausible, plausible, FUZZ_TEXT)
+
+
+def fuzz_keys(subcommand):
+    schema = config_mod._SCHEMAS[subcommand]
+    plain = [k for k in schema if isinstance(k, str) and k != "out"]
+    return plain + [k for k in FUZZ_INDEXED if config_mod._lookup_kind(schema, k)]
+
+
+@st.composite
+def fuzz_configs(draw):
+    subcommand = draw(st.sampled_from(SUBCOMMANDS))
+    schema = config_mod._SCHEMAS[subcommand]
+    values = dict(draw(st.sampled_from(FUZZ_BASES[subcommand])))
+    for key in draw(st.lists(st.sampled_from(fuzz_keys(subcommand)), max_size=5)):
+        values[key] = draw(fuzz_value(config_mod._lookup_kind(schema, key)))
+    dropped = draw(st.sets(st.sampled_from(sorted(values)), max_size=2))
+    kept = [f"{k} = {v}" for k, v in values.items() if k not in dropped]
+    noise = draw(st.lists(FUZZ_TEXT, max_size=2)) if draw(st.integers(0, 3)) == 3 else []
+    return subcommand, "\n".join(draw(st.permutations(kept + noise))) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_configs())
+def test_fuzzed_configs_exit_honestly(case):
+    subcommand, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main([subcommand, "--config", str(cfg), "--out", str(Path(tmp) / "fuzz.csv")])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_ASSERTION)

@@ -1,5 +1,6 @@
 """Greedy and randomized quasi-tiling covers and their exact verifiers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberent.covering as covering_mod
-from fiberent.groups import HeisenbergGroup, ZdGroup, mul, subset_from_coords
+from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, mul, subset_from_coords
 from fiberent.rng import derive_seed
 from fiberent.covering import (
     CoverInstance,
@@ -317,7 +318,7 @@ class TestGreedyConclusionFailure:
 
     def test_handmade_empty_solution_fails_coverage(self):
         inst = tiling_instance()
-        fake = CoverSolution(picks=(), covered=frozenset(), total_size=0, multiplicity=())
+        fake = CoverSolution(picks=(), total_size=0, multiplicity=())
         report = verify_greedy_cover(inst, fake)
         assert not report.coverage_ok
         assert not report.ok
@@ -451,7 +452,7 @@ class TestRandomCover:
                 delta=Fraction(1, 4), epsilon=Fraction(1, 2),
             )
         )
-        assert rand_sol.covered == greedy_sol.covered
+        assert rand_sol.multiplicity == greedy_sol.multiplicity
         assert rand_sol.total_size == greedy_sol.total_size
         assert [(i, a) for i, j, a in rand_sol.picks] == list(greedy_sol.picks)
 
@@ -466,7 +467,7 @@ class TestRandomCover:
             sol = sample_random_cover(inst, seed)
             lam = replay_multiplicity(inst, sol)
             assert sol.multiplicity_map() == lam
-            assert sol.covered == frozenset(lam)
+            assert sol.union_size == len(lam)
             assert sol.total_size == sum(lam.values())
 
     def test_overlapping_chain_verifies_within_band(self):
@@ -610,3 +611,100 @@ class TestHypothesesOncePerInstance:
         for _ in range(2):
             with pytest.raises(HypothesisError):
                 greedy_cover(escaping)
+
+
+GREEDY_INSTANCES = (tiling_instance, two_scale_z1_instance, overlap_chain_instance,
+                    two_scale_z2_instance, heisenberg_instance, chain_fail_instance)
+RANDOM_INSTANCES = (deterministic_random_instance, multiplicity_chain_instance,
+                    coverage_two_row_instance, z2_random_instance, heisenberg_random_instance)
+
+# sha256 of (picks, total_size, multiplicity) over greedy_cover of every
+# greedy instance above and sample_many(inst, 200, 101) of every passing
+# random instance, recorded while each sample still rebuilt its blocks.
+COVER_DIGEST = "77444329ff47545d315bc3cb6303c326177f750c40c431e1b68f1f05bcd01b43"
+
+
+def test_cover_outputs_match_recorded_digest():
+    h = hashlib.sha256()
+    sols = [greedy_cover(build()) for build in GREEDY_INSTANCES]
+    for build in RANDOM_INSTANCES:
+        sols.extend(sample_many(build(), 200, 101))
+    for sol in sols:
+        h.update(repr((sol.picks, sol.total_size, sol.multiplicity)).encode())
+    assert h.hexdigest() == COVER_DIGEST
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    calls = []
+    for cls in (ZdGroup, HeisenbergGroup):
+        def counting(self, a, b, original=cls.mul_coords):
+            calls.append(a)
+            return original(self, a, b)
+
+        monkeypatch.setattr(cls, "mul_coords", counting)
+    return calls
+
+
+class TestBlocksBuiltOnce:
+    @pytest.mark.parametrize("build", [multiplicity_chain_instance, coverage_two_row_instance,
+                                       z2_random_instance, heisenberg_random_instance])
+    def test_samples_reuse_the_instance_blocks(self, counted_products, build):
+        inst = build()
+        sample_many(inst, 50, 3)
+        sample_random_cover(inst, 4)
+        assert len(counted_products) == sum(
+            len(S) * len(A) for srow, crow in zip(inst.shapes, inst.centers)
+            for S, A in zip(srow, crow))
+
+    def test_greedy_reuses_the_instance_blocks(self, counted_products):
+        inst = two_scale_z2_instance()
+        assert greedy_cover(inst) == greedy_cover(inst)
+        assert len(counted_products) == sum(
+            len(S) * len(A) for S, A in zip(inst.shapes, inst.centers))
+
+    def test_layers_scan_keys_sizes_and_sorted_centers(self):
+        inst = coverage_two_row_instance()
+        assert [(key, size) for key, size, _ in inst.layers] == [((1, 1), 3), ((2, 1), 6)]
+        for (i, j), _, blocks in inst.layers:
+            shape = inst.shapes[i - 1][j - 1]
+            assert [a for a, _ in blocks] == sorted(inst.centers[i - 1][j - 1].coords)
+            for a, block in blocks:
+                assert frozenset(block) == frozenset(
+                    Z1.mul_coords(f, a) for f in shape.coords)
+
+    def test_random_containment_rows_name_their_layer(self):
+        inst = RandomCoverInstance.create(
+            Z1.box(20),
+            [[Z1.box(2), Z1.box(3)]],
+            [[subset_from_coords(Z1, [(0,)]), subset_from_coords(Z1, [(18,)])]],
+            K=Z1.box(20), C=Fraction(6),
+            alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+        )
+        report = check_hypotheses(inst)
+        assert [r.name for r in report.rows[:2]] == ["shape-1-containment-1",
+                                                     "shape-1-containment-2"]
+        assert report.failures == ("shape-1-containment-2",)
+
+    def test_foreign_group_still_raises_from_check_hypotheses(self):
+        z2_shape = CoverInstance.create(
+            Z1.box(10), [Z2.box(2, 2)], [subset_from_coords(Z1, [(0,)])],
+            delta=Fraction(1, 10), epsilon=Fraction(1, 2),
+        )
+        z2_centers = CoverInstance.create(
+            Z1.box(10), [Z1.box(2)], [subset_from_coords(Z2, [(0, 0)])],
+            delta=Fraction(1, 10), epsilon=Fraction(1, 2),
+        )
+        z2_random = RandomCoverInstance.create(
+            Z1.box(10), [[Z2.box(2, 2)]], [[subset_from_coords(Z1, [(0,)])]],
+            K=Z1.box(2), C=Fraction(6),
+            alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+        )
+        for inst in (z2_shape, z2_centers, z2_random):
+            for _ in range(2):
+                with pytest.raises(GroupMismatchError):
+                    check_hypotheses(inst)
+        with pytest.raises(GroupMismatchError):
+            greedy_cover(z2_shape)
+        with pytest.raises(GroupMismatchError):
+            sample_random_cover(z2_random, 1)

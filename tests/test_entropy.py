@@ -409,6 +409,14 @@ class TestConditionalEntropy:
         got = conditional_entropy_exact(model, xi, subset_from_coords(Z1, []))
         assert got == pytest.approx(0.6365141682948128, abs=1e-12)
 
+    def test_markov_transient_state_carries_no_entropy(self):
+        # pi = (0, 1): every conditioning side sees the absorbing state
+        model = MarkovModel.create([[0.5, 0.5], [0, 1]])
+        xi = canonical_partition(model)
+        for coords in ([(1,)], [(-1,)], [(-2,), (3,)], []):
+            cond = subset_from_coords(Z1, coords)
+            assert conditional_entropy_exact(model, xi, cond) == 0
+
     def test_markov_two_sided_matches_enumeration(self):
         # independent oracle: exhaustive H(big) - H(small) over {-1,0,1}
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])

@@ -180,6 +180,17 @@ def test_validate_provided_sequences():
     assert validate_sequence(box_folner(2, 8)).max_tempered <= 4
 
 
+def test_report_carries_tempered_constants():
+    seq = box_folner(2, 5)
+    report = validate_sequence(seq)
+    assert report.tempered == tuple(tempered_constant(seq, n) for n in range(2, 6))
+    assert report.tempered == tuple(Fraction(2 * n - 2, n) ** 2 for n in range(2, 6))
+    assert report.max_tempered == Fraction(64, 25)
+    single = validate_sequence(box_folner(2, 1))
+    assert single.tempered == ()
+    assert single.max_tempered is None
+
+
 def test_validator_rejects_identity_failure():
     bad = FolnerSequence(
         group=ZdGroup(2),
@@ -222,6 +233,8 @@ def test_validator_rejects_non_nested():
     report = validate_sequence(seq)
     assert not report.nested_ok
     assert not report.ok
+    assert report.tempered == ()
+    assert report.max_tempered is None
 
 
 @settings(max_examples=60)

@@ -251,6 +251,15 @@ class TestSamplers:
         )
         assert abs(hits / n - 0.6) < 4 * (0.6 * 0.4 / n) ** 0.5
 
+    def test_markov_chain_with_a_transient_state(self):
+        # state 1 leaks into the absorbing state 0, so pi = (1, 0) and the
+        # stationary chain never enters state 1 in either direction
+        model = MarkovModel.create([[1, 0], [0.2, 0.8]])
+        assert model.stationary == (Fraction(1), Fraction(0))
+        for i in range(5):
+            x = sample_point(model, 83, i).x
+            assert [x.value_at((k,)) for k in range(-6, 7)] == [0] * 13
+
     def test_random_alphabet_fiber_follows_base(self):
         # fiber row 1 is (1, 0): wherever omega reads 1, x must read 0.
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [1.0, 0.0]])
