@@ -88,6 +88,6 @@ from .rds import (
     shift,
     skew,
 )
-from .rng import derive_seed, mix64, uniform01
+from .rng import derive_seed, mix64, uniform01, uniform01_stream
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import FiniteSubset, GroupMismatchError, inverse_set, product_set_size, union_of
-from .rng import derive_seed, uniform01
+from .rng import derive_seed, uniform01_stream
 
 
 class HypothesisError(ValueError):
@@ -297,8 +297,8 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
                 return
             if q < 1:
                 q_float = float(q)
-                blocks = [(a, block) for a, block in blocks
-                          if uniform01(seed, "keep", i, j, a) < q_float]
+                keep = uniform01_stream(seed, "keep", i, j)
+                blocks = [(a, block) for a, block in blocks if keep(a) < q_float]
             yield (i, j), size, blocks
 
     return _thin(inst.delta, layers)

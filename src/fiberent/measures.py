@@ -25,7 +25,6 @@ from .rds import (
     EnumerationSizeError,
     SkewPoint,
     SymbolicConfiguration,
-    constant_configuration,
     shift,
 )
 from .rng import derive_seed
@@ -144,11 +143,6 @@ def check_invariance(mu, g: GroupElement,
 def marginal_cell_measure(mu, cell: CellId) -> Fraction:
     """Closed-form integral of mu_omega(cell) over the base measure P."""
     return mu.marginal_cell_measure(cell.labels)
-
-
-def constant_omega(model) -> SymbolicConfiguration:
-    """A base point for models whose fiber measure ignores omega."""
-    return constant_configuration(model.group, model.base_alphabet_size)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .groups import (
     ZdGroup,
     mul,
 )
-from .rng import derive_seed, uniform01
+from .rng import derive_seed, uniform01_stream
 
 
 def exact_distribution(values: Sequence) -> tuple:
@@ -101,14 +101,14 @@ class ProductSampler:
 
     def __init__(self, dist: tuple, seed: int):
         self.cumulative = _cumulative(dist)
-        self.seed = seed
+        self._uniform = uniform01_stream(seed, "c")
         self._memo: dict = {}
 
     def symbol_at(self, coords: tuple) -> int:
         memo = self._memo
         s = memo.get(coords)
         if s is None:
-            s = _draw(self.cumulative, uniform01(self.seed, "c", coords))
+            s = _draw(self.cumulative, self._uniform(coords))
             memo[coords] = s
         return s
 
@@ -124,7 +124,7 @@ class ConditionalSampler:
     def __init__(self, select: Callable[[tuple], int], tables: tuple, seed: int):
         self.select = select
         self.cumulatives = tuple(_cumulative(t) for t in tables)
-        self.seed = seed
+        self._uniform = uniform01_stream(seed, "c")
         self._memo: dict = {}
 
     def symbol_at(self, coords: tuple) -> int:
@@ -132,7 +132,7 @@ class ConditionalSampler:
         s = memo.get(coords)
         if s is None:
             row = self.cumulatives[self.select(coords)]
-            s = _draw(row, uniform01(self.seed, "c", coords))
+            s = _draw(row, self._uniform(coords))
             memo[coords] = s
         return s
 
@@ -151,7 +151,7 @@ class MarkovPathSampler:
         self.fwd = tuple(_cumulative(row) for row in transition)
         self.bwd = tuple(_cumulative(row) for row in _reversed_chain(transition, stationary))
         self.start = _cumulative(stationary)
-        self.seed = seed
+        self._uniform = uniform01_stream(seed, "m")
         self._memo: dict = {}
         self._lo = 0
         self._hi = 0
@@ -160,14 +160,14 @@ class MarkovPathSampler:
         (k,) = coords
         memo = self._memo
         if not memo:
-            memo[0] = _draw(self.start, uniform01(self.seed, "m", 0))
+            memo[0] = _draw(self.start, self._uniform(0))
         while self._hi < k:
             i = self._hi + 1
-            memo[i] = _draw(self.fwd[memo[i - 1]], uniform01(self.seed, "m", i))
+            memo[i] = _draw(self.fwd[memo[i - 1]], self._uniform(i))
             self._hi = i
         while self._lo > k:
             i = self._lo - 1
-            memo[i] = _draw(self.bwd[memo[i + 1]], uniform01(self.seed, "m", i))
+            memo[i] = _draw(self.bwd[memo[i + 1]], self._uniform(i))
             self._lo = i
         return memo[k]
 

@@ -4,20 +4,32 @@ Every random quantity in this package is a pure function of a 64-bit root
 seed plus a path of labels (strings, integers, coordinate tuples).  The
 derivation is counter-based rather than stateful: stream i of a root seed
 is ``mix64(seed, "traj", i)``, and the symbol at lattice site g is drawn
-from ``uniform01(stream_seed, *g)``.  This makes results independent of
-evaluation order and of how work is sharded across processes.
+from ``uniform01(stream_seed, "c", g)``.  This makes results independent
+of evaluation order and of how work is sharded across processes.
 
-The mixing function is BLAKE2b with the seed as key, truncated to 64 bits.
-Python's built-in ``hash`` is salted per process and must never be used
-for this purpose.
+The mixing function is BLAKE2b with the seed as key, truncated to 64 bits,
+over the bytes ``_encode`` writes for the label path; those bytes are the
+contract.  Python's built-in ``hash`` is salted per process and must never
+be used for this purpose.
+
+BLAKE2b hashes as a stream, so a sampler hashes seed || prefix once per
+stream (``uniform01_stream``) and each draw feeds only its tail.  The
+draws equal ``uniform01(seed, *prefix, tail)`` bit for bit; ``mix64`` and
+``uniform01`` stay the reference they are tested against.
 """
 
 from __future__ import annotations
 
 import struct
 from hashlib import blake2b
+from typing import Callable
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_UNIT = 1.0 / (1 << 53)
+# Packers of the bytes _encode writes for one tail: b"i" and an int64, or
+# b"(", the length of the inner bytes, then b"i" and an int64 per part.
+_INT_TAIL = struct.Struct("<Bq").pack
+_TUPLE_TAILS = tuple(struct.Struct("<BI" + "Bq" * n).pack for n in range(9))
 
 
 def _encode(parts: tuple) -> bytes:
@@ -57,3 +69,40 @@ def derive_seed(seed: int, *parts) -> int:
 def uniform01(seed: int, *parts) -> float:
     """Uniform float in [0, 1) with 53 random bits."""
     return (mix64(seed, *parts) >> 11) * (1.0 / (1 << 53))
+
+
+def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
+    """The draw function tail -> uniform01(seed, *prefix, tail), bit for bit.
+
+    The keyed hasher takes ``_encode(prefix)`` once; each draw copies it
+    and feeds only the packed tail.  A hasher cannot be pickled, so a draw
+    function stays in the process that made it.
+    """
+    copy = blake2b(_encode(prefix), key=(seed & _MASK64).to_bytes(8, "little"), digest_size=8).copy
+
+    def draw(tail) -> float:
+        h = copy()
+        h.update(_pack_tail(tail))
+        return (int.from_bytes(h.digest(), "little") >> 11) * _UNIT
+
+    return draw
+
+
+def _pack_tail(tail) -> bytes:
+    """``_encode((tail,))``, packed by one precompiled Struct when the tail
+    is an int64 or a tuple of up to 8 int64s; any other tail (bools,
+    non-ints, ints outside int64, longer tuples) goes through ``_encode``."""
+    try:
+        if type(tail) is int:
+            return _INT_TAIL(0x69, tail)
+        if type(tail) is tuple and len(tail) < len(_TUPLE_TAILS):
+            args = [0x28, 9 * len(tail)]
+            for part in tail:
+                if type(part) is not int:
+                    break
+                args += 0x69, part
+            else:
+                return _TUPLE_TAILS[len(tail)](*args)
+    except struct.error:  # an int outside int64
+        pass
+    return _encode((tail,))

@@ -1,9 +1,15 @@
-"""Shared hypothesis profile and model fixtures."""
+"""Shared hypothesis profile, model fixtures and test helpers."""
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fiberent import BernoulliModel, MarkovModel, RandomAlphabetModel, ZdGroup
+from fiberent import (
+    BernoulliModel,
+    MarkovModel,
+    RandomAlphabetModel,
+    ZdGroup,
+    constant_configuration,
+)
 
 settings.register_profile(
     "suite",
@@ -33,3 +39,8 @@ def mixed_z2():
 @pytest.fixture
 def markov():
     return MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+
+
+def constant_omega(model):
+    """A base point for models whose fiber measure ignores omega."""
+    return constant_configuration(model.group, model.base_alphabet_size)

@@ -15,7 +15,6 @@ from fiberent.measures import (
     cell_log_measure,
     cell_measure,
     cell_of,
-    constant_omega,
     enumerate_cells,
 )
 from fiberent.rds import (
@@ -42,6 +41,8 @@ from fiberent.entropy import (
     log_fraction,
     smb_trace,
 )
+
+from conftest import constant_omega
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)

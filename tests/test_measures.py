@@ -17,7 +17,6 @@ from fiberent.measures import (
     check_disintegration,
     check_invariance,
     conditional_label_distribution,
-    constant_omega,
     enumerate_cells,
     marginal_cell_measure,
 )
@@ -31,6 +30,8 @@ from fiberent.rds import (
     configuration_from_pins,
     sample_point,
 )
+
+from conftest import constant_omega
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)

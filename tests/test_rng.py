@@ -1,0 +1,93 @@
+"""Stream draws: the byte contract and the prefix-stream fast path."""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiberent.rds import MarkovModel, ProductSampler, _cumulative, _draw, exact_distribution
+from fiberent.rng import _encode, _pack_tail, derive_seed, mix64, uniform01, uniform01_stream
+
+# mix64 on fixed label paths.  Every realised sample in the package is a
+# function of these bytes, so a change here changes every shipped artifact.
+GOLDEN_MIX64 = [
+    ((0, "traj", 0), 0x22A2DF2799759C42),
+    ((1, "c", (0, 0)), 0x0A86BEC04404462E),
+    ((2**64 - 1, "c", (3, -7)), 0x5E53E35D44A21ED5),
+    ((12345, "m", -5), 0xCB01FED95693A52D),
+    ((7, "keep", 3, 2, (0, 5, -1)), 0xD5390CFC6AD13DC4),
+    ((42, "x", True, 2**70, ()), 0xE7BC5F56B3A2C936),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_MIX64)
+def test_mix64_golden_values(args, expected):
+    assert mix64(*args) == expected
+
+
+def test_encode_bytes_of_a_site_path():
+    inner = b"i" + struct.pack("<q", 3) + b"i" + struct.pack("<q", -7)
+    assert _encode(("c", (3, -7))) == b"s\x01\x00\x00\x00c" + b"(\x12\x00\x00\x00" + inner
+
+
+int64 = st.integers(-(2**63), 2**63 - 1)
+labels = st.one_of(
+    int64,
+    st.integers(-(2**70), 2**70),  # mostly outside int64: the _encode fallback
+    st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63), -1, 0, 1]),
+    st.booleans(),
+)
+prefixes = st.one_of(
+    st.just(("c",)),
+    st.just(("m",)),
+    st.tuples(st.just("keep"), st.integers(0, 40), st.integers(0, 40)),
+)
+tails = st.one_of(labels, st.lists(labels, min_size=1, max_size=4).map(tuple))
+
+
+@settings(max_examples=400)
+@given(seed=st.integers(0, 2**64 - 1), prefix=prefixes, tail=tails)
+def test_stream_equals_uniform01(seed, prefix, tail):
+    assert _pack_tail(tail) == _encode((tail,))
+    assert uniform01_stream(seed, *prefix)(tail) == uniform01(seed, *prefix, tail)
+
+
+@pytest.mark.parametrize("tail", [
+    (), (True,), (1, False), 2**63, -(2**63) - 1, (0, 2**64), ("s",), ((1, 2), 3), "label",
+    tuple(range(-4, 5)),  # longer than any precompiled packer
+])
+def test_stream_fallback_tails(tail):
+    assert _pack_tail(tail) == _encode((tail,))
+    assert uniform01_stream(99, "c")(tail) == uniform01(99, "c", tail)
+
+
+@pytest.mark.parametrize("tail", [1.5, (1, 2.0), (None,)])
+def test_stream_rejects_what_encode_rejects(tail):
+    with pytest.raises(TypeError):
+        uniform01(5, "c", tail)
+    with pytest.raises(TypeError):
+        uniform01_stream(5, "c")(tail)
+
+
+def test_one_stream_serves_many_draws():
+    draw = uniform01_stream(2024, "keep", 2, 1)
+    centers = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    assert [draw(c) for c in centers] == [uniform01(2024, "keep", 2, 1, c) for c in centers]
+
+
+def test_samplers_draw_the_reference_uniforms():
+    dist = exact_distribution([0.2, 0.5, 0.3])
+    sampler = ProductSampler(dist, 31)
+    cumulative = _cumulative(dist)
+    for coords in [(0, 0), (-4, 9), (2**40, -3)]:
+        assert sampler.symbol_at(coords) == _draw(cumulative, uniform01(31, "c", coords))
+
+    model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+    x = model.sample_x(model.sample_omega(8), 8)
+    seed = derive_seed(8, "x")
+    fwd = tuple(_cumulative(row) for row in model.transition)
+    expected = [_draw(_cumulative(model.stationary), uniform01(seed, "m", 0))]
+    for k in range(1, 6):
+        expected.append(_draw(fwd[expected[-1]], uniform01(seed, "m", k)))
+    assert [x.physical_value((k,)) for k in range(6)] == expected
