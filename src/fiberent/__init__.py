@@ -25,10 +25,8 @@ from .entropy import (
     TraceRow,
     chain_rule_residual,
     chain_rule_terms,
-    conditional_entropy_exact,
     conditional_entropy_trace,
     conditional_information,
-    fiber_entropy_closed_form,
     information,
     smb_trace,
 )
@@ -62,14 +60,11 @@ from .measures import (
     CellId,
     PartitionSpec,
     canonical_partition,
-    cell_log_measure,
     cell_measure,
     cell_of,
     check_disintegration,
     check_invariance,
-    conditional_label_distribution,
     enumerate_cells,
-    marginal_cell_measure,
 )
 from .rds import (
     BernoulliModel,

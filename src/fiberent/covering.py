@@ -215,21 +215,18 @@ class CoverSolution:
 
     picks holds (shape index, center coords) for greedy output and
     (i, j, center coords) for sampled output, all 1-based indices in the
-    order the construction accepted them; multiplicity holds
-    (point coords, number of accepted blocks holding it) in coordinate
-    order, one pair per covered point.
+    order the construction accepted them; multiplicity maps each covered
+    point's coords to the number of accepted blocks holding it.  Its
+    iteration order carries no meaning, and no verifier depends on it.
     """
 
     picks: tuple
     total_size: int
-    multiplicity: tuple
+    multiplicity: dict
 
     @property
     def union_size(self) -> int:
         return len(self.multiplicity)
-
-    def multiplicity_map(self) -> dict:
-        return dict(self.multiplicity)
 
 
 def _require_hypotheses(inst) -> None:
@@ -259,7 +256,7 @@ def _thin(delta: Fraction, layers) -> CoverSolution:
                 total += size
                 for c in block:
                     lam[c] = lam.get(c, 0) + 1
-    return CoverSolution(tuple(picks), total, tuple(sorted(lam.items())))
+    return CoverSolution(tuple(picks), total, lam)
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
@@ -376,6 +373,8 @@ def verify_random_cover(inst: RandomCoverInstance,
     Conclusions checked: the worst per-point conditional mean multiplicity
     stays below 1 + delta, and the mean total block mass exceeds
     (alpha - delta)|F|; both with 3-sigma slack from the sample spread.
+    Among points tied at the worst mean the smallest standard error is
+    reported: the strictest slack, and one that no point order can change.
     """
     if len(solutions) < 100:
         raise ValueError("need at least 100 samples for stable statistics")
@@ -385,17 +384,18 @@ def verify_random_cover(inst: RandomCoverInstance,
     totals = []
     for sol in solutions:
         totals.append(float(sol.total_size))
-        for coords, m in sol.multiplicity:
+        for coords, m in sol.multiplicity.items():
             count[coords] = count.get(coords, 0) + 1
             acc[coords] = acc.get(coords, 0) + m
             acc_sq[coords] = acc_sq.get(coords, 0) + m * m
     worst_mean, worst_se = 0.0, 0.0
     for coords, k in count.items():
         mean = acc[coords] / k
-        if mean > worst_mean:
+        if mean >= worst_mean:
             var = (acc_sq[coords] - k * mean * mean) / (k - 1) if k > 1 else 0.0
-            worst_mean = mean
-            worst_se = math.sqrt(max(var, 0.0) / k)
+            se = math.sqrt(max(var, 0.0) / k)
+            if mean > worst_mean or se < worst_se:
+                worst_mean, worst_se = mean, se
     n = len(totals)
     mean_total = math.fsum(totals) / n
     var_total = math.fsum((t - mean_total) ** 2 for t in totals) / (n - 1)

@@ -8,12 +8,13 @@ whose almost-sure limit along a tempered Folner sequence is the fiber
 entropy.  Everything here evaluates that quantity and its relatives:
 conditional information, the telescoping chain-rule identity (checked via
 skew-translated points, exactly as the limit theorem's proof decomposes
-it), closed-form entropies for the three models, and Monte Carlo traces
-with standard errors.
+it), and Monte Carlo traces with standard errors.  The closed-form fiber
+and conditional entropies are the models' own rules (`model.fiber_entropy()`,
+`model.conditional_entropy(cond)`); the traces call them as targets.
 
 Exact rational cell measures feed the identity checks; long-window traces
-use per-coordinate log tables instead, because the probability of a
-4096-coordinate cylinder underflows any float while its log is benign.
+use the models' per-coordinate log tables instead, because the probability
+of a 4096-coordinate cylinder underflows any float while its log is benign.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from typing import Optional, Sequence
 
 from .folner import FolnerSequence
 from .groups import FiniteSubset, GroupElement, inverse, subset, translate
-from .measures import (
-    CellId,
-    PartitionSpec,
-    canonical_partition,
-    cell_measure,
-    cell_of,
-    conditional_label_distribution,
-)
+from .measures import PartitionSpec, canonical_partition, cell_measure, cell_of
 from .rds import SkewPoint, ZeroMeasureError, sample_point, shannon_entropy, skew
 
 
@@ -91,13 +85,6 @@ def chain_rule_residual(mu, xi: PartitionSpec, F: FiniteSubset,
     """|information(F) - sum of telescoping terms| for one enumeration."""
     total = information(mu, xi, F, p)
     return abs(total - math.fsum(chain_rule_terms(mu, xi, F, order, p)))
-
-
-def fiber_entropy_closed_form(model, xi: PartitionSpec) -> float:
-    """Exact fiber entropy of the canonical partition, in nats."""
-    if xi.atoms != model.fiber_alphabet_size:
-        raise ValueError("partition does not match the model's fiber alphabet")
-    return model.fiber_entropy()
 
 
 @dataclass(frozen=True)
@@ -172,7 +159,7 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
     sets = [seq.set(n) for n in ns]
     plan = model.smb_plan([F.coords for F in sets])
-    target = fiber_entropy_closed_form(model, canonical_partition(model))
+    target = model.fiber_entropy()
     tasks = [(model, plan, seed, t) for t in range(trajectories)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -188,20 +175,6 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     return ConvergenceTrace(tuple(rows))
 
 
-def conditional_entropy_exact(model, xi: PartitionSpec, cond_set: FiniteSubset) -> float:
-    """Closed form of the base-averaged conditional entropy of the canonical
-    partition given the join over cond_set.
-
-    Product models are coordinate-independent, so conditioning changes
-    nothing.  For the Markov chain only the nearest conditioning neighbor
-    on each side of 0 matters; the value is the entropy of the two-sided
-    bridge averaged over the joint law of the neighbors.
-    """
-    if xi.atoms != model.fiber_alphabet_size:
-        raise ValueError("partition does not match the model's fiber alphabet")
-    return model.conditional_entropy(cond_set)
-
-
 def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
                               method: str = "exact", samples: int = 2000,
                               n_values: Optional[Sequence[int]] = None) -> ConvergenceTrace:
@@ -211,7 +184,8 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     the value to zero, and the telescoping decomposition conditions each
     coordinate on strictly-later ones only.
 
-    method "exact" evaluates the closed form; "monte-carlo" averages the
+    method "exact" evaluates the model's closed form
+    (`model.conditional_entropy`); "monte-carlo" averages the
     entropy of the exact conditional label distribution over sampled
     points, which stays unbiased while only paying for nearest-neighbor
     lookups.
@@ -220,20 +194,20 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
         raise ValueError(f"unknown method: {method}")
     ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
     xi = canonical_partition(model)
-    target = fiber_entropy_closed_form(model, xi)
+    target = model.fiber_entropy()
     e = seq.group.identity()
     rows = []
     for n in ns:
         F = seq.set(n)
         cond = FiniteSubset(seq.group, F.coords - {e.coords})
         if method == "exact":
-            est, se = conditional_entropy_exact(model, xi, cond), None
+            est, se = model.conditional_entropy(cond), None
         else:
             values = []
             for i in range(samples):
                 point = sample_point(model, seed, i)
-                cond_cell = cell_of(model, xi, cond, point) if len(cond) else CellId(cond, ())
-                dist = conditional_label_distribution(model, point.omega, cond_cell, e)
+                labels = cell_of(model, xi, cond, point).labels
+                dist = model.conditional_label_distribution(point.omega, labels, e)
                 values.append(shannon_entropy(dist))
             est, se = _mean_and_se(values)
         rows.append(TraceRow(n=n, folner_size=len(F), estimate=est, target=target, std_error=se))

@@ -3,9 +3,12 @@
 A measure on Omega x X is stored as its disintegration: the base marginal
 P plus a rule giving mu_omega of any cylinder cell exactly, as a Fraction.
 Each model carries those rules itself (see the rds module), so the model
-is the measure: every `mu` argument below is a model.  No densities, no
-empirical measures: the only statistical error anywhere downstream is the
-averaging the limit theorems themselves perform.
+is the measure: every `mu` argument below is a model, and callers that
+want a rule (log cell measure, base marginal, conditional label law) call
+the model directly.  This module keeps the cells, their enumeration and
+the invariance and disintegration checks.  No densities, no empirical
+measures: the only statistical error anywhere downstream is the averaging
+the limit theorems themselves perform.
 
 Cells are cylinder sets: a finite window F and one atom label per window
 coordinate.  With the canonical partition (label = x at the identity) the
@@ -94,16 +97,6 @@ def cell_measure(mu, omega: SymbolicConfiguration, cell: CellId) -> Fraction:
     return mu.cell_measure(omega, cell.labels)
 
 
-def cell_log_measure(mu, omega: SymbolicConfiguration, cell: CellId) -> float:
-    """ln of cell_measure, summed from per-coordinate log tables.
-
-    Stays finite-precision-stable at windows of thousands of coordinates
-    where the Fraction route would be exact but the probability itself
-    underflows any float.
-    """
-    return mu.cell_log_measure(omega, cell.labels)
-
-
 def enumerate_cells(mu, omega: SymbolicConfiguration,
                     xi: PartitionSpec, F: FiniteSubset) -> list:
     """All (cell, exact measure) pairs of the join over F."""
@@ -138,11 +131,6 @@ def check_invariance(mu, g: GroupElement,
         if cell_measure(mu, omega, pulled) != forward:
             return False
     return True
-
-
-def marginal_cell_measure(mu, cell: CellId) -> Fraction:
-    """Closed-form integral of mu_omega(cell) over the base measure P."""
-    return mu.marginal_cell_measure(cell.labels)
 
 
 @dataclass(frozen=True)
@@ -191,14 +179,8 @@ def check_disintegration(mu, xi: PartitionSpec, F: FiniteSubset,
             DisintegrationRow(
                 cell=cell,
                 estimate=mean,
-                closed_form=float(marginal_cell_measure(mu, cell)),
+                closed_form=float(mu.marginal_cell_measure(cell.labels)),
                 std_error=se,
             )
         )
     return DisintegrationReport(rows=tuple(rows), samples=samples)
-
-
-def conditional_label_distribution(mu, omega: SymbolicConfiguration,
-                                   cond: CellId, at: GroupElement) -> tuple:
-    """Exact distribution of the label at `at` given the labels in `cond`."""
-    return mu.conditional_label_distribution(omega, cond.labels, at)

@@ -2,8 +2,10 @@
 
 The base space Omega and the fiber space X are both symbolic: maps from the
 group into a finite alphabet.  Configurations over an infinite group cannot
-be stored, so each one is represented lazily as a sampler (a deterministic
-function of a seed and a coordinate) plus a frame offset.
+be stored, so each one is represented lazily as a sampler plus a frame
+offset.  A sampler maps a physical coordinate to a symbol: a seeded draw,
+or a `FixedSampler` of explicit symbols; it is the only lookup a site read
+passes through.
 
 Action convention, used everywhere: the group acts by
 
@@ -17,8 +19,8 @@ it is written once, on ShiftModel, which every model extends.  The
 omega-dependence lives in the fiber measures mu_omega.  Each model owns
 its measure and entropy rules: exact and log cell measures, the base
 marginal, conditional label laws, closed-form fiber and conditional
-entropies, and its SMB evaluation plan.  The measures and entropy modules
-call these rules; they do not branch on the model.  Bernoulli is the
+entropies, and its SMB evaluation plan.  Callers call these rules on the
+model; nothing branches on the model's type.  Bernoulli is the
 random-alphabet model with a one-symbol base, so there is one product
 rule and one Markov rule.  This keeps entropies in closed form while the
 disintegration is genuinely random for the mixed-alphabet model.
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iterproduct
 from numbers import Rational
 from typing import Callable, Optional, Sequence
 
@@ -86,14 +89,15 @@ def _draw(cumulative: tuple, u: float) -> int:
     return min(i, len(cumulative) - 1)
 
 
-class ConstantSampler:
-    """Every coordinate gets the same symbol; used for trivial bases."""
+class FixedSampler:
+    """Explicit symbols: `pins` maps coordinates to symbols, `fill` elsewhere."""
 
-    def __init__(self, symbol: int = 0):
-        self.symbol = symbol
+    def __init__(self, pins: dict, fill: int):
+        self.pins = pins
+        self.fill = fill
 
     def symbol_at(self, coords: tuple) -> int:
-        return self.symbol
+        return self.pins.get(coords, self.fill)
 
 
 class ProductSampler:
@@ -116,9 +120,10 @@ class ProductSampler:
 class ConditionalSampler:
     """Each coordinate drawn from a table row selected by another lookup.
 
-    `select` reads the governing symbol at the same physical coordinate,
-    so the conditional structure is preserved under simultaneous shifts
-    of both configurations.
+    `select` reads the governing symbol at the same physical coordinate
+    (another configuration's `sampler.symbol_at`), so the conditional
+    structure is preserved under simultaneous shifts of both
+    configurations.
     """
 
     def __init__(self, select: Callable[[tuple], int], tables: tuple, seed: int):
@@ -188,28 +193,19 @@ def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class SymbolicConfiguration:
-    """Lazy symbolic configuration: value(h) = lookup(h * offset).
+    """Lazy symbolic configuration: value(h) = sampler.symbol_at(h * offset).
 
-    `pins` maps physical coordinates to symbols and takes precedence over
-    the sampler; it lets tests build explicit configurations.  Shifting
-    never copies symbols, it only changes the offset, so all shifts of one
-    configuration share one memo and stay mutually consistent.
+    Shifting never copies symbols, it only changes the offset, so all
+    shifts of one configuration share one sampler (and its memo) and stay
+    mutually consistent.
     """
 
     group: DiscreteGroup
-    alphabet_size: int
     sampler: object
     offset: GroupElement
-    pins: dict
-
-    def physical_value(self, coords: tuple) -> int:
-        pinned = self.pins.get(coords)
-        if pinned is not None:
-            return pinned
-        return self.sampler.symbol_at(coords)
 
     def value_at(self, coords: tuple) -> int:
-        return self.physical_value(self.group.mul_coords(coords, self.offset.coords))
+        return self.sampler.symbol_at(self.group.mul_coords(coords, self.offset.coords))
 
     def require_group(self, group: DiscreteGroup) -> None:
         if group != self.group:
@@ -228,31 +224,23 @@ class SymbolicConfiguration:
 def constant_configuration(
     group: DiscreteGroup, alphabet_size: int, symbol: int = 0
 ) -> SymbolicConfiguration:
-    return SymbolicConfiguration(group, alphabet_size, ConstantSampler(symbol), group.identity(), {})
+    return configuration_from_pins(group, alphabet_size, {}, fill=symbol)
 
 
 def configuration_from_pins(
     group: DiscreteGroup, alphabet_size: int, pins: dict, fill: int = 0
 ) -> SymbolicConfiguration:
     """Explicit configuration: `pins` coords -> symbol, `fill` elsewhere."""
-    for coords, sym in pins.items():
+    for where, sym in (*pins.items(), ("fill", fill)):
         if not 0 <= sym < alphabet_size:
-            raise ValueError(f"symbol {sym} at {coords} outside alphabet")
-    return SymbolicConfiguration(
-        group, alphabet_size, ConstantSampler(fill), group.identity(), dict(pins)
-    )
+            raise ValueError(f"symbol {sym} at {where} outside alphabet")
+    return SymbolicConfiguration(group, FixedSampler(dict(pins), fill), group.identity())
 
 
 def shift(config: SymbolicConfiguration, g: GroupElement) -> SymbolicConfiguration:
     """The action (g . c)_h = c_{h g}: left-multiply the frame offset."""
     config.require_group(g.group)
-    return SymbolicConfiguration(
-        config.group,
-        config.alphabet_size,
-        config.sampler,
-        mul(g, config.offset),
-        config.pins,
-    )
+    return SymbolicConfiguration(config.group, config.sampler, mul(g, config.offset))
 
 
 @dataclass(frozen=True)
@@ -418,17 +406,15 @@ class RandomAlphabetModel(ShiftModel):
         if len(self.base_p) == 1:
             return constant_configuration(self.group, 1)
         sampler = ProductSampler(self.base_p, derive_seed(stream_seed, "omega"))
-        return SymbolicConfiguration(self.group, len(self.base_p), sampler, self.group.identity(), {})
+        return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
         seed = derive_seed(stream_seed, "x")
         if len(self.base_p) == 1:
             sampler = ProductSampler(self.fiber_ps[0], seed)
         else:
-            sampler = ConditionalSampler(omega.physical_value, self.fiber_ps, seed)
-        return SymbolicConfiguration(
-            self.group, self.fiber_alphabet_size, sampler, self.group.identity(), {}
-        )
+            sampler = ConditionalSampler(omega.sampler.symbol_at, self.fiber_ps, seed)
+        return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
     def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
         """rows[omega_c] for each coordinate c: the fiber row used there."""
@@ -444,6 +430,12 @@ class RandomAlphabetModel(ShiftModel):
         return out
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
+        """ln of cell_measure, summed from per-coordinate log tables.
+
+        Stays finite-precision-stable at windows of thousands of
+        coordinates, where the Fraction route would be exact but the
+        probability itself underflows any float.
+        """
         tables = self._rows_at(omega, [c for c, _ in labels], self._log_tables)
         return sum(_log_or_raise(table[label]) for table, (_, label) in zip(tables, labels))
 
@@ -554,9 +546,7 @@ class MarkovModel(ShiftModel):
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
         sampler = MarkovPathSampler(self.transition, self.stationary, derive_seed(stream_seed, "x"))
-        return SymbolicConfiguration(
-            self.group, self.fiber_alphabet_size, sampler, self.group.identity(), {}
-        )
+        return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         if not labels:
@@ -568,6 +558,7 @@ class MarkovModel(ShiftModel):
         return out
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
+        """ln of cell_measure from log tables; stable where it underflows."""
         if not labels:
             return 0.0
         positions = [(c[0], label) for c, label in labels]
@@ -619,41 +610,24 @@ class MarkovModel(ShiftModel):
         )
 
     def conditional_entropy(self, cond_set: FiniteSubset) -> float:
-        """Entropy of the two-sided bridge between the nearest conditioning
-        neighbours of 0, averaged over their joint law."""
-        positions = sorted(c[0] for c in cond_set.coords)
+        """Entropy of the bridge law at 0 between its nearest conditioning
+        neighbours, averaged over their joint law; labels of weight zero
+        (a transient state, an impossible pair) are skipped."""
+        positions = [c[0] for c in cond_set.coords]
         if 0 in positions:
             raise ValueError("conditioning set may not contain the identity")
         left = max((p for p in positions if p < 0), default=None)
         right = min((p for p in positions if p > 0), default=None)
-        P, pi = self.transition, self.stationary
-        size = len(pi)
-        if left is None and right is None:
-            return shannon_entropy(pi)
-        if right is None:
-            rows = _markov_gap_power(P, -left)
-            return math.fsum(float(pi[a]) * shannon_entropy(rows[a]) for a in range(size))
-        if left is None:
-            step = _markov_gap_power(P, right)
-            total = 0.0
-            for b in range(size):
-                if pi[b] == 0:  # a transient state carries no weight
-                    continue
-                dist = tuple(pi[c] * step[c][b] / pi[b] for c in range(size))
-                total += float(pi[b]) * shannon_entropy(dist)
-            return total
-        la = _markov_gap_power(P, -left)
-        rb = _markov_gap_power(P, right)
-        bridge = _markov_gap_power(P, right - left)
-        total = 0.0
-        for a in range(size):
-            for b in range(size):
-                w = pi[a] * bridge[a][b]
-                if w == 0:
-                    continue
-                dist = tuple(la[a][c] * rb[c][b] / bridge[a][b] for c in range(size))
-                total += float(w) * shannon_entropy(dist)
-        return total
+        near = [(p,) for p in (left, right) if p is not None]
+        e = self.group.identity()
+        terms = []
+        for labels in iterproduct(range(self.fiber_alphabet_size), repeat=len(near)):
+            cell = tuple(zip(near, labels))
+            weight = self.cell_measure(None, cell)
+            if weight:
+                dist = self.conditional_label_distribution(None, cell, e)
+                terms.append(float(weight) * shannon_entropy(dist))
+        return math.fsum(terms)
 
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
         """Prefix intervals {0..s-1} grow by one transition per new site;
@@ -711,8 +685,6 @@ def check_cocycle(model, g1: GroupElement, g2: GroupElement, p: SkewPoint,
 @lru_cache(maxsize=None)
 def _norm_shells(group: DiscreteGroup, radius: int) -> tuple:
     """Coordinates grouped by sup-norm r = 0..radius (shared by both groups)."""
-    from itertools import product as iterproduct
-
     dims = group.d if isinstance(group, ZdGroup) else 3
     shells = [[] for _ in range(radius + 1)]
     for coords in iterproduct(range(-radius, radius + 1), repeat=dims):

@@ -192,7 +192,7 @@ class TestGreedyCover:
         assert len(sol.picks) == 5
         assert sol.total_size == 10
         assert sol.union_size == 10
-        assert set(sol.multiplicity_map().values()) == {1}
+        assert set(sol.multiplicity.values()) == {1}
         report = verify_greedy_cover(inst, sol)
         assert report.disjointness_lhs == Fraction(11)
         assert report.disjointness_rhs == Fraction(10)
@@ -216,7 +216,7 @@ class TestGreedyCover:
         assert len(sol.picks) == 12
         assert sol.total_size == 60
         assert sol.union_size == 49
-        assert max(sol.multiplicity_map().values()) == 2
+        assert max(sol.multiplicity.values()) == 2
         report = verify_greedy_cover(inst, sol)
         assert report.disjointness_lhs == Fraction(245, 4)
         assert report.disjointness_rhs == Fraction(60)
@@ -238,7 +238,7 @@ class TestGreedyCover:
         assert len(sol.picks) == 12
         assert sol.total_size == 192
         assert sol.union_size == 192
-        assert set(sol.multiplicity_map().values()) == {1}
+        assert set(sol.multiplicity.values()) == {1}
         assert verify_greedy_cover(inst, sol).ok
 
     def test_construction_bound_on_all_instances(self):
@@ -318,7 +318,7 @@ class TestGreedyConclusionFailure:
 
     def test_handmade_empty_solution_fails_coverage(self):
         inst = tiling_instance()
-        fake = CoverSolution(picks=(), total_size=0, multiplicity=())
+        fake = CoverSolution(picks=(), total_size=0, multiplicity={})
         report = verify_greedy_cover(inst, fake)
         assert not report.coverage_ok
         assert not report.ok
@@ -466,7 +466,7 @@ class TestRandomCover:
         for seed in range(5):
             sol = sample_random_cover(inst, seed)
             lam = replay_multiplicity(inst, sol)
-            assert sol.multiplicity_map() == lam
+            assert sol.multiplicity == lam
             assert sol.union_size == len(lam)
             assert sol.total_size == sum(lam.values())
 
@@ -510,6 +510,20 @@ class TestRandomCover:
         band = 5 * report.total_size_se
         assert abs(report.mean_total_size - 138.24) <= band
         assert report.ok
+
+    def test_verifier_ties_report_smallest_se_in_any_order(self):
+        # a and b both average 1.5; a's multiplicities spread less
+        a, b = (0,), (1,)
+        inst = multiplicity_chain_instance()
+        for first in (a, b):
+            sols = []
+            for s in range(100):
+                mult = {a: 1 + s % 2, b: 3 if s % 4 == 0 else 1}
+                ordered = {first: mult[first], **mult}
+                sols.append(CoverSolution(picks=(), total_size=0, multiplicity=ordered))
+            report = verify_random_cover(inst, sols)
+            assert report.max_conditional_multiplicity == 1.5
+            assert report.max_conditional_se == pytest.approx((25 / 99 / 100) ** 0.5)
 
     def test_verifier_needs_samples(self):
         inst = multiplicity_chain_instance()
@@ -630,7 +644,8 @@ def test_cover_outputs_match_recorded_digest():
     for build in RANDOM_INSTANCES:
         sols.extend(sample_many(build(), 200, 101))
     for sol in sols:
-        h.update(repr((sol.picks, sol.total_size, sol.multiplicity)).encode())
+        multiplicity = tuple(sorted(sol.multiplicity.items()))
+        h.update(repr((sol.picks, sol.total_size, multiplicity)).encode())
     assert h.hexdigest() == COVER_DIGEST
 
 

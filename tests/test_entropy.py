@@ -6,13 +6,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from fiberent.folner import FolnerSequence, box_folner, box_folner_sizes
 from fiberent.groups import ZdGroup, subset_from_coords
 from fiberent.measures import (
-    PartitionSpec,
     canonical_partition,
-    cell_log_measure,
     cell_measure,
     cell_of,
     enumerate_cells,
@@ -33,10 +33,8 @@ from fiberent.entropy import (
     TraceRow,
     chain_rule_residual,
     chain_rule_terms,
-    conditional_entropy_exact,
     conditional_entropy_trace,
     conditional_information,
-    fiber_entropy_closed_form,
     information,
     log_fraction,
     smb_trace,
@@ -234,26 +232,14 @@ class TestChainRule:
 class TestFiberEntropyClosedForm:
     def test_frozen_values(self):
         bern, mixed, markov = all_models()
-        assert fiber_entropy_closed_form(bern, canonical_partition(bern)) == pytest.approx(
-            0.6108643020548935, abs=1e-15
-        )
-        assert fiber_entropy_closed_form(mixed, canonical_partition(mixed)) == pytest.approx(
-            0.5091150769756967, abs=1e-15
-        )
-        assert fiber_entropy_closed_form(markov, canonical_partition(markov)) == pytest.approx(
-            MARKOV_RATE, abs=1e-15
-        )
+        assert bern.fiber_entropy() == pytest.approx(0.6108643020548935, abs=1e-15)
+        assert mixed.fiber_entropy() == pytest.approx(0.5091150769756967, abs=1e-15)
+        assert markov.fiber_entropy() == pytest.approx(MARKOV_RATE, abs=1e-15)
 
     def test_bounds(self):
         for model in all_models():
-            xi = canonical_partition(model)
-            h = fiber_entropy_closed_form(model, xi)
-            assert 0.0 <= h <= math.log(xi.atoms)
-
-    def test_partition_mismatch(self):
-        model = BernoulliModel.create(Z1, [0.7, 0.3])
-        with pytest.raises(ValueError):
-            fiber_entropy_closed_form(model, PartitionSpec(3))
+            h = model.fiber_entropy()
+            assert 0.0 <= h <= math.log(model.fiber_alphabet_size)
 
 
 class TestSmbTrace:
@@ -374,7 +360,7 @@ class TestSmbFastPath:
             assert len(totals) == len(ns)
             for n, total in zip(ns, totals):
                 cell = cell_of(model, xi, seq.set(n), point)
-                log_rule = -cell_log_measure(model, point.omega, cell)
+                log_rule = -model.cell_log_measure(point.omega, cell.labels)
                 exact = -log_fraction(cell_measure(model, point.omega, cell))
                 assert total == pytest.approx(log_rule, rel=1e-12, abs=1e-12)
                 assert total == pytest.approx(exact, rel=1e-12, abs=1e-12)
@@ -386,44 +372,47 @@ class TestSmbFastPath:
         assert model.cell_log_measure(None, labels) == pytest.approx(math.log(0.21))
 
 
+def chain_weights(k):
+    """k rows of k integer weights in 0..4, none all zero: zeros make
+    transient states and impossible pairs."""
+    row = st.tuples(*[st.integers(0, 4)] * k).filter(any)
+    return st.tuples(*[row] * k)
+
+
 class TestConditionalEntropy:
     def test_product_models_are_constant(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        xi = canonical_partition(model)
-        h = fiber_entropy_closed_form(model, xi)
+        h = model.fiber_entropy()
         for coords in ([(1,)], [(-2,), (1,), (5,)], []):
             cond = subset_from_coords(Z1, coords)
-            assert conditional_entropy_exact(model, xi, cond) == pytest.approx(h, abs=1e-15)
+            assert model.conditional_entropy(cond) == pytest.approx(h, abs=1e-15)
 
     def test_markov_one_sided_equals_entropy_rate(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        xi = canonical_partition(model)
         for n in (2, 3, 5, 9):
             cond = subset_from_coords(Z1, [(k,) for k in range(1, n)])
-            assert conditional_entropy_exact(model, xi, cond) == pytest.approx(
+            assert model.conditional_entropy(cond) == pytest.approx(
                 MARKOV_RATE, abs=1e-12
             )
 
     def test_markov_empty_conditioning_is_marginal_entropy(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        xi = canonical_partition(model)
-        got = conditional_entropy_exact(model, xi, subset_from_coords(Z1, []))
+        got = model.conditional_entropy(subset_from_coords(Z1, []))
         assert got == pytest.approx(0.6365141682948128, abs=1e-12)
 
     def test_markov_transient_state_carries_no_entropy(self):
         # pi = (0, 1): every conditioning side sees the absorbing state
         model = MarkovModel.create([[0.5, 0.5], [0, 1]])
-        xi = canonical_partition(model)
         for coords in ([(1,)], [(-1,)], [(-2,), (3,)], []):
             cond = subset_from_coords(Z1, coords)
-            assert conditional_entropy_exact(model, xi, cond) == 0
+            assert model.conditional_entropy(cond) == 0
 
     def test_markov_two_sided_matches_enumeration(self):
         # independent oracle: exhaustive H(big) - H(small) over {-1,0,1}
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         xi = canonical_partition(model)
         cond = subset_from_coords(Z1, [(-1,), (1,)])
-        got = conditional_entropy_exact(model, xi, cond)
+        got = model.conditional_entropy(cond)
         assert got == pytest.approx(0.24944294556876542, abs=1e-12)
 
         mu = model
@@ -441,6 +430,31 @@ class TestConditionalEntropy:
                 math.log(float(small_measures[rest])) - math.log(float(mval))
             )
         assert got == pytest.approx(total, abs=1e-12)
+
+    @settings(max_examples=60)
+    @example(((1, 1), (0, 1)), frozenset({-2, 3}))
+    @example(((1, 2, 0), (0, 1, 3), (0, 0, 1)), frozenset({-1, 1, 4}))
+    @given(
+        st.integers(2, 3).flatmap(chain_weights),
+        st.frozensets(st.integers(-6, 6).filter(bool), max_size=4),
+    )
+    def test_markov_matches_exhaustive_enumeration(self, weights, positions):
+        # independent oracle: H(cells over cond + {0}) - H(cells over cond)
+        model = MarkovModel.create([[Fraction(w, sum(row)) for w in row] for row in weights])
+        try:
+            model.stationary
+        except ValueError:  # no unique stationary law
+            reject()
+        xi = canonical_partition(model)
+        om = constant_omega(model)
+        cond = subset_from_coords(Z1, [(k,) for k in positions])
+        big = subset_from_coords(Z1, [(k,) for k in positions | {0}])
+
+        def joint_entropy(F):
+            return shannon_entropy([m for _, m in enumerate_cells(model, om, xi, F)])
+
+        oracle = joint_entropy(big) - joint_entropy(cond)
+        assert model.conditional_entropy(cond) == pytest.approx(oracle, abs=1e-12)
 
     def test_trace_is_non_increasing_and_bounded_below(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])

@@ -11,14 +11,11 @@ from fiberent.measures import (
     CellId,
     PartitionSpec,
     canonical_partition,
-    cell_log_measure,
     cell_measure,
     cell_of,
     check_disintegration,
     check_invariance,
-    conditional_label_distribution,
     enumerate_cells,
-    marginal_cell_measure,
 )
 from fiberent.rds import (
     BernoulliModel,
@@ -126,7 +123,7 @@ class TestCellMeasure:
         mu = model
         assert cell_measure(mu, p.omega, cell) == 0
         with pytest.raises(ZeroMeasureError):
-            cell_log_measure(mu, p.omega, cell)
+            mu.cell_log_measure(p.omega, cell.labels)
 
     def test_log_route_matches_exact_route(self):
         import math
@@ -139,7 +136,7 @@ class TestCellMeasure:
                 cell = cell_of(model, canonical_partition(model), F, p)
                 exact = cell_measure(mu, p.omega, cell)
                 assert math.isclose(
-                    cell_log_measure(mu, p.omega, cell), math.log(exact), rel_tol=1e-12
+                    mu.cell_log_measure(p.omega, cell.labels), math.log(exact), rel_tol=1e-12
                 )
 
     def test_group_agnostic_product_measure(self):
@@ -222,15 +219,15 @@ class TestDisintegration:
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
         mu = model
         cell = CellId.from_map(subset_from_coords(Z1, [(0,)]), {(0,): 0})
-        assert marginal_cell_measure(mu, cell) == Fraction(1, 2)
+        assert mu.marginal_cell_measure(cell.labels) == Fraction(1, 2)
         pair = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
-        assert marginal_cell_measure(mu, pair) == Fraction(1, 4)
+        assert mu.marginal_cell_measure(pair.labels) == Fraction(1, 4)
 
     def test_marginal_equals_fiber_for_trivial_base(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
         cell = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
-        assert marginal_cell_measure(mu, cell) == Fraction(3, 5)
+        assert mu.marginal_cell_measure(cell.labels) == Fraction(3, 5)
 
     def test_monte_carlo_average_matches_marginal(self):
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
@@ -259,7 +256,7 @@ class TestConditionalLabelDistribution:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         mu = model
         cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 1})
-        dist = conditional_label_distribution(mu, constant_omega(model), cond, Z1.identity())
+        dist = mu.conditional_label_distribution(constant_omega(model), cond.labels, Z1.identity())
         assert dist == (Fraction(7, 10), Fraction(3, 10))
 
     def test_random_alphabet_reads_base_row(self):
@@ -267,7 +264,7 @@ class TestConditionalLabelDistribution:
         mu = model
         omega = configuration_from_pins(Z1, 2, {(0,): 1})
         cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 0})
-        dist = conditional_label_distribution(mu, omega, cond, Z1.identity())
+        dist = mu.conditional_label_distribution(omega, cond.labels, Z1.identity())
         assert dist == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_two_sided_bridge(self):
@@ -276,7 +273,7 @@ class TestConditionalLabelDistribution:
         cond = CellId.from_map(
             subset_from_coords(Z1, [(-1,), (1,)]), {(-1,): 0, (1,): 0}
         )
-        dist = conditional_label_distribution(mu, constant_omega(model), cond, Z1.identity())
+        dist = mu.conditional_label_distribution(constant_omega(model), cond.labels, Z1.identity())
         # P_{0c} P_{c0} / (P^2)_{00}
         assert dist == (Fraction(81, 83), Fraction(2, 83))
 
@@ -284,13 +281,13 @@ class TestConditionalLabelDistribution:
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
         left = CellId.from_map(subset_from_coords(Z1, [(-1,)]), {(-1,): 0})
-        assert conditional_label_distribution(
-            mu, constant_omega(model), left, Z1.identity()
+        assert mu.conditional_label_distribution(
+            constant_omega(model), left.labels, Z1.identity()
         ) == (Fraction(9, 10), Fraction(1, 10))
         right = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 0})
         # Bayes: P(x_0 = c | x_1 = 0) = pi_c P_c0 / pi_0
-        assert conditional_label_distribution(
-            mu, constant_omega(model), right, Z1.identity()
+        assert mu.conditional_label_distribution(
+            constant_omega(model), right.labels, Z1.identity()
         ) == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_only_nearest_neighbors_matter(self):
@@ -305,9 +302,9 @@ class TestConditionalLabelDistribution:
         )
         omega = constant_omega(model)
         e = Z1.identity()
-        assert conditional_label_distribution(
-            mu, omega, near, e
-        ) == conditional_label_distribution(mu, omega, far, e)
+        assert mu.conditional_label_distribution(
+            omega, near.labels, e
+        ) == mu.conditional_label_distribution(omega, far.labels, e)
 
 
 def test_partition_spec_validation():

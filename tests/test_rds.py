@@ -278,6 +278,15 @@ class TestSamplers:
         with pytest.raises(ValueError):
             configuration_from_pins(Z1, 2, {(0,): 5})
 
+    def test_fill_must_lie_in_the_alphabet(self):
+        with pytest.raises(ValueError):
+            constant_configuration(Z1, 2, 5)
+        with pytest.raises(ValueError):
+            configuration_from_pins(Z1, 2, {}, fill=7)
+        with pytest.raises(ValueError):
+            configuration_from_pins(Z1, 2, {}, fill=-1)
+        assert constant_configuration(Z1, 2, 1).value_at((9,)) == 1
+
 
 def test_skew_point_group_mismatch():
     omega = constant_configuration(Z1, 1)

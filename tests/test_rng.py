@@ -90,4 +90,4 @@ def test_samplers_draw_the_reference_uniforms():
     expected = [_draw(_cumulative(model.stationary), uniform01(seed, "m", 0))]
     for k in range(1, 6):
         expected.append(_draw(fwd[expected[-1]], uniform01(seed, "m", k)))
-    assert [x.physical_value((k,)) for k in range(6)] == expected
+    assert [x.sampler.symbol_at((k,)) for k in range(6)] == expected
