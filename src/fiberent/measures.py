@@ -84,7 +84,8 @@ def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
     """
     x = p.x
     x.require_group(F.group)
-    return CellId(F, tuple(sorted((c, x.value_at(c)) for c in F.coords)))
+    coords = list(F.coords)
+    return CellId(F, tuple(sorted(zip(coords, x.values_at(coords)))))
 
 
 def measure_for(model):

@@ -5,7 +5,9 @@ group into a finite alphabet.  Configurations over an infinite group cannot
 be stored, so each one is represented lazily as a sampler plus a frame
 offset.  A sampler maps a physical coordinate to a symbol: a seeded draw,
 or a `FixedSampler` of explicit symbols; it is the only lookup a site read
-passes through.
+passes through.  Windows are read whole: `values_at` makes one `symbols`
+call, which draws every unread site with one `rng` batch call, and
+`value_at` / `symbol_at` are the scalar twins it is tested against.
 
 Action convention, used everywhere: the group acts by
 
@@ -32,10 +34,12 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iterproduct
 from numbers import Rational
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .groups import (
     DiscreteGroup,
@@ -85,8 +89,22 @@ def _cumulative(dist: tuple) -> tuple:
 
 
 def _draw(cumulative: tuple, u: float) -> int:
-    i = bisect.bisect_right(cumulative, u)
-    return min(i, len(cumulative) - 1)
+    return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
+
+
+def _draw_many(cumulatives: np.ndarray, u: np.ndarray) -> list:
+    """_draw of u[i] against row i of `cumulatives`, or its one row: bisect_right
+    counts the entries <= u in a nondecreasing row."""
+    return np.minimum((cumulatives <= u[:, None]).sum(axis=1), cumulatives.shape[-1] - 1).tolist()
+
+
+def _read(memo: dict, coords: Sequence, draw: Callable[[list], list]) -> list:
+    """memo[c] for each c in coords, after `draw` fills every unread one
+    (an unread c given twice is drawn twice, to the same symbol)."""
+    new = [c for c in coords if c not in memo]
+    if new:
+        memo.update(zip(new, draw(new)))
+    return [memo[c] for c in coords]
 
 
 class FixedSampler:
@@ -98,6 +116,9 @@ class FixedSampler:
 
     def symbol_at(self, coords: tuple) -> int:
         return self.pins.get(coords, self.fill)
+
+    def symbols(self, coords: Sequence) -> list:
+        return [self.pins.get(c, self.fill) for c in coords]
 
 
 class ProductSampler:
@@ -116,18 +137,21 @@ class ProductSampler:
             memo[coords] = s
         return s
 
+    def symbols(self, coords: Sequence) -> list:
+        return _read(self._memo, coords,
+                     lambda new: _draw_many(np.array(self.cumulative), self._uniform.many(new)))
+
 
 class ConditionalSampler:
-    """Each coordinate drawn from a table row selected by another lookup.
+    """Each coordinate drawn from a table row selected by another sampler.
 
-    `select` reads the governing symbol at the same physical coordinate
-    (another configuration's `sampler.symbol_at`), so the conditional
-    structure is preserved under simultaneous shifts of both
-    configurations.
+    The row at a physical coordinate is the `governor` sampler's symbol
+    there (another configuration's sampler), so the conditional structure
+    is preserved under simultaneous shifts of both configurations.
     """
 
-    def __init__(self, select: Callable[[tuple], int], tables: tuple, seed: int):
-        self.select = select
+    def __init__(self, governor, tables: tuple, seed: int):
+        self.governor = governor
         self.cumulatives = tuple(_cumulative(t) for t in tables)
         self._uniform = uniform01_stream(seed, "c")
         self._memo: dict = {}
@@ -136,10 +160,14 @@ class ConditionalSampler:
         memo = self._memo
         s = memo.get(coords)
         if s is None:
-            row = self.cumulatives[self.select(coords)]
+            row = self.cumulatives[self.governor.symbol_at(coords)]
             s = _draw(row, self._uniform(coords))
             memo[coords] = s
         return s
+
+    def symbols(self, coords: Sequence) -> list:
+        return _read(self._memo, coords, lambda new: _draw_many(
+            np.array(self.cumulatives)[self.governor.symbols(new)], self._uniform.many(new)))
 
 
 class MarkovPathSampler:
@@ -176,6 +204,18 @@ class MarkovPathSampler:
             self._lo = i
         return memo[k]
 
+    def symbols(self, coords: Sequence) -> list:
+        ks, memo = [k for (k,) in coords], self._memo
+        if not memo:
+            memo[0] = _draw(self.start, self._uniform(0))
+        hi, lo = max([self._hi, *ks]), min([self._lo, *ks])
+        for rows, end, to, step in ((self.fwd, self._hi, hi, 1), (self.bwd, self._lo, lo, -1)):
+            positions, s = range(end + step, to + step, step), memo[end]
+            for i, u in zip(positions, self._uniform.many(positions).tolist()):
+                s = memo[i] = _draw(rows[s], u)
+        self._hi, self._lo = hi, lo
+        return [memo[k] for k in ks]
+
 
 def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
     """Time-reversed transition matrix Q_ij = pi_j P_ji / pi_i.
@@ -206,6 +246,13 @@ class SymbolicConfiguration:
 
     def value_at(self, coords: tuple) -> int:
         return self.sampler.symbol_at(self.group.mul_coords(coords, self.offset.coords))
+
+    def values_at(self, coords: Sequence) -> list:
+        """[value_at(c) for c in coords], read with one `sampler.symbols`."""
+        if not self.offset.is_identity():
+            mc, oc = self.group.mul_coords, self.offset.coords
+            coords = [mc(c, oc) for c in coords]
+        return self.sampler.symbols(coords)
 
     def require_group(self, group: DiscreteGroup) -> None:
         if group != self.group:
@@ -255,7 +302,6 @@ class SkewPoint:
             raise GroupMismatchError("omega and x live over different groups")
 
 
-@lru_cache(maxsize=None)
 def _stationary_distribution(transition: tuple) -> tuple:
     """Exact stationary vector of a rational stochastic matrix.
 
@@ -305,7 +351,6 @@ def shannon_entropy(dist: Sequence) -> float:
     return -math.fsum(v * math.log(v) for v in values if v > 0.0)
 
 
-@lru_cache(maxsize=None)
 def _log_table(dist: tuple) -> tuple:
     return tuple(math.log(p) if p > 0 else None for p in map(float, dist))
 
@@ -324,29 +369,13 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _matrix_power(transition: tuple, n: int) -> tuple:
-    """Exact n-th power of a rational matrix, n >= 1."""
-    if n == 1:
-        return transition
-    half = _matrix_power(transition, n // 2)
-    out = _mat_mul(half, half)
-    if n % 2:
-        out = _mat_mul(out, transition)
-    return out
-
-
-def _markov_gap_power(transition: tuple, gap: int) -> tuple:
-    if gap > MARKOV_GAP_CAP:
-        raise EnumerationSizeError(
-            f"Markov gap {gap} exceeds the marginalization cap {MARKOV_GAP_CAP}"
-        )
-    return _matrix_power(transition, gap)
-
-
-@lru_cache(maxsize=None)
-def _log_matrix(transition: tuple, gap: int) -> tuple:
-    return tuple(_log_table(row) for row in _markov_gap_power(transition, gap))
+def _product(factors) -> Fraction:
+    """The product of Fractions, multiplied as ints and reduced once."""
+    num = den = 1
+    for f in factors:
+        num *= f.numerator
+        den *= f.denominator
+    return Fraction(num, den)
 
 
 def _is_prefix_interval(coords: frozenset) -> bool:
@@ -413,21 +442,18 @@ class RandomAlphabetModel(ShiftModel):
         if len(self.base_p) == 1:
             sampler = ProductSampler(self.fiber_ps[0], seed)
         else:
-            sampler = ConditionalSampler(omega.sampler.symbol_at, self.fiber_ps, seed)
+            sampler = ConditionalSampler(omega.sampler, self.fiber_ps, seed)
         return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
     def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
         """rows[omega_c] for each coordinate c: the fiber row used there."""
         if len(rows) == 1:
             return [rows[0]] * len(coords)
-        return [rows[omega.value_at(c)] for c in coords]
+        return [rows[s] for s in omega.values_at(coords)]
 
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         rows = self._rows_at(omega, [c for c, _ in labels], self.fiber_ps)
-        out = Fraction(1)
-        for row, (_, label) in zip(rows, labels):
-            out *= row[label]
-        return out
+        return _product(row[label] for row, (_, label) in zip(rows, labels))
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
         """ln of cell_measure, summed from per-coordinate log tables.
@@ -440,10 +466,10 @@ class RandomAlphabetModel(ShiftModel):
         return sum(_log_or_raise(table[label]) for table, (_, label) in zip(tables, labels))
 
     def marginal_cell_measure(self, labels: tuple) -> Fraction:
-        out = Fraction(1)
-        for _, label in labels:
-            out *= sum(pb * row[label] for pb, row in zip(self.base_p, self.fiber_ps))
-        return out
+        return _product(
+            sum(pb * row[label] for pb, row in zip(self.base_p, self.fiber_ps))
+            for _, label in labels
+        )
 
     def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
                                        at: GroupElement) -> tuple:
@@ -461,24 +487,28 @@ class RandomAlphabetModel(ShiftModel):
 
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
         """A product cell's log measure is a sum over sites, so each row
-        adds only the coordinates its window gained."""
-        rows, prev = [], frozenset()
+        adds only the coordinates its window gained: the plan holds every
+        row's new coordinates in one run, and where each row ends."""
+        coords, ends, prev = [], [], frozenset()
         for cs in windows:
-            rows.append(tuple(sorted(cs - prev)))
+            coords.extend(sorted(cs - prev))
+            ends.append(len(coords))
             prev = cs
-        return "product", tuple(rows)
+        return "product", tuple(coords), tuple(ends)
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        x, omega = point.x, point.omega
-        tables = self._log_tables
+        _, coords, ends = plan
+        tables = self._rows_at(point.omega, coords, self._log_tables)
+        logs = [table[s] for table, s in zip(tables, point.x.values_at(coords))]
+        if None in logs:
+            raise ZeroMeasureError("zero-measure cell")
         running, totals = 0.0, []
-        for coords in plan[1]:
-            rows = self._rows_at(omega, coords, tables)
-            running -= math.fsum(_log_or_raise(row[x.value_at(c)]) for row, c in zip(rows, coords))
+        for start, end in zip((0,) + ends, ends):
+            running -= math.fsum(logs[start:end])
             totals.append(running)
         return totals
 
-    @property
+    @cached_property
     def _log_tables(self) -> tuple:
         return tuple(_log_table(row) for row in self.fiber_ps)
 
@@ -529,9 +559,30 @@ class MarkovModel(ShiftModel):
     def group(self) -> ZdGroup:
         return ZdGroup(1)
 
-    @property
+    @cached_property
     def stationary(self) -> tuple:
         return _stationary_distribution(self.transition)
+
+    @cached_property
+    def _log_stationary(self) -> tuple:
+        return _log_table(self.stationary)
+
+    @cached_property
+    def _by_gap(self) -> dict:
+        """gap -> (P^gap exact, its log table), filled on demand."""
+        return {}
+
+    def _gap_power(self, gap: int, log: bool = False) -> tuple:
+        """P^gap for 1 <= gap <= MARKOV_GAP_CAP, exact or as a log table."""
+        if gap > MARKOV_GAP_CAP:
+            raise EnumerationSizeError(
+                f"Markov gap {gap} exceeds the marginalization cap {MARKOV_GAP_CAP}"
+            )
+        if gap not in self._by_gap:
+            P = self.transition
+            power = _mat_mul(self._gap_power(gap - 1), P) if gap != 1 else P
+            self._by_gap[gap] = power, tuple(_log_table(row) for row in power)
+        return self._by_gap[gap][log]
 
     @property
     def base_alphabet_size(self) -> int:
@@ -552,19 +603,18 @@ class MarkovModel(ShiftModel):
         if not labels:
             return Fraction(1)
         positions = [(c[0], label) for c, label in labels]
-        out = self.stationary[positions[0][1]]
-        for (i, a), (j, b) in zip(positions, positions[1:]):
-            out *= _markov_gap_power(self.transition, j - i)[a][b]
-        return out
+        return _product([self.stationary[positions[0][1]]] + [
+            self._gap_power(j - i)[a][b] for (i, a), (j, b) in zip(positions, positions[1:])
+        ])
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
         """ln of cell_measure from log tables; stable where it underflows."""
         if not labels:
             return 0.0
         positions = [(c[0], label) for c, label in labels]
-        total = _log_or_raise(_log_table(self.stationary)[positions[0][1]])
+        total = _log_or_raise(self._log_stationary[positions[0][1]])
         for (i, a), (j, b) in zip(positions, positions[1:]):
-            total += _log_or_raise(_log_matrix(self.transition, j - i)[a][b])
+            total += _log_or_raise(self._gap_power(j - i, log=True)[a][b])
         return total
 
     def marginal_cell_measure(self, labels: tuple) -> Fraction:
@@ -575,7 +625,7 @@ class MarkovModel(ShiftModel):
                                        at: GroupElement) -> tuple:
         """Only the nearest conditioning neighbours on each side matter."""
         k = at.coords[0]
-        P, pi = self.transition, self.stationary
+        pi, power = self.stationary, self._gap_power
         size = len(pi)
         left = right = None
         for coords, label in cond_labels:
@@ -589,16 +639,16 @@ class MarkovModel(ShiftModel):
         if left is None and right is None:
             return pi
         if right is None:
-            step = _markov_gap_power(P, k - left[0])
+            step = power(k - left[0])
             return tuple(step[left[1]][c] for c in range(size))
         if left is None:
             # Bayes against the stationary marginal of the right neighbor.
-            step = _markov_gap_power(P, right[0] - k)
+            step = power(right[0] - k)
             total = pi[right[1]]
             return tuple(pi[c] * step[c][right[1]] / total for c in range(size))
         a, b = left[1], right[1]
-        la, rb = _markov_gap_power(P, k - left[0]), _markov_gap_power(P, right[0] - k)
-        bridge = _markov_gap_power(P, right[0] - left[0])[a][b]
+        la, rb = power(k - left[0]), power(right[0] - k)
+        bridge = power(right[0] - left[0])[a][b]
         if bridge == 0:
             raise ZeroMeasureError("conditioning cell has measure zero")
         return tuple(la[a][c] * rb[c][b] / bridge for c in range(size))
@@ -630,28 +680,28 @@ class MarkovModel(ShiftModel):
         return math.fsum(terms)
 
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
-        """Prefix intervals {0..s-1} grow by one transition per new site;
-        any other windows are evaluated whole."""
+        """Prefix intervals {0..s-1} grow by one transition per new site, read
+        as one path over the largest; any other windows are evaluated whole."""
         if all(_is_prefix_interval(cs) for cs in windows):
-            return "markov-interval", tuple(len(cs) for cs in windows)
+            sites = tuple(sorted(max(windows, key=len)))
+            return "markov-interval", tuple(len(cs) for cs in windows), sites
         return "markov-general", tuple(tuple(sorted(cs)) for cs in windows)
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        mode, rows = plan
+        mode, rows, *sites = plan
         x = point.x
         if mode == "markov-general":
             return [
-                -self.cell_log_measure(point.omega, tuple((c, x.value_at(c)) for c in coords))
+                -self.cell_log_measure(point.omega, tuple(zip(coords, x.values_at(coords))))
                 for coords in rows
             ]
-        step = _log_matrix(self.transition, 1)
-        running = -_log_or_raise(_log_table(self.stationary)[x.value_at((0,))])
-        upto = 1
-        totals = []
+        step = self._gap_power(1, log=True)
+        path = x.values_at(sites[0])
+        running = -_log_or_raise(self._log_stationary[path[0]])
+        upto, totals = 1, []
         for size in rows:
             while upto < size:
-                a, b = x.value_at((upto - 1,)), x.value_at((upto,))
-                running -= _log_or_raise(step[a][b])
+                running -= _log_or_raise(step[path[upto - 1]][path[upto]])
                 upto += 1
             totals.append(running)
         return totals
@@ -682,7 +732,7 @@ def check_cocycle(model, g1: GroupElement, g2: GroupElement, p: SkewPoint,
     return lhs.agrees_on(rhs, window)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _norm_shells(group: DiscreteGroup, radius: int) -> tuple:
     """Coordinates grouped by sup-norm r = 0..radius (shared by both groups)."""
     dims = group.d if isinstance(group, ZdGroup) else 3

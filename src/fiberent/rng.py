@@ -15,14 +15,19 @@ be used for this purpose.
 BLAKE2b hashes as a stream, so a sampler hashes seed || prefix once per
 stream (``uniform01_stream``) and each draw feeds only its tail.  The
 draws equal ``uniform01(seed, *prefix, tail)`` bit for bit; ``mix64`` and
-``uniform01`` stay the reference they are tested against.
+``uniform01`` stay the reference they are tested against.  A window of
+draws is one ``draw.many(tails)``: it hashes the same bytes, packed for all
+tails at once, and equals ``[draw(t) for t in tails]`` bit for bit.
 """
 
 from __future__ import annotations
 
 import struct
 from hashlib import blake2b
-from typing import Callable
+from itertools import accumulate, chain
+from typing import Callable, Sequence
+
+import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _UNIT = 1.0 / (1 << 53)
@@ -30,6 +35,8 @@ _UNIT = 1.0 / (1 << 53)
 # b"(", the length of the inner bytes, then b"i" and an int64 per part.
 _INT_TAIL = struct.Struct("<Bq").pack
 _TUPLE_TAILS = tuple(struct.Struct("<BI" + "Bq" * n).pack for n in range(9))
+# Tails per batch in `many`, so a 2^20-site window never holds all its digests.
+_CHUNK = 1 << 14
 
 
 def _encode(parts: tuple) -> bytes:
@@ -85,6 +92,20 @@ def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
         h.update(_pack_tail(tail))
         return (int.from_bytes(h.digest(), "little") >> 11) * _UNIT
 
+    def many(tails: Sequence) -> np.ndarray:
+        """float64 array equal to [draw(t) for t in tails], bit for bit."""
+        out = np.empty(len(tails))
+        for start in range(0, len(tails), _CHUNK):
+            buf, bounds = _pack_tails(tails[start:start + _CHUNK])
+            view, digests = memoryview(buf), bytearray()
+            for a, b in zip(bounds, bounds[1:]):
+                h = copy()
+                h.update(view[a:b])
+                digests += h.digest()
+            out[start:start + len(bounds) - 1] = np.frombuffer(digests, "<u8") >> 11
+        return out * _UNIT
+
+    draw.many = many
     return draw
 
 
@@ -106,3 +127,31 @@ def _pack_tail(tail) -> bytes:
     except struct.error:  # an int outside int64
         pass
     return _encode((tail,))
+
+
+def _pack_tails(tails: Sequence) -> tuple:
+    """(buf, bounds): buf is b"".join(map(_pack_tail, tails)), and tail i
+    owns buf[bounds[i]:bounds[i + 1]].  When every tail is an int64, or every
+    tail a tuple of n int64s with 0 < n <= 8, the Struct for one tail writes
+    the constant bytes of equal records and numpy writes every int64 through
+    one strided view; otherwise each tail goes through _pack_tail."""
+    kinds = set(map(type, tails))
+    if kinds == {int}:
+        arity, flat = 0, tails
+    elif kinds == {tuple} and len(arities := set(map(len, tails))) == 1:
+        arity, flat = arities.pop(), list(chain.from_iterable(tails))
+    else:
+        arity = flat = None
+    if flat and arity < len(_TUPLE_TAILS) and set(map(type, flat)) == {int}:
+        try:
+            values = np.array(flat, dtype=np.int64).reshape(len(tails), -1)
+        except OverflowError:  # an int outside int64
+            pass
+        else:
+            template, first = ((_TUPLE_TAILS[arity](0x28, 9 * arity, *(0x69, 0) * arity), 6)
+                               if arity else (_INT_TAIL(0x69, 0), 1))
+            buf = bytearray(template) * len(tails)
+            np.ndarray(values.shape, "<i8", buf, first, (len(template), 9))[...] = values
+            return buf, range(0, len(buf) + 1, len(template))
+    packed = [_pack_tail(t) for t in tails]
+    return b"".join(packed), list(accumulate(map(len, packed), initial=0))

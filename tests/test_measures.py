@@ -1,11 +1,15 @@
 """Fibered measures: exact cell probabilities, invariance, disintegration."""
 
+import inspect
+import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberent.rds as rds
 from fiberent.groups import HeisenbergGroup, ZdGroup, random_element, subset_from_coords
 from fiberent.measures import (
     CellId,
@@ -145,6 +149,88 @@ class TestCellMeasure:
         F = subset_from_coords(H, [(0, 0, 0), (1, 1, 1)])
         cell = cell_of(model, canonical_partition(model), F, p)
         assert cell_measure(model, p.omega, cell) == Fraction(21, 100)
+
+
+def _reference_power(P, n):
+    """P^n by n - 1 plain Fraction matrix products."""
+    out = P
+    for _ in range(n - 1):
+        out = tuple(tuple(sum(out[i][m] * P[m][j] for m in range(len(P))) for j in range(len(P)))
+                    for i in range(len(P)))
+    return out
+
+
+def _reference_cell_measure(model, omega, labels):
+    """The cell measure as a running product of Fractions."""
+    out = Fraction(1)
+    if isinstance(model, MarkovModel):
+        positions = [(c[0], a) for c, a in labels]
+        if positions:
+            out = model.stationary[positions[0][1]]
+        for (i, a), (j, b) in zip(positions, positions[1:]):
+            out *= _reference_power(model.transition, j - i)[a][b]
+        return out
+    for c, a in labels:
+        out *= model.fiber_ps[omega.value_at(c) if len(model.base_p) > 1 else 0][a]
+    return out
+
+
+chains = st.integers(2, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any), min_size=k, max_size=k))
+
+
+class TestExactCellMeasureCaches:
+    """Integer cell products and the per-model caches behind them."""
+
+    @settings(max_examples=60)
+    @given(index=st.integers(0, 30), data=st.data())
+    def test_product_models_match_the_fraction_reference(self, index, data):
+        model = data.draw(st.sampled_from(all_models()[:2]), label="model")
+        omega = sample_point(model, 61, index).omega
+        sites = data.draw(st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                                  max_size=12), label="sites")
+        labels = tuple((c, data.draw(st.integers(0, 1))) for c in sorted(sites))
+        assert model.cell_measure(omega, labels) == _reference_cell_measure(model, omega, labels)
+
+    @settings(max_examples=60)
+    @given(rows=chains, data=st.data())
+    def test_markov_matches_the_fraction_reference(self, rows, data):
+        total = [sum(r) for r in rows]
+        model = MarkovModel.create([[Fraction(v, t) for v in r] for r, t in zip(rows, total)])
+        try:
+            model.stationary
+        except ValueError:  # no unique stationary vector
+            return
+        sites = data.draw(st.sets(st.integers(-20, 20), max_size=6), label="sites")
+        labels = tuple(((k,), data.draw(st.integers(0, len(rows) - 1))) for k in sorted(sites))
+        twin = MarkovModel.create([[Fraction(v, t) for v in r] for r, t in zip(rows, total)])
+        expected = _reference_cell_measure(model, None, labels)
+        assert model.cell_measure(None, labels) == expected
+        assert twin.cell_measure(None, labels) == expected
+        if expected:
+            assert math.isclose(twin.cell_log_measure(None, labels), math.log(expected),
+                                rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_equal_matrices_give_equal_rules(self):
+        a = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+        b = MarkovModel.create([[Fraction(9, 10), Fraction(1, 10)], [0.2, 0.8]])
+        labels = (((-3,), 0), ((0,), 1), ((7,), 1))
+        cond = (((-2,), 1), ((5,), 0))
+        e = Z1.identity()
+        a.cell_measure(None, (((0,), 0), ((40,), 1)))  # fills a's cache first
+        assert a == b and a.stationary == b.stationary
+        assert a.cell_measure(None, labels) == b.cell_measure(None, labels)
+        assert a.cell_log_measure(None, labels) == b.cell_log_measure(None, labels)
+        assert (a.conditional_label_distribution(None, cond, e)
+                == b.conditional_label_distribution(None, cond, e))
+        assert a.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)])) == \
+            b.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)]))
+
+    def test_rds_holds_no_unbounded_module_cache(self):
+        # model rules cache on the model; a module-level cache must be bounded
+        decorators = re.findall(r"^@(?:functools\.)?(lru_cache\S*|cache)\s*$",
+                                inspect.getsource(rds), re.MULTILINE)
+        assert all(re.fullmatch(r"lru_cache\(maxsize=\d+\)", d) for d in decorators), decorators
 
 
 class TestEnumeration:

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from fiberent.groups import HeisenbergGroup, ZdGroup, mul, random_element, subset_from_coords
 from fiberent.rds import (
     BernoulliModel,
+    ConditionalSampler,
+    FixedSampler,
     MarkovModel,
     MarkovPathSampler,
+    ProductSampler,
     RandomAlphabetModel,
     SkewPoint,
     bowen_distance,
@@ -286,6 +289,64 @@ class TestSamplers:
         with pytest.raises(ValueError):
             configuration_from_pins(Z1, 2, {}, fill=-1)
         assert constant_configuration(Z1, 2, 1).value_at((9,)) == 1
+
+
+_CHAIN = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+_ROWS = exact_distribution([0.5, 0.5]), exact_distribution([0.9, 0.1])
+# Each maker builds a fresh sampler from a seed; twins share no memo.
+SAMPLERS = {
+    "product": lambda seed: ProductSampler(exact_distribution([0.2, 0.5, 0.3]), seed),
+    "conditional": lambda seed: ConditionalSampler(
+        ProductSampler(exact_distribution([0.4, 0.6]), seed + 1), _ROWS, seed),
+    "markov": lambda seed: MarkovPathSampler(_CHAIN.transition, _CHAIN.stationary, seed),
+    "fixed": lambda seed: FixedSampler({(seed % 5, 0): 1, (-3, 2): 2, (4, 1): 2}, 0),
+}
+z2_sites = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+z1_sites = st.tuples(st.integers(-40, 40))
+
+
+class TestWindowReads:
+    """`symbols` and `values_at` against their scalar twins."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 2), data=st.data())
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_symbols_equal_symbol_at(self, kind, seed, data):
+        sites = z1_sites if kind == "markov" else z2_sites
+        window = data.draw(st.lists(sites, max_size=30), label="window")
+        warm = data.draw(st.lists(sites, max_size=30), label="warm-up")
+        make = SAMPLERS[kind]
+        expected = [make(seed).symbol_at(c) for c in window]
+        assert make(seed).symbols(window) == expected
+        scalar_warmed, batch_warmed = make(seed), make(seed)
+        for c in reversed(warm):
+            scalar_warmed.symbol_at(c)
+        batch_warmed.symbols(warm[::2])
+        batch_warmed.symbols(warm[1::2])
+        assert scalar_warmed.symbols(window) == expected
+        assert batch_warmed.symbols(window) == expected
+        assert [batch_warmed.symbol_at(c) for c in window] == expected
+
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (-9, 0), (-9, 9), (5, 12), (-12, -5)])
+    def test_markov_windows_on_both_sides_of_zero(self, lo, hi):
+        window = [(k,) for k in range(lo, hi + 1)]
+        batch, scalar = SAMPLERS["markov"](17), SAMPLERS["markov"](17)
+        assert batch.symbols(window) == [scalar.symbol_at(c) for c in window]
+        assert batch.symbols([(hi + 3,), (lo - 3,)]) == [scalar.symbol_at((hi + 3,)),
+                                                       scalar.symbol_at((lo - 3,))]
+
+    @settings(max_examples=40)
+    @given(index=st.integers(0, 50), data=st.data())
+    @pytest.mark.parametrize("group", [Z2, H], ids=["z2", "heisenberg"])
+    def test_values_at_equals_value_at_on_shifted_configurations(self, group, index, data):
+        model = RandomAlphabetModel.create(group, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
+        g = random_element(group, 5, 23, "shift", index)
+        coords = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * len(g.coords)),
+                                    max_size=25), label="coords")
+        a, b = sample_point(model, 29, index), sample_point(model, 29, index)
+        for x, y in ((a.x, b.x), (a.omega, b.omega)):
+            assert shift(x, g).values_at(coords) == [shift(y, g).value_at(c) for c in coords]
+            assert x.values_at(coords) == [y.value_at(c) for c in coords]
 
 
 def test_skew_point_group_mismatch():

@@ -1,13 +1,24 @@
-"""Stream draws: the byte contract and the prefix-stream fast path."""
+"""Stream draws: the byte contract, the prefix-stream fast path and its
+batch form."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberent.rng as rng
 from fiberent.rds import MarkovModel, ProductSampler, _cumulative, _draw, exact_distribution
-from fiberent.rng import _encode, _pack_tail, derive_seed, mix64, uniform01, uniform01_stream
+from fiberent.rng import (
+    _encode,
+    _pack_tail,
+    _pack_tails,
+    derive_seed,
+    mix64,
+    uniform01,
+    uniform01_stream,
+)
 
 # mix64 on fixed label paths.  Every realised sample in the package is a
 # function of these bytes, so a change here changes every shipped artifact.
@@ -91,3 +102,50 @@ def test_samplers_draw_the_reference_uniforms():
     for k in range(1, 6):
         expected.append(_draw(fwd[expected[-1]], uniform01(seed, "m", k)))
     assert [x.sampler.symbol_at((k,)) for k in range(6)] == expected
+
+
+# Windows of tails: one int64 or one tuple arity throughout (the packed
+# record path), with one odd tail mixed in, or any labels at all.
+int64_tuples = st.integers(0, 9).flatmap(lambda n: st.tuples(*[int64] * n))
+odd_tails = st.one_of(tails, st.tuples(*[int64] * 9), st.just(()), st.just((True, 1)))
+tail_lists = st.one_of(
+    st.lists(int64, max_size=12),
+    st.integers(0, 9).flatmap(lambda n: st.lists(st.tuples(*[int64] * n), max_size=12)),
+    st.tuples(st.lists(int64_tuples, max_size=12), odd_tails, st.integers(0, 12)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    st.lists(st.one_of(tails, int64_tuples), max_size=12),
+)
+
+
+def _check_batch(seed, prefix, window):
+    buf, bounds = _pack_tails(window)
+    packed = [_pack_tail(t) for t in window]
+    assert bytes(buf) == b"".join(packed)
+    assert [bytes(buf[a:b]) for a, b in zip(bounds, bounds[1:])] == packed
+    draw = uniform01_stream(seed, *prefix)
+    batch = draw.many(window)
+    assert batch.dtype == np.float64 and len(batch) == len(window)
+    assert batch.tolist() == [draw(t) for t in window]
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64 - 1), prefix=prefixes, window=tail_lists)
+def test_batch_draws_equal_scalar_draws(seed, prefix, window):
+    _check_batch(seed, prefix, window)
+
+
+@pytest.mark.parametrize("window", [
+    [], [()], [(), ()], [True, 1], [1, True], [2**63, 0], [0, -(2**63) - 1],
+    [(1,), (1, 2)], [(1, 2), (3, 2**64)], [tuple(range(9))] * 2, [tuple(range(8))] * 3,
+    [(-(2**63), 2**63 - 1)], range(-5, 5), range(5, -5, -1),
+])
+def test_batch_draw_edge_windows(window):
+    _check_batch(77, ("m",), window)
+
+
+def test_batch_draws_work_in_chunks(monkeypatch):
+    # a record chunk, a mixed chunk, then a short record chunk
+    monkeypatch.setattr(rng, "_CHUNK", 4)
+    window = [(1, 2), (3, 4), (5, 6), (7, 8), (9,), (True, 0), 2**70, 5, (0, 0), (-1, -1)]
+    draw = uniform01_stream(3, "c")
+    assert draw.many(window).tolist() == [draw(t) for t in window]
