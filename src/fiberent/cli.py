@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import re
 import sys
 
-from .config import ConfigError, ConfigIssue, ExperimentConfig, build_model, parse_config
+from .config import (ConfigError, ConfigIssue, ExperimentConfig, build_model, cover_family,
+                     parse_config)
 from .covering import (
     CoverInstance,
     RandomCoverInstance,
@@ -200,44 +200,22 @@ def _run_cocycle_check(cfg: ExperimentConfig):
     return rows, summary, ok
 
 
-def _collect_family(cfg: ExperimentConfig, double: bool):
-    """Shapes and centers declared as shape_i / centers_i (or shape_i_j)."""
-    group = ZdGroup(1)
-    pattern = r"shape_(\d+)_(\d+)" if double else r"shape_(\d+)"
-    entries = {}
-    for key, value in cfg.values.items():
-        m = re.fullmatch(pattern, key)
-        if m:
-            idx = tuple(int(g) for g in m.groups())
-            centers = cfg.get(key.replace("shape", "centers"))
-            entries[idx] = (
-                subset_from_coords(group, [(c,) for c in range(value)]),
-                subset_from_coords(group, [(c,) for c in centers]),
-            )
-    if not double:
-        order = sorted(entries)
-        shapes = tuple(entries[i][0] for i in order)
-        centers = tuple(entries[i][1] for i in order)
-        return shapes, centers
-    by_i: dict = {}
-    for (i, j) in sorted(entries):
-        by_i.setdefault(i, []).append(entries[(i, j)])
-    shapes = tuple(tuple(s for s, _ in row) for row in by_i.values())
-    centers = tuple(tuple(c for _, c in row) for row in by_i.values())
-    return shapes, centers
-
-
 def _run_cover_demo(cfg: ExperimentConfig):
     group = ZdGroup(1)
-    ambient = subset_from_coords(group, [(c,) for c in range(cfg.get("ambient_n"))])
+    ambient = group.box(cfg.get("ambient_n"))
     kind = cfg.get("kind")
+    rows: dict = {}  # row i of the random form holds blocks (i, j); the greedy form is one row
+    for index, (size, centers) in cover_family(cfg).items():
+        block = group.box(size), subset_from_coords(group, [(c,) for c in centers])
+        rows.setdefault(index[:-1], []).append(block)
+    per_row = [tuple(zip(*row)) for row in rows.values()]
     if kind == "greedy":
-        shapes, centers = _collect_family(cfg, double=False)
+        shapes, centers = per_row[0]
         inst = CoverInstance.create(
             ambient, shapes, centers, cfg.get("delta"), cfg.get("epsilon")
         )
     else:
-        shapes, centers = _collect_family(cfg, double=True)
+        shapes, centers = zip(*per_row)
         K = subset_from_coords(group, [(c,) for c in cfg.get("k_set")])
         inst = RandomCoverInstance.create(
             ambient, shapes, centers, K,

@@ -51,9 +51,11 @@ class ExperimentConfig:
         return key in self.values
 
 
-_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+# A key is a name and, for an indexed family, its index: shape_1_2.
+_KEY_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
 
-# Per-subcommand schema: key (or regex for indexed families) -> value kind.
+# Per-subcommand schema: key, or (name, arity) for the indexed family
+# name_i (arity 1) / name_i_j (arity 2), -> value kind.
 # Kinds: u64, int:<min> (integer >= min), number, unit (rational in (0,1]),
 # string, dist, intlist, choice:<a|b|...>.  Each int's minimum is the least
 # value its runner can use.
@@ -61,7 +63,6 @@ _COMMON = {
     "seed": "u64",
     "out": "string",
     "subcommand": "choice:" + "|".join(SUBCOMMANDS),
-    "tolerance": "number",
     "workers": "int:1",
 }
 
@@ -70,18 +71,18 @@ _MODEL_KEYS = {
     "group": "group",
     "p": "dist",
     "base_p": "dist",
-    re.compile(r"^fiber_p_(\d+)$"): "dist",
-    re.compile(r"^transition_(\d+)$"): "dist",
+    ("fiber_p", 1): "dist",
+    ("transition", 1): "dist",
 }
 
 _SCHEMAS = {
     "smb-run": {
         **_COMMON, **_MODEL_KEYS,
-        "n_max": "int:1", "sides": "intlist", "trajectories": "int:1",
+        "n_max": "int:1", "sides": "intlist", "trajectories": "int:1", "tolerance": "number",
     },
     "cond-entropy": {
         **_COMMON, **_MODEL_KEYS,
-        "n_max": "int:1", "sides": "intlist",
+        "n_max": "int:1", "sides": "intlist", "tolerance": "number",
         "method": "choice:exact|monte-carlo", "samples": "int:1",
     },
     "folner-check": {
@@ -97,9 +98,19 @@ _SCHEMAS = {
         "ambient_n": "int:1", "delta": "unit", "epsilon": "unit",
         "alpha": "unit", "c": "number", "samples": "int:100",
         "k_set": "intlist",
-        re.compile(r"^shape_(\d+)(_(\d+))?$"): "int:1",
-        re.compile(r"^centers_(\d+)(_(\d+))?$"): "intlist",
+        ("shape", 1): "int:1", ("shape", 2): "int:1",
+        ("centers", 1): "intlist", ("centers", 2): "intlist",
     },
+}
+
+# What each model and cover kind reads beyond the keys all share: plain keys
+# (arity 0) and indexed families.  A key the file gives that only another
+# model or kind reads is an issue; a plain key here without a default is required.
+_VARIANTS = {
+    "model": {"bernoulli": {"p": 0}, "random-alphabet": {"base_p": 0, "fiber_p": 1},
+              "markov": {"transition": 1}},
+    "kind": {"greedy": {"shape": 1, "centers": 1},
+             "random": {"shape": 2, "centers": 2, "k_set": 0, "c": 0, "alpha": 0, "samples": 0}},
 }
 
 _REQUIRED = {
@@ -160,14 +171,25 @@ def _parse_scalar(kind: str, raw: str):
     raise AssertionError(f"unknown kind {kind}")
 
 
+def _split_key(key: str) -> tuple:
+    """(name, index tuple) of a key: `shape_1_2` is ("shape", (1, 2)),
+    `fiber_p_01` is ("fiber_p", (1,)), and a plain key is (key, ())."""
+    name, index = _KEY_RE.fullmatch(key).groups()
+    return name, tuple(int(i) for i in index.split("_")[1:])
+
+
+def family(values: dict, prefix: str, arity: int) -> dict:
+    """{index tuple: key} of the keys named prefix_i (arity 1) or prefix_i_j
+    (arity 2), in index order.  With `_split_key` this is the only reader of
+    indexed key names; a parsed config holds one key per index."""
+    named = ((_split_key(key), key) for key in values)
+    return dict(sorted((index, key) for (name, index), key in named
+                       if name == prefix and len(index) == arity))
+
+
 def _lookup_kind(schema: dict, key: str) -> Optional[str]:
-    kind = schema.get(key)
-    if kind is not None:
-        return kind
-    for pattern, k in schema.items():
-        if isinstance(pattern, re.Pattern) and pattern.match(key):
-            return k
-    return None
+    name, index = _split_key(key)
+    return schema.get((name, len(index)) if index else key)
 
 
 def parse_config(text: str, subcommand: str) -> ExperimentConfig:
@@ -178,6 +200,7 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     issues = []
     values: dict = {}
     lines_seen: dict = {}
+    index_lines: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -187,13 +210,14 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
             continue
         key, _, raw = body.partition("=")
         key, raw = key.strip(), raw.strip()
-        if not _KEY_RE.match(key):
+        if not _KEY_RE.fullmatch(key):
             issues.append(ConfigIssue(key, lineno, "malformed key"))
             continue
-        if key in lines_seen:
-            issues.append(ConfigIssue(key, lineno, f"duplicate of line {lines_seen[key]}"))
+        ident = _split_key(key)
+        if ident in index_lines:
+            issues.append(ConfigIssue(key, lineno, f"duplicate of line {index_lines[ident]}"))
             continue
-        lines_seen[key] = lineno
+        index_lines[ident] = lines_seen[key] = lineno
         kind = _lookup_kind(schema, key)
         if kind is None:
             issues.append(ConfigIssue(key, lineno, f"unknown key for {subcommand}"))
@@ -218,7 +242,7 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     ):
         issues.append(ConfigIssue("n_max", 0, "required key missing (or give sides)"))
     for key, default in _DEFAULTS.items():
-        if _lookup_kind(schema, key) is not None:
+        if key in schema:
             values.setdefault(key, default)
     cfg = ExperimentConfig(subcommand, values)
     if not issues:
@@ -228,24 +252,14 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     return cfg
 
 
-def _indexed(values: dict, prefix: str) -> list:
-    """Values of prefix_0, prefix_1, ... which must be contiguous from 0."""
-    found = {}
-    for key, v in values.items():
-        m = re.fullmatch(re.escape(prefix) + r"_(\d+)", key)
-        if m:
-            found[int(m.group(1))] = v
-    return [found[i] for i in range(len(found)) if i in found]
-
-
 def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
     """Issues that involve more than one key; each validator gives
     (key, reason) and the issue cites that key's line, or 0 if it is absent."""
-    issues = []
     v = cfg.values
     sub = cfg.subcommand
+    issues = _validate_variant(v, lines)
     if sub in ("smb-run", "cond-entropy", "cocycle-check"):
-        issues.extend(_validate_model_keys(v))
+        issues.extend(_validate_model_rows(v))
     if sub in ("smb-run", "cond-entropy"):
         issues.extend(_validate_schedule(v))
     if sub == "cocycle-check":
@@ -263,37 +277,51 @@ def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
     return [ConfigIssue(key, lines.get(key, 0), reason) for key, reason in issues]
 
 
-def _validate_model_keys(v: dict) -> list:
+def _validate_variant(v: dict, lines: dict) -> list:
+    """Keys the file gives that only another model or cover kind reads, and
+    the plain keys the chosen one reads but the config lacks."""
     issues = []
-    model = v.get("model")
-    if model == "bernoulli":
-        if "p" not in v:
-            issues.append(("p", "required for model = bernoulli"))
-    elif model == "random-alphabet":
-        base = v.get("base_p")
-        if base is None:
-            issues.append(("base_p", "required for model = random-alphabet"))
-        else:
-            rows = _indexed(v, "fiber_p")
-            if len(rows) != len(base):
-                issues.append((
-                    "fiber_p_0",
-                    f"need fiber_p_0..fiber_p_{len(base) - 1}, found {len(rows)} rows"))
-            issues.extend(
-                (f"fiber_p_{i}", f"must have the {len(rows[0])} symbols of fiber_p_0")
-                for i, row in enumerate(rows) if len(row) != len(rows[0]))
-    elif model == "markov":
-        rows = _indexed(v, "transition")
-        if not rows or any(len(r) != len(rows) for r in rows):
-            issues.append((
-                "transition_0", "need a square matrix transition_0..transition_{k-1}"))
-        else:
+    for selector, variants in _VARIANTS.items():
+        if selector not in v:
+            continue
+        reads, chosen = variants[v[selector]], f"{selector} = {v[selector]}"
+        for key in lines:
+            name, index = _split_key(key)
+            if any(name in r for r in variants.values()) and reads.get(name) != len(index):
+                issues.append((key, f"not read for {chosen}"))
+        issues.extend((name, f"required for {chosen}")
+                      for name, arity in reads.items() if arity == 0 and name not in v)
+    return issues
+
+
+def _row_issues(keys: dict, prefix: str, k: int) -> list:
+    """Model rows must be prefix_0..prefix_{k-1}: each row outside, or else
+    each one missing, is an issue at its own key."""
+    return ([(key, f"row {i} outside 0..{k - 1}") for (i,), key in keys.items() if i >= k]
+            or [(f"{prefix}_{i}", f"missing row {prefix}_{i} of 0..{k - 1}")
+                for i in range(k) if (i,) not in keys])
+
+
+def _validate_model_rows(v: dict) -> list:
+    """One fiber row per base symbol, all of one width; or a square transition
+    matrix, a row per index given, with a unique stationary vector, on zd:1."""
+    issues = []
+    if v["model"] == "random-alphabet" and "base_p" in v:
+        keys = family(v, "fiber_p", 1)
+        issues = _row_issues(keys, "fiber_p", len(v["base_p"]))
+        if not issues:
+            width = len(v[keys[(0,)]])
+            issues = [(key, f"must have the {width} symbols of fiber_p_0")
+                      for key in keys.values() if len(v[key]) != width]
+    elif v["model"] == "markov":
+        keys = family(v, "transition", 1)
+        issues = _row_issues(keys, "transition", max(len(keys), 1))
+        if not issues:
             try:
-                MarkovModel(tuple(rows)).stationary
+                MarkovModel.create([v[key] for key in keys.values()]).stationary
             except ValueError as exc:
                 issues.append(("transition_0", str(exc)))
-        group = v.get("group")
-        if group is not None and group != ZdGroup(1):
+        if v.get("group", ZdGroup(1)) != ZdGroup(1):
             issues.append(("group", "markov model requires group = zd:1"))
     return issues
 
@@ -328,32 +356,25 @@ def _validate_schedule(v: dict) -> list:
 
 
 def _validate_cover_keys(v: dict) -> list:
-    issues = []
-    kind = v.get("kind")
-    shape_single = sorted(
-        k for k in v if re.fullmatch(r"shape_\d+", k)
-    )
-    shape_double = sorted(
-        k for k in v if re.fullmatch(r"shape_\d+_\d+", k)
-    )
-    if kind == "greedy":
-        if not shape_single:
-            issues.append(("shape_1", "greedy form needs shape_1, shape_2, ..."))
-        for key in shape_single:
-            centers_key = key.replace("shape", "centers")
-            if centers_key not in v:
-                issues.append((centers_key, f"missing centers for {key}"))
-    elif kind == "random":
-        if not shape_double:
-            issues.append(("shape_1_1", "random form needs shape_i_j keys"))
-        for key in shape_double:
-            centers_key = key.replace("shape", "centers")
-            if centers_key not in v:
-                issues.append((centers_key, f"missing centers for {key}"))
-        for key in ("k_set", "c", "alpha"):
-            if key not in v:
-                issues.append((key, "required for kind = random"))
+    """Each shape needs its center list and each center list its shape."""
+    arity = _VARIANTS["kind"][v["kind"]]["shape"]
+    shapes, centers = family(v, "shape", arity), family(v, "centers", arity)
+    issues = [(key.replace("shape", "centers"), f"missing centers for {key}")
+              for index, key in shapes.items() if index not in centers]
+    issues += [(key, f"no {key.replace('centers', 'shape')} for these centers")
+               for index, key in centers.items() if index not in shapes]
+    if not shapes:
+        issues.append(("shape_1" if arity == 1 else "shape_1_1", f"{v['kind']} form needs a shape"))
     return issues
+
+
+def cover_family(cfg: ExperimentConfig) -> dict:
+    """{index tuple: (shape size, centers)} of a validated cover-demo config:
+    shape_i / centers_i for kind = greedy, shape_i_j / centers_i_j for random."""
+    v = cfg.values
+    arity = _VARIANTS["kind"][v["kind"]]["shape"]
+    centers = family(v, "centers", arity)
+    return {index: (v[key], v[centers[index]]) for index, key in family(v, "shape", arity).items()}
 
 
 def build_model(cfg: ExperimentConfig):
@@ -363,9 +384,8 @@ def build_model(cfg: ExperimentConfig):
     if model == "bernoulli":
         return BernoulliModel.create(v.get("group", ZdGroup(1)), v["p"])
     if model == "random-alphabet":
-        return RandomAlphabetModel.create(
-            v.get("group", ZdGroup(1)), v["base_p"], _indexed(v, "fiber_p")
-        )
+        rows = [v[key] for key in family(v, "fiber_p", 1).values()]
+        return RandomAlphabetModel.create(v.get("group", ZdGroup(1)), v["base_p"], rows)
     if model == "markov":
-        return MarkovModel.create(_indexed(v, "transition"))
+        return MarkovModel.create([v[key] for key in family(v, "transition", 1).values()])
     raise AssertionError(model)

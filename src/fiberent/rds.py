@@ -20,11 +20,12 @@ The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
 it is written once, on ShiftModel, which every model extends.  The
 omega-dependence lives in the fiber measures mu_omega.  Each model owns
 its measure and entropy rules: exact and log cell measures, the base
-marginal, conditional label laws, closed-form fiber and conditional
-entropies, and its SMB evaluation plan.  Callers call these rules on the
-model; nothing branches on the model's type.  Bernoulli is the
-random-alphabet model with a one-symbol base, so there is one product
-rule and one Markov rule.  This keeps entropies in closed form while the
+marginal, the conditioning sites that matter, closed-form fiber and
+conditional entropies, and its SMB evaluation plan.  The conditional
+label law is built once, on ShiftModel, from the exact cell rule.
+Callers call these rules on the model; nothing branches on the model's
+type.  Bernoulli is the random-alphabet model with a one-symbol base, so
+there is one product rule and one Markov rule.  This keeps entropies in closed form while the
 disintegration is genuinely random for the mixed-alphabet model.
 """
 
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iterproduct
 from numbers import Rational
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -384,7 +385,8 @@ def _is_prefix_interval(coords: frozenset) -> bool:
 
 
 class ShiftModel:
-    """What the three models share: the fiber map is the shift.
+    """What the three models share: the fiber map is the shift, and the
+    conditional label law built from the model's exact cell rule.
 
     Each model also carries its own measure and entropy rules.  A cell is
     given to them as `labels`, a tuple of (coords, atom index) pairs
@@ -395,6 +397,20 @@ class ShiftModel:
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
         return shift(x, g)
+
+    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
+                                       at: GroupElement) -> tuple:
+        """Law of the symbol at `at` given the cell `cond_labels`: the exact
+        cell measure of the labels that matter there, joined with each
+        symbol at `at`, normalised."""
+        near = self._conditioning_sites([c for c, _ in cond_labels], at.coords)
+        kept = [(c, label) for c, label in cond_labels if c in near]
+        weights = [self.cell_measure(omega, tuple(sorted(kept + [(at.coords, s)])))
+                   for s in range(self.fiber_alphabet_size)]
+        total = sum(weights)
+        if total == 0:
+            raise ZeroMeasureError("conditioning cell has measure zero")
+        return tuple(w / total for w in weights)
 
 
 @dataclass(frozen=True)
@@ -471,10 +487,9 @@ class RandomAlphabetModel(ShiftModel):
             for _, label in labels
         )
 
-    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
-                                       at: GroupElement) -> tuple:
-        """Sites are independent given omega: the row omega selects at `at`."""
-        return self._rows_at(omega, [at.coords], self.fiber_ps)[0]
+    def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
+        """Sites are independent given omega: no other label matters."""
+        return ()
 
     def fiber_entropy(self) -> float:
         return math.fsum(
@@ -487,24 +502,30 @@ class RandomAlphabetModel(ShiftModel):
 
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
         """A product cell's log measure is a sum over sites, so each row
-        adds only the coordinates its window gained: the plan holds every
-        row's new coordinates in one run, and where each row ends."""
-        coords, ends, prev = [], [], frozenset()
+        adds the coordinates its window gained and takes back those it lost:
+        the plan holds every row's new coordinates in one run, where each
+        row ends, and the run positions of each row's lost coordinates."""
+        coords, ends, losses, prev, position = [], [], [], frozenset(), {}
         for cs in windows:
-            coords.extend(sorted(cs - prev))
+            losses.append(tuple(position[c] for c in sorted(prev - cs)))
+            for c in sorted(cs - prev):
+                position[c] = len(coords)
+                coords.append(c)
             ends.append(len(coords))
             prev = cs
-        return "product", tuple(coords), tuple(ends)
+        return "product", tuple(coords), tuple(ends), tuple(losses)
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        _, coords, ends = plan
+        _, coords, ends, losses = plan
         tables = self._rows_at(point.omega, coords, self._log_tables)
         logs = [table[s] for table, s in zip(tables, point.x.values_at(coords))]
         if None in logs:
             raise ZeroMeasureError("zero-measure cell")
         running, totals = 0.0, []
-        for start, end in zip((0,) + ends, ends):
+        for start, end, lost in zip((0,) + ends, ends, losses):
             running -= math.fsum(logs[start:end])
+            if lost:
+                running += math.fsum(logs[i] for i in lost)
             totals.append(running)
         return totals
 
@@ -574,6 +595,8 @@ class MarkovModel(ShiftModel):
 
     def _gap_power(self, gap: int, log: bool = False) -> tuple:
         """P^gap for 1 <= gap <= MARKOV_GAP_CAP, exact or as a log table."""
+        if gap < 1:
+            raise ValueError("cell labels must be sorted by coordinate, without repeats")
         if gap > MARKOV_GAP_CAP:
             raise EnumerationSizeError(
                 f"Markov gap {gap} exceeds the marginalization cap {MARKOV_GAP_CAP}"
@@ -621,37 +644,13 @@ class MarkovModel(ShiftModel):
         """mu_omega does not depend on omega."""
         return self.cell_measure(None, labels)
 
-    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
-                                       at: GroupElement) -> tuple:
-        """Only the nearest conditioning neighbours on each side matter."""
-        k = at.coords[0]
-        pi, power = self.stationary, self._gap_power
-        size = len(pi)
-        left = right = None
-        for coords, label in cond_labels:
-            pos = coords[0]
-            if pos == k:
-                raise ValueError("conditioning set may not contain the target coordinate")
-            if pos < k and (left is None or pos > left[0]):
-                left = (pos, label)
-            if pos > k and (right is None or pos < right[0]):
-                right = (pos, label)
-        if left is None and right is None:
-            return pi
-        if right is None:
-            step = power(k - left[0])
-            return tuple(step[left[1]][c] for c in range(size))
-        if left is None:
-            # Bayes against the stationary marginal of the right neighbor.
-            step = power(right[0] - k)
-            total = pi[right[1]]
-            return tuple(pi[c] * step[c][right[1]] / total for c in range(size))
-        a, b = left[1], right[1]
-        la, rb = power(k - left[0]), power(right[0] - k)
-        bridge = power(right[0] - left[0])[a][b]
-        if bridge == 0:
-            raise ZeroMeasureError("conditioning cell has measure zero")
-        return tuple(la[a][c] * rb[c][b] / bridge for c in range(size))
+    def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
+        """Only the nearest conditioning site on each side of `at` matters."""
+        if at in coords:
+            raise ValueError("conditioning set may not contain the target coordinate")
+        left = max((c for c in coords if c < at), default=None)
+        right = min((c for c in coords if c > at), default=None)
+        return tuple(c for c in (left, right) if c is not None)
 
     def fiber_entropy(self) -> float:
         return math.fsum(
@@ -663,13 +662,8 @@ class MarkovModel(ShiftModel):
         """Entropy of the bridge law at 0 between its nearest conditioning
         neighbours, averaged over their joint law; labels of weight zero
         (a transient state, an impossible pair) are skipped."""
-        positions = [c[0] for c in cond_set.coords]
-        if 0 in positions:
-            raise ValueError("conditioning set may not contain the identity")
-        left = max((p for p in positions if p < 0), default=None)
-        right = min((p for p in positions if p > 0), default=None)
-        near = [(p,) for p in (left, right) if p is not None]
         e = self.group.identity()
+        near = self._conditioning_sites(cond_set.coords, e.coords)
         terms = []
         for labels in iterproduct(range(self.fiber_alphabet_size), repeat=len(near)):
             cell = tuple(zip(near, labels))

@@ -538,6 +538,49 @@ class TestCliRuns:
         assert f"config error: key '{key}' (line {line}): " in capsys.readouterr().err
         assert not Path(out).exists()
 
+    # Indexed families are read whole, and a key no run of this config reads
+    # is rejected: each of these ran to exit 0 on a model or instance other
+    # than the file states.
+    @pytest.mark.parametrize("subcommand, text, key", [
+        ("smb-run", "model = markov\ntransition_0 = 1\ntransition_3 = 0.5, 0.5\n",
+         "transition_3"),
+        ("smb-run", "model = random-alphabet\nbase_p = 1\nfiber_p_7 = 0.5, 0.5\n"
+                    "fiber_p_0 = 0.5, 0.5\n", "fiber_p_7"),
+        ("smb-run", "model = random-alphabet\nbase_p = 0.5, 0.5\nfiber_p_0 = 0.5, 0.5\n"
+                    "fiber_p_01 = 0.9, 0.1\nfiber_p_1 = 0.5, 0.5\n", "fiber_p_1"),
+        ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\ncenters_7 = 3\n",
+         "centers_7"),
+        ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\nshape_2_1 = 5\n",
+         "shape_2_1"),
+        ("cover-demo", "kind = random\nalpha = 0.08\nc = 6\nk_set = 0, 1\nshape_1_1 = 4\n"
+                       "centers_1_1 = 0, 3\nshape_3 = 4\n", "shape_3"),
+        ("cover-demo", "kind = random\nalpha = 0.08\nc = 6\nk_set = 0, 1\nshape_1_1 = 4\n"
+                       "centers_1_1 = 0, 3\ncenters_2_2 = 0\n", "centers_2_2"),
+        ("folner-check", "group = zd:2\ntolerance = 0.1\n", "tolerance"),
+        ("cocycle-check", "model = bernoulli\np = 0.5, 0.5\ntolerance = 0.1\n", "tolerance"),
+        ("smb-run", "model = markov\ntransition_0 = 0.9, 0.1\ntransition_1 = 0.2, 0.8\n"
+                    "p = 0.5, 0.5\n", "p"),
+        ("smb-run", "model = markov\ntransition_0 = 0.9, 0.1\ntransition_1 = 0.2, 0.8\n"
+                    "base_p = 1\n", "base_p"),
+        ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\nk_set = 0, 1\n",
+         "k_set"),
+        ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\nalpha = 0.5\n",
+         "alpha"),
+    ], ids=["markov-row-outside", "fiber-row-outside", "fiber-row-twice", "centers-unpaired",
+            "greedy-random-shape", "random-greedy-shape", "shape-unpaired", "folner-tolerance",
+            "cocycle-tolerance", "markov-p", "markov-base_p", "greedy-k_set", "greedy-alpha"])
+    def test_stray_and_misnumbered_keys_are_config_errors(self, tmp_path, capsys, subcommand,
+                                                          text, key):
+        head = {"smb-run": "seed = 1\nn_max = 2\n", "folner-check": "seed = 1\nn_max = 3\n",
+                "cocycle-check": "seed = 1\nchecks = 2\n",
+                "cover-demo": "seed = 1\nambient_n = 6\ndelta = 0.25\nepsilon = 0.5\n"}
+        text = head[subcommand] + text
+        rc, out = run(tmp_path, subcommand, text)
+        line = [k.split(" = ")[0] for k in text.splitlines()].index(key) + 1
+        assert rc == EXIT_CONFIG
+        assert f"config error: key '{key}' (line {line}): " in capsys.readouterr().err
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("subcommand, extra", [
         ("smb-run", "n_max = 3\ntrajectories = 3\n"),
         ("cond-entropy", "n_max = 3\nmethod = monte-carlo\nsamples = 5\n"),

@@ -341,7 +341,24 @@ SMB_PLANS = {
         _z1_windows("centred", [range(-k, k + 1) for k in range(4)]
                     + [list(range(-3, 4)) + [6, 9]]),
     ),
+    # windows that are not nested: each row drops sites an earlier one held
+    "product-moving": (
+        BernoulliModel.create(Z1, [0.7, 0.3]),
+        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+    ),
+    "conditional-moving": (
+        RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]]),
+        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+    ),
+    "markov-moving": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+    ),
 }
+
+# The plan each case takes: its own name, unless named otherwise here.
+SMB_PLAN_KINDS = {"conditional": "product", "product-moving": "product",
+                  "conditional-moving": "product", "markov-moving": "markov-general"}
 
 
 class TestSmbFastPath:
@@ -352,7 +369,7 @@ class TestSmbFastPath:
         model, seq = SMB_PLANS[case]
         ns = list(range(1, len(seq.sets) + 1))
         plan = model.smb_plan([seq.set(n).coords for n in ns])
-        assert plan[0] == ("product" if case == "conditional" else case)
+        assert plan[0] == SMB_PLAN_KINDS.get(case, case)
         xi = canonical_partition(model)
         for index in range(3):
             totals = _smb_worker((model, plan, 53, index))

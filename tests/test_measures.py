@@ -226,6 +226,15 @@ class TestExactCellMeasureCaches:
         assert a.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)])) == \
             b.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)]))
 
+    @pytest.mark.parametrize("labels", [(((1,), 0), ((0,), 0)), (((0,), 0), ((0,), 1))],
+                             ids=["unsorted", "repeated"])
+    def test_markov_cells_need_sorted_distinct_coordinates(self, labels):
+        model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="sorted by coordinate"):
+            model.cell_measure(None, labels)
+        with pytest.raises(ValueError, match="sorted by coordinate"):
+            model.cell_log_measure(None, labels)
+
     def test_rds_holds_no_unbounded_module_cache(self):
         # model rules cache on the model; a module-level cache must be bounded
         decorators = re.findall(r"^@(?:functools\.)?(lru_cache\S*|cache)\s*$",
@@ -392,6 +401,15 @@ class TestConditionalLabelDistribution:
             omega, near.labels, e
         ) == mu.conditional_label_distribution(omega, far.labels, e)
 
+
+    @pytest.mark.parametrize("cond", [{(1,): 0}, {(-1,): 0}, {(-1,): 0, (1,): 0}],
+                             ids=["right", "left", "both"])
+    def test_markov_zero_measure_conditioning_raises(self, cond):
+        # pi = (0, 1): a neighbour in the transient state 0 is a null cell
+        model = MarkovModel.create([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+        labels = tuple(sorted(cond.items()))
+        with pytest.raises(ZeroMeasureError):
+            model.conditional_label_distribution(None, labels, Z1.identity())
 
 def test_partition_spec_validation():
     model = BernoulliModel.create(Z1, [0.7, 0.3])
