@@ -2,8 +2,9 @@
 """Tabulate Folner defects and tempered constants for box sequences.
 
 For each window F_n the script prints the exact defect |KF delta F| / |F|
-against a chosen finite set K, and the tempered ratio
-|F_{n-1}^{-1} F_n| / |F_n|. Everything is exact rational arithmetic.
+against K = {e, e_1, ..., e_rank}, the identity and the unit coordinate
+vectors, and the tempered ratio |F_{n-1}^{-1} F_n| / |F_n|. Everything is
+exact rational arithmetic.
 
 Usage:
     python scripts/folner_diagnostics.py --group zd:2 --n-max 12
@@ -12,40 +13,25 @@ Usage:
 
 import argparse
 
-from fiberent.folner import (
-    box_folner,
-    folner_defect,
-    heisenberg_folner,
-    validate_sequence,
-)
+from fiberent.folner import folner_defect, validate_sequence, window_folner
 from fiberent.groups import HeisenbergGroup, ZdGroup, subset_from_coords
 
-
-def generator_set(group):
-    if isinstance(group, HeisenbergGroup):
-        coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    else:
-        coords = [tuple(0 for _ in range(group.d))]
-        for axis in range(group.d):
-            coords.append(tuple(1 if i == axis else 0 for i in range(group.d)))
-    return subset_from_coords(group, coords)
+GROUPS = {g.tag: g for g in (ZdGroup(1), ZdGroup(2), ZdGroup(3), HeisenbergGroup())}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--group", choices=("zd:1", "zd:2", "zd:3", "heisenberg"),
-                        default="zd:2")
+    parser.add_argument("--group", choices=GROUPS, default="zd:2")
     parser.add_argument("--n-max", type=int, default=12)
     args = parser.parse_args()
+    if args.n_max < 1:
+        parser.error("--n-max must be >= 1")
 
-    if args.group == "heisenberg":
-        group = HeisenbergGroup()
-        seq = heisenberg_folner(args.n_max)
-    else:
-        group = ZdGroup(int(args.group.split(":")[1]))
-        seq = box_folner(group.d, args.n_max)
-
-    K = generator_set(group)
+    group = GROUPS[args.group]
+    seq = window_folner(group, range(1, args.n_max + 1))
+    rank = group.rank
+    K = subset_from_coords(group, [(0,) * rank] + [
+        tuple(int(i == axis) for i in range(rank)) for axis in range(rank)])
     report = validate_sequence(seq)
     print(f"group={group.tag} sets={len(seq.sets)} K=identity+generators")
     print(f"validation: identity={report.identity_ok} nested={report.nested_ok} "

@@ -39,6 +39,7 @@ from .folner import (
     heisenberg_folner,
     tempered_constant,
     validate_sequence,
+    window_folner,
 )
 from .groups import (
     FiniteSubset,

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-Usage: fiberent <subcommand> --config <path> [--out <path>] [--seed <u64>]
-[--workers N], with subcommands smb-run, cond-entropy, folner-check,
-cocycle-check, cover-demo.
+Usage: fiberent <subcommand> --config <path> [--out <path>] [--seed <u64>],
+with subcommands smb-run, cond-entropy, folner-check, cocycle-check,
+cover-demo; smb-run also takes [--workers N].  Each flag replaces the
+config's key of that name and is checked by the config's rules, at line 0.
 
 Every run writes two artifacts: a CSV with the fixed header
 `n,folner_size,estimate,target,abs_error,std_error` (12 significant
@@ -26,8 +27,8 @@ import contextlib
 import os
 import sys
 
-from .config import (ConfigError, ConfigIssue, ExperimentConfig, build_model, cover_family,
-                     parse_config)
+from .config import (_SCHEMAS, ConfigError, ExperimentConfig, apply_overrides, build_model,
+                     cover_family, parse_config)
 from .covering import (
     CoverInstance,
     RandomCoverInstance,
@@ -37,13 +38,8 @@ from .covering import (
     verify_random_cover,
 )
 from .entropy import conditional_entropy_trace, smb_trace
-from .folner import (
-    box_folner,
-    box_folner_sizes,
-    heisenberg_folner,
-    validate_sequence,
-)
-from .groups import HeisenbergGroup, ZdGroup, random_element, subset_from_coords
+from .folner import validate_sequence, window_folner
+from .groups import ZdGroup, random_element, subset_from_coords
 from .rds import check_cocycle, sample_point
 from .rng import derive_seed
 
@@ -83,13 +79,7 @@ def _trace_rows(trace):
 
 
 def _build_sequence(cfg: ExperimentConfig, group):
-    sides = cfg.get("sides")
-    n_max = cfg.get("n_max")
-    if isinstance(group, HeisenbergGroup):
-        return heisenberg_folner(n_max)
-    if sides is not None:
-        return box_folner_sizes(group.d, list(sides))
-    return box_folner(group.d, n_max)
+    return window_folner(group, cfg.get("sides") or range(1, cfg.get("n_max") + 1))
 
 
 def _run_smb(cfg: ExperimentConfig):
@@ -112,7 +102,6 @@ def _run_smb(cfg: ExperimentConfig):
         ("target", _fmt(final.target)),
         ("final_abs_error", _fmt(final.abs_error)),
         ("tolerance", _fmt(float(tolerance)) if tolerance is not None else "none"),
-        ("assertion", "pass" if ok else "fail"),
     ]
     return _trace_rows(trace), summary, ok
 
@@ -136,7 +125,6 @@ def _run_cond_entropy(cfg: ExperimentConfig):
         ("target", _fmt(trace.rows[0].target)),
         ("worst_abs_error_from_n2", _fmt(worst)),
         ("tolerance", _fmt(float(tolerance)) if tolerance is not None else "none"),
-        ("assertion", "pass" if ok else "fail"),
     ]
     return _trace_rows(trace), summary, ok
 
@@ -162,7 +150,6 @@ def _run_folner_check(cfg: ExperimentConfig):
         ("size_strict", report.size_strict),
         ("max_tempered", max_tempered if max_tempered is not None else "none"),
         ("tempered_bound", bound if bound is not None else "none"),
-        ("assertion", "pass" if ok else "fail"),
     ]
     return rows, summary, ok
 
@@ -170,11 +157,7 @@ def _run_folner_check(cfg: ExperimentConfig):
 def _run_cocycle_check(cfg: ExperimentConfig):
     model = build_model(cfg)
     group = model.group
-    w = cfg.get("window_n")
-    if isinstance(group, HeisenbergGroup):
-        window = group.box(w, w, w * w)
-    else:
-        window = group.box(*([w] * group.d))
+    window = group.box(*group.window_extents(cfg.get("window_n")))
     seed = cfg.get("seed")
     checks = cfg.get("checks")
     radius = cfg.get("radius")
@@ -195,7 +178,6 @@ def _run_cocycle_check(cfg: ExperimentConfig):
         ("window_size", len(window)),
         ("checks", checks),
         ("passed", passed),
-        ("assertion", "pass" if ok else "fail"),
     ]
     return rows, summary, ok
 
@@ -230,7 +212,6 @@ def _run_cover_demo(cfg: ExperimentConfig):
     ]
     if not hyp.ok:
         summary.extend(("hypothesis_failure", name) for name in hyp.failures)
-        summary.append(("assertion", "fail"))
         return [], summary, False
     if kind == "greedy":
         sol = greedy_cover(inst)
@@ -246,7 +227,6 @@ def _run_cover_demo(cfg: ExperimentConfig):
             ("coverage_lhs", report.coverage_lhs),
             ("coverage_rhs", report.coverage_rhs),
             ("coverage_ok", report.coverage_ok),
-            ("assertion", "pass" if report.ok else "fail"),
         ])
         return rows, summary, report.ok
     sols = sample_many(inst, cfg.get("samples"), cfg.get("seed"))
@@ -262,7 +242,6 @@ def _run_cover_demo(cfg: ExperimentConfig):
         ("mean_total_size", _fmt(report.mean_total_size)),
         ("coverage_bound", _fmt(report.coverage_bound)),
         ("coverage_ok", report.coverage_ok),
-        ("assertion", "pass" if report.ok else "fail"),
     ])
     return rows, summary, report.ok
 
@@ -281,6 +260,9 @@ def _write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
         raise
 
+
+# Config keys a command-line flag may replace, each where its schema has it.
+_OVERRIDES = ("seed", "workers")
 
 _RUNNERS = {
     "smb-run": _run_smb,
@@ -301,8 +283,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", help="CSV output path (default: <subcommand>.csv)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, help="override the config worker count")
+        for key in _OVERRIDES:
+            if key in _SCHEMAS[name]:
+                p.add_argument(f"--{key}", help=f"override the config's {key}")
     return parser
 
 
@@ -315,16 +298,8 @@ def main(argv=None) -> int:
         return EXIT_IO
     try:
         cfg = parse_config(text, args.subcommand)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError(
-                    [ConfigIssue("seed", 0, "override outside unsigned 64-bit range")]
-                )
-            cfg.values["seed"] = args.seed
-        if args.workers is not None:
-            if not 1 <= args.workers <= 64:
-                raise ConfigError([ConfigIssue("workers", 0, "override must be in 1..64")])
-            cfg.values["workers"] = args.workers
+        apply_overrides(cfg, {key: getattr(args, key) for key in _OVERRIDES
+                              if getattr(args, key, None) is not None})
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
@@ -335,6 +310,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    summary.append(("assertion", "pass" if ok else "fail"))
     summary.append(("seed", cfg.get("seed")))
     summary.append(("csv", out_path))
     try:

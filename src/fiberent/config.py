@@ -12,6 +12,7 @@ past errors so a config is fixed in one round trip.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,7 +64,6 @@ _COMMON = {
     "seed": "u64",
     "out": "string",
     "subcommand": "choice:" + "|".join(SUBCOMMANDS),
-    "workers": "int:1",
 }
 
 _MODEL_KEYS = {
@@ -77,7 +77,7 @@ _MODEL_KEYS = {
 
 _SCHEMAS = {
     "smb-run": {
-        **_COMMON, **_MODEL_KEYS,
+        **_COMMON, **_MODEL_KEYS, "workers": "int:1",
         "n_max": "int:1", "sides": "intlist", "trajectories": "int:1", "tolerance": "number",
     },
     "cond-entropy": {
@@ -103,14 +103,15 @@ _SCHEMAS = {
     },
 }
 
-# What each model and cover kind reads beyond the keys all share: plain keys
-# (arity 0) and indexed families.  A key the file gives that only another
-# model or kind reads is an issue; a plain key here without a default is required.
+# What each model, cover kind and method reads beyond the keys all share: plain
+# keys (arity 0) and indexed families.  A key the file gives that only another
+# choice reads is an issue; a plain key here without a default is required.
 _VARIANTS = {
     "model": {"bernoulli": {"p": 0}, "random-alphabet": {"base_p": 0, "fiber_p": 1},
               "markov": {"transition": 1}},
     "kind": {"greedy": {"shape": 1, "centers": 1},
              "random": {"shape": 2, "centers": 2, "k_set": 0, "c": 0, "alpha": 0, "samples": 0}},
+    "method": {"exact": {}, "monte-carlo": {"samples": 0}},
 }
 
 _REQUIRED = {
@@ -252,6 +253,21 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     return cfg
 
 
+def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> None:
+    """Replace keys of a parsed config by raw values, each read by its schema
+    kind, and apply the cross-key rules again; issues cite line 0."""
+    schema = _SCHEMAS[cfg.subcommand]
+    issues = []
+    for key, raw in overrides.items():
+        try:
+            cfg.values[key] = _parse_scalar(schema[key], raw)
+        except ValueError as exc:
+            issues.append(ConfigIssue(key, 0, str(exc)))
+    issues = issues or _cross_validate(cfg, {})
+    if issues:
+        raise ConfigError(issues)
+
+
 def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
     """Issues that involve more than one key; each validator gives
     (key, reason) and the issue cites that key's line, or 0 if it is absent."""
@@ -331,8 +347,8 @@ _WINDOW_CAP = 2 ** 20
 
 
 def _window_size(group, n: int) -> int:
-    """Points of the n-th box window: n^d on Z^d, n^4 on the Heisenberg group."""
-    return n ** 4 if isinstance(group, HeisenbergGroup) else n ** group.d
+    """Points of the group's n-th standard window."""
+    return math.prod(group.window_extents(n))
 
 
 def _validate_schedule(v: dict) -> list:

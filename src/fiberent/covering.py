@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import FiniteSubset, GroupMismatchError, inverse_set, product_set_size, union_of
+from .rds import mean_and_se
 from .rng import derive_seed, uniform01_stream
 
 
@@ -396,16 +397,14 @@ def verify_random_cover(inst: RandomCoverInstance,
             se = math.sqrt(max(var, 0.0) / k)
             if mean > worst_mean or se < worst_se:
                 worst_mean, worst_se = mean, se
-    n = len(totals)
-    mean_total = math.fsum(totals) / n
-    var_total = math.fsum((t - mean_total) ** 2 for t in totals) / (n - 1)
+    mean_total, total_se = mean_and_se(totals)
     return RandomCoverReport(
-        samples=n,
+        samples=len(totals),
         max_conditional_multiplicity=worst_mean,
         max_conditional_se=worst_se,
         multiplicity_bound=float(1 + inst.delta),
         mean_total_size=mean_total,
-        total_size_se=math.sqrt(var_total / n),
+        total_size_se=total_se,
         coverage_bound=float((inst.alpha - inst.delta) * len(inst.ambient)),
     )
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .folner import FolnerSequence
 from .groups import FiniteSubset, GroupElement, inverse, subset, translate
 from .measures import PartitionSpec, canonical_partition, cell_measure, cell_of
-from .rds import SkewPoint, ZeroMeasureError, sample_point, shannon_entropy, skew
+from .rds import SkewPoint, ZeroMeasureError, mean_and_se, sample_point, shannon_entropy, skew
 
 
 def log_fraction(fr: Fraction) -> float:
@@ -136,15 +136,6 @@ def _smb_worker(args) -> list:
     return model.smb_totals(plan, sample_point(model, seed, index))
 
 
-def _mean_and_se(values: list) -> tuple:
-    k = len(values)
-    mean = math.fsum(values) / k
-    if k < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
-    return mean, math.sqrt(var / k)
-
-
 def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
               n_values: Optional[Sequence[int]] = None, workers: int = 1) -> ConvergenceTrace:
     """Empirical information rate per window, averaged over trajectories.
@@ -170,7 +161,7 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     for row_index, (n, F) in enumerate(zip(ns, sets)):
         size = len(F)
         rates = [totals[row_index] / size for totals in per_trajectory]
-        mean, se = _mean_and_se(rates)
+        mean, se = mean_and_se(rates)
         rows.append(TraceRow(n=n, folner_size=size, estimate=mean, target=target, std_error=se))
     return ConvergenceTrace(tuple(rows))
 
@@ -209,6 +200,6 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
                 labels = cell_of(model, xi, cond, point).labels
                 dist = model.conditional_label_distribution(point.omega, labels, e)
                 values.append(shannon_entropy(dist))
-            est, se = _mean_and_se(values)
+            est, se = mean_and_se(values)
         rows.append(TraceRow(n=n, folner_size=len(F), estimate=est, target=target, std_error=se))
     return ConvergenceTrace(tuple(rows))

@@ -3,10 +3,11 @@
 A Folner sequence here is a concrete finite list F_1, ..., F_N of finite
 subsets of one group; validate_sequence checks that it is nested and that
 F_1 holds the identity, and reports the tempered constant of every F_n of
-a nested sequence.  Two constructions are provided:
-anchored boxes [0, n)^d for Z^d and the anisotropic boxes
-{(a, b, c) : 0 <= a, b < n, 0 <= c < n^2} for the Heisenberg group (the
+a nested sequence.  The window is defined on the group:
+F_n = group.box(*group.window_extents(n)) is [0, n)^d on Z^d and
+{(a, b, c) : 0 <= a, b < n, 0 <= c < n^2} on the Heisenberg group (the
 central direction must grow quadratically for the defect to vanish).
+`window_folner` builds it over any increasing side schedule.
 
 Everything measurable about a sequence is an exact cardinality ratio:
 the defect |KF delta F| / |F| and the tempered (Shulman) constant
@@ -40,7 +41,6 @@ class FolnerSequence:
 
     group: DiscreteGroup
     sets: tuple
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         if not self.sets:
@@ -59,37 +59,31 @@ class FolnerSequence:
         return self.sets[n - 1]
 
 
+def window_folner(group: DiscreteGroup, sides) -> FolnerSequence:
+    """The group's standard windows F_s over an increasing side schedule.
+
+    Subsampling the windows (e.g. dyadic sides) keeps nesting and identity
+    membership while letting experiments reach large |F| in few steps.
+    """
+    sides = list(sides)
+    if not sides or any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
+        raise ValueError("sides must be non-empty, positive and strictly increasing")
+    return FolnerSequence(group, tuple(group.box(*group.window_extents(s)) for s in sides))
+
+
 def box_folner(d: int, n_max: int) -> FolnerSequence:
     """F_n = [0, n)^d for n = 1..n_max, so |F_n| = n^d."""
-    if d < 1 or n_max < 1:
-        raise ValueError("d and n_max must be positive")
-    group = ZdGroup(d)
-    sets = tuple(group.box(*([n] * d)) for n in range(1, n_max + 1))
-    return FolnerSequence(group, sets, name=f"box-z{d}")
+    return window_folner(ZdGroup(d), range(1, n_max + 1))
 
 
 def box_folner_sizes(d: int, sides: list) -> FolnerSequence:
-    """Boxes [0, s)^d over an increasing side schedule (e.g. dyadic sizes).
-
-    Subsampling a box sequence keeps nesting and identity membership while
-    letting experiments reach large |F| in few steps.
-    """
-    if d < 1 or not sides:
-        raise ValueError("d must be positive and sides non-empty")
-    if any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
-        raise ValueError("sides must be positive and strictly increasing")
-    group = ZdGroup(d)
-    sets = tuple(group.box(*([s] * d)) for s in sides)
-    return FolnerSequence(group, sets, name=f"box-z{d}-sched")
+    """Boxes [0, s)^d over an increasing side schedule."""
+    return window_folner(ZdGroup(d), sides)
 
 
 def heisenberg_folner(n_max: int) -> FolnerSequence:
     """F_n = {(a,b,c) : 0 <= a,b < n, 0 <= c < n^2}, so |F_n| = n^4."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    group = HeisenbergGroup()
-    sets = tuple(group.box(n, n, n * n) for n in range(1, n_max + 1))
-    return FolnerSequence(group, sets, name="box-heisenberg")
+    return window_folner(HeisenbergGroup(), range(1, n_max + 1))
 
 
 def folner_defect(K: FiniteSubset, F: FiniteSubset) -> Fraction:

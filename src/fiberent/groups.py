@@ -48,6 +48,14 @@ class ZdGroup:
     def tag(self) -> str:
         return f"zd:{self.d}"
 
+    @property
+    def rank(self) -> int:
+        return self.d
+
+    def window_extents(self, n: int) -> tuple:
+        """Box extents of the standard Folner window F_n = [0, n)^d."""
+        return (n,) * self.d
+
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.d)
 
@@ -81,6 +89,14 @@ class HeisenbergGroup:
     @property
     def tag(self) -> str:
         return "heisenberg"
+
+    @property
+    def rank(self) -> int:
+        return 3
+
+    def window_extents(self, n: int) -> tuple:
+        """Box extents of the standard Folner window F_n = [0, n)^2 x [0, n^2)."""
+        return (n, n, n * n)
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0, 0, 0))
@@ -450,8 +466,7 @@ def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> Group
     from .rng import mix64
 
     n = 2 * radius + 1
-    dims = group.d if isinstance(group, ZdGroup) else 3
     coords = tuple(
-        int(mix64(seed, "coord", i, *path) % n) - radius for i in range(dims)
+        int(mix64(seed, "coord", i, *path) % n) - radius for i in range(group.rank)
     )
     return GroupElement(group, coords)

@@ -18,7 +18,6 @@ because all fiber maps are shifts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
@@ -28,6 +27,7 @@ from .rds import (
     EnumerationSizeError,
     SkewPoint,
     SymbolicConfiguration,
+    mean_and_se,
     shift,
 )
 from .rng import derive_seed
@@ -172,10 +172,7 @@ def check_disintegration(mu, xi: PartitionSpec, F: FiniteSubset,
     rows = []
     reference = omegas[0]
     for cell, _ in enumerate_cells(mu, reference, xi, F):
-        values = [float(cell_measure(mu, om, cell)) for om in omegas]
-        mean = math.fsum(values) / samples
-        var = math.fsum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
-        se = math.sqrt(var / samples)
+        mean, se = mean_and_se([float(cell_measure(mu, om, cell)) for om in omegas])
         rows.append(
             DisintegrationRow(
                 cell=cell,

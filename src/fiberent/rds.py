@@ -352,6 +352,16 @@ def shannon_entropy(dist: Sequence) -> float:
     return -math.fsum(v * math.log(v) for v in values if v > 0.0)
 
 
+def mean_and_se(values: Sequence) -> tuple:
+    """Sample mean and its standard error sqrt(s^2 / k); 0 for one value."""
+    k = len(values)
+    mean = math.fsum(values) / k
+    if k < 2:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
+    return mean, math.sqrt(var / k)
+
+
 def _log_table(dist: tuple) -> tuple:
     return tuple(math.log(p) if p > 0 else None for p in map(float, dist))
 
@@ -729,9 +739,8 @@ def check_cocycle(model, g1: GroupElement, g2: GroupElement, p: SkewPoint,
 @lru_cache(maxsize=16)
 def _norm_shells(group: DiscreteGroup, radius: int) -> tuple:
     """Coordinates grouped by sup-norm r = 0..radius (shared by both groups)."""
-    dims = group.d if isinstance(group, ZdGroup) else 3
     shells = [[] for _ in range(radius + 1)]
-    for coords in iterproduct(range(-radius, radius + 1), repeat=dims):
+    for coords in iterproduct(range(-radius, radius + 1), repeat=group.rank):
         shells[max(abs(c) for c in coords)].append(coords)
     return tuple(tuple(s) for s in shells)
 

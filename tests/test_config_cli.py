@@ -566,12 +566,23 @@ class TestCliRuns:
          "k_set"),
         ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\nalpha = 0.5\n",
          "alpha"),
+        # `workers` is read by smb-run only, `samples` by the Monte Carlo method only
+        ("folner-check", "group = zd:2\nworkers = 7\n", "workers"),
+        ("cocycle-check", "model = bernoulli\np = 0.5, 0.5\nworkers = 7\n", "workers"),
+        ("cond-entropy", "model = bernoulli\np = 0.5, 0.5\nworkers = 7\n", "workers"),
+        ("cover-demo", "kind = greedy\nshape_1 = 2\ncenters_1 = 0, 2, 4\nworkers = 7\n",
+         "workers"),
+        ("cond-entropy", "model = bernoulli\np = 0.5, 0.5\nmethod = exact\nsamples = 9\n",
+         "samples"),
     ], ids=["markov-row-outside", "fiber-row-outside", "fiber-row-twice", "centers-unpaired",
             "greedy-random-shape", "random-greedy-shape", "shape-unpaired", "folner-tolerance",
-            "cocycle-tolerance", "markov-p", "markov-base_p", "greedy-k_set", "greedy-alpha"])
+            "cocycle-tolerance", "markov-p", "markov-base_p", "greedy-k_set", "greedy-alpha",
+            "folner-workers", "cocycle-workers", "cond-workers", "cover-workers",
+            "exact-samples"])
     def test_stray_and_misnumbered_keys_are_config_errors(self, tmp_path, capsys, subcommand,
                                                           text, key):
-        head = {"smb-run": "seed = 1\nn_max = 2\n", "folner-check": "seed = 1\nn_max = 3\n",
+        head = {"smb-run": "seed = 1\nn_max = 2\n", "cond-entropy": "seed = 1\nn_max = 2\n",
+                "folner-check": "seed = 1\nn_max = 3\n",
                 "cocycle-check": "seed = 1\nchecks = 2\n",
                 "cover-demo": "seed = 1\nambient_n = 6\ndelta = 0.25\nepsilon = 0.5\n"}
         text = head[subcommand] + text
@@ -609,6 +620,31 @@ class TestCliRuns:
         rc = main(["smb-run", "--config", cfg, "--seed", "-1"])
         assert rc == EXIT_CONFIG
         capsys.readouterr()
+
+    # An override is read by its key's schema kind and checked by the same
+    # cross-key rules as the file's value; it has no line, so it cites line 0.
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--seed", str(2 ** 64), "seed must be an unsigned 64-bit integer"),
+        ("--seed", "five", "invalid literal"),
+        ("--workers", "0", "must be >= 1"),
+        ("--workers", "65", "must be in 1..64"),
+    ])
+    def test_overrides_follow_the_config_rules(self, tmp_path, capsys, flag, value, reason):
+        rc, out = run(tmp_path, "smb-run", SMB_MIN + "workers = 2\n", flag, value)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{flag[2:]}' (line 0): ")
+        assert reason in err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("subcommand", ["cond-entropy", "folner-check", "cocycle-check",
+                                            "cover-demo"])
+    def test_workers_flag_is_smb_run_only(self, tmp_path, capsys, subcommand):
+        cfg = write_cfg(tmp_path, "any.cfg", "seed = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", cfg, "--workers", "9"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --workers 9" in capsys.readouterr().err
 
     def test_status_line_on_stdout(self, tmp_path, capsys):
         text = "seed = 5\nmodel = bernoulli\np = 0.7, 0.3\nn_max = 3\nmethod = exact\n"

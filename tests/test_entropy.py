@@ -321,9 +321,9 @@ class TestSmbTrace:
         assert final.estimate <= math.log(2) + 3 * final.std_error
 
 
-def _z1_windows(name, coord_lists):
+def _z1_windows(coord_lists):
     sets = tuple(subset_from_coords(Z1, [(k,) for k in ks]) for ks in coord_lists)
-    return FolnerSequence(Z1, sets, name=name)
+    return FolnerSequence(Z1, sets)
 
 
 SMB_PLANS = {
@@ -338,21 +338,21 @@ SMB_PLANS = {
     ),
     "markov-general": (
         MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
-        _z1_windows("centred", [range(-k, k + 1) for k in range(4)]
+        _z1_windows([range(-k, k + 1) for k in range(4)]
                     + [list(range(-3, 4)) + [6, 9]]),
     ),
     # windows that are not nested: each row drops sites an earlier one held
     "product-moving": (
         BernoulliModel.create(Z1, [0.7, 0.3]),
-        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+        _z1_windows([[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
     ),
     "conditional-moving": (
         RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]]),
-        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+        _z1_windows([[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
     ),
     "markov-moving": (
         MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
-        _z1_windows("moving", [[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
+        _z1_windows([[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
     ),
 }
 

@@ -16,6 +16,7 @@ from fiberent.folner import (
     heisenberg_folner,
     tempered_constant,
     validate_sequence,
+    window_folner,
 )
 from fiberent.groups import (
     HeisenbergGroup,
@@ -39,6 +40,18 @@ def test_box_folner_shapes():
         seq.set(0)
     with pytest.raises(IndexError):
         seq.set(11)
+
+
+@pytest.mark.parametrize("group", [ZdGroup(1), ZdGroup(2), ZdGroup(3), H], ids=lambda g: g.tag)
+def test_standard_window_is_the_explicit_box(group):
+    seq = window_folner(group, range(1, 5))
+    for n in range(1, 5):
+        extents = (n, n, n * n) if group == H else (n,) * group.d
+        assert group.window_extents(n) == extents
+        assert len(seq.set(n)) == n ** (4 if group == H else group.d)
+        assert seq.set(n).coords == set(iterproduct(*(range(e) for e in extents)))
+        assert seq.set(n) == group.box(*extents)
+    assert group.rank == len(group.identity().coords)
 
 
 def test_box_folner_sizes_schedule():
@@ -195,7 +208,6 @@ def test_validator_rejects_identity_failure():
     bad = FolnerSequence(
         group=ZdGroup(2),
         sets=(subset_from_coords(ZdGroup(2), [(1, 0)]),),
-        name="bad",
     )
     report = validate_sequence(bad)
     assert not report.identity_ok
@@ -208,7 +220,6 @@ def test_validator_flags_size_gate():
     seq = FolnerSequence(
         group=g,
         sets=(g.box(1), g.box(2), g.box(4)),
-        name="slow",
     )
     report = validate_sequence(seq)
     assert report.size_ok
@@ -216,7 +227,6 @@ def test_validator_flags_size_gate():
     small = FolnerSequence(
         group=g,
         sets=(g.box(1), g.box(2), subset_from_coords(g, [(0,), (1,)])),
-        name="stalled",
     )
     rep2 = validate_sequence(small)
     assert not rep2.size_ok
@@ -228,7 +238,6 @@ def test_validator_rejects_non_nested():
     seq = FolnerSequence(
         group=g,
         sets=(g.box(1), subset_from_coords(g, [(5,), (6,)]), g.box(8)),
-        name="skip",
     )
     report = validate_sequence(seq)
     assert not report.nested_ok
