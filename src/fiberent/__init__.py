@@ -4,8 +4,8 @@ The package verifies, numerically and at desk scale, that the empirical
 fiber information rate of a symbolic random dynamical system converges
 along tempered Folner sequences to the closed-form fiber entropy, and it
 implements the supporting machinery end to end: exact group and Folner
-set algebra, lazy symbolic configurations, disintegrated measures with
-exact cell probabilities, information functions and chain-rule identities,
+set algebra, lazy symbolic configurations, fiber measures with exact cell
+probabilities, information functions and chain-rule identities,
 quasi-tiling cover constructions, and a reproducible CLI runner.
 """
 
@@ -63,7 +63,6 @@ from .measures import (
     canonical_partition,
     cell_measure,
     cell_of,
-    check_disintegration,
     check_invariance,
     enumerate_cells,
 )
@@ -74,7 +73,6 @@ from .rds import (
     SkewPoint,
     SymbolicConfiguration,
     ZeroMeasureError,
-    bowen_distance,
     check_cocycle,
     configuration_from_pins,
     constant_configuration,

@@ -26,9 +26,10 @@ import argparse
 import contextlib
 import os
 import sys
+from pathlib import Path
 
 from .config import (_SCHEMAS, ConfigError, ExperimentConfig, apply_overrides, build_model,
-                     cover_family, parse_config)
+                     cover_family, decode_config, parse_config)
 from .covering import (
     CoverInstance,
     RandomCoverInstance,
@@ -292,12 +293,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
+        raw = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        cfg = parse_config(text, args.subcommand)
+        cfg = parse_config(decode_config(raw), args.subcommand)
         apply_overrides(cfg, {key: getattr(args, key) for key in _OVERRIDES
                               if getattr(args, key, None) is not None})
     except ConfigError as exc:

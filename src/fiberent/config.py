@@ -193,6 +193,18 @@ def _lookup_kind(schema: dict, key: str) -> Optional[str]:
     return schema.get((name, len(index)) if index else key)
 
 
+def decode_config(raw: bytes) -> str:
+    """A config file's bytes as text; a config must be UTF-8, and the first
+    byte that is not is an issue at its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte starts or continues the last line of the text before it.
+        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        reason = f"not UTF-8 text (byte {raw[exc.start]:#04x})"
+        raise ConfigError([ConfigIssue("-", line, reason)]) from None
+
+
 def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     if subcommand not in SUBCOMMANDS:

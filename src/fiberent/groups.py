@@ -70,11 +70,6 @@ class ZdGroup:
     def inverse_coords(self, a: tuple) -> tuple:
         return tuple(-x for x in a)
 
-    def ball(self, radius: int) -> "FiniteSubset":
-        """Sup-norm ball {g : max|g_i| <= radius}."""
-        rng = range(-radius, radius + 1)
-        return FiniteSubset(self, frozenset(_iterproduct(rng, repeat=self.d)))
-
     def box(self, *extents: int) -> "FiniteSubset":
         """Anchored box [0, e_1) x ... x [0, e_d)."""
         if len(extents) != self.d:
@@ -114,10 +109,6 @@ class HeisenbergGroup:
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    def ball(self, radius: int) -> "FiniteSubset":
-        rng = range(-radius, radius + 1)
-        return FiniteSubset(self, frozenset(_iterproduct(rng, rng, rng)))
-
     def box(self, na: int, nb: int, nc: int) -> "FiniteSubset":
         """{(a, b, c) : 0 <= a < na, 0 <= b < nb, 0 <= c < nc}."""
         return FiniteSubset(self, frozenset(_iterproduct(range(na), range(nb), range(nc))))
@@ -138,9 +129,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return inverse(self)
-
-    def norm_inf(self) -> int:
-        return max(abs(c) for c in self.coords)
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -184,18 +172,6 @@ class FiniteSubset:
     def is_subset(self, other: "FiniteSubset") -> bool:
         _require_same_group(self.group, other.group)
         return self.coords <= other.coords
-
-    def union(self, other: "FiniteSubset") -> "FiniteSubset":
-        _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.coords | other.coords)
-
-    def difference(self, other: "FiniteSubset") -> "FiniteSubset":
-        _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.coords - other.coords)
-
-    def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
-        _require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.coords & other.coords)
 
     def sorted_elements(self) -> list:
         """Elements in lexicographic coordinate order (the canonical scan order)."""

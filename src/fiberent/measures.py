@@ -4,11 +4,11 @@ A measure on Omega x X is stored as its disintegration: the base marginal
 P plus a rule giving mu_omega of any cylinder cell exactly, as a Fraction.
 Each model carries those rules itself (see the rds module), so the model
 is the measure: every `mu` argument below is a model, and callers that
-want a rule (log cell measure, base marginal, conditional label law) call
-the model directly.  This module keeps the cells, their enumeration and
-the invariance and disintegration checks.  No densities, no empirical
-measures: the only statistical error anywhere downstream is the averaging
-the limit theorems themselves perform.
+want a rule (log cell measure, conditional label law) call the model
+directly.  This module keeps the cells, their enumeration and the exact
+invariance check.  No densities, no empirical measures: the only
+statistical error anywhere downstream is the averaging the limit
+theorems themselves perform.
 
 Cells are cylinder sets: a finite window F and one atom label per window
 coordinate.  With the canonical partition (label = x at the identity) the
@@ -23,14 +23,7 @@ from fractions import Fraction
 from itertools import product as iterproduct
 
 from .groups import FiniteSubset, GroupElement, translate
-from .rds import (
-    EnumerationSizeError,
-    SkewPoint,
-    SymbolicConfiguration,
-    mean_and_se,
-    shift,
-)
-from .rng import derive_seed
+from .rds import EnumerationSizeError, SkewPoint, SymbolicConfiguration, shift
 
 ENUMERATION_LIMIT = 10 ** 6
 
@@ -63,16 +56,6 @@ class CellId:
 
     domain: FiniteSubset
     labels: tuple
-
-    @staticmethod
-    def from_map(domain: FiniteSubset, label_map: dict) -> "CellId":
-        items = tuple(sorted(label_map.items()))
-        if len(items) != len(domain):
-            raise ValueError("labels must be total on the domain")
-        return CellId(domain, items)
-
-    def label_map(self) -> dict:
-        return dict(self.labels)
 
 
 def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
@@ -132,53 +115,3 @@ def check_invariance(mu, g: GroupElement,
         if cell_measure(mu, omega, pulled) != forward:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class DisintegrationRow:
-    cell: CellId
-    estimate: float
-    closed_form: float
-    std_error: float
-
-    @property
-    def within_3se(self) -> bool:
-        slack = max(3.0 * self.std_error, 1e-12)
-        return abs(self.estimate - self.closed_form) <= slack
-
-
-@dataclass(frozen=True)
-class DisintegrationReport:
-    rows: tuple
-    samples: int
-
-    @property
-    def all_within(self) -> bool:
-        return all(r.within_3se for r in self.rows)
-
-
-def check_disintegration(mu, xi: PartitionSpec, F: FiniteSubset,
-                         samples: int, seed: int) -> DisintegrationReport:
-    """Monte Carlo check of mu(R) = integral of mu_omega(R_omega) dP.
-
-    For each cell R over F, averages mu_omega(R) across sampled omega and
-    compares with the closed-form marginal.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    omegas = [
-        mu.sample_omega(derive_seed(seed, "traj", i)) for i in range(samples)
-    ]
-    rows = []
-    reference = omegas[0]
-    for cell, _ in enumerate_cells(mu, reference, xi, F):
-        mean, se = mean_and_se([float(cell_measure(mu, om, cell)) for om in omegas])
-        rows.append(
-            DisintegrationRow(
-                cell=cell,
-                estimate=mean,
-                closed_form=float(mu.marginal_cell_measure(cell.labels)),
-                std_error=se,
-            )
-        )
-    return DisintegrationReport(rows=tuple(rows), samples=samples)

@@ -19,13 +19,14 @@ left.  All cocycle identities below depend on this choice.
 The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
 it is written once, on ShiftModel, which every model extends.  The
 omega-dependence lives in the fiber measures mu_omega.  Each model owns
-its measure and entropy rules: exact and log cell measures, the base
-marginal, the conditioning sites that matter, closed-form fiber and
-conditional entropies, and its SMB evaluation plan.  The conditional
-label law is built once, on ShiftModel, from the exact cell rule.
-Callers call these rules on the model; nothing branches on the model's
-type.  Bernoulli is the random-alphabet model with a one-symbol base, so
-there is one product rule and one Markov rule.  This keeps entropies in closed form while the
+its measure and entropy rules: exact cell factors and log cell
+measures, the conditioning sites that matter, closed-form fiber and
+conditional entropies, and its SMB evaluation plan.  The exact cell
+measure and the conditional label law are built once, on ShiftModel,
+from the exact cell factors.  Callers call these rules on the model;
+nothing branches on the model's type.  Bernoulli is the random-alphabet
+model with a one-symbol base, so there is one product rule and one
+Markov rule.  This keeps entropies in closed form while the
 disintegration is genuinely random for the mixed-alphabet model.
 """
 
@@ -35,7 +36,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as iterproduct
 from numbers import Rational
 from typing import Callable, Collection, Optional, Sequence
@@ -395,8 +396,9 @@ def _is_prefix_interval(coords: frozenset) -> bool:
 
 
 class ShiftModel:
-    """What the three models share: the fiber map is the shift, and the
-    conditional label law built from the model's exact cell rule.
+    """What the three models share: the fiber map is the shift, the exact
+    cell measure as the product of the model's exact cell factors, and the
+    conditional label law built from that rule.
 
     Each model also carries its own measure and entropy rules.  A cell is
     given to them as `labels`, a tuple of (coords, atom index) pairs
@@ -408,18 +410,24 @@ class ShiftModel:
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
         return shift(x, g)
 
+    def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
+        """Exact mu_omega of the cylinder cell."""
+        return _product(self._cell_factors(omega, labels))
+
     def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
                                        at: GroupElement) -> tuple:
         """Law of the symbol at `at` given the cell `cond_labels`: the exact
         cell measure of the labels that matter there, joined with each
-        symbol at `at`, normalised."""
+        symbol at `at`, normalised.  A null conditioning cell raises, even
+        when its zero factor lies outside the labels that matter; the test
+        compares each exact factor with 0, so it never rounds."""
+        if not all(self._cell_factors(omega, cond_labels)):
+            raise ZeroMeasureError("conditioning cell has measure zero")
         near = self._conditioning_sites([c for c, _ in cond_labels], at.coords)
         kept = [(c, label) for c, label in cond_labels if c in near]
         weights = [self.cell_measure(omega, tuple(sorted(kept + [(at.coords, s)])))
                    for s in range(self.fiber_alphabet_size)]
         total = sum(weights)
-        if total == 0:
-            raise ZeroMeasureError("conditioning cell has measure zero")
         return tuple(w / total for w in weights)
 
 
@@ -450,10 +458,6 @@ class RandomAlphabetModel(ShiftModel):
         return RandomAlphabetModel(group, base, rows)
 
     @property
-    def base_alphabet_size(self) -> int:
-        return len(self.base_p)
-
-    @property
     def fiber_alphabet_size(self) -> int:
         return len(self.fiber_ps[0])
 
@@ -477,9 +481,10 @@ class RandomAlphabetModel(ShiftModel):
             return [rows[0]] * len(coords)
         return [rows[s] for s in omega.values_at(coords)]
 
-    def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
+    def _cell_factors(self, omega: SymbolicConfiguration, labels: tuple):
+        """The exact probability of each label in its site's fiber row."""
         rows = self._rows_at(omega, [c for c, _ in labels], self.fiber_ps)
-        return _product(row[label] for row, (_, label) in zip(rows, labels))
+        return (row[label] for row, (_, label) in zip(rows, labels))
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
         """ln of cell_measure, summed from per-coordinate log tables.
@@ -490,12 +495,6 @@ class RandomAlphabetModel(ShiftModel):
         """
         tables = self._rows_at(omega, [c for c, _ in labels], self._log_tables)
         return sum(_log_or_raise(table[label]) for table, (_, label) in zip(tables, labels))
-
-    def marginal_cell_measure(self, labels: tuple) -> Fraction:
-        return _product(
-            sum(pb * row[label] for pb, row in zip(self.base_p, self.fiber_ps))
-            for _, label in labels
-        )
 
     def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
         """Sites are independent given omega: no other label matters."""
@@ -618,10 +617,6 @@ class MarkovModel(ShiftModel):
         return self._by_gap[gap][log]
 
     @property
-    def base_alphabet_size(self) -> int:
-        return 1
-
-    @property
     def fiber_alphabet_size(self) -> int:
         return len(self.transition)
 
@@ -632,13 +627,15 @@ class MarkovModel(ShiftModel):
         sampler = MarkovPathSampler(self.transition, self.stationary, derive_seed(stream_seed, "x"))
         return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
-    def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
+    def _cell_factors(self, omega: SymbolicConfiguration, labels: tuple) -> list:
+        """The stationary weight of the leftmost label, then one exact gap-power
+        transition per pair of neighbouring labels."""
         if not labels:
-            return Fraction(1)
+            return []
         positions = [(c[0], label) for c, label in labels]
-        return _product([self.stationary[positions[0][1]]] + [
+        return [self.stationary[positions[0][1]]] + [
             self._gap_power(j - i)[a][b] for (i, a), (j, b) in zip(positions, positions[1:])
-        ])
+        ]
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
         """ln of cell_measure from log tables; stable where it underflows."""
@@ -649,10 +646,6 @@ class MarkovModel(ShiftModel):
         for (i, a), (j, b) in zip(positions, positions[1:]):
             total += _log_or_raise(self._gap_power(j - i, log=True)[a][b])
         return total
-
-    def marginal_cell_measure(self, labels: tuple) -> Fraction:
-        """mu_omega does not depend on omega."""
-        return self.cell_measure(None, labels)
 
     def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
         """Only the nearest conditioning site on each side of `at` matters."""
@@ -734,45 +727,3 @@ def check_cocycle(model, g1: GroupElement, g2: GroupElement, p: SkewPoint,
     lhs = model.fiber_map(g2, omega1, model.fiber_map(g1, p.omega, p.x))
     rhs = model.fiber_map(mul(g2, g1), p.omega, p.x)
     return lhs.agrees_on(rhs, window)
-
-
-@lru_cache(maxsize=16)
-def _norm_shells(group: DiscreteGroup, radius: int) -> tuple:
-    """Coordinates grouped by sup-norm r = 0..radius (shared by both groups)."""
-    shells = [[] for _ in range(radius + 1)]
-    for coords in iterproduct(range(-radius, radius + 1), repeat=group.rank):
-        shells[max(abs(c) for c in coords)].append(coords)
-    return tuple(tuple(s) for s in shells)
-
-
-def _first_mismatch_radius(x: SymbolicConfiguration, y: SymbolicConfiguration,
-                           sc: tuple, radius: int) -> Optional[int]:
-    """Smallest sup-norm r with (s.x)_h != (s.y)_h at some |h| = r, if any."""
-    mc = x.group.mul_coords
-    for r, shell in enumerate(_norm_shells(x.group, radius)):
-        for h in shell:
-            hs = mc(h, sc)
-            if x.value_at(hs) != y.value_at(hs):
-                return r
-    return None
-
-
-def bowen_distance(model, E: FiniteSubset, omega: SymbolicConfiguration,
-                   x: SymbolicConfiguration, y: SymbolicConfiguration,
-                   radius: int = 16) -> float:
-    """max over s in E of d(F_{s,omega} x, F_{s,omega} y).
-
-    The base distance is d(u, v) = 2^-r with r the smallest sup-norm of a
-    disagreeing coordinate, truncated at `radius` (agreement out to the
-    truncation radius counts as distance 0).
-    """
-    if len(E) == 0:
-        raise ValueError("E must be non-empty")
-    best = 0.0
-    for s in sorted(E.coords):
-        r = _first_mismatch_radius(x, y, s, radius)
-        if r is not None:
-            best = max(best, 2.0 ** (-r))
-            if r == 0:
-                break
-    return best

@@ -43,4 +43,4 @@ def markov():
 
 def constant_omega(model):
     """A base point for models whose fiber measure ignores omega."""
-    return constant_configuration(model.group, model.base_alphabet_size)
+    return constant_configuration(model.group, 1)

@@ -298,7 +298,7 @@ class TestCliRuns:
                 "n_max = 5\ntrajectories = 4\n")
         rc, out = run(tmp_path, "smb-run", text)
         assert rc == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == CSV_HEADER
         # a uniform product measure has bit-exact rate ln 2 on every draw
         assert lines[1:] == [
@@ -313,7 +313,7 @@ class TestCliRuns:
         text = "seed = 5\nmodel = bernoulli\np = 0.7, 0.3\nn_max = 4\nmethod = exact\n"
         rc, out = run(tmp_path, "cond-entropy", text)
         assert rc == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         # std_error stays empty for the exact method
         assert lines[1:] == [
             f"{n},{n},0.610864302055,0.610864302055,0," for n in range(1, 5)
@@ -325,7 +325,7 @@ class TestCliRuns:
                 "transition_1 = 0.2, 0.8\nn_max = 5\ntolerance = 0.005\n")
         rc, out = run(tmp_path, "cond-entropy", text)
         assert rc == EXIT_OK
-        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
         assert rows[0][2] == "0.636514168295"
         for row in rows[1:]:
             assert row[2] == "0.383522790107"
@@ -339,11 +339,11 @@ class TestCliRuns:
         out2 = str(tmp_path / "again.csv")
         rc2 = main(["smb-run", "--config", cfg, "--out", out2])
         assert rc1 == rc2 == EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         out3 = str(tmp_path / "reseeded.csv")
         rc3 = main(["smb-run", "--config", cfg, "--out", out3, "--seed", "22"])
         assert rc3 == EXIT_OK
-        assert open(out1, "rb").read() != open(out3, "rb").read()
+        assert Path(out1).read_bytes() != Path(out3).read_bytes()
         assert read_summary(out3)["seed"] == "22"
 
     def test_workers_override_does_not_change_bytes(self, tmp_path):
@@ -354,7 +354,7 @@ class TestCliRuns:
         out4 = str(tmp_path / "w4.csv")
         rc4 = main(["smb-run", "--config", cfg, "--out", out4, "--workers", "4"])
         assert rc1 == rc4 == EXIT_OK
-        assert open(out1, "rb").read() == open(out4, "rb").read()
+        assert Path(out1).read_bytes() == Path(out4).read_bytes()
 
     def test_assertion_failure_still_writes_artifacts(self, tmp_path):
         text = ("seed = 9\nmodel = bernoulli\np = 0.7, 0.3\nn_max = 6\n"
@@ -363,7 +363,7 @@ class TestCliRuns:
         assert rc == EXIT_ASSERTION
         summary = read_summary(out)
         assert summary["assertion"] == "fail"
-        assert open(out).read().startswith(CSV_HEADER)
+        assert Path(out).read_text().startswith(CSV_HEADER)
 
     def test_folner_check_z3(self, tmp_path):
         text = "seed = 1\ngroup = zd:3\nn_max = 8\ntempered_bound = 8\n"
@@ -375,7 +375,7 @@ class TestCliRuns:
         assert summary["nested_ok"] == "True"
         assert Fraction(summary["max_tempered"]) <= 8
         # one tempered row per n >= 2
-        assert len(open(out).read().splitlines()) == 8
+        assert len(Path(out).read_text().splitlines()) == 8
 
     def test_cocycle_check(self, tmp_path):
         text = ("seed = 13\nmodel = markov\ntransition_0 = 0.9, 0.1\n"
@@ -385,7 +385,7 @@ class TestCliRuns:
         summary = read_summary(out)
         assert summary["passed"] == "40"
         assert summary["assertion"] == "pass"
-        row = open(out).read().splitlines()[1].split(",")
+        row = Path(out).read_text().splitlines()[1].split(",")
         assert row[2] == "1"
 
     def test_cover_demo_greedy(self, tmp_path):
@@ -449,6 +449,20 @@ class TestCliRuns:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "'p'" in err
+
+    @pytest.mark.parametrize("raw, line, byte", [
+        (b"seed = 1\xff\n", 1, "0xff"),
+        (b"seed = 1\r\n# caf\xc3\xa9\r\ngroup = zd:2\nn_max = \xe9\n", 4, "0xe9"),
+    ], ids=["first-line", "later-line"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys, raw, line, byte):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(raw)
+        out = tmp_path / "out.csv"
+        rc = main(["folner-check", "--config", str(cfg), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: key '-' (line {line}): not UTF-8 text (byte {byte})\n")
+        assert not out.exists() and not Path(f"{out}.summary").exists()
 
     @pytest.mark.parametrize("subcommand, base, bad", [
         ("cocycle-check", COCYCLE_BASE, "checks = 0"),

@@ -87,12 +87,12 @@ def test_defect_closed_form_z2_example():
 
 
 def test_defect_ball_closed_form_and_monotone():
-    # K = ball(1): K F_n = [-1, n+1)^d exactly, so the defect is
+    # K = [-1, 1]^d: K F_n = [-1, n+1)^d exactly, so the defect is
     # (1 + 2/n)^d - 1; strictly decreasing in n.
     for d in (1, 2, 3):
         group = ZdGroup(d)
         seq = box_folner(d, 12)
-        K = group.ball(1)
+        K = subset_from_coords(group, iterproduct((-1, 0, 1), repeat=d))
         last = None
         for n in range(1, 13):
             expected = Fraction((n + 2) ** d - n**d, n**d)

@@ -144,7 +144,7 @@ def test_inverse_set_involution(EF):
 @given(group_subsets(), st.data())
 def test_symmetric_difference_inclusion_exclusion(EF, data):
     A, B = EF
-    expected = len(A) + len(B) - 2 * len(A.intersection(B))
+    expected = len(A) + len(B) - 2 * len(A.coords & B.coords)
     assert symmetric_difference_size(A, B) == expected
 
 
@@ -213,7 +213,7 @@ def test_product_kernel_sparse_sets_use_sorted_unique(group, monkeypatch):
     monkeypatch.setattr(groups_mod, "_CHUNK_PAIRS", 90)
     assert_kernel_matches_naive(E, F)
     # A set times its own translate repeats products across chunks.
-    assert_kernel_matches_naive(E, E.union(translate(E, group.element(*([1] * dims)))))
+    assert_kernel_matches_naive(E, union_of([E, translate(E, group.element(*([1] * dims)))]))
 
 
 def test_heisenberg_negative_coordinates_twist_bounds():
@@ -386,28 +386,23 @@ def test_box_and_ball_sizes():
     assert len(Z2.box(3, 4)) == 12
     assert len(Z3.box(2, 2, 2)) == 8
     assert len(H.box(2, 3, 4)) == 24
-    assert len(Z1.ball(2)) == 5
-    assert len(Z2.ball(1)) == 9
-    assert len(H.ball(1)) == 27
 
 
 def test_random_element_is_deterministic_and_bounded():
     g = random_element(Z2, 5, 123, "a")
     h = random_element(Z2, 5, 123, "a")
     assert g.coords == h.coords
-    assert g.norm_inf() <= 5
+    assert max(abs(c) for c in g.coords) <= 5
     other = random_element(Z2, 5, 123, "b")
     draws = {random_element(Z2, 5, 123, "a", i).coords for i in range(32)}
     assert len(draws) > 1
     assert all(max(abs(c) for c in cs) <= 5 for cs in draws)
-    assert other.norm_inf() <= 5
+    assert max(abs(c) for c in other.coords) <= 5
 
 
 def test_finite_subset_set_algebra():
     A = Z1.box(4)
     B = translate(A, Z1.element(2))
-    assert A.union(B).coords == {(k,) for k in range(6)}
-    assert A.intersection(B).coords == {(2,), (3,)}
-    assert A.difference(B).coords == {(0,), (1,)}
-    assert A.intersection(B).is_subset(A)
+    assert union_of([A, B]).coords == {(k,) for k in range(6)}
+    assert A.is_subset(union_of([A, B])) and not A.is_subset(B)
     assert A.sorted_elements() == sorted(A.sorted_elements(), key=lambda g: g.coords)

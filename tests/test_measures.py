@@ -1,4 +1,4 @@
-"""Fibered measures: exact cell probabilities, invariance, disintegration."""
+"""Fibered measures: exact cell probabilities, invariance, conditional label laws."""
 
 import inspect
 import math
@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 import fiberent.rds as rds
 from fiberent.groups import HeisenbergGroup, ZdGroup, random_element, subset_from_coords
 from fiberent.measures import (
-    CellId,
     PartitionSpec,
     canonical_partition,
     cell_measure,
     cell_of,
-    check_disintegration,
     check_invariance,
     enumerate_cells,
 )
@@ -65,7 +63,7 @@ class TestCellOf:
         p = pinned_point(model, {(0,): 0, (1,): 1})
         F = subset_from_coords(Z1, [(0,), (1,)])
         cell = cell_of(model, canonical_partition(model), F, p)
-        assert cell.label_map() == {(0,): 0, (1,): 1}
+        assert cell.labels == (((0,), 0), ((1,), 1))
         assert cell.domain == F
 
     def test_z2_window_is_coordinate_restriction(self):
@@ -73,12 +71,7 @@ class TestCellOf:
         labels = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
         p = pinned_point(model, labels)
         cell = cell_of(model, canonical_partition(model), Z2.box(2, 2), p)
-        assert cell.label_map() == labels
-
-    def test_cell_id_round_trip(self):
-        F = Z1.box(3)
-        cell = CellId.from_map(F, {(0,): 1, (1,): 0, (2,): 1})
-        assert cell.label_map() == {(0,): 1, (1,): 0, (2,): 1}
+        assert cell.labels == tuple(sorted(labels.items()))
 
 
 class TestCellMeasure:
@@ -309,97 +302,53 @@ class TestInvariance:
         assert big <= small
 
 
-class TestDisintegration:
-    def test_marginal_closed_forms(self):
-        model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
-        mu = model
-        cell = CellId.from_map(subset_from_coords(Z1, [(0,)]), {(0,): 0})
-        assert mu.marginal_cell_measure(cell.labels) == Fraction(1, 2)
-        pair = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
-        assert mu.marginal_cell_measure(pair.labels) == Fraction(1, 4)
-
-    def test_marginal_equals_fiber_for_trivial_base(self):
-        model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        mu = model
-        cell = CellId.from_map(Z1.box(2), {(0,): 0, (1,): 0})
-        assert mu.marginal_cell_measure(cell.labels) == Fraction(3, 5)
-
-    def test_monte_carlo_average_matches_marginal(self):
-        model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
-        mu = model
-        report = check_disintegration(
-            mu, canonical_partition(model), Z1.box(2), samples=400, seed=113
-        )
-        assert report.all_within
-        assert len(report.rows) == 4
-        for row in report.rows:
-            assert abs(row.estimate - row.closed_form) <= max(3 * row.std_error, 1e-12)
-
-    def test_trivial_base_has_zero_variance(self):
-        model = BernoulliModel.create(Z1, [0.7, 0.3])
-        mu = model
-        report = check_disintegration(
-            mu, canonical_partition(model), Z1.box(2), samples=50, seed=3
-        )
-        for row in report.rows:
-            assert row.std_error == 0.0
-            assert row.estimate == pytest.approx(row.closed_form, abs=1e-15)
-
-
 class TestConditionalLabelDistribution:
     def test_bernoulli_is_unconditional(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         mu = model
-        cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 1})
-        dist = mu.conditional_label_distribution(constant_omega(model), cond.labels, Z1.identity())
+        cond = (((1,), 1),)
+        dist = mu.conditional_label_distribution(constant_omega(model), cond, Z1.identity())
         assert dist == (Fraction(7, 10), Fraction(3, 10))
 
     def test_random_alphabet_reads_base_row(self):
         model = RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
         mu = model
         omega = configuration_from_pins(Z1, 2, {(0,): 1})
-        cond = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 0})
-        dist = mu.conditional_label_distribution(omega, cond.labels, Z1.identity())
+        cond = (((1,), 0),)
+        dist = mu.conditional_label_distribution(omega, cond, Z1.identity())
         assert dist == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_two_sided_bridge(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
-        cond = CellId.from_map(
-            subset_from_coords(Z1, [(-1,), (1,)]), {(-1,): 0, (1,): 0}
-        )
-        dist = mu.conditional_label_distribution(constant_omega(model), cond.labels, Z1.identity())
+        cond = (((-1,), 0), ((1,), 0))
+        dist = mu.conditional_label_distribution(constant_omega(model), cond, Z1.identity())
         # P_{0c} P_{c0} / (P^2)_{00}
         assert dist == (Fraction(81, 83), Fraction(2, 83))
 
     def test_markov_one_sided_neighbors(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
-        left = CellId.from_map(subset_from_coords(Z1, [(-1,)]), {(-1,): 0})
+        left = (((-1,), 0),)
         assert mu.conditional_label_distribution(
-            constant_omega(model), left.labels, Z1.identity()
+            constant_omega(model), left, Z1.identity()
         ) == (Fraction(9, 10), Fraction(1, 10))
-        right = CellId.from_map(subset_from_coords(Z1, [(1,)]), {(1,): 0})
+        right = (((1,), 0),)
         # Bayes: P(x_0 = c | x_1 = 0) = pi_c P_c0 / pi_0
         assert mu.conditional_label_distribution(
-            constant_omega(model), right.labels, Z1.identity()
+            constant_omega(model), right, Z1.identity()
         ) == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_only_nearest_neighbors_matter(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
-        near = CellId.from_map(
-            subset_from_coords(Z1, [(-1,), (1,)]), {(-1,): 0, (1,): 0}
-        )
-        far = CellId.from_map(
-            subset_from_coords(Z1, [(-3,), (-1,), (1,), (4,)]),
-            {(-3,): 1, (-1,): 0, (1,): 0, (4,): 1},
-        )
+        near = (((-1,), 0), ((1,), 0))
+        far = (((-3,), 1), ((-1,), 0), ((1,), 0), ((4,), 1))
         omega = constant_omega(model)
         e = Z1.identity()
         assert mu.conditional_label_distribution(
-            omega, near.labels, e
-        ) == mu.conditional_label_distribution(omega, far.labels, e)
+            omega, near, e
+        ) == mu.conditional_label_distribution(omega, far, e)
 
 
     @pytest.mark.parametrize("cond", [{(1,): 0}, {(-1,): 0}, {(-1,): 0, (1,): 0}],
@@ -410,6 +359,27 @@ class TestConditionalLabelDistribution:
         labels = tuple(sorted(cond.items()))
         with pytest.raises(ZeroMeasureError):
             model.conditional_label_distribution(None, labels, Z1.identity())
+
+    def test_null_factor_outside_the_sites_that_matter_raises(self):
+        # Bernoulli: no label matters, yet the cell x_1 = 1 has p_1 = 0.
+        bernoulli = BernoulliModel.create(Z1, [1, 0])
+        with pytest.raises(ZeroMeasureError):
+            bernoulli.conditional_label_distribution(None, (((1,), 1),), Z1.identity())
+        # Markov: the nearest left label 1 at -1 is fine, but the transient
+        # state 0 at -3 has stationary weight 0, so the whole cell is null.
+        markov = MarkovModel.create([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+        labels = (((-3,), 0), ((-1,), 1))
+        assert markov.cell_measure(None, labels) == 0
+        with pytest.raises(ZeroMeasureError):
+            markov.conditional_label_distribution(None, labels, Z1.identity())
+
+    def test_tiny_positive_conditioning_cell_is_not_null(self):
+        # 10^-400 underflows a float to 0.0; the exact test must not.
+        tiny = Fraction(1, 10 ** 400)
+        model = BernoulliModel.create(Z1, [1 - tiny, tiny])
+        assert float(tiny) == 0.0
+        dist = model.conditional_label_distribution(None, (((1,), 1),), Z1.identity())
+        assert dist == (1 - tiny, tiny)
 
 def test_partition_spec_validation():
     model = BernoulliModel.create(Z1, [0.7, 0.3])

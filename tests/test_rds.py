@@ -1,4 +1,4 @@
-"""RDS core: action convention, cocycle law, samplers, Bowen distance."""
+"""RDS core: action convention, cocycle law, samplers."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberent.groups import HeisenbergGroup, ZdGroup, mul, random_element, subset_from_coords
+from fiberent.groups import HeisenbergGroup, ZdGroup, mul, random_element
 from fiberent.rds import (
     BernoulliModel,
     ConditionalSampler,
@@ -16,7 +16,6 @@ from fiberent.rds import (
     ProductSampler,
     RandomAlphabetModel,
     SkewPoint,
-    bowen_distance,
     check_cocycle,
     configuration_from_pins,
     constant_configuration,
@@ -150,59 +149,6 @@ class TestCocycle:
             one_step = skew(model, mul(g2, g1), p)
             assert two_step.omega.agrees_on(one_step.omega, window)
             assert two_step.x.agrees_on(one_step.x, window)
-
-
-class TestBowenDistance:
-    def setup_method(self):
-        self.model = BernoulliModel.create(Z1, [0.5, 0.5])
-        self.omega = constant_configuration(Z1, 1)
-
-    def test_equal_points_have_zero_distance(self):
-        x = configuration_from_pins(Z1, 2, {(0,): 1})
-        E = subset_from_coords(Z1, [(0,), (1,)])
-        assert bowen_distance(self.model, E, self.omega, x, x) == 0.0
-
-    def test_origin_mismatch_is_distance_one(self):
-        x = configuration_from_pins(Z1, 2, {(0,): 0})
-        y = configuration_from_pins(Z1, 2, {(0,): 1})
-        E = subset_from_coords(Z1, [(0,)])
-        assert bowen_distance(self.model, E, self.omega, x, y) == 1.0
-
-    def test_shift_moves_discrepancy_to_origin(self):
-        x = configuration_from_pins(Z1, 2, {(1,): 0})
-        y = configuration_from_pins(Z1, 2, {(1,): 1})
-        only_e = subset_from_coords(Z1, [(0,)])
-        assert bowen_distance(self.model, only_e, self.omega, x, y) == 0.5
-        E = subset_from_coords(Z1, [(0,), (1,)])
-        assert bowen_distance(self.model, E, self.omega, x, y) == 1.0
-
-    def test_truncation_radius(self):
-        x = configuration_from_pins(Z1, 2, {(5,): 1})
-        y = configuration_from_pins(Z1, 2, {(5,): 0})
-        E = subset_from_coords(Z1, [(0,)])
-        assert bowen_distance(self.model, E, self.omega, x, y, radius=4) == 0.0
-        assert bowen_distance(self.model, E, self.omega, x, y, radius=5) == 0.5**5
-
-    def test_empty_orbit_segment_rejected(self):
-        x = constant_configuration(Z1, 2)
-        with pytest.raises(ValueError):
-            bowen_distance(self.model, subset_from_coords(Z1, []), self.omega, x, x)
-
-    @settings(max_examples=200)
-    @given(st.data())
-    def test_pseudometric_properties(self, data):
-        pin_coords = [(k,) for k in range(-3, 4)]
-        sym = st.integers(min_value=0, max_value=1)
-        mk = lambda pins: configuration_from_pins(Z1, 2, pins)
-        x = mk({c: data.draw(sym) for c in pin_coords})
-        y = mk({c: data.draw(sym) for c in pin_coords})
-        z = mk({c: data.draw(sym) for c in pin_coords})
-        E = subset_from_coords(Z1, [(0,), (1,), (2,)])
-        d = lambda a, b: bowen_distance(self.model, E, self.omega, a, b, radius=8)
-        assert d(x, y) == d(y, x)
-        assert d(x, x) == 0.0
-        # max-of-ultrametrics is an ultrametric, hence a pseudometric
-        assert d(x, z) <= max(d(x, y), d(y, z)) + 1e-15
 
 
 class TestSamplers:
