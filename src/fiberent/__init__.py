@@ -58,7 +58,6 @@ from .groups import (
     translate,
 )
 from .measures import (
-    CellId,
     PartitionSpec,
     canonical_partition,
     cell_measure,

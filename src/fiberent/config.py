@@ -57,7 +57,7 @@ _KEY_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
 
 # Per-subcommand schema: key, or (name, arity) for the indexed family
 # name_i (arity 1) / name_i_j (arity 2), -> value kind.
-# Kinds: u64, int:<min> (integer >= min), number, unit (rational in (0,1]),
+# Kinds: u64, int:<min> (integer >= min), number, unit (rational in (0, 1)),
 # string, dist, intlist, choice:<a|b|...>.  Each int's minimum is the least
 # value its runner can use.
 _COMMON = {

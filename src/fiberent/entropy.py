@@ -13,8 +13,11 @@ and conditional entropies are the models' own rules (`model.fiber_entropy()`,
 `model.conditional_entropy(cond)`); the traces call them as targets.
 
 Exact rational cell measures feed the identity checks; long-window traces
-use the models' per-coordinate log tables instead, because the probability
-of a 4096-coordinate cylinder underflows any float while its log is benign.
+read the same cell factors in logs instead, because the probability of a
+4096-coordinate cylinder underflows any float while its log is benign.
+`smb_trace` asks the model for one plan of its whole schedule: a run of
+sites read once, when each window extends the last, or each window whole.
+Cells are label tuples, as `measures.cell_of` returns them.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
             values = []
             for i in range(samples):
                 point = sample_point(model, seed, i)
-                labels = cell_of(model, xi, cond, point).labels
+                labels = cell_of(model, xi, cond, point)
                 dist = model.conditional_label_distribution(point.omega, labels, e)
                 values.append(shannon_entropy(dist))
             est, se = mean_and_se(values)

@@ -48,6 +48,8 @@ class FolnerSequence:
         for F in self.sets:
             if F.group != self.group:
                 raise ValueError("all sets must belong to the sequence's group")
+            if not F.coords:
+                raise ValueError("every set F_n must be non-empty")
 
     def __len__(self) -> int:
         return len(self.sets)

@@ -13,7 +13,9 @@ theorems themselves perform.
 Cells are cylinder sets: a finite window F and one atom label per window
 coordinate.  With the canonical partition (label = x at the identity) the
 joined pullback partition over F has exactly these cylinders as atoms,
-because all fiber maps are shifts.
+because all fiber maps are shifts.  A cell is its labels: the tuple of
+(coords, atom index) pairs sorted by coords that the model rules take;
+its window is the set of first components.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
 
-from .groups import FiniteSubset, GroupElement, translate
+from .groups import FiniteSubset, GroupElement
 from .rds import EnumerationSizeError, SkewPoint, SymbolicConfiguration, shift
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -46,20 +48,8 @@ def canonical_partition(model) -> PartitionSpec:
     return PartitionSpec(model.fiber_alphabet_size)
 
 
-@dataclass(frozen=True)
-class CellId:
-    """One atom of the joined partition over a finite window.
-
-    `labels` is a tuple of (coords, atom index) pairs sorted by coords;
-    the window is recoverable as the set of first components.
-    """
-
-    domain: FiniteSubset
-    labels: tuple
-
-
-def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
-    """The cell of the join over F containing p.
+def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> tuple:
+    """The cell of the join over F containing p, as its sorted labels.
 
     Unfolding the join with shift fiber maps: the label contributed by
     g is the atom of the shifted point, which for the canonical partition
@@ -68,7 +58,7 @@ def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> CellId:
     x = p.x
     x.require_group(F.group)
     coords = list(F.coords)
-    return CellId(F, tuple(sorted(zip(coords, x.values_at(coords)))))
+    return tuple(sorted(zip(coords, x.values_at(coords))))
 
 
 def measure_for(model):
@@ -76,22 +66,22 @@ def measure_for(model):
     return model
 
 
-def cell_measure(mu, omega: SymbolicConfiguration, cell: CellId) -> Fraction:
+def cell_measure(mu, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
     """Exact mu_omega of the cylinder cell."""
-    return mu.cell_measure(omega, cell.labels)
+    return mu.cell_measure(omega, labels)
 
 
 def enumerate_cells(mu, omega: SymbolicConfiguration,
                     xi: PartitionSpec, F: FiniteSubset) -> list:
-    """All (cell, exact measure) pairs of the join over F."""
+    """All (labels, exact measure) pairs of the join over F."""
     count = xi.atoms ** len(F)
     if count > ENUMERATION_LIMIT:
         raise EnumerationSizeError(f"{count} cells exceed the enumeration limit")
     coords = sorted(F.coords)
     out = []
     for assignment in iterproduct(range(xi.atoms), repeat=len(coords)):
-        cell = CellId(F, tuple(zip(coords, assignment)))
-        out.append((cell, cell_measure(mu, omega, cell)))
+        labels = tuple(zip(coords, assignment))
+        out.append((labels, cell_measure(mu, omega, labels)))
     return out
 
 
@@ -104,14 +94,10 @@ def check_invariance(mu, g: GroupElement,
     pullback of C under the shift by g, which is the cylinder over F g
     with the labels carried along.
     """
-    shifted_omega = shift(omega, g)
-    Fg = translate(F, g)
+    omega.require_group(F.group)
     mc = F.group.mul_coords
-    for cell, forward in enumerate_cells(mu, shifted_omega, xi, F):
-        pulled_labels = tuple(
-            sorted((mc(coords, g.coords), label) for coords, label in cell.labels)
-        )
-        pulled = CellId(Fg, pulled_labels)
+    for labels, forward in enumerate_cells(mu, shift(omega, g), xi, F):
+        pulled = tuple(sorted((mc(coords, g.coords), label) for coords, label in labels))
         if cell_measure(mu, omega, pulled) != forward:
             return False
     return True

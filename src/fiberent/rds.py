@@ -19,11 +19,14 @@ left.  All cocycle identities below depend on this choice.
 The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
 it is written once, on ShiftModel, which every model extends.  The
 omega-dependence lives in the fiber measures mu_omega.  Each model owns
-its measure and entropy rules: exact cell factors and log cell
-measures, the conditioning sites that matter, closed-form fiber and
-conditional entropies, and its SMB evaluation plan.  The exact cell
-measure and the conditional label law are built once, on ShiftModel,
-from the exact cell factors.  Callers call these rules on the model;
+one cell factor rule, read exact (Fractions) or in logs, and one rule
+saying when a window's factors extend its predecessor's; with the
+conditioning sites that matter and closed-form fiber and conditional
+entropies, that is all a model writes.  The exact and log cell
+measures, the conditional label law and the SMB plan (one run of sites,
+or each window whole) are built once, on ShiftModel, from those two
+rules: product runs always extend, a Markov run only while windows
+grow rightwards.  Callers call these rules on the model;
 nothing branches on the model's type.  Bernoulli is the random-alphabet
 model with a one-symbol base, so there is one product rule and one
 Markov rule.  This keeps entropies in closed form while the
@@ -39,7 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iterproduct
 from numbers import Rational
-from typing import Callable, Collection, Optional, Sequence
+from operator import sub
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -367,12 +371,6 @@ def _log_table(dist: tuple) -> tuple:
     return tuple(math.log(p) if p > 0 else None for p in map(float, dist))
 
 
-def _log_or_raise(entry: Optional[float]) -> float:
-    if entry is None:
-        raise ZeroMeasureError("zero-measure cell")
-    return entry
-
-
 def _mat_mul(a: tuple, b: tuple) -> tuple:
     k = len(a)
     return tuple(
@@ -390,20 +388,22 @@ def _product(factors) -> Fraction:
     return Fraction(num, den)
 
 
-def _is_prefix_interval(coords: frozenset) -> bool:
-    """True iff a Z^1 coordinate set is exactly {0, 1, ..., s-1}."""
-    return coords == frozenset((i,) for i in range(len(coords)))
+def _split(labels: tuple) -> tuple:
+    """A cell's coordinates and its symbols, as two lists."""
+    return [c for c, _ in labels], [s for _, s in labels]
 
 
 class ShiftModel:
-    """What the three models share: the fiber map is the shift, the exact
-    cell measure as the product of the model's exact cell factors, and the
-    conditional label law built from that rule.
+    """What the three models share: the fiber map is the shift, and every
+    cell rule is built here from the model's two own rules.
 
-    Each model also carries its own measure and entropy rules.  A cell is
-    given to them as `labels`, a tuple of (coords, atom index) pairs
-    sorted by coords; an SMB plan is whatever `smb_plan` returns, and only
-    the same model's `smb_totals` reads it.
+    A cell is given as `labels`, a tuple of (coords, atom index) pairs
+    sorted by coords.  `_cell_factors(omega, coords, symbols, log)` is the
+    model's one factor rule: the cell measure is the product of its exact
+    Fractions, and its log the sum of the matching log-table entries (None
+    for a zero).  `_extends(prev, cs)` says whether the factors of window
+    `cs` continue those of `prev`, so that an SMB schedule can be read as
+    one run of sites.
     """
 
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
@@ -412,7 +412,52 @@ class ShiftModel:
 
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         """Exact mu_omega of the cylinder cell."""
-        return _product(self._cell_factors(omega, labels))
+        return _product(self._cell_factors(omega, *_split(labels)))
+
+    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
+        """ln of cell_measure, summed from log tables: stable at windows of
+        thousands of sites, where the probability underflows any float."""
+        try:
+            return math.fsum(self._cell_factors(omega, *_split(labels), log=True))
+        except TypeError:  # fsum met the None of a zero factor
+            raise ZeroMeasureError("zero-measure cell") from None
+
+    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
+        """How `smb_totals` reads a schedule of windows.  If each window
+        extends its predecessor, the plan is a "run": every row's new
+        coordinates in one run, where each row ends, and the run positions
+        of each row's lost coordinates.  Otherwise each window is "whole"."""
+        coords, ends, losses, prev, position = [], [], [], frozenset(), {}
+        for cs in windows:
+            if not self._extends(prev, cs):
+                return "whole", tuple(tuple(sorted(cs)) for cs in windows)
+            losses.append(tuple(position[c] for c in sorted(prev - cs)))
+            for c in sorted(cs - prev):
+                position[c] = len(coords)
+                coords.append(c)
+            ends.append(len(coords))
+            prev = cs
+        return "run", tuple(coords), tuple(ends), tuple(losses)
+
+    def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
+        """-ln mu_omega of the cell of `point` over each planned window; a
+        run's factors are read once, and each row is summed with fsum."""
+        x = point.x
+        if plan[0] == "whole":
+            return [-self.cell_log_measure(point.omega, tuple(zip(cs, x.values_at(cs))))
+                    for cs in plan[1]]
+        _, coords, ends, losses = plan
+        logs = self._cell_factors(point.omega, coords, x.values_at(coords), log=True)
+        running, totals = 0.0, []
+        try:  # each site is in some row, so fsum meets the None of any zero factor
+            for start, end, lost in zip((0,) + ends, ends, losses):
+                running -= math.fsum(logs[start:end])
+                if lost:
+                    running += math.fsum(logs[i] for i in lost)
+                totals.append(running)
+        except TypeError:
+            raise ZeroMeasureError("zero-measure cell") from None
+        return totals
 
     def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
                                        at: GroupElement) -> tuple:
@@ -421,7 +466,7 @@ class ShiftModel:
         symbol at `at`, normalised.  A null conditioning cell raises, even
         when its zero factor lies outside the labels that matter; the test
         compares each exact factor with 0, so it never rounds."""
-        if not all(self._cell_factors(omega, cond_labels)):
+        if not all(self._cell_factors(omega, *_split(cond_labels))):
             raise ZeroMeasureError("conditioning cell has measure zero")
         near = self._conditioning_sites([c for c, _ in cond_labels], at.coords)
         kept = [(c, label) for c, label in cond_labels if c in near]
@@ -481,20 +526,15 @@ class RandomAlphabetModel(ShiftModel):
             return [rows[0]] * len(coords)
         return [rows[s] for s in omega.values_at(coords)]
 
-    def _cell_factors(self, omega: SymbolicConfiguration, labels: tuple):
-        """The exact probability of each label in its site's fiber row."""
-        rows = self._rows_at(omega, [c for c, _ in labels], self.fiber_ps)
-        return (row[label] for row, (_, label) in zip(rows, labels))
+    def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
+                      log: bool = False) -> list:
+        """The probability of each symbol in its site's fiber row, or its log."""
+        rows = self._rows_at(omega, coords, self._log_tables if log else self.fiber_ps)
+        return [row[s] for row, s in zip(rows, symbols)]
 
-    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
-        """ln of cell_measure, summed from per-coordinate log tables.
-
-        Stays finite-precision-stable at windows of thousands of
-        coordinates, where the Fraction route would be exact but the
-        probability itself underflows any float.
-        """
-        tables = self._rows_at(omega, [c for c, _ in labels], self._log_tables)
-        return sum(_log_or_raise(table[label]) for table, (_, label) in zip(tables, labels))
+    def _extends(self, prev: frozenset, cs: frozenset) -> bool:
+        """Sites are independent: any window's run continues any other's."""
+        return True
 
     def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
         """Sites are independent given omega: no other label matters."""
@@ -508,35 +548,6 @@ class RandomAlphabetModel(ShiftModel):
     def conditional_entropy(self, cond_set: FiniteSubset) -> float:
         """Sites are independent given omega, so conditioning changes nothing."""
         return self.fiber_entropy()
-
-    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
-        """A product cell's log measure is a sum over sites, so each row
-        adds the coordinates its window gained and takes back those it lost:
-        the plan holds every row's new coordinates in one run, where each
-        row ends, and the run positions of each row's lost coordinates."""
-        coords, ends, losses, prev, position = [], [], [], frozenset(), {}
-        for cs in windows:
-            losses.append(tuple(position[c] for c in sorted(prev - cs)))
-            for c in sorted(cs - prev):
-                position[c] = len(coords)
-                coords.append(c)
-            ends.append(len(coords))
-            prev = cs
-        return "product", tuple(coords), tuple(ends), tuple(losses)
-
-    def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        _, coords, ends, losses = plan
-        tables = self._rows_at(point.omega, coords, self._log_tables)
-        logs = [table[s] for table, s in zip(tables, point.x.values_at(coords))]
-        if None in logs:
-            raise ZeroMeasureError("zero-measure cell")
-        running, totals = 0.0, []
-        for start, end, lost in zip((0,) + ends, ends, losses):
-            running -= math.fsum(logs[start:end])
-            if lost:
-                running += math.fsum(logs[i] for i in lost)
-            totals.append(running)
-        return totals
 
     @cached_property
     def _log_tables(self) -> tuple:
@@ -627,25 +638,22 @@ class MarkovModel(ShiftModel):
         sampler = MarkovPathSampler(self.transition, self.stationary, derive_seed(stream_seed, "x"))
         return SymbolicConfiguration(self.group, sampler, self.group.identity())
 
-    def _cell_factors(self, omega: SymbolicConfiguration, labels: tuple) -> list:
-        """The stationary weight of the leftmost label, then one exact gap-power
-        transition per pair of neighbouring labels."""
-        if not labels:
+    def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
+                      log: bool = False) -> list:
+        """The stationary weight of the leftmost symbol, then one gap-power
+        transition per pair of neighbouring sites, exact or as logs."""
+        if not coords:
             return []
-        positions = [(c[0], label) for c, label in labels]
-        return [self.stationary[positions[0][1]]] + [
-            self._gap_power(j - i)[a][b] for (i, a), (j, b) in zip(positions, positions[1:])
-        ]
+        ks = [k for (k,) in coords]
+        gaps = list(map(sub, ks[1:], ks))
+        power = {gap: self._gap_power(gap, log) for gap in set(gaps)}
+        start = self._log_stationary if log else self.stationary
+        return [start[symbols[0]]] + [power[g][a][b] for g, a, b in zip(gaps, symbols, symbols[1:])]
 
-    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
-        """ln of cell_measure from log tables; stable where it underflows."""
-        if not labels:
-            return 0.0
-        positions = [(c[0], label) for c, label in labels]
-        total = _log_or_raise(self._log_stationary[positions[0][1]])
-        for (i, a), (j, b) in zip(positions, positions[1:]):
-            total += _log_or_raise(self._gap_power(j - i, log=True)[a][b])
-        return total
+    def _extends(self, prev: frozenset, cs: frozenset) -> bool:
+        """A chain's run grows only rightwards: it keeps every site of `prev`
+        and adds sites right of them ((k,) tuples; () is below every site)."""
+        return prev <= cs and max(prev, default=()) < min(cs - prev, default=(math.inf,))
 
     def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
         """Only the nearest conditioning site on each side of `at` matters."""
@@ -675,33 +683,6 @@ class MarkovModel(ShiftModel):
                 dist = self.conditional_label_distribution(None, cell, e)
                 terms.append(float(weight) * shannon_entropy(dist))
         return math.fsum(terms)
-
-    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
-        """Prefix intervals {0..s-1} grow by one transition per new site, read
-        as one path over the largest; any other windows are evaluated whole."""
-        if all(_is_prefix_interval(cs) for cs in windows):
-            sites = tuple(sorted(max(windows, key=len)))
-            return "markov-interval", tuple(len(cs) for cs in windows), sites
-        return "markov-general", tuple(tuple(sorted(cs)) for cs in windows)
-
-    def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        mode, rows, *sites = plan
-        x = point.x
-        if mode == "markov-general":
-            return [
-                -self.cell_log_measure(point.omega, tuple(zip(coords, x.values_at(coords))))
-                for coords in rows
-            ]
-        step = self._gap_power(1, log=True)
-        path = x.values_at(sites[0])
-        running = -_log_or_raise(self._log_stationary[path[0]])
-        upto, totals = 1, []
-        for size in rows:
-            while upto < size:
-                running -= _log_or_raise(step[path[upto - 1]][path[upto]])
-                upto += 1
-            totals.append(running)
-        return totals
 
 
 def skew(model, g: GroupElement, p: SkewPoint) -> SkewPoint:

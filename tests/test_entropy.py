@@ -354,11 +354,21 @@ SMB_PLANS = {
         MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
         _z1_windows([[0, 1], [5, 6, 7], [1, 6, 7, 8], [0, 2]]),
     ),
+    # nested, but the second window drops the sites right of it
+    "markov-shrinking": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        _z1_windows([range(8), range(3)]),
+    ),
+    # not prefix intervals, but each window adds sites right of the last
+    "markov-right": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        _z1_windows([range(5, 7), range(5, 12), [*range(5, 12), 20]]),
+    ),
 }
 
-# The plan each case takes: its own name, unless named otherwise here.
-SMB_PLAN_KINDS = {"conditional": "product", "product-moving": "product",
-                  "conditional-moving": "product", "markov-moving": "markov-general"}
+# The plan each case takes: one "run" of sites, unless named otherwise here.
+SMB_PLAN_KINDS = {"markov-general": "whole", "markov-moving": "whole",
+                  "markov-shrinking": "whole"}
 
 
 class TestSmbFastPath:
@@ -369,7 +379,7 @@ class TestSmbFastPath:
         model, seq = SMB_PLANS[case]
         ns = list(range(1, len(seq.sets) + 1))
         plan = model.smb_plan([seq.set(n).coords for n in ns])
-        assert plan[0] == SMB_PLAN_KINDS.get(case, case)
+        assert plan[0] == SMB_PLAN_KINDS.get(case, "run")
         xi = canonical_partition(model)
         for index in range(3):
             totals = _smb_worker((model, plan, 53, index))
@@ -377,10 +387,23 @@ class TestSmbFastPath:
             assert len(totals) == len(ns)
             for n, total in zip(ns, totals):
                 cell = cell_of(model, xi, seq.set(n), point)
-                log_rule = -model.cell_log_measure(point.omega, cell.labels)
+                log_rule = -model.cell_log_measure(point.omega, cell)
                 exact = -log_fraction(cell_measure(model, point.omega, cell))
                 assert total == pytest.approx(log_rule, rel=1e-12, abs=1e-12)
                 assert total == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("model, windows, kind", [
+        (BernoulliModel.create(Z1, [1, 0]), [[0], [0, 1, 2]], "run"),
+        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0], [0, 1, 2]], "run"),
+        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0, 1, 2], [1, 2]], "whole"),
+    ], ids=["product-run", "markov-run", "markov-whole"])
+    def test_null_cell_raises_in_either_plan(self, model, windows, kind):
+        # the window [0, 1, 2] holds the null pattern 1, 1 at sites 1 and 2
+        point = pinned_point(model, {(1,): 1, (2,): 1})
+        plan = model.smb_plan([frozenset((k,) for k in ks) for ks in windows])
+        assert plan[0] == kind
+        with pytest.raises(ZeroMeasureError):
+            model.smb_totals(plan, point)
 
     def test_bernoulli_rules_never_read_omega(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
@@ -436,13 +459,13 @@ class TestConditionalEntropy:
         om = constant_omega(model)
         big = subset_from_coords(Z1, [(-1,), (0,), (1,)])
         small_measures = {
-            c.labels: v for c, v in enumerate_cells(mu, om, xi, cond)
+            c: v for c, v in enumerate_cells(mu, om, xi, cond)
         }
         total = 0.0
         for cell, mval in enumerate_cells(mu, om, xi, big):
             if mval == 0:
                 continue
-            rest = tuple(lab for lab in cell.labels if lab[0] != (0,))
+            rest = tuple(lab for lab in cell if lab[0] != (0,))
             total += float(mval) * (
                 math.log(float(small_measures[rest])) - math.log(float(mval))
             )

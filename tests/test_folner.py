@@ -214,6 +214,15 @@ def test_validator_rejects_identity_failure():
     assert not report.ok
 
 
+@pytest.mark.parametrize("where", [0, 1])
+def test_sequence_rejects_an_empty_set(where):
+    # an empty F_n has no information rate: |F_n| divides every estimate
+    sets = [Z1.box(2), Z1.box(3)]
+    sets[where] = subset_from_coords(Z1, [])
+    with pytest.raises(ValueError, match="non-empty"):
+        FolnerSequence(Z1, tuple(sets))
+
+
 def test_validator_flags_size_gate():
     # |F_2| = 2 meets the gate |F_n| >= n but not the strict form.
     g = ZdGroup(1)

@@ -63,15 +63,15 @@ class TestCellOf:
         p = pinned_point(model, {(0,): 0, (1,): 1})
         F = subset_from_coords(Z1, [(0,), (1,)])
         cell = cell_of(model, canonical_partition(model), F, p)
-        assert cell.labels == (((0,), 0), ((1,), 1))
-        assert cell.domain == F
+        assert cell == (((0,), 0), ((1,), 1))
+        assert {c for c, _ in cell} == F.coords
 
     def test_z2_window_is_coordinate_restriction(self):
         model = BernoulliModel.create(Z2, [0.7, 0.3])
         labels = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
         p = pinned_point(model, labels)
         cell = cell_of(model, canonical_partition(model), Z2.box(2, 2), p)
-        assert cell.labels == tuple(sorted(labels.items()))
+        assert cell == tuple(sorted(labels.items()))
 
 
 class TestCellMeasure:
@@ -120,7 +120,7 @@ class TestCellMeasure:
         mu = model
         assert cell_measure(mu, p.omega, cell) == 0
         with pytest.raises(ZeroMeasureError):
-            mu.cell_log_measure(p.omega, cell.labels)
+            mu.cell_log_measure(p.omega, cell)
 
     def test_log_route_matches_exact_route(self):
         import math
@@ -133,7 +133,7 @@ class TestCellMeasure:
                 cell = cell_of(model, canonical_partition(model), F, p)
                 exact = cell_measure(mu, p.omega, cell)
                 assert math.isclose(
-                    mu.cell_log_measure(p.omega, cell.labels), math.log(exact), rel_tol=1e-12
+                    mu.cell_log_measure(p.omega, cell), math.log(exact), rel_tol=1e-12
                 )
 
     def test_group_agnostic_product_measure(self):
@@ -281,6 +281,12 @@ class TestInvariance:
                 omega = model.sample_omega(1000 + i)
                 g = random_element(model.group, 3, 97, i)
                 assert check_invariance(mu, g, omega, canonical_partition(model), F)
+
+    def test_window_of_another_group_raises(self):
+        model = BernoulliModel.create(Z1, [0.7, 0.3])
+        with pytest.raises(rds.GroupMismatchError):
+            check_invariance(model, Z1.identity(), constant_omega(model),
+                             canonical_partition(model), Z2.box(2, 2))
 
     @settings(max_examples=40)
     @given(st.data())
