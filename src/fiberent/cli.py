@@ -5,9 +5,9 @@ with subcommands smb-run, cond-entropy, folner-check, cocycle-check,
 cover-demo; smb-run also takes [--workers N].  Each flag replaces the
 config's key of that name and is checked by the config's rules, at line 0.
 
-Every run writes two artifacts: a CSV with the fixed header
-`n,folner_size,estimate,target,abs_error,std_error` (12 significant
-digits, empty fields where a column does not apply) and a `key: value`
+Every run writes two artifacts: a CSV of the `entropy.TraceRow`s its
+runner returns, under the header of their six fields (12 significant
+digits, empty fields where a field is None) and a `key: value`
 summary report at <out>.summary.  Each file is written to a temporary
 file in its directory and then renamed over the target, so a failing run
 leaves each artifact either whole or untouched, never truncated.
@@ -28,19 +28,12 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (_SCHEMAS, ConfigError, ExperimentConfig, apply_overrides, build_model,
-                     cover_family, decode_config, parse_config)
-from .covering import (
-    CoverInstance,
-    RandomCoverInstance,
-    greedy_cover,
-    sample_many,
-    verify_greedy_cover,
-    verify_random_cover,
-)
-from .entropy import conditional_entropy_trace, smb_trace
+from .config import (_SCHEMAS, ConfigError, ExperimentConfig, apply_overrides, build_cover,
+                     build_model, decode_config, parse_config)
+from .covering import greedy_cover, sample_many, verify_greedy_cover, verify_random_cover
+from .entropy import TraceRow, conditional_entropy_trace, smb_trace
 from .folner import validate_sequence, window_folner
-from .groups import ZdGroup, random_element, subset_from_coords
+from .groups import random_element
 from .rds import check_cocycle, sample_point
 from .rng import derive_seed
 
@@ -61,22 +54,14 @@ def _fmt(value) -> str:
 
 def _csv_text(rows) -> str:
     lines = [CSV_HEADER]
-    for n, size, est, target, abs_err, se in rows:
-        lines.append(
-            f"{n},{size},{_fmt(est)},{_fmt(target)},{_fmt(abs_err)},{_fmt(se)}"
-        )
+    for r in rows:
+        lines.append(f"{r.n},{r.folner_size},{_fmt(r.estimate)},{_fmt(r.target)},"
+                     f"{_fmt(r.abs_error)},{_fmt(r.std_error)}")
     return "\n".join(lines) + "\n"
 
 
 def _summary_text(pairs) -> str:
     return "".join(f"{k}: {v}\n" for k, v in pairs)
-
-
-def _trace_rows(trace):
-    return [
-        (r.n, r.folner_size, r.estimate, r.target, r.abs_error, r.std_error)
-        for r in trace.rows
-    ]
 
 
 def _build_sequence(cfg: ExperimentConfig, group):
@@ -104,7 +89,7 @@ def _run_smb(cfg: ExperimentConfig):
         ("final_abs_error", _fmt(final.abs_error)),
         ("tolerance", _fmt(float(tolerance)) if tolerance is not None else "none"),
     ]
-    return _trace_rows(trace), summary, ok
+    return trace.rows, summary, ok
 
 
 def _run_cond_entropy(cfg: ExperimentConfig):
@@ -127,20 +112,18 @@ def _run_cond_entropy(cfg: ExperimentConfig):
         ("worst_abs_error_from_n2", _fmt(worst)),
         ("tolerance", _fmt(float(tolerance)) if tolerance is not None else "none"),
     ]
-    return _trace_rows(trace), summary, ok
+    return trace.rows, summary, ok
 
 
 def _run_folner_check(cfg: ExperimentConfig):
     group = cfg.get("group")
     seq = _build_sequence(cfg, group)
     report = validate_sequence(seq)
-    rows = [(n, len(seq.set(n)), float(c), None, None, None)
+    rows = [TraceRow(n, len(seq.set(n)), float(c), None, None)
             for n, c in enumerate(report.tempered, start=2)]
     max_tempered = report.max_tempered
     bound = cfg.get("tempered_bound")
-    ok = report.ok and (
-        bound is None or (max_tempered is not None and max_tempered <= bound)
-    )
+    ok = report.ok and (bound is None or all(c <= bound for c in report.tempered))
     summary = [
         ("subcommand", "folner-check"),
         ("group", group.tag),
@@ -170,7 +153,7 @@ def _run_cocycle_check(cfg: ExperimentConfig):
         if check_cocycle(model, g1, g2, point, window):
             passed += 1
     frac = passed / checks
-    rows = [(1, len(window), frac, 1.0, abs(frac - 1.0), None)]
+    rows = [TraceRow(1, len(window), frac, 1.0, None)]
     ok = passed == checks
     summary = [
         ("subcommand", "cocycle-check"),
@@ -184,26 +167,9 @@ def _run_cocycle_check(cfg: ExperimentConfig):
 
 
 def _run_cover_demo(cfg: ExperimentConfig):
-    group = ZdGroup(1)
-    ambient = group.box(cfg.get("ambient_n"))
+    inst = build_cover(cfg)
+    ambient = inst.ambient
     kind = cfg.get("kind")
-    rows: dict = {}  # row i of the random form holds blocks (i, j); the greedy form is one row
-    for index, (size, centers) in cover_family(cfg).items():
-        block = group.box(size), subset_from_coords(group, [(c,) for c in centers])
-        rows.setdefault(index[:-1], []).append(block)
-    per_row = [tuple(zip(*row)) for row in rows.values()]
-    if kind == "greedy":
-        shapes, centers = per_row[0]
-        inst = CoverInstance.create(
-            ambient, shapes, centers, cfg.get("delta"), cfg.get("epsilon")
-        )
-    else:
-        shapes, centers = zip(*per_row)
-        K = subset_from_coords(group, [(c,) for c in cfg.get("k_set")])
-        inst = RandomCoverInstance.create(
-            ambient, shapes, centers, K,
-            cfg.get("c"), cfg.get("alpha"), cfg.get("delta"), cfg.get("epsilon"),
-        )
     hyp = inst.hypotheses
     summary = [
         ("subcommand", "cover-demo"),
@@ -217,7 +183,7 @@ def _run_cover_demo(cfg: ExperimentConfig):
     if kind == "greedy":
         sol = greedy_cover(inst)
         report = verify_greedy_cover(inst, sol)
-        rows = [(1, len(ambient), float(sol.total_size), None, None, None)]
+        rows = [TraceRow(1, len(ambient), float(sol.total_size), None, None)]
         summary.extend([
             ("picks", len(sol.picks)),
             ("total_size", sol.total_size),
@@ -232,9 +198,7 @@ def _run_cover_demo(cfg: ExperimentConfig):
         return rows, summary, report.ok
     sols = sample_many(inst, cfg.get("samples"), cfg.get("seed"))
     report = verify_random_cover(inst, sols)
-    rows = [
-        (1, len(ambient), report.mean_total_size, None, None, report.total_size_se)
-    ]
+    rows = [TraceRow(1, len(ambient), report.mean_total_size, None, report.total_size_se)]
     summary.extend([
         ("samples", report.samples),
         ("max_conditional_multiplicity", _fmt(report.max_conditional_multiplicity)),

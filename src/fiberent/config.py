@@ -7,7 +7,10 @@ decimal literals become Fractions, so distributions stated in a config
 stay rational all the way into the measures.
 
 Every problem found is reported as (key, line, reason); parsing continues
-past errors so a config is fixed in one round trip.
+past errors so a config is fixed in one round trip.  A validated config is
+turned into the objects a run needs here too: `build_model` gives the
+model of smb-run, cond-entropy and cocycle-check, and `build_cover` the
+cover instance of cover-demo.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .groups import HeisenbergGroup, ZdGroup
+from .covering import CoverInstance, RandomCoverInstance
+from .groups import HeisenbergGroup, ZdGroup, subset_from_coords
 from .rds import BernoulliModel, MarkovModel, RandomAlphabetModel, exact_distribution
 
 SUBCOMMANDS = ("smb-run", "cond-entropy", "folner-check", "cocycle-check", "cover-demo")
@@ -45,8 +49,8 @@ class ExperimentConfig:
     subcommand: str
     values: dict = field(default_factory=dict)
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
+    def get(self, key: str):
+        return self.values.get(key)
 
     def __contains__(self, key: str) -> bool:
         return key in self.values
@@ -396,15 +400,6 @@ def _validate_cover_keys(v: dict) -> list:
     return issues
 
 
-def cover_family(cfg: ExperimentConfig) -> dict:
-    """{index tuple: (shape size, centers)} of a validated cover-demo config:
-    shape_i / centers_i for kind = greedy, shape_i_j / centers_i_j for random."""
-    v = cfg.values
-    arity = _VARIANTS["kind"][v["kind"]]["shape"]
-    centers = family(v, "centers", arity)
-    return {index: (v[key], v[centers[index]]) for index, key in family(v, "shape", arity).items()}
-
-
 def build_model(cfg: ExperimentConfig):
     """Instantiate the model a validated config describes."""
     v = cfg.values
@@ -417,3 +412,24 @@ def build_model(cfg: ExperimentConfig):
     if model == "markov":
         return MarkovModel.create([v[key] for key in family(v, "transition", 1).values()])
     raise AssertionError(model)
+
+
+def build_cover(cfg: ExperimentConfig):
+    """Instantiate the cover instance a validated cover-demo config describes
+    on Z: shape_i / centers_i are the one row of kind = greedy, and
+    shape_i_j / centers_i_j are row i of kind = random."""
+    v = cfg.values
+    group = ZdGroup(1)
+    arity = _VARIANTS["kind"][v["kind"]]["shape"]
+    center_keys = family(v, "centers", arity)
+    rows: dict = {}
+    for index, key in family(v, "shape", arity).items():
+        block = group.box(v[key]), subset_from_coords(group, [(c,) for c in v[center_keys[index]]])
+        rows.setdefault(index[:-1], []).append(block)
+    shapes, centers = zip(*(zip(*row) for row in rows.values()))
+    ambient = group.box(v["ambient_n"])
+    if v["kind"] == "greedy":
+        return CoverInstance.create(ambient, shapes[0], centers[0], v["delta"], v["epsilon"])
+    K = subset_from_coords(group, [(c,) for c in v["k_set"]])
+    return RandomCoverInstance.create(ambient, shapes, centers, K,
+                                      v["c"], v["alpha"], v["delta"], v["epsilon"])

@@ -15,9 +15,11 @@ and conditional entropies are the models' own rules (`model.fiber_entropy()`,
 Exact rational cell measures feed the identity checks; long-window traces
 read the same cell factors in logs instead, because the probability of a
 4096-coordinate cylinder underflows any float while its log is benign.
-`smb_trace` asks the model for one plan of its whole schedule: a run of
+`smb_trace` asks the model for one plan of the whole sequence: a run of
 sites read once, when each window extends the last, or each window whole.
-Cells are label tuples, as `measures.cell_of` returns them.
+Both traces give one `TraceRow` per set F_1, ..., F_N of the sequence,
+the row the CLI writes.  Cells are label tuples, as `measures.cell_of`
+returns them.
 """
 
 from __future__ import annotations
@@ -107,30 +109,17 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    rows: tuple
+    """One row per set of the sequence, F_1 first."""
 
-    def __post_init__(self) -> None:
-        ns = [r.n for r in self.rows]
-        if any(a >= b for a, b in zip(ns, ns[1:])):
-            raise ValueError("rows must have strictly increasing n")
+    rows: tuple
 
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
 
 
-def _trace_schedule(seq: FolnerSequence, n_values: Sequence[int]) -> list:
-    """The scheduled n values, checked against the sequence."""
-    ns = list(n_values)
-    if any(a >= b for a, b in zip(ns, ns[1:])) or not ns:
-        raise ValueError("n_values must be non-empty and strictly increasing")
-    if ns[0] < 1 or ns[-1] > len(seq.sets):
-        raise ValueError("n_values outside the sequence range")
-    return ns
-
-
 def _smb_worker(args) -> list:
-    """Information totals for one trajectory, one value per scheduled n.
+    """Information totals for one trajectory, one value per set F_n.
 
     Pure function of (model, plan, seed, index): safe to farm out to
     worker processes, and byte-identical regardless of scheduling.
@@ -140,8 +129,8 @@ def _smb_worker(args) -> list:
 
 
 def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
-              n_values: Optional[Sequence[int]] = None, workers: int = 1) -> ConvergenceTrace:
-    """Empirical information rate per window, averaged over trajectories.
+              workers: int = 1) -> ConvergenceTrace:
+    """Empirical information rate per set F_n, averaged over trajectories.
 
     Each trajectory is an independent (omega, x) draw on its own derived
     stream; the per-row estimate is the mean of information/|F_n| with its
@@ -150,9 +139,7 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     """
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
-    ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
-    sets = [seq.set(n) for n in ns]
-    plan = model.smb_plan([F.coords for F in sets])
+    plan = model.smb_plan([F.coords for F in seq.sets])
     target = model.fiber_entropy()
     tasks = [(model, plan, seed, t) for t in range(trajectories)]
     if workers > 1:
@@ -161,17 +148,16 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     else:
         per_trajectory = [_smb_worker(t) for t in tasks]
     rows = []
-    for row_index, (n, F) in enumerate(zip(ns, sets)):
+    for n, F in enumerate(seq.sets, start=1):
         size = len(F)
-        rates = [totals[row_index] / size for totals in per_trajectory]
+        rates = [totals[n - 1] / size for totals in per_trajectory]
         mean, se = mean_and_se(rates)
         rows.append(TraceRow(n=n, folner_size=size, estimate=mean, target=target, std_error=se))
     return ConvergenceTrace(tuple(rows))
 
 
 def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
-                              method: str = "exact", samples: int = 2000,
-                              n_values: Optional[Sequence[int]] = None) -> ConvergenceTrace:
+                              method: str = "exact", samples: int = 2000) -> ConvergenceTrace:
     """Base-averaged conditional entropy given the join over F_n minus {e}.
 
     The conditioning join excludes the identity: including it would force
@@ -186,13 +172,11 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     """
     if method not in ("exact", "monte-carlo"):
         raise ValueError(f"unknown method: {method}")
-    ns = _trace_schedule(seq, n_values if n_values is not None else range(1, len(seq.sets) + 1))
     xi = canonical_partition(model)
     target = model.fiber_entropy()
     e = seq.group.identity()
     rows = []
-    for n in ns:
-        F = seq.set(n)
+    for n, F in enumerate(seq.sets, start=1):
         cond = FiniteSubset(seq.group, F.coords - {e.coords})
         if method == "exact":
             est, se = model.conditional_entropy(cond), None

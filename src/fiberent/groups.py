@@ -411,12 +411,8 @@ def _product_set_naive(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     return FiniteSubset(E.group, frozenset(mc(e, f) for e in E.coords for f in F.coords))
 
 
-def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: Optional[_Plan] = None) -> FiniteSubset:
-    """The Z^d FFT route of product_set."""
-    if plan is None:
-        plan = _plan(E, F)
-    if plan is None:
-        return _product_set_naive(E, F)
+def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: _Plan) -> FiniteSubset:
+    """The Z^d FFT route of product_set, on the keying plan of E * F."""
     return _decode(plan, _fft_keys(plan))
 
 

@@ -16,10 +16,12 @@ from fiberent.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EX
 from fiberent.config import (
     SUBCOMMANDS,
     ConfigError,
+    build_cover,
     build_model,
     parse_config,
 )
-from fiberent.groups import HeisenbergGroup, ZdGroup
+from fiberent.covering import CoverInstance, RandomCoverInstance
+from fiberent.groups import HeisenbergGroup, ZdGroup, subset_from_coords
 from fiberent.rds import BernoulliModel, MarkovModel, RandomAlphabetModel
 
 CSV_HEADER = "n,folner_size,estimate,target,abs_error,std_error"
@@ -270,6 +272,35 @@ class TestBuildModel:
         assert model.transition[0] == (Fraction(9, 10), Fraction(1, 10))
 
 
+def points(*cs):
+    return subset_from_coords(ZdGroup(1), [(c,) for c in cs])
+
+
+class TestBuildCover:
+    def test_random_rows_group_by_first_index(self):
+        text = ("seed = 4\nkind = random\nambient_n = 40\ndelta = 0.25\nepsilon = 0.5\n"
+                "alpha = 0.1\nc = 6\nk_set = 0, 1\nsamples = 200\n"
+                "shape_1_1 = 2\ncenters_1_1 = 0, 4, 8\nshape_1_2 = 3\ncenters_1_2 = 1, 9\n"
+                "shape_2_1 = 5\ncenters_2_1 = 0, 5, 10\n")
+        Z = ZdGroup(1)
+        expected = RandomCoverInstance.create(
+            Z.box(40), [[Z.box(2), Z.box(3)], [Z.box(5)]],
+            [[points(0, 4, 8), points(1, 9)], [points(0, 5, 10)]], points(0, 1),
+            6, Fraction(1, 10), Fraction(1, 4), Fraction(1, 2),
+        )
+        assert build_cover(parse_config(text, "cover-demo")) == expected
+
+    def test_greedy_shapes_in_index_order_across_a_gap(self):
+        text = ("seed = 9\nkind = greedy\nambient_n = 36\ndelta = 0.2\nepsilon = 0.5\n"
+                "shape_3 = 6\ncenters_3 = 0, 6, 12\nshape_1 = 3\ncenters_1 = 0, 3, 6, 9\n")
+        Z = ZdGroup(1)
+        expected = CoverInstance.create(
+            Z.box(36), [Z.box(3), Z.box(6)], [points(0, 3, 6, 9), points(0, 6, 12)],
+            Fraction(1, 5), Fraction(1, 2),
+        )
+        assert build_cover(parse_config(text, "cover-demo")) == expected
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -376,6 +407,16 @@ class TestCliRuns:
         assert Fraction(summary["max_tempered"]) <= 8
         # one tempered row per n >= 2
         assert len(Path(out).read_text().splitlines()) == 8
+
+    def test_folner_check_one_window_passes_its_bound(self, tmp_path):
+        # F_1 alone has no tempered constant, so no bound can be violated
+        text = "seed = 1\ngroup = zd:2\nn_max = 1\ntempered_bound = 4\n"
+        rc, out = run(tmp_path, "folner-check", text)
+        assert rc == EXIT_OK
+        summary = read_summary(out)
+        assert summary["max_tempered"] == "none"
+        assert summary["assertion"] == "pass"
+        assert Path(out).read_text() == CSV_HEADER + "\n"
 
     def test_cocycle_check(self, tmp_path):
         text = ("seed = 13\nmodel = markov\ntransition_0 = 0.9, 0.1\n"

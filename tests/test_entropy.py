@@ -28,9 +28,7 @@ from fiberent.rds import (
     shannon_entropy,
 )
 from fiberent.entropy import (
-    ConvergenceTrace,
     _smb_worker,
-    TraceRow,
     chain_rule_residual,
     chain_rule_terms,
     conditional_entropy_trace,
@@ -291,12 +289,8 @@ class TestSmbTrace:
         for row in trace.rows:
             assert row.abs_error == abs(row.estimate - row.target)
 
-    def test_n_values_subset(self):
+    def test_zero_trajectories_rejected(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
-        trace = smb_trace(model, box_folner(1, 16), trajectories=4, seed=31, n_values=[2, 8, 16])
-        assert [r.n for r in trace.rows] == [2, 8, 16]
-        with pytest.raises(ValueError):
-            smb_trace(model, box_folner(1, 4), trajectories=2, seed=1, n_values=[3, 2])
         with pytest.raises(ValueError):
             smb_trace(model, box_folner(1, 4), trajectories=0, seed=1)
 
@@ -529,13 +523,3 @@ class TestConditionalEntropy:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         with pytest.raises(ValueError):
             conditional_entropy_trace(model, box_folner(1, 2), method="bootstrap")
-
-
-def test_trace_row_validation():
-    with pytest.raises(ValueError):
-        ConvergenceTrace(
-            (
-                TraceRow(n=2, folner_size=2, estimate=0.0, target=None, std_error=None),
-                TraceRow(n=1, folner_size=1, estimate=0.0, target=None, std_error=None),
-            )
-        )

@@ -166,7 +166,7 @@ def test_fft_route_matches_on_random_zd_sets(EF):
     if not isinstance(E.group, ZdGroup):
         return
     naive = groups_mod._product_set_naive(E, F).coords
-    assert groups_mod._zd_product_fft(E, F).coords == naive
+    assert groups_mod._zd_product_fft(E, F, groups_mod._plan(E, F)).coords == naive
 
 
 def naive_coords(E, F):
