@@ -2,8 +2,9 @@
 
 Usage: fiberent <subcommand> --config <path> [--out <path>] [--seed <u64>],
 with subcommands smb-run, cond-entropy, folner-check, cocycle-check,
-cover-demo; smb-run also takes [--workers N].  Each flag replaces the
-config's key of that name and is checked by the config's rules, at line 0.
+cover-demo; smb-run also takes [--workers N].  A flag gives its config key,
+over the file's value or where the file has none, before any config rule
+runs; an issue with it cites line 0.
 
 Every run writes two artifacts: a CSV of the `entropy.TraceRow`s its
 runner returns, under the header of their six fields (12 significant
@@ -28,8 +29,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (_SCHEMAS, ConfigError, ExperimentConfig, apply_overrides, build_cover,
-                     build_model, decode_config, parse_config)
+from .config import (_SCHEMAS, ConfigError, ExperimentConfig, build_cover, build_model,
+                     decode_config, parse_config)
 from .covering import greedy_cover, sample_many, verify_greedy_cover, verify_random_cover
 from .entropy import TraceRow, conditional_entropy_trace, smb_trace
 from .folner import validate_sequence, window_folner
@@ -226,7 +227,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-# Config keys a command-line flag may replace, each where its schema has it.
+# Config keys a command-line flag may give, each where its schema has it.
 _OVERRIDES = ("seed", "workers")
 
 _RUNNERS = {
@@ -250,7 +251,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="CSV output path (default: <subcommand>.csv)")
         for key in _OVERRIDES:
             if key in _SCHEMAS[name]:
-                p.add_argument(f"--{key}", help=f"override the config's {key}")
+                p.add_argument(f"--{key}", default=argparse.SUPPRESS, help=f"the config's {key}")
     return parser
 
 
@@ -262,9 +263,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        cfg = parse_config(decode_config(raw), args.subcommand)
-        apply_overrides(cfg, {key: getattr(args, key) for key in _OVERRIDES
-                              if getattr(args, key, None) is not None})
+        overrides = {key: value for key, value in vars(args).items() if key in _OVERRIDES}
+        cfg = parse_config(decode_config(raw), args.subcommand, overrides)
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)

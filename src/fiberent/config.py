@@ -6,8 +6,14 @@ described by its (subcommand, key set).  All numbers are parsed exactly:
 decimal literals become Fractions, so distributions stated in a config
 stay rational all the way into the measures.
 
-Every problem found is reported as (key, line, reason); parsing continues
-past errors so a config is fixed in one round trip.  A validated config is
+Each subcommand's schema gives every key one entry: its value kind, its
+default or REQUIRED, and the (selector, choice) that alone reads it, such
+as ("model", "markov") for the transition rows.  `parse_config` reads the
+file's lines, then the values of any command-line flags, and then runs the
+required, default and cross-key rules once, so a flag may supply a key the
+file lacks.  Every problem found is reported as (key, line, reason), line 0
+for a flag or an absent key; parsing continues past errors so a config is
+fixed in one round trip.  A validated config is
 turned into the objects a run needs here too: `build_model` gives the
 model of smb-run, cond-entropy and cocycle-check, and `build_cover` the
 cover instance of cover-demo.
@@ -19,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .covering import CoverInstance, RandomCoverInstance
 from .groups import HeisenbergGroup, ZdGroup, subset_from_coords
@@ -59,81 +65,76 @@ class ExperimentConfig:
 # A key is a name and, for an indexed family, its index: shape_1_2.
 _KEY_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
 
+REQUIRED = "required"  # the default of a key the file or a flag must give
+
+
+class _Key(NamedTuple):
+    """A schema entry: the value kind, the default (None, or REQUIRED), and
+    the (selector, choice) that alone reads the key, if one does."""
+
+    kind: str
+    default: object = None
+    read_by: Optional[tuple] = None
+
+
 # Per-subcommand schema: key, or (name, arity) for the indexed family
-# name_i (arity 1) / name_i_j (arity 2), -> value kind.
-# Kinds: u64, int:<min> (integer >= min), number, unit (rational in (0, 1)),
-# string, dist, intlist, choice:<a|b|...>.  Each int's minimum is the least
+# name_i (arity 1) / name_i_j (arity 2), -> its entry.  A key only another
+# choice of its selector reads is an issue at its line, and a key read by
+# one choice is required only when that choice is made.  Kinds: u64,
+# int:<min> (integer >= min), number, unit (rational in (0, 1)), string,
+# dist, intlist, group, choice:<a|b|...>.  Each int's minimum is the least
 # value its runner can use.
 _COMMON = {
-    "seed": "u64",
-    "out": "string",
-    "subcommand": "choice:" + "|".join(SUBCOMMANDS),
+    "seed": _Key("u64", REQUIRED),
+    "out": _Key("string"),
+    "subcommand": _Key("choice:" + "|".join(SUBCOMMANDS)),
 }
 
-_MODEL_KEYS = {
-    "model": "choice:bernoulli|random-alphabet|markov",
-    "group": "group",
-    "p": "dist",
-    "base_p": "dist",
-    ("fiber_p", 1): "dist",
-    ("transition", 1): "dist",
+_MODEL = {
+    "model": _Key("choice:bernoulli|random-alphabet|markov", REQUIRED),
+    "group": _Key("group", ZdGroup(1)),
+    "p": _Key("dist", REQUIRED, ("model", "bernoulli")),
+    "base_p": _Key("dist", REQUIRED, ("model", "random-alphabet")),
+    ("fiber_p", 1): _Key("dist", read_by=("model", "random-alphabet")),
+    ("transition", 1): _Key("dist", read_by=("model", "markov")),
 }
+
+_SCHEDULE = {"n_max": _Key("int:1"), "sides": _Key("intlist"), "tolerance": _Key("number")}
+
+# The index arity of each cover kind's shape_ and centers_ keys.
+_COVER_ARITY = {"greedy": 1, "random": 2}
 
 _SCHEMAS = {
     "smb-run": {
-        **_COMMON, **_MODEL_KEYS, "workers": "int:1",
-        "n_max": "int:1", "sides": "intlist", "trajectories": "int:1", "tolerance": "number",
+        **_COMMON, **_MODEL, **_SCHEDULE,
+        "workers": _Key("int:1", 1), "trajectories": _Key("int:1", 100),
     },
     "cond-entropy": {
-        **_COMMON, **_MODEL_KEYS,
-        "n_max": "int:1", "sides": "intlist", "tolerance": "number",
-        "method": "choice:exact|monte-carlo", "samples": "int:1",
+        **_COMMON, **_MODEL, **_SCHEDULE,
+        "method": _Key("choice:exact|monte-carlo", "exact"),
+        "samples": _Key("int:1", 2000, ("method", "monte-carlo")),
     },
     "folner-check": {
-        **_COMMON, "group": "group", "n_max": "int:1", "tempered_bound": "number",
+        **_COMMON, "group": _Key("group", REQUIRED), "n_max": _Key("int:1", REQUIRED),
+        "tempered_bound": _Key("number"),
     },
     "cocycle-check": {
-        **_COMMON, **_MODEL_KEYS,
-        "checks": "int:1", "window_n": "int:1", "radius": "int:0",
+        **_COMMON, **_MODEL,
+        "checks": _Key("int:1", 1000), "window_n": _Key("int:1", 4), "radius": _Key("int:0", 5),
     },
     "cover-demo": {
         **_COMMON,
-        "kind": "choice:greedy|random",
-        "ambient_n": "int:1", "delta": "unit", "epsilon": "unit",
-        "alpha": "unit", "c": "number", "samples": "int:100",
-        "k_set": "intlist",
-        ("shape", 1): "int:1", ("shape", 2): "int:1",
-        ("centers", 1): "intlist", ("centers", 2): "intlist",
+        "kind": _Key("choice:greedy|random", REQUIRED),
+        "ambient_n": _Key("int:1", REQUIRED),
+        "delta": _Key("unit", REQUIRED), "epsilon": _Key("unit", REQUIRED),
+        "k_set": _Key("intlist", REQUIRED, ("kind", "random")),
+        "c": _Key("number", REQUIRED, ("kind", "random")),
+        "alpha": _Key("unit", REQUIRED, ("kind", "random")),
+        "samples": _Key("int:100", 2000, ("kind", "random")),
+        **{(name, arity): _Key(kind, read_by=("kind", cover))
+           for cover, arity in _COVER_ARITY.items()
+           for name, kind in (("shape", "int:1"), ("centers", "intlist"))},
     },
-}
-
-# What each model, cover kind and method reads beyond the keys all share: plain
-# keys (arity 0) and indexed families.  A key the file gives that only another
-# choice reads is an issue; a plain key here without a default is required.
-_VARIANTS = {
-    "model": {"bernoulli": {"p": 0}, "random-alphabet": {"base_p": 0, "fiber_p": 1},
-              "markov": {"transition": 1}},
-    "kind": {"greedy": {"shape": 1, "centers": 1},
-             "random": {"shape": 2, "centers": 2, "k_set": 0, "c": 0, "alpha": 0, "samples": 0}},
-    "method": {"exact": {}, "monte-carlo": {"samples": 0}},
-}
-
-_REQUIRED = {
-    "smb-run": ("seed", "model"),
-    "cond-entropy": ("seed", "model"),
-    "folner-check": ("seed", "group", "n_max"),
-    "cocycle-check": ("seed", "model"),
-    "cover-demo": ("seed", "kind", "ambient_n", "delta", "epsilon"),
-}
-
-_DEFAULTS = {
-    "trajectories": 100,
-    "samples": 2000,
-    "workers": 1,
-    "method": "exact",
-    "checks": 1000,
-    "window_n": 4,
-    "radius": 5,
 }
 
 
@@ -192,7 +193,7 @@ def family(values: dict, prefix: str, arity: int) -> dict:
                        if name == prefix and len(index) == arity))
 
 
-def _lookup_kind(schema: dict, key: str) -> Optional[str]:
+def _lookup(schema: dict, key: str) -> Optional[_Key]:
     name, index = _split_key(key)
     return schema.get((name, len(index)) if index else key)
 
@@ -209,8 +210,12 @@ def decode_config(raw: bytes) -> str:
         raise ConfigError([ConfigIssue("-", line, reason)]) from None
 
 
-def parse_config(text: str, subcommand: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError listing every problem found."""
+def parse_config(text: str, subcommand: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Parse and validate; raises ConfigError listing every problem found.
+
+    `overrides` maps schema keys to raw values, as command-line flags give
+    them: each replaces or supplies its key before the required, default
+    and cross-key rules run, and its issues cite line 0."""
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand}")
     schema = _SCHEMAS[subcommand]
@@ -235,32 +240,35 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
             issues.append(ConfigIssue(key, lineno, f"duplicate of line {index_lines[ident]}"))
             continue
         index_lines[ident] = lines_seen[key] = lineno
-        kind = _lookup_kind(schema, key)
-        if kind is None:
+        entry = _lookup(schema, key)
+        if entry is None:
             issues.append(ConfigIssue(key, lineno, f"unknown key for {subcommand}"))
             continue
         if not raw:
             issues.append(ConfigIssue(key, lineno, "missing value"))
             continue
         try:
-            values[key] = _parse_scalar(kind, raw)
+            values[key] = _parse_scalar(entry.kind, raw)
         except (ValueError, ZeroDivisionError) as exc:
             issues.append(ConfigIssue(key, lineno, str(exc)))
-    if "subcommand" in values and values["subcommand"] != subcommand:
-        issues.append(
-            ConfigIssue("subcommand", lines_seen["subcommand"],
-                        f"config says {values['subcommand']}, invoked as {subcommand}")
-        )
-    for key in _REQUIRED[subcommand]:
-        if key not in values and not any(i.key == key for i in issues):
+    for key, raw in (overrides or {}).items():
+        lines_seen[key] = 0
+        try:
+            values[key] = _parse_scalar(schema[key].kind, raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            issues.append(ConfigIssue(key, 0, str(exc)))
+    if values.get("subcommand", subcommand) != subcommand:
+        issues.append(ConfigIssue("subcommand", lines_seen["subcommand"],
+                                  f"config says {values['subcommand']}, invoked as {subcommand}"))
+    for key, entry in schema.items():
+        if key in values or entry.default is None:
+            continue
+        if entry.default != REQUIRED:
+            values[key] = entry.default
+        elif entry.read_by is None and not any(i.key == key for i in issues):
             issues.append(ConfigIssue(key, 0, "required key missing"))
-    if subcommand in ("smb-run", "cond-entropy") and not (
-        {"n_max", "sides"} & lines_seen.keys()
-    ):
+    if subcommand in ("smb-run", "cond-entropy") and not {"n_max", "sides"} & lines_seen.keys():
         issues.append(ConfigIssue("n_max", 0, "required key missing (or give sides)"))
-    for key, default in _DEFAULTS.items():
-        if key in schema:
-            values.setdefault(key, default)
     cfg = ExperimentConfig(subcommand, values)
     if not issues:
         issues.extend(_cross_validate(cfg, lines_seen))
@@ -269,34 +277,17 @@ def parse_config(text: str, subcommand: str) -> ExperimentConfig:
     return cfg
 
 
-def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> None:
-    """Replace keys of a parsed config by raw values, each read by its schema
-    kind, and apply the cross-key rules again; issues cite line 0."""
-    schema = _SCHEMAS[cfg.subcommand]
-    issues = []
-    for key, raw in overrides.items():
-        try:
-            cfg.values[key] = _parse_scalar(schema[key], raw)
-        except ValueError as exc:
-            issues.append(ConfigIssue(key, 0, str(exc)))
-    issues = issues or _cross_validate(cfg, {})
-    if issues:
-        raise ConfigError(issues)
-
-
 def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
-    """Issues that involve more than one key; each validator gives
-    (key, reason) and the issue cites that key's line, or 0 if it is absent."""
-    v = cfg.values
-    sub = cfg.subcommand
-    issues = _validate_variant(v, lines)
+    """Issues that involve more than one key; each validator gives (key,
+    reason), and the issue cites that key's line: 0 for a flag or no line."""
+    v, sub = cfg.values, cfg.subcommand
+    issues = _validate_variant(_SCHEMAS[sub], v, lines)
     if sub in ("smb-run", "cond-entropy", "cocycle-check"):
         issues.extend(_validate_model_rows(v))
     if sub in ("smb-run", "cond-entropy"):
         issues.extend(_validate_schedule(v))
-    if sub == "cocycle-check":
-        if _window_size(v.get("group", ZdGroup(1)), v["window_n"]) > _WINDOW_CAP:
-            issues.append(("window_n", "window exceeds 2^20 points"))
+    if sub == "cocycle-check" and _window_size(v["group"], v["window_n"]) > _WINDOW_CAP:
+        issues.append(("window_n", "window exceeds 2^20 points"))
     if sub == "folner-check":
         group = v["group"]
         cap = 6 if isinstance(group, HeisenbergGroup) else 64
@@ -309,20 +300,20 @@ def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
     return [ConfigIssue(key, lines.get(key, 0), reason) for key, reason in issues]
 
 
-def _validate_variant(v: dict, lines: dict) -> list:
-    """Keys the file gives that only another model or cover kind reads, and
-    the plain keys the chosen one reads but the config lacks."""
+def _validate_variant(schema: dict, v: dict, lines: dict) -> list:
+    """Keys the file gives that only another model, cover kind or method
+    reads, and the required keys the chosen one reads but the config lacks."""
     issues = []
-    for selector, variants in _VARIANTS.items():
+    for selector in dict.fromkeys(e.read_by[0] for e in schema.values() if e.read_by):
         if selector not in v:
             continue
-        reads, chosen = variants[v[selector]], f"{selector} = {v[selector]}"
+        chosen, label = (selector, v[selector]), f"{selector} = {v[selector]}"
         for key in lines:
-            name, index = _split_key(key)
-            if any(name in r for r in variants.values()) and reads.get(name) != len(index):
-                issues.append((key, f"not read for {chosen}"))
-        issues.extend((name, f"required for {chosen}")
-                      for name, arity in reads.items() if arity == 0 and name not in v)
+            read_by = _lookup(schema, key).read_by
+            if read_by and read_by[0] == selector and read_by != chosen:
+                issues.append((key, f"not read for {label}"))
+        issues.extend((key, f"required for {label}") for key, e in schema.items()
+                      if e.read_by == chosen and e.default == REQUIRED and key not in v)
     return issues
 
 
@@ -353,12 +344,13 @@ def _validate_model_rows(v: dict) -> list:
                 MarkovModel.create([v[key] for key in keys.values()]).stationary
             except ValueError as exc:
                 issues.append(("transition_0", str(exc)))
-        if v.get("group", ZdGroup(1)) != ZdGroup(1):
+        if v["group"] != ZdGroup(1):
             issues.append(("group", "markov model requires group = zd:1"))
     return issues
 
 
-# The most points one window may hold, in SMB schedules and cocycle checks.
+# The most points one window may hold, in SMB schedules, cocycle checks and
+# the cover-demo ambient window; the cover's blocks share it in total.
 _WINDOW_CAP = 2 ** 20
 
 
@@ -369,9 +361,7 @@ def _window_size(group, n: int) -> int:
 
 def _validate_schedule(v: dict) -> list:
     issues = []
-    group = v.get("group", ZdGroup(1))
-    sides = v.get("sides")
-    n_max = v.get("n_max")
+    group, sides, n_max = v["group"], v.get("sides"), v.get("n_max")
     if sides is not None:
         if isinstance(group, HeisenbergGroup):
             issues.append(("sides", "side schedules apply to zd groups only"))
@@ -379,17 +369,18 @@ def _validate_schedule(v: dict) -> list:
             issues.append(("sides", "must be positive and strictly increasing"))
         elif _window_size(group, sides[-1]) > _WINDOW_CAP:
             issues.append(("sides", "largest window exceeds 2^20 points"))
-    if n_max is not None:
-        if _window_size(group, n_max) > _WINDOW_CAP:
-            issues.append(("n_max", "largest window exceeds 2^20 points"))
+    if n_max is not None and _window_size(group, n_max) > _WINDOW_CAP:
+        issues.append(("n_max", "largest window exceeds 2^20 points"))
     if sides is not None and n_max is not None:
         issues.append(("sides", "give either n_max or sides, not both"))
     return issues
 
 
 def _validate_cover_keys(v: dict) -> list:
-    """Each shape needs its center list and each center list its shape."""
-    arity = _VARIANTS["kind"][v["kind"]]["shape"]
+    """Each shape needs its center list and each center list its shape; the
+    ambient window, and the blocks S a of all shapes in total, hold at most
+    _WINDOW_CAP points."""
+    arity = _COVER_ARITY[v["kind"]]
     shapes, centers = family(v, "shape", arity), family(v, "centers", arity)
     issues = [(key.replace("shape", "centers"), f"missing centers for {key}")
               for index, key in shapes.items() if index not in centers]
@@ -397,6 +388,14 @@ def _validate_cover_keys(v: dict) -> list:
                for index, key in centers.items() if index not in shapes]
     if not shapes:
         issues.append(("shape_1" if arity == 1 else "shape_1_1", f"{v['kind']} form needs a shape"))
+    if v["ambient_n"] > _WINDOW_CAP:
+        issues.append(("ambient_n", "ambient window exceeds 2^20 points"))
+    points = 0
+    for index, key in shapes.items():
+        points += v[key] * len(set(v[centers[index]])) if index in centers else 0
+        if points > _WINDOW_CAP:
+            issues.append((key, "cover blocks exceed 2^20 points"))
+            break
     return issues
 
 
@@ -405,10 +404,10 @@ def build_model(cfg: ExperimentConfig):
     v = cfg.values
     model = v["model"]
     if model == "bernoulli":
-        return BernoulliModel.create(v.get("group", ZdGroup(1)), v["p"])
+        return BernoulliModel.create(v["group"], v["p"])
     if model == "random-alphabet":
         rows = [v[key] for key in family(v, "fiber_p", 1).values()]
-        return RandomAlphabetModel.create(v.get("group", ZdGroup(1)), v["base_p"], rows)
+        return RandomAlphabetModel.create(v["group"], v["base_p"], rows)
     if model == "markov":
         return MarkovModel.create([v[key] for key in family(v, "transition", 1).values()])
     raise AssertionError(model)
@@ -420,7 +419,7 @@ def build_cover(cfg: ExperimentConfig):
     shape_i_j / centers_i_j are row i of kind = random."""
     v = cfg.values
     group = ZdGroup(1)
-    arity = _VARIANTS["kind"][v["kind"]]["shape"]
+    arity = _COVER_ARITY[v["kind"]]
     center_keys = family(v, "centers", arity)
     rows: dict = {}
     for index, key in family(v, "shape", arity).items():

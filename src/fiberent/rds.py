@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iterproduct
 from numbers import Rational
-from operator import sub
 from typing import Callable, Collection, Sequence
 
 import numpy as np
@@ -425,19 +424,16 @@ class ShiftModel:
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
         """How `smb_totals` reads a schedule of windows.  If each window
         extends its predecessor, the plan is a "run": every row's new
-        coordinates in one run, where each row ends, and the run positions
-        of each row's lost coordinates.  Otherwise each window is "whole"."""
-        coords, ends, losses, prev, position = [], [], [], frozenset(), {}
+        coordinates in one run, and where each row ends.  Otherwise each
+        window is "whole"."""
+        coords, ends, prev = [], [], frozenset()
         for cs in windows:
             if not self._extends(prev, cs):
                 return "whole", tuple(tuple(sorted(cs)) for cs in windows)
-            losses.append(tuple(position[c] for c in sorted(prev - cs)))
-            for c in sorted(cs - prev):
-                position[c] = len(coords)
-                coords.append(c)
+            coords.extend(sorted(cs - prev))
             ends.append(len(coords))
             prev = cs
-        return "run", tuple(coords), tuple(ends), tuple(losses)
+        return "run", tuple(coords), tuple(ends)
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
         """-ln mu_omega of the cell of `point` over each planned window; a
@@ -446,14 +442,12 @@ class ShiftModel:
         if plan[0] == "whole":
             return [-self.cell_log_measure(point.omega, tuple(zip(cs, x.values_at(cs))))
                     for cs in plan[1]]
-        _, coords, ends, losses = plan
+        _, coords, ends = plan
         logs = self._cell_factors(point.omega, coords, x.values_at(coords), log=True)
         running, totals = 0.0, []
         try:  # each site is in some row, so fsum meets the None of any zero factor
-            for start, end, lost in zip((0,) + ends, ends, losses):
+            for start, end in zip((0,) + ends, ends):
                 running -= math.fsum(logs[start:end])
-                if lost:
-                    running += math.fsum(logs[i] for i in lost)
                 totals.append(running)
         except TypeError:
             raise ZeroMeasureError("zero-measure cell") from None
@@ -533,8 +527,8 @@ class RandomAlphabetModel(ShiftModel):
         return [row[s] for row, s in zip(rows, symbols)]
 
     def _extends(self, prev: frozenset, cs: frozenset) -> bool:
-        """Sites are independent: any window's run continues any other's."""
-        return True
+        """Sites are independent: a run goes on into any window holding `prev`."""
+        return prev <= cs
 
     def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
         """Sites are independent given omega: no other label matters."""
@@ -644,11 +638,16 @@ class MarkovModel(ShiftModel):
         transition per pair of neighbouring sites, exact or as logs."""
         if not coords:
             return []
-        ks = [k for (k,) in coords]
-        gaps = list(map(sub, ks[1:], ks))
-        power = {gap: self._gap_power(gap, log) for gap in set(gaps)}
-        start = self._log_stationary if log else self.stationary
-        return [start[symbols[0]]] + [power[g][a][b] for g, a, b in zip(gaps, symbols, symbols[1:])]
+        sites = zip(coords, symbols)
+        (left,), a = next(sites)
+        factors = [(self._log_stationary if log else self.stationary)[a]]
+        gap = power = None
+        for (k,), b in sites:
+            if k - left != gap:  # look P^gap up again only when the gap changes
+                gap, power = k - left, self._gap_power(k - left, log)
+            factors.append(power[a][b])
+            left, a = k, b
+        return factors
 
     def _extends(self, prev: frozenset, cs: frozenset) -> bool:
         """A chain's run grows only rightwards: it keeps every site of `prev`

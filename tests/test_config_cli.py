@@ -692,6 +692,40 @@ class TestCliRuns:
         assert reason in err
         assert not Path(out).exists()
 
+    # A flag joins the file before any rule runs: it may supply a key the file
+    # lacks, or replace a value the cross-key rules would reject.
+    @pytest.mark.parametrize("text, flags", [
+        ("model = bernoulli\np = 0.5, 0.5\nn_max = 2\n", ("--seed", "5")),
+        (SMB_MIN + "workers = 100\n", ("--workers", "2")),
+    ], ids=["seed-from-flag", "workers-replaced"])
+    def test_flags_join_the_file_before_the_rules(self, tmp_path, capsys, text, flags):
+        rc, out = run(tmp_path, "smb-run", text, *flags)
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert read_summary(out)["seed"] == "5"
+
+    def test_a_bad_file_line_stays_an_issue_under_its_flag(self, tmp_path, capsys):
+        rc, out = run(tmp_path, "smb-run", SMB_MIN + "workers = many\n", "--workers", "2")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: key 'workers' (line 7): ")
+        assert not Path(out).exists()
+
+    # cover-demo holds its ambient window, and its blocks in total, to the
+    # 2^20 points of a window; uncapped, an ambient_n of 10^8 exhausts memory.
+    @pytest.mark.parametrize("shape, key, line, reason", [
+        ("ambient_n = 1048577\nshape_1 = 2\ncenters_1 = 0, 2, 4\n", "ambient_n", 5,
+         "ambient window exceeds 2^20 points"),
+        # 1024 x 512 points, then 1024 x 513: the running total passes 2^20 at shape_2
+        ("ambient_n = 2048\nshape_1 = 1024\ncenters_1 = " + ", ".join(map(str, range(512)))
+         + "\nshape_2 = 1024\ncenters_2 = " + ", ".join(map(str, range(513))) + "\n",
+         "shape_2", 8, "cover blocks exceed 2^20 points"),
+    ], ids=["ambient", "blocks"])
+    def test_cover_demo_size_caps(self, tmp_path, capsys, shape, key, line, reason):
+        text = "seed = 1\nkind = greedy\ndelta = 0.25\nepsilon = 0.5\n" + shape
+        rc, out = run(tmp_path, "cover-demo", text)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: key '{key}' (line {line}): {reason}\n"
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("subcommand", ["cond-entropy", "folner-check", "cocycle-check",
                                             "cover-demo"])
     def test_workers_flag_is_smb_run_only(self, tmp_path, capsys, subcommand):
@@ -743,6 +777,23 @@ SHIPPED_DIGESTS = {
         "13b8f4e837939e73fe2b956d0c1163fc1e13df2dec0e112203bc66a08cc7ea29",
         "e54e3ab3de25b83824de48953226b881300066f94731129b6c1b19614fed225a"),
 }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_configuration_names_every_key():
+    """Each schema key is in backticks in README's Configuration section; an
+    indexed family counts by its `name_` prefix, as in `shape_1` or `shape_i_j`."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    names = {key if isinstance(key, str) else key[0] + "_"
+             for schema in config_mod._SCHEMAS.values() for key in schema}
+    # a plain key ends its word: `p` and `p = ...` name p, `p_0` does not
+    tails = {name: "" if name.endswith("_") else r"(?!\w)" for name in names}
+    missing = [name for name in sorted(names)
+               if not re.search("`" + re.escape(name) + tails[name] + "[^`\n]*`", section)]
+    assert missing == []
 
 
 def test_configs_are_shipped():
@@ -822,7 +873,7 @@ def fuzz_value(kind):
 def fuzz_keys(subcommand):
     schema = config_mod._SCHEMAS[subcommand]
     plain = [k for k in schema if isinstance(k, str) and k != "out"]
-    return plain + [k for k in FUZZ_INDEXED if config_mod._lookup_kind(schema, k)]
+    return plain + [k for k in FUZZ_INDEXED if config_mod._lookup(schema, k)]
 
 
 @st.composite
@@ -831,7 +882,7 @@ def fuzz_configs(draw):
     schema = config_mod._SCHEMAS[subcommand]
     values = dict(draw(st.sampled_from(FUZZ_BASES[subcommand])))
     for key in draw(st.lists(st.sampled_from(fuzz_keys(subcommand)), max_size=5)):
-        values[key] = draw(fuzz_value(config_mod._lookup_kind(schema, key)))
+        values[key] = draw(fuzz_value(config_mod._lookup(schema, key).kind))
     dropped = draw(st.sets(st.sampled_from(sorted(values)), max_size=2))
     kept = [f"{k} = {v}" for k, v in values.items() if k not in dropped]
     noise = draw(st.lists(FUZZ_TEXT, max_size=2)) if draw(st.integers(0, 3)) == 3 else []

@@ -362,7 +362,8 @@ SMB_PLANS = {
 
 # The plan each case takes: one "run" of sites, unless named otherwise here.
 SMB_PLAN_KINDS = {"markov-general": "whole", "markov-moving": "whole",
-                  "markov-shrinking": "whole"}
+                  "markov-shrinking": "whole", "product-moving": "whole",
+                  "conditional-moving": "whole"}
 
 
 class TestSmbFastPath:
