@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     try:
         rows, summary, ok = _RUNNERS[args.subcommand](cfg)
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
     summary.append(("assertion", "pass" if ok else "fail"))
     summary.append(("seed", cfg.get("seed")))

@@ -5,21 +5,17 @@ The central quantity is the empirical fiber information rate
     (1 / |F_n|) * ( -ln mu_omega( cell of x over F_n ) )
 
 whose almost-sure limit along a tempered Folner sequence is the fiber
-entropy.  Everything here evaluates that quantity and its relatives:
-conditional information, the telescoping chain-rule identity (checked via
-skew-translated points, exactly as the limit theorem's proof decomposes
-it), and Monte Carlo traces with standard errors.  The closed-form fiber
-and conditional entropies are the models' own rules (`model.fiber_entropy()`,
-`model.conditional_entropy(cond)`); the traces call them as targets.
+entropy.  Here are that quantity, conditional information, the telescoping
+chain rule (read at skew-translated points, as the limit theorem's proof
+decomposes it) and Monte Carlo traces with standard errors, whose targets
+are the models' closed-form entropies (`fiber_entropy`, `conditional_entropy`).
 
-Exact rational cell measures feed the identity checks; long-window traces
-read the same cell factors in logs instead, because the probability of a
-4096-coordinate cylinder underflows any float while its log is benign.
-`smb_trace` asks the model for one plan of the whole sequence: a run of
-sites read once, when each window extends the last, or each window whole.
-Both traces give one `TraceRow` per set F_1, ..., F_N of the sequence,
-the row the CLI writes.  Cells are label tuples, as `measures.cell_of`
-returns them.
+The identity checks are exact: each conditional term is one Fraction of the
+model's integer factor products (`conditional_measure`), and the chain rule
+builds each D = R g^-1 as coordinates.  Long-window traces sum the same
+factors as logs, since a 4096-site cylinder's probability underflows any
+float; `smb_trace` reads the whole sequence by one model plan.  Both traces
+give one `TraceRow` per set F_1, ..., F_N, the row the CLI writes.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .folner import FolnerSequence
-from .groups import FiniteSubset, GroupElement, inverse, subset, translate
+from .groups import FiniteSubset, GroupElement, subset
 from .measures import PartitionSpec, canonical_partition, cell_measure, cell_of
 from .rds import SkewPoint, ZeroMeasureError, mean_and_se, sample_point, shannon_entropy, skew
 
@@ -51,44 +47,45 @@ def information(mu, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> float:
 def conditional_information(mu, xi: PartitionSpec,
                             cond_set: FiniteSubset, p: SkewPoint) -> float:
     """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(that cell without e)."""
+    p.x.require_group(cond_set.group)
     e = cond_set.group.identity().coords
     if e in cond_set.coords:
         raise ValueError("conditioning set may not contain the identity")
-    big = cell_of(mu, xi, FiniteSubset(cond_set.group, cond_set.coords | {e}), p)
-    numerator = cell_measure(mu, p.omega, big)
-    # A list, not a generator: on CPython 3.11 a generator cost 0.3 MiB of peak RSS.
-    denominator = cell_measure(mu, p.omega, tuple([label for label in big if label[0] != e]))
-    if denominator == 0:
-        raise ZeroMeasureError("conditioning cell has measure zero")
-    return -log_fraction(numerator / denominator)
+    return _conditional_term(mu, cond_set.coords, e, p)
+
+
+def _conditional_term(mu, cond: set, e: tuple, p: SkewPoint) -> float:
+    """-ln of mu_omega(cell of p over {e} + cond) / mu_omega(that cell without e)."""
+    coords = [e, *cond]
+    labels = tuple(sorted(zip(coords, p.x.values_at(coords))))
+    return -log_fraction(mu.conditional_measure(p.omega, labels, e))
 
 
 def chain_rule_terms(mu, xi: PartitionSpec, F: FiniteSubset,
                      order: Sequence[GroupElement], p: SkewPoint) -> list:
-    """Telescoping decomposition of information(F) along an enumeration.
-
-    Term j conditions the identity coordinate of the point translated by
-    g_j on the not-yet-consumed remainder pulled into that frame:
-    D_j = (F minus {g_1..g_j}) g_j^{-1}.  Summing the terms recovers the
-    total information for any enumeration order.
-    """
+    """Telescoping decomposition of information(F) along an enumeration:
+    term j conditions the identity of the point translated by g_j on the
+    not-yet-consumed remainder pulled into that frame, D_j = (F minus
+    {g_1..g_j}) g_j^{-1}.  The terms sum to information(F) for any order."""
     order = list(order)
     if len(order) != len(F) or subset(F.group, order) != F:
         raise ValueError("order must enumerate F exactly once")
+    group = F.group
+    e = group.identity().coords
     remaining = set(F.coords)
     terms = []
     for g in order:
         remaining.discard(g.coords)
-        D = translate(FiniteSubset(F.group, frozenset(remaining)), inverse(g))
-        terms.append(conditional_information(mu, xi, D, skew(mu, g, p)))
+        g_inv = group.inverse_coords(g.coords)
+        D = {group.mul_coords(r, g_inv) for r in remaining}
+        terms.append(_conditional_term(mu, D, e, skew(mu, g, p)))
     return terms
 
 
 def chain_rule_residual(mu, xi: PartitionSpec, F: FiniteSubset,
                         order: Sequence[GroupElement], p: SkewPoint) -> float:
     """|information(F) - sum of telescoping terms| for one enumeration."""
-    total = information(mu, xi, F, p)
-    return abs(total - math.fsum(chain_rule_terms(mu, xi, F, order, p)))
+    return abs(information(mu, xi, F, p) - math.fsum(chain_rule_terms(mu, xi, F, order, p)))
 
 
 @dataclass(frozen=True)
@@ -159,13 +156,10 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
                               method: str = "exact", samples: int = 2000) -> ConvergenceTrace:
     """Base-averaged conditional entropy given the join over F_n minus {e}.
 
-    The conditioning join excludes the identity: including it would force
-    the value to zero, and the telescoping decomposition conditions each
-    coordinate on strictly-later ones only.
-
-    method "exact" evaluates the model's closed form
-    (`model.conditional_entropy`); "monte-carlo" averages the
-    entropy of the exact conditional label distribution over sampled
+    The join excludes the identity, which would force the value to zero;
+    the telescoping decomposition conditions each site on later ones only.
+    method "exact" evaluates `model.conditional_entropy`; "monte-carlo"
+    averages the entropy of the exact conditional label law over sampled
     points, which stays unbiased.  Each sample reads the whole conditioning
     window, to check its cell is not null; only the sites the law depends
     on (a Markov chain's nearest neighbours) weigh the symbol at e.

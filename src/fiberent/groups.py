@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -65,7 +66,15 @@ class ZdGroup:
         return GroupElement(self, tuple(int(c) for c in coords))
 
     def mul_coords(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        """a + b, written out for ranks 1 to 3: every shifted site read comes here."""
+        d = self.d
+        if d == 1:
+            return (a[0] + b[0],)
+        if d == 2:
+            return (a[0] + b[0], a[1] + b[1])
+        if d == 3:
+            return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        return tuple(map(add, a, b))
 
     def inverse_coords(self, a: tuple) -> tuple:
         return tuple(-x for x in a)
@@ -129,9 +138,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return inverse(self)
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __repr__(self) -> str:
         return f"{self.group.tag}{self.coords}"

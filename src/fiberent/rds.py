@@ -1,13 +1,13 @@
 """Random dynamical systems over symbolic spaces, with three solvable models.
 
 The base space Omega and the fiber space X are both symbolic: maps from the
-group into a finite alphabet.  Configurations over an infinite group cannot
-be stored, so each one is represented lazily as a sampler plus a frame
-offset.  A sampler maps a physical coordinate to a symbol: a seeded draw,
-or a `FixedSampler` of explicit symbols; it is the only lookup a site read
-passes through.  Windows are read whole: `values_at` makes one `symbols`
-call, which draws every unread site with one `rng` batch call, and
-`value_at` / `symbol_at` are the scalar twins it is tested against.
+group into a finite alphabet.  A configuration is a sampler, which maps a
+physical coordinate to a symbol (a seeded draw, or a `FixedSampler`), plus
+a frame offset, a coordinate tuple like every site key; GroupElements appear
+only at the `shift`, `skew` and `value` boundary, which checks their group.
+Windows are read whole: `values_at` makes one `symbols` call, which draws
+every unread site in one `rng` batch, and `value_at` / `symbol_at` are the
+scalar twins it is tested against.
 
 Action convention, used everywhere: the group acts by
 
@@ -17,20 +17,16 @@ so shifting a configuration by g multiplies its frame offset by g on the
 left.  All cocycle identities below depend on this choice.
 
 The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
-it is written once, on ShiftModel, which every model extends.  The
-omega-dependence lives in the fiber measures mu_omega.  Each model owns
-one cell factor rule, read exact (Fractions) or in logs, and one rule
-saying when a window's factors extend its predecessor's; with the
-conditioning sites that matter and closed-form fiber and conditional
-entropies, that is all a model writes.  The exact and log cell
-measures, the conditional label law and the SMB plan (one run of sites,
-or each window whole) are built once, on ShiftModel, from those two
-rules: product runs always extend, a Markov run only while windows
-grow rightwards.  Callers call these rules on the model;
-nothing branches on the model's type.  Bernoulli is the random-alphabet
-model with a one-symbol base, so there is one product rule and one
-Markov rule.  This keeps entropies in closed form while the
-disintegration is genuinely random for the mixed-alphabet model.
+it is written once, on ShiftModel, which every model extends, and the
+omega-dependence lives in the fiber measures mu_omega.  A model writes one
+cell factor rule, read exact (Fractions) or in logs, one rule saying when a
+window's factors extend its predecessor's, the conditioning sites that
+matter and its closed-form entropies.  ShiftModel builds the exact and log
+cell measures, the conditional measure and label law and the SMB plan from
+those rules, so nothing branches on the model's type.  Bernoulli is the
+random-alphabet model with a one-symbol base: one product and one Markov
+rule keep entropies closed-form, with a genuinely random disintegration
+for the mixed-alphabet model.
 """
 
 from __future__ import annotations
@@ -238,24 +234,21 @@ def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class SymbolicConfiguration:
-    """Lazy symbolic configuration: value(h) = sampler.symbol_at(h * offset).
-
-    Shifting never copies symbols, it only changes the offset, so all
-    shifts of one configuration share one sampler (and its memo) and stay
-    mutually consistent.
-    """
+    """Lazy symbolic configuration: value(h) = sampler.symbol_at(h * offset),
+    the offset being a coordinate tuple.  Shifting only changes the offset,
+    so all shifts of one configuration share one sampler and its memo."""
 
     group: DiscreteGroup
     sampler: object
-    offset: GroupElement
+    offset: tuple
 
     def value_at(self, coords: tuple) -> int:
-        return self.sampler.symbol_at(self.group.mul_coords(coords, self.offset.coords))
+        return self.sampler.symbol_at(self.group.mul_coords(coords, self.offset))
 
     def values_at(self, coords: Sequence) -> list:
         """[value_at(c) for c in coords], read with one `sampler.symbols`."""
-        if not self.offset.is_identity():
-            mc, oc = self.group.mul_coords, self.offset.coords
+        if any(self.offset):
+            mc, oc = self.group.mul_coords, self.offset
             coords = [mc(c, oc) for c in coords]
         return self.sampler.symbols(coords)
 
@@ -286,13 +279,14 @@ def configuration_from_pins(
     for where, sym in (*pins.items(), ("fill", fill)):
         if not 0 <= sym < alphabet_size:
             raise ValueError(f"symbol {sym} at {where} outside alphabet")
-    return SymbolicConfiguration(group, FixedSampler(dict(pins), fill), group.identity())
+    return SymbolicConfiguration(group, FixedSampler(dict(pins), fill), (0,) * group.rank)
 
 
 def shift(config: SymbolicConfiguration, g: GroupElement) -> SymbolicConfiguration:
     """The action (g . c)_h = c_{h g}: left-multiply the frame offset."""
     config.require_group(g.group)
-    return SymbolicConfiguration(config.group, config.sampler, mul(g, config.offset))
+    offset = config.group.mul_coords(g.coords, config.offset)
+    return SymbolicConfiguration(config.group, config.sampler, offset)
 
 
 @dataclass(frozen=True)
@@ -378,15 +372,6 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _product(factors) -> Fraction:
-    """The product of Fractions, multiplied as ints and reduced once."""
-    num = den = 1
-    for f in factors:
-        num *= f.numerator
-        den *= f.denominator
-    return Fraction(num, den)
-
-
 def _split(labels: tuple) -> tuple:
     """A cell's coordinates and its symbols, as two lists."""
     return [c for c, _ in labels], [s for _, s in labels]
@@ -396,22 +381,37 @@ class ShiftModel:
     """What the three models share: the fiber map is the shift, and every
     cell rule is built here from the model's two own rules.
 
-    A cell is given as `labels`, a tuple of (coords, atom index) pairs
-    sorted by coords.  `_cell_factors(omega, coords, symbols, log)` is the
-    model's one factor rule: the cell measure is the product of its exact
-    Fractions, and its log the sum of the matching log-table entries (None
-    for a zero).  `_extends(prev, cs)` says whether the factors of window
-    `cs` continue those of `prev`, so that an SMB schedule can be read as
-    one run of sites.
+    A cell is `labels`, a tuple of (coords, atom index) pairs sorted by
+    coords.  `_cell_factors(omega, coords, symbols, log)` gives the exact
+    Fractions whose product is the cell measure, or their log-table entries
+    (None for a zero).  `_extends(prev, cs)` says whether the factors of
+    window `cs` continue those of `prev`, so an SMB schedule is one run.
     """
 
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
         return shift(x, g)
 
+    def _product(self, omega: SymbolicConfiguration, labels) -> tuple:
+        """The cell's exact factors multiplied as ints: (numerator, denominator)."""
+        num = den = 1
+        for f in self._cell_factors(omega, *_split(labels)):
+            num *= f.numerator
+            den *= f.denominator
+        return num, den
+
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         """Exact mu_omega of the cylinder cell."""
-        return _product(self._cell_factors(omega, *_split(labels)))
+        return Fraction(*self._product(omega, labels))
+
+    def conditional_measure(self, omega: SymbolicConfiguration, labels: tuple,
+                            at: tuple) -> Fraction:
+        """mu_omega(cell) / mu_omega(cell without site `at`), one Fraction n1 d2 / (d1 n2)."""
+        n1, d1 = self._product(omega, labels)
+        n2, d2 = self._product(omega, [label for label in labels if label[0] != at])
+        if n2 == 0:
+            raise ZeroMeasureError("conditioning cell has measure zero")
+        return Fraction(n1 * d2, d1 * n2)
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
         """ln of cell_measure, summed from log tables: stable at windows of
@@ -504,7 +504,7 @@ class RandomAlphabetModel(ShiftModel):
         if len(self.base_p) == 1:
             return constant_configuration(self.group, 1)
         sampler = ProductSampler(self.base_p, derive_seed(stream_seed, "omega"))
-        return SymbolicConfiguration(self.group, sampler, self.group.identity())
+        return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
         seed = derive_seed(stream_seed, "x")
@@ -512,7 +512,7 @@ class RandomAlphabetModel(ShiftModel):
             sampler = ProductSampler(self.fiber_ps[0], seed)
         else:
             sampler = ConditionalSampler(omega.sampler, self.fiber_ps, seed)
-        return SymbolicConfiguration(self.group, sampler, self.group.identity())
+        return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
         """rows[omega_c] for each coordinate c: the fiber row used there."""
@@ -630,7 +630,7 @@ class MarkovModel(ShiftModel):
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
         sampler = MarkovPathSampler(self.transition, self.stationary, derive_seed(stream_seed, "x"))
-        return SymbolicConfiguration(self.group, sampler, self.group.identity())
+        return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
                       log: bool = False) -> list:

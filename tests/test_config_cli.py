@@ -669,6 +669,16 @@ class TestCliRuns:
         assert not Path(out).exists()
         assert not Path(out + ".summary").exists()
 
+    def test_runner_exception_without_text_names_its_type(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "smb-run", exhausted)
+        rc, out = run(tmp_path, "smb-run", SMB_MIN)
+        assert rc == EXIT_INTERNAL == 5
+        assert capsys.readouterr().err == "internal error: MemoryError\n"
+        assert not Path(out).exists()
+
     def test_seed_override_range(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ok.cfg",
                         "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 2\n")

@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fiberent.folner import FolnerSequence, box_folner, box_folner_sizes
-from fiberent.groups import ZdGroup, subset_from_coords
+from fiberent.groups import FiniteSubset, ZdGroup, inverse, subset_from_coords, translate
 from fiberent.measures import (
     canonical_partition,
     cell_measure,
@@ -26,6 +26,7 @@ from fiberent.rds import (
     configuration_from_pins,
     sample_point,
     shannon_entropy,
+    skew,
 )
 from fiberent.entropy import (
     _smb_worker,
@@ -38,7 +39,7 @@ from fiberent.entropy import (
     smb_trace,
 )
 
-from conftest import constant_omega
+from conftest import coset_chain_model, coset_chain_point, constant_omega
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -225,6 +226,100 @@ class TestChainRule:
         for order in (Z1.box(2).sorted_elements(), twice, Z2.box(3, 1).sorted_elements()):
             with pytest.raises(ValueError):
                 chain_rule_terms(model, canonical_partition(model), F, order, p)
+
+
+def reference_chain_rule_terms(mu, xi, F, order, p):
+    """chain_rule_terms through the public API: per term a translated
+    FiniteSubset D = R g^-1, the cell over D + {e} at the skew point, and
+    the quotient of two cell_measure Fractions."""
+    e = F.group.identity().coords
+    remaining = set(F.coords)
+    terms = []
+    for g in order:
+        remaining.discard(g.coords)
+        D = translate(FiniteSubset(F.group, frozenset(remaining)), inverse(g))
+        q = skew(mu, g, p)
+        big = cell_of(mu, xi, FiniteSubset(F.group, D.coords | {e}), q)
+        small = tuple(label for label in big if label[0] != e)
+        terms.append(-log_fraction(cell_measure(mu, q.omega, big)
+                                   / cell_measure(mu, q.omega, small)))
+    return terms
+
+
+def twin_cases():
+    """(model, window, point) for the criterion-4 models and the coset chains."""
+    bern, mixed, markov = all_models()
+    return [
+        (bern, Z2.box(3, 2), sample_point(bern, 401, 1)),
+        (mixed, Z2.box(2, 2), sample_point(mixed, 402, 1)),
+        (markov, Z1.box(6), sample_point(markov, 403, 1)),
+        (markov, subset_from_coords(Z1, [(-2,), (0,), (1,), (5,)]), sample_point(markov, 404, 0)),
+        (coset_chain_model(), coset_chain_model().group.box(2, 2, 2), coset_chain_point(405)),
+    ]
+
+
+class TestChainRuleTwin:
+    def test_terms_equal_the_public_api_reference_float_for_float(self):
+        rng = random.Random(19)
+        for model, F, p in twin_cases():
+            xi = canonical_partition(model)
+            elements = F.sorted_elements()
+            for _ in range(20):
+                order = elements[:]
+                rng.shuffle(order)
+                assert chain_rule_terms(model, xi, F, order, p) == \
+                    reference_chain_rule_terms(model, xi, F, order, p)
+
+    def test_conditional_information_is_the_one_fraction_term(self):
+        for model, F, p in twin_cases():
+            xi = canonical_partition(model)
+            e = F.group.identity().coords
+            cond = FiniteSubset(F.group, F.coords - {e})
+            big = cell_of(model, xi, FiniteSubset(F.group, cond.coords | {e}), p)
+            small = tuple(label for label in big if label[0] != e)
+            quotient = cell_measure(model, p.omega, big) / cell_measure(model, p.omega, small)
+            assert model.conditional_measure(p.omega, big, e) == quotient
+            assert conditional_information(model, xi, cond, p) == -log_fraction(quotient)
+
+
+class TestCosetChains:
+    """The chain rule on a non-abelian group whose measure has dependence
+    between sites, so the side of D = R g^-1 matters."""
+
+    def test_chain_rule_residual_and_order_invariance(self):
+        model = coset_chain_model()
+        xi = canonical_partition(model)
+        F = model.group.box(2, 2, 2)
+        rng = random.Random(23)
+        for seed in range(3):
+            p = coset_chain_point(seed)
+            elements = F.sorted_elements()
+            totals = []
+            for _ in range(100):
+                order = elements[:]
+                rng.shuffle(order)
+                assert chain_rule_residual(model, xi, F, order, p) <= 1e-10
+                totals.append(math.fsum(chain_rule_terms(model, xi, F, order, p)))
+            assert max(totals) - min(totals) <= 1e-10
+
+    def test_terms_depend_on_the_side_of_the_translate(self):
+        # Conditioning on g^-1 R instead of R g^-1 changes some term: the
+        # residual test above would catch a left-handed chain rule.
+        model = coset_chain_model()
+        xi = canonical_partition(model)
+        F = model.group.box(2, 2, 2)
+        p = coset_chain_point(0)
+        group = F.group
+        changed = 0
+        for g in F.sorted_elements():
+            rest = F.coords - {g.coords}
+            right = translate(FiniteSubset(group, frozenset(rest)), inverse(g))
+            left = FiniteSubset(
+                group, frozenset(group.mul_coords(inverse(g).coords, r) for r in rest))
+            q = skew(model, g, p)
+            changed += (conditional_information(model, xi, right, q)
+                        != conditional_information(model, xi, left, q))
+        assert changed > 0
 
 
 class TestFiberEntropyClosedForm:

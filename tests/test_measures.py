@@ -30,7 +30,7 @@ from fiberent.rds import (
     sample_point,
 )
 
-from conftest import constant_omega
+from conftest import constant_omega, coset_chain_model
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -281,6 +281,26 @@ class TestInvariance:
                 omega = model.sample_omega(1000 + i)
                 g = random_element(model.group, 3, 97, i)
                 assert check_invariance(mu, g, omega, canonical_partition(model), F)
+
+    def test_coset_chains_are_invariant_under_the_right_action(self):
+        model = coset_chain_model()
+        omega, xi, F = constant_omega(model), canonical_partition(model), H.box(2, 2, 1)
+        for i in range(30):
+            g = random_element(H, 3, 83, "inv", i)
+            assert check_invariance(model, g, omega, xi, F)
+
+    def test_coset_chains_are_not_invariant_under_left_pulls(self):
+        # Pulling labels to g F instead of F g changes some cell measure, so
+        # the test above would catch a left-handed check_invariance.
+        model = coset_chain_model()
+        omega, xi, F = constant_omega(model), canonical_partition(model), H.box(2, 2, 1)
+        moved = 0
+        for i in range(30):
+            g = random_element(H, 3, 83, "inv", i)
+            for labels, forward in enumerate_cells(model, omega, xi, F):
+                pulled = tuple(sorted((H.mul_coords(g.coords, c), s) for c, s in labels))
+                moved += cell_measure(model, omega, pulled) != forward
+        assert moved > 0
 
     def test_window_of_another_group_raises(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])

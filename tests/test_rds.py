@@ -1,12 +1,13 @@
 """RDS core: action convention, cocycle law, samplers."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberent.groups import HeisenbergGroup, ZdGroup, mul, random_element
+from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, mul, random_element
 from fiberent.rds import (
     BernoulliModel,
     ConditionalSampler,
@@ -24,6 +25,8 @@ from fiberent.rds import (
     shift,
     skew,
 )
+
+from conftest import coset_chain_model
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -82,6 +85,22 @@ class TestShiftConvention:
         lhs = shift(shift(omega, g1), g2)
         rhs = shift(omega, mul(g2, g1))
         assert lhs.agrees_on(rhs, H.box(3, 3, 9))
+
+    def test_offset_is_the_coordinate_tuple_of_the_product(self):
+        x = configuration_from_pins(H, 2, {})
+        g1, g2 = H.element(1, 2, 3), H.element(-2, 1, 0)
+        assert x.offset == (0, 0, 0)
+        assert shift(shift(x, g1), g2).offset == mul(g2, g1).coords
+
+    @pytest.mark.parametrize("config_group, element", [
+        (Z2, Z1.element(1)), (H, ZdGroup(3).element(1, 0, 0)), (ZdGroup(3), H.element(1, 0, 0))],
+        ids=["z2-z1", "heisenberg-z3", "z3-heisenberg"])
+    def test_shift_rejects_an_element_of_another_group(self, config_group, element):
+        x = constant_configuration(config_group, 2)
+        with pytest.raises(GroupMismatchError):
+            shift(x, element)
+        with pytest.raises(GroupMismatchError):
+            skew(BernoulliModel.create(config_group, [0.5, 0.5]), element, SkewPoint(x, x))
 
     def test_base_action_composition_random_coords(self):
         for model in all_models():
@@ -300,3 +319,19 @@ def test_skew_point_group_mismatch():
     x = constant_configuration(Z2, 2)
     with pytest.raises(Exception):
         SkewPoint(omega, x)
+
+
+def test_models_and_shifted_pinned_points_pickle():
+    # --workers sends models to worker processes, which draw their own
+    # points from (seed, index); a pinned point, shifted to a tuple offset,
+    # survives the round trip too.
+    for model in (*all_models(), coset_chain_model()):
+        group = model.group
+        assert pickle.loads(pickle.dumps(model)) == model
+        g = random_element(group, 3, 53, model.kind)
+        pins = {c: sum(c) % 2 for c in window_for(group, 3).coords}
+        x = configuration_from_pins(group, 2, pins)
+        moved = skew(model, g, SkewPoint(constant_configuration(group, 1), x))
+        moved2 = pickle.loads(pickle.dumps(moved))
+        assert moved2.x.offset == moved.x.offset == g.coords
+        assert moved2.x.agrees_on(moved.x, window_for(group, 4))
