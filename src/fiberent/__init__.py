@@ -15,6 +15,7 @@ from .covering import (
     RandomCoverInstance,
     check_hypotheses,
     greedy_cover,
+    iter_samples,
     sample_many,
     sample_random_cover,
     verify_greedy_cover,

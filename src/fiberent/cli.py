@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .config import (_SCHEMAS, ConfigError, ExperimentConfig, build_cover, build_model,
                      decode_config, parse_config)
-from .covering import greedy_cover, sample_many, verify_greedy_cover, verify_random_cover
+from .covering import greedy_cover, iter_samples, verify_greedy_cover, verify_random_cover
 from .entropy import TraceRow, conditional_entropy_trace, smb_trace
 from .folner import validate_sequence, window_folner
 from .groups import random_element
@@ -197,8 +197,7 @@ def _run_cover_demo(cfg: ExperimentConfig):
             ("coverage_ok", report.coverage_ok),
         ])
         return rows, summary, report.ok
-    sols = sample_many(inst, cfg.get("samples"), cfg.get("seed"))
-    report = verify_random_cover(inst, sols)
+    report = verify_random_cover(inst, iter_samples(inst, cfg.get("samples"), cfg.get("seed")))
     rows = [TraceRow(1, len(ambient), report.mean_total_size, None, report.total_size_se)]
     summary.extend([
         ("samples", report.samples),

@@ -11,6 +11,12 @@ Two constructions are implemented over finite windows of a group:
 
 Each instance builds every block S a once, as its cached `layers`; the
 containment hypotheses and every run of either construction read them.
+The sampler keeps q as an integer ratio num / den, so its tests against 0
+and 1 are exact and its keep threshold num / den is float(q); the thinning
+limit floor(delta |S|) is an integer division too.  The randomized
+verifier reads its samples from any iterable, once, and tallies each
+covered point at its position in F with np.bincount, so samples can be
+verified as they are drawn (iter_samples) without holding them all.
 
 The underlying covering lemmas are existence statements; these builders
 realize the standard constructions and the verifiers evaluate the stated
@@ -22,14 +28,20 @@ failure on a hypothesis-passing instance is reported, never masked.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .groups import FiniteSubset, GroupMismatchError, inverse_set, product_set_size, union_of
 from .rds import mean_and_se
 from .rng import derive_seed, uniform01_stream
+
+
+# Covered points per tally chunk: the verifier holds at most this many, or
+# one sample's, positions and multiplicities at a time.
+_TALLY_CHUNK = 1 << 16
 
 
 class HypothesisError(ValueError):
@@ -244,13 +256,13 @@ def _thin(delta: Fraction, layers) -> CoverSolution:
     where lam maps each covered point to its multiplicity; it is resumed
     only after the previous layer is thinned, so a layer may depend on how
     much is covered so far.  Overlaps are integers, so comparing them with
-    floor(delta * |shape|) is exact.
+    floor(delta * |shape|), taken in integers, is exact.
     """
     lam: dict = {}
     picks = []
     total = 0
     for key, size, blocks in layers(lam):
-        limit = math.floor(delta * size)
+        limit = delta.numerator * size // delta.denominator
         for center, block in blocks:
             if sum(map(lam.__contains__, block)) <= limit:
                 picks.append(key + (center,))
@@ -283,18 +295,21 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
     so sampling pressure decays as the target coverage is approached;
     retained centers are then thinned exactly like the greedy builder.
     Coverage never shrinks, so the pass ends at the first layer with
-    q = 0.  The output is a pure function of (instance, seed).
+    q = 0.  q is num / den in integers: both tests are exact, and int
+    true division rounds correctly, so the keep threshold is float(q).
+    The output is a pure function of (instance, seed).
     """
     _require_hypotheses(inst)
-    goal = inst.alpha * len(inst.ambient)
+    dn, dd = inst.delta.numerator, inst.delta.denominator
+    gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
 
     def layers(lam):
         for (i, j), size, blocks in reversed(inst.layers):
-            q = inst.delta * (goal - len(lam)) / size
-            if q <= 0:
+            num, den = dn * (gn - len(lam) * gd), dd * gd * size
+            if num <= 0:
                 return
-            if q < 1:
-                q_float = float(q)
+            if num < den:
+                q_float = num / den
                 keep = uniform01_stream(seed, "keep", i, j)
                 blocks = [(a, block) for a, block in blocks if keep(a) < q_float]
             yield (i, j), size, blocks
@@ -368,7 +383,7 @@ class RandomCoverReport:
 
 
 def verify_random_cover(inst: RandomCoverInstance,
-                        solutions: Sequence[CoverSolution]) -> RandomCoverReport:
+                        solutions: Iterable[CoverSolution]) -> RandomCoverReport:
     """Tally E(multiplicity | positive) per point and E(total size).
 
     Conclusions checked: the worst per-point conditional mean multiplicity
@@ -376,27 +391,40 @@ def verify_random_cover(inst: RandomCoverInstance,
     (alpha - delta)|F|; both with 3-sigma slack from the sample spread.
     Among points tied at the worst mean the smallest standard error is
     reported: the strictest slack, and one that no point order can change.
+
+    `solutions` is any iterable, read once, so samples may be drawn as they
+    are verified.  Each covered point is tallied at its position in F, an
+    index local to this call: np.bincount adds up count, sum and sum of
+    squares of its multiplicities over chunks of at most _TALLY_CHUNK
+    points, and mean and variance take the float64 operations of the
+    scalar formula in its order.  At least 100 samples are required.
     """
-    if len(solutions) < 100:
-        raise ValueError("need at least 100 samples for stable statistics")
-    count: dict = {}
-    acc: dict = {}
-    acc_sq: dict = {}
+    index = {coords: k for k, coords in enumerate(inst.ambient.coords)}
+    tally = np.zeros((3, len(index)))
     totals = []
+    pos: list = []
+    mult: list = []
     for sol in solutions:
         totals.append(float(sol.total_size))
-        for coords, m in sol.multiplicity.items():
-            count[coords] = count.get(coords, 0) + 1
-            acc[coords] = acc.get(coords, 0) + m
-            acc_sq[coords] = acc_sq.get(coords, 0) + m * m
+        try:
+            pos += map(index.__getitem__, sol.multiplicity)
+        except KeyError as exc:
+            raise ValueError(f"covered point {exc.args[0]} lies outside the ambient set") from None
+        mult += sol.multiplicity.values()
+        if len(pos) >= _TALLY_CHUNK:
+            _tally(tally, pos, mult)
+    _tally(tally, pos, mult)
+    if len(totals) < 100:
+        raise ValueError("need at least 100 samples for stable statistics")
     worst_mean, worst_se = 0.0, 0.0
-    for coords, k in count.items():
-        mean = acc[coords] / k
-        if mean >= worst_mean:
-            var = (acc_sq[coords] - k * mean * mean) / (k - 1) if k > 1 else 0.0
-            se = math.sqrt(max(var, 0.0) / k)
-            if mean > worst_mean or se < worst_se:
-                worst_mean, worst_se = mean, se
+    k, acc, acc_sq = tally[:, tally[0] > 0]
+    if k.size:
+        mean = acc / k
+        worst = mean == mean.max()
+        k, mean, acc_sq = k[worst], mean[worst], acc_sq[worst]
+        var = np.where(k > 1, (acc_sq - k * mean * mean) / np.maximum(k - 1, 1), 0.0)
+        worst_mean = float(mean[0])
+        worst_se = float(np.sqrt(np.maximum(var, 0.0) / k).min())
     mean_total, total_se = mean_and_se(totals)
     return RandomCoverReport(
         samples=len(totals),
@@ -409,8 +437,28 @@ def verify_random_cover(inst: RandomCoverInstance,
     )
 
 
+def _tally(tally: np.ndarray, pos: list, mult: list) -> None:
+    """Add the count, sum and sum of squares of `mult` at each position of
+    `pos` into the rows of `tally`, then empty both lists.  The sums are of
+    integers below 2^53, so float64 holds them exactly."""
+    n = tally.shape[1]
+    p = np.array(pos, dtype=np.intp)
+    m = np.array(mult, dtype=np.float64)
+    tally[0] += np.bincount(p, minlength=n)
+    tally[1] += np.bincount(p, m, n)
+    tally[2] += np.bincount(p, m * m, n)
+    pos.clear()
+    mult.clear()
+
+
+def iter_samples(inst: RandomCoverInstance, samples: int, seed: int) -> Iterator[CoverSolution]:
+    """Independent seeded cover samples, stream-split from one root seed and
+    drawn one at a time: sample s is sample_random_cover(inst,
+    derive_seed(seed, "cover", s))."""
+    for s in range(samples):
+        yield sample_random_cover(inst, derive_seed(seed, "cover", s))
+
+
 def sample_many(inst: RandomCoverInstance, samples: int, seed: int) -> list:
-    """Independent seeded cover samples, stream-split from one root seed."""
-    return [
-        sample_random_cover(inst, derive_seed(seed, "cover", s)) for s in range(samples)
-    ]
+    """The samples of iter_samples, as a list."""
+    return list(iter_samples(inst, samples, seed))

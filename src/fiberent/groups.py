@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -77,7 +77,15 @@ class ZdGroup:
         return tuple(map(add, a, b))
 
     def inverse_coords(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
+        """-a, written out for ranks 1 to 3 like mul_coords: inverse_set comes here."""
+        d = self.d
+        if d == 1:
+            return (-a[0],)
+        if d == 2:
+            return (-a[0], -a[1])
+        if d == 3:
+            return (-a[0], -a[1], -a[2])
+        return tuple(map(neg, a))
 
     def box(self, *extents: int) -> "FiniteSubset":
         """Anchored box [0, e_1) x ... x [0, e_d)."""

@@ -35,6 +35,7 @@ _UNIT = 1.0 / (1 << 53)
 # b"(", the length of the inner bytes, then b"i" and an int64 per part.
 _INT_TAIL = struct.Struct("<Bq").pack
 _TUPLE_TAILS = tuple(struct.Struct("<BI" + "Bq" * n).pack for n in range(9))
+_PACK_1, _PACK_2 = _TUPLE_TAILS[1:3]
 # Tails per batch in `many`, so a 2^20-site window never holds all its digests.
 _CHUNK = 1 << 14
 
@@ -112,18 +113,30 @@ def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
 def _pack_tail(tail) -> bytes:
     """``_encode((tail,))``, packed by one precompiled Struct when the tail
     is an int64 or a tuple of up to 8 int64s; any other tail (bools,
-    non-ints, ints outside int64, longer tuples) goes through ``_encode``."""
+    non-ints, ints outside int64, longer tuples) goes through ``_encode``.
+    1- and 2-tuples, the cover centers of Z and Z^2, have their Struct
+    calls written out."""
     try:
         if type(tail) is int:
             return _INT_TAIL(0x69, tail)
-        if type(tail) is tuple and len(tail) < len(_TUPLE_TAILS):
-            args = [0x28, 9 * len(tail)]
-            for part in tail:
-                if type(part) is not int:
-                    break
-                args += 0x69, part
-            else:
-                return _TUPLE_TAILS[len(tail)](*args)
+        if type(tail) is tuple:
+            n = len(tail)
+            if n == 1:
+                (a,) = tail
+                if type(a) is int:
+                    return _PACK_1(0x28, 9, 0x69, a)
+            elif n == 2:
+                a, b = tail
+                if type(a) is int and type(b) is int:
+                    return _PACK_2(0x28, 18, 0x69, a, 0x69, b)
+            elif n < len(_TUPLE_TAILS):
+                args = [0x28, 9 * n]
+                for part in tail:
+                    if type(part) is not int:
+                        break
+                    args += 0x69, part
+                else:
+                    return _TUPLE_TAILS[n](*args)
     except struct.error:  # an int outside int64
         pass
     return _encode((tail,))

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tempfile
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,6 +480,34 @@ class TestCliRuns:
         assert summary["multiplicity_ok"] == "True"
         assert summary["coverage_ok"] == "True"
         assert float(summary["max_conditional_multiplicity"]) < 1.3
+
+    def test_cover_demo_verifies_samples_as_they_are_drawn(self, tmp_path, monkeypatch):
+        # sample k - 2 is gone when sample k is drawn: the verifier's loop
+        # still names sample k - 1, and nothing keeps the ones before it
+        real = cli_mod.verify_random_cover
+        drawn = []
+
+        def watching(inst, solutions):
+            assert iter(solutions) is solutions
+
+            def watched():
+                for sol in solutions:
+                    drawn.append(weakref.ref(sol))
+                    if len(drawn) > 2:
+                        assert drawn[-3]() is None
+                    yield sol
+
+            return real(inst, watched())
+
+        monkeypatch.setattr(cli_mod, "verify_random_cover", watching)
+        centers = ", ".join(str(3 * k) for k in range(18))
+        text = ("seed = 11\nkind = random\nambient_n = 60\ndelta = 0.25\nepsilon = 0.5\n"
+                "alpha = 0.08\nc = 6\nk_set = 0, 1\nsamples = 120\n"
+                f"shape_1_1 = 4\ncenters_1_1 = {centers}\n")
+        rc, out = run(tmp_path, "cover-demo", text)
+        assert rc == EXIT_OK
+        assert len(drawn) == 120
+        assert read_summary(out)["samples"] == "120"
 
     def test_exit_codes_for_bad_input(self, tmp_path, capsys):
         rc = main(["smb-run", "--config", str(tmp_path / "missing.cfg")])

@@ -1,6 +1,7 @@
 """Greedy and randomized quasi-tiling covers and their exact verifiers."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,23 @@ from hypothesis import strategies as st
 
 import fiberent.covering as covering_mod
 from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, mul, subset_from_coords
-from fiberent.rng import derive_seed
+from fiberent.rng import derive_seed, uniform01_stream
 from fiberent.covering import (
     CoverInstance,
     CoverSolution,
     HypothesisError,
     RandomCoverInstance,
+    RandomCoverReport,
     check_hypotheses,
     greedy_cover,
+    iter_samples,
     sample_many,
     sample_random_cover,
     verify_greedy_cover,
     verify_random_cover,
 )
+
+from test_acceptance import random_suite
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -522,6 +527,7 @@ class TestRandomCover:
                 ordered = {first: mult[first], **mult}
                 sols.append(CoverSolution(picks=(), total_size=0, multiplicity=ordered))
             report = verify_random_cover(inst, sols)
+            assert report == dict_tally_report(inst, sols)
             assert report.max_conditional_multiplicity == 1.5
             assert report.max_conditional_se == pytest.approx((25 / 99 / 100) ** 0.5)
 
@@ -529,6 +535,14 @@ class TestRandomCover:
         inst = multiplicity_chain_instance()
         with pytest.raises(ValueError):
             verify_random_cover(inst, sample_many(inst, 99, 1))
+        with pytest.raises(ValueError):
+            verify_random_cover(inst, iter_samples(inst, 99, 1))
+
+    def test_verifier_rejects_points_outside_the_ambient_set(self):
+        inst = multiplicity_chain_instance()
+        sols = [CoverSolution(picks=(), total_size=1, multiplicity={(60,): 1})] * 100
+        with pytest.raises(ValueError, match="outside the ambient set"):
+            verify_random_cover(inst, sols)
 
 
 class TestRandomConclusionFailures:
@@ -555,6 +569,161 @@ class TestRandomConclusionFailures:
         assert report.mean_total_size < 10
         assert not report.coverage_ok
         assert not report.ok
+
+
+def dict_tally_report(inst, solutions) -> RandomCoverReport:
+    """The scalar twin of verify_random_cover: three dicts keyed by point,
+    one point at a time, and the worst mean found by a scan."""
+    count, acc, acc_sq = {}, {}, {}
+    totals = []
+    for sol in solutions:
+        totals.append(float(sol.total_size))
+        for coords, m in sol.multiplicity.items():
+            count[coords] = count.get(coords, 0) + 1
+            acc[coords] = acc.get(coords, 0) + m
+            acc_sq[coords] = acc_sq.get(coords, 0) + m * m
+    worst_mean, worst_se = 0.0, 0.0
+    for coords, k in count.items():
+        mean = acc[coords] / k
+        if mean >= worst_mean:
+            var = (acc_sq[coords] - k * mean * mean) / (k - 1) if k > 1 else 0.0
+            se = math.sqrt(max(var, 0.0) / k)
+            if mean > worst_mean or se < worst_se:
+                worst_mean, worst_se = mean, se
+    k = len(totals)
+    mean_total = math.fsum(totals) / k
+    total_se = math.sqrt(math.fsum((v - mean_total) ** 2 for v in totals) / (k - 1) / k)
+    return RandomCoverReport(
+        samples=k,
+        max_conditional_multiplicity=worst_mean,
+        max_conditional_se=worst_se,
+        multiplicity_bound=float(1 + inst.delta),
+        mean_total_size=mean_total,
+        total_size_se=total_se,
+        coverage_bound=float((inst.alpha - inst.delta) * len(inst.ambient)),
+    )
+
+
+def fraction_q_sample(inst, seed) -> CoverSolution:
+    """The Fraction twin of sample_random_cover: q and floor(delta |S|) are
+    Fractions, each retained center is thinned as soon as it is drawn."""
+    goal = inst.alpha * len(inst.ambient)
+    lam, picks, total = {}, [], 0
+    for (i, j), size, blocks in reversed(inst.layers):
+        q = inst.delta * (goal - len(lam)) / size
+        if q <= 0:
+            break
+        keep = uniform01_stream(seed, "keep", i, j)
+        limit = math.floor(inst.delta * size)
+        for a, block in blocks:
+            if q < 1 and not keep(a) < float(q):
+                continue
+            if sum(c in lam for c in block) <= limit:
+                picks.append((i, j, a))
+                total += size
+                for c in block:
+                    lam[c] = lam.get(c, 0) + 1
+    return CoverSolution(tuple(picks), total, lam)
+
+
+def exact_zero_q_instance():
+    # six disjoint [0,5) tiles cover alpha |F| = 30 points exactly at q = 3/2,
+    # so the next layer opens at q = 0
+    return RandomCoverInstance.create(
+        Z1.box(60),
+        [[Z1.box(2)], [Z1.box(5)]],
+        [
+            [subset_from_coords(Z1, [(2 * k,) for k in range(28)])],
+            [subset_from_coords(Z1, [(5 * k,) for k in range(6)])],
+        ],
+        K=Z1.box(5), C=Fraction(6),
+        alpha=Fraction(1, 2), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+    )
+
+
+BIG = 10 ** 40
+THRESHOLD_INSTANCES = {
+    # q = delta alpha |F| / |S| = 1 exactly at the only layer
+    "q-exactly-1": lambda: multiplicity_chain_instance(alpha=Fraction(4, 15)),
+    # q < 0 at the second layer
+    "q-negative": deterministic_random_instance,
+    "q-exactly-0": exact_zero_q_instance,
+    # q close to 0.3 with numerators of 80 digits
+    "40-digit": lambda: multiplicity_chain_instance(
+        alpha=Fraction(2 * BIG + 3, 25 * BIG), delta=Fraction(BIG // 4 + 1, BIG)),
+    "heisenberg": heisenberg_random_instance,
+    "z2": z2_random_instance,
+}
+
+
+class TestTallyAndThresholdTwins:
+    """verify_random_cover's positional bincount tally and sample_random_cover's
+    integer keep threshold against their scalar Fraction and dict twins."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        forced_q1 = multiplicity_chain_instance(alpha=Fraction(4, 5), spread=9)
+        return [*random_suite(), ("forced-q1", forced_q1),
+                ("heisenberg", heisenberg_random_instance())]
+
+    def test_every_report_field_equals_the_dict_tally(self, instances, monkeypatch):
+        for name, inst in instances:
+            for seed in (101, 7):
+                sols = sample_many(inst, 150, seed)
+                want = dict_tally_report(inst, sols)
+                assert verify_random_cover(inst, sols) == want, name
+                assert verify_random_cover(inst, iter(sols)) == want, name
+        # a tally flushed every few points adds up to the same report
+        monkeypatch.setattr(covering_mod, "_TALLY_CHUNK", 7)
+        for name, inst in instances:
+            sols = sample_many(inst, 120, 3)
+            assert verify_random_cover(inst, sols) == dict_tally_report(inst, sols), name
+
+    def test_streamed_samples_give_the_listed_report(self):
+        inst = coverage_two_row_instance()
+        streamed = iter_samples(inst, 150, 13)
+        assert not isinstance(streamed, list)
+        assert verify_random_cover(inst, streamed) == verify_random_cover(
+            inst, sample_many(inst, 150, 13))
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_INSTANCES))
+    def test_samples_equal_the_fraction_threshold_twin(self, name):
+        inst = THRESHOLD_INSTANCES[name]()
+        assert check_hypotheses(inst).ok
+        for seed in range(40):
+            assert sample_random_cover(inst, seed) == fraction_q_sample(inst, seed), (name, seed)
+
+    def test_threshold_instances_reach_their_edge_cases(self):
+        def first_q(inst):
+            _, size, _ = inst.layers[-1]
+            return inst.delta * inst.alpha * len(inst.ambient) / size
+
+        assert first_q(THRESHOLD_INSTANCES["q-exactly-1"]()) == 1
+        inst = exact_zero_q_instance()
+        sol = sample_random_cover(inst, 0)
+        assert sol.union_size == inst.alpha * len(inst.ambient)
+        assert {p[:2] for p in sol.picks} == {(2, 1)}
+        big = THRESHOLD_INSTANCES["40-digit"]()
+        assert len(str((big.delta * big.alpha).numerator)) >= 80
+        assert 0 < first_q(big) < 1
+
+    @pytest.mark.parametrize("num, den", [
+        (1, 1), (7, 7), (BIG, BIG), (0, 3), (-1, 3), (-BIG, 7), (2, 3), (1, 3),
+        (BIG - 1, BIG), (3 * BIG + 1, 10 * BIG - 7), (2**53 + 1, 2**54), (4 * BIG, 3 * BIG),
+    ])
+    def test_integer_threshold_is_float_of_the_fraction(self, num, den):
+        q = Fraction(num, den)
+        assert num / den == float(q)
+        assert (num <= 0) == (q <= 0)
+        assert (num < den) == (q < 1)
+
+    @settings(max_examples=300)
+    @given(num=st.integers(-(10 ** 45), 10 ** 45), den=st.integers(1, 10 ** 45))
+    def test_integer_threshold_matches_fraction_everywhere(self, num, den):
+        q = Fraction(num, den)
+        assert num / den == float(q)
+        assert (num <= 0) == (q <= 0)
+        assert (num < den) == (q < 1)
 
 
 def growth_failing_random_instance():

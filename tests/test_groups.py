@@ -102,6 +102,22 @@ def test_unrolled_zd_multiply_beyond_int64():
         assert ZdGroup(d).mul_coords(a, b) == tuple(x + y for x, y in zip(a, b))
 
 
+@settings(max_examples=60)
+@given(d=st.integers(1, 5), data=st.data())
+def test_unrolled_zd_inverse_equals_elementwise_negation(d, data):
+    a = data.draw(st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * d), label="a")
+    got = ZdGroup(d).inverse_coords(a)
+    assert type(got) is tuple
+    assert got == tuple(-x for x in a)
+    assert ZdGroup(d).mul_coords(a, got) == (0,) * d
+
+
+def test_unrolled_zd_inverse_beyond_int64():
+    for d in range(1, 6):
+        a = tuple(-(2 ** 63) - i for i in range(d))
+        assert ZdGroup(d).inverse_coords(a) == tuple(2 ** 63 + i for i in range(d))
+
+
 def test_heisenberg_is_noncommutative():
     a = H.element(1, 0, 0)
     b = H.element(0, 1, 0)

@@ -73,6 +73,29 @@ def test_stream_fallback_tails(tail):
     assert uniform01_stream(99, "c")(tail) == uniform01(99, "c", tail)
 
 
+@pytest.mark.parametrize("tail", [
+    (0,), (5,), (-1,), (-(2**63),), (2**63 - 1,),  # the written-out 1-tuple packer
+    (0, 0), (3, -7), (-(2**63), 2**63 - 1),  # the written-out 2-tuple packer
+    (1, 2, 3), (-4, 0, 2**62),  # the generic tuple packer
+    (True,), (False,), (1, False), (True, 2), (1, 2, True),
+    (2**63,), (-(2**63) - 1,), (1, 2**64), (-(2**70), 0), (0, 1, 2**63),
+    ((1,),), ((1, 2),), ((1,), 2), (1, (2, 3)),
+    tuple(range(9)), tuple(range(-9, 0)),
+])
+def test_pack_tail_bit_for_bit(tail):
+    assert _pack_tail(tail) == _encode((tail,))
+    prefix = ("keep", 2, 1)
+    assert uniform01_stream(2024, *prefix)(tail) == uniform01(2024, *prefix, tail)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**64 - 1),
+       tail=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2).map(tuple))
+def test_short_int_tuples_pack_bit_for_bit(seed, tail):
+    assert _pack_tail(tail) == _encode((tail,))
+    assert uniform01_stream(seed, "keep", 1, 1)(tail) == uniform01(seed, "keep", 1, 1, tail)
+
+
 @pytest.mark.parametrize("tail", [1.5, (1, 2.0), (None,)])
 def test_stream_rejects_what_encode_rejects(tail):
     with pytest.raises(TypeError):
