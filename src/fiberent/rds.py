@@ -99,6 +99,21 @@ def _draw_many(cumulatives: np.ndarray, u: np.ndarray) -> list:
     return np.minimum((cumulatives <= u[:, None]).sum(axis=1), cumulatives.shape[-1] - 1).tolist()
 
 
+def _walk(rows: np.ndarray, s: int, u: np.ndarray) -> list:
+    """States s_1..s_n of the walk s_i = _draw(rows[s_(i-1)], u[i-1]) from s_0 = s.
+
+    Step i maps each of the k states t to f_i(t) = min(#{rows[t] <= u_i}, k - 1),
+    the same float compares as `_draw`.  A Hillis-Steele prefix scan composes
+    the maps in log2(n) rounds, leaving f_i o ... o f_1 in row i, so s_i is
+    that row's entry at s."""
+    maps = np.minimum((rows <= u[:, None, None]).sum(axis=2), len(rows) - 1)
+    d = 1
+    while d < len(maps):
+        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+        d *= 2
+    return maps[:, s].tolist()
+
+
 def _read(memo: dict, coords: Sequence, draw: Callable[[list], list]) -> list:
     """memo[c] for each c in coords, after `draw` fills every unread one
     (an unread c given twice is drawn twice, to the same symbol)."""
@@ -211,9 +226,10 @@ class MarkovPathSampler:
             memo[0] = _draw(self.start, self._uniform(0))
         hi, lo = max([self._hi, *ks]), min([self._lo, *ks])
         for rows, end, to, step in ((self.fwd, self._hi, hi, 1), (self.bwd, self._lo, lo, -1)):
-            positions, s = range(end + step, to + step, step), memo[end]
-            for i, u in zip(positions, self._uniform.many(positions).tolist()):
-                s = memo[i] = _draw(rows[s], u)
+            positions = range(end + step, to + step, step)
+            if positions:
+                u = self._uniform.many(positions)
+                memo.update(zip(positions, _walk(np.array(rows), memo[end], u)))
         self._hi, self._lo = hi, lo
         return [memo[k] for k in ks]
 

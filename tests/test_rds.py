@@ -3,6 +3,8 @@
 import pickle
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,9 @@ from fiberent.rds import (
     ProductSampler,
     RandomAlphabetModel,
     SkewPoint,
+    _cumulative,
+    _draw,
+    _walk,
     check_cocycle,
     configuration_from_pins,
     constant_configuration,
@@ -312,6 +317,61 @@ class TestWindowReads:
         for x, y in ((a.x, b.x), (a.omega, b.omega)):
             assert shift(x, g).values_at(coords) == [shift(y, g).value_at(c) for c in coords]
             assert x.values_at(coords) == [y.value_at(c) for c in coords]
+
+
+# 2- and 3-state chains; the last two have a transient state 1 (pi_1 = 0),
+# whose reversed row is pi.
+WALK_CHAINS = {
+    "two": MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+    "three": MarkovModel.create([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.6, 0.4, 0]]),
+    "two-transient": MarkovModel.create([[1, 0], [0.2, 0.8]]),
+    "three-transient": MarkovModel.create([[0.7, 0, 0.3], [0.3, 0.3, 0.4], [0.5, 0, 0.5]]),
+}
+
+
+class TestArrayWalk:
+    """`MarkovPathSampler.symbols` walks by a prefix scan of step maps;
+    `symbol_at` steps one `_draw` at a time.  They must agree bit for bit."""
+
+    @settings(max_examples=200)
+    @given(chain=st.sampled_from(sorted(WALK_CHAINS)), data=st.data())
+    def test_scan_equals_step_by_step(self, chain, data):
+        rows = tuple(_cumulative(row) for row in WALK_CHAINS[chain].transition)
+        # cumulative entries themselves hit the <= ties of each compare
+        ties = sorted({c for row in rows for c in row} | {0.0})
+        u = data.draw(st.lists(st.one_of(st.sampled_from(ties), st.floats(0, 1, exclude_max=True)),
+                               max_size=70), label="u")
+        s = data.draw(st.integers(0, len(rows) - 1), label="start")
+        expected = []
+        for v in u:
+            s_prev = expected[-1] if expected else s
+            expected.append(_draw(rows[s_prev], v))
+        assert _walk(np.array(rows), s, np.array(u, dtype=float)) == expected
+
+    @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
+    @pytest.mark.parametrize("seed", [3, 41, 2**64 - 1])
+    def test_windows_right_then_left_then_both(self, chain, seed):
+        model = WALK_CHAINS[chain]
+        batch = MarkovPathSampler(model.transition, model.stationary, seed)
+        scalar = MarkovPathSampler(model.transition, model.stationary, seed)
+        for lo, hi in [(0, 130), (-75, 0), (-200, 260), (-201, -201), (261, 261)]:
+            window = [(k,) for k in range(lo, hi + 1)]
+            assert batch.symbols(window) == [scalar.symbol_at(c) for c in window]
+
+    @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
+    def test_scalar_and_window_reads_interleave(self, chain):
+        model = WALK_CHAINS[chain]
+        mixed = MarkovPathSampler(model.transition, model.stationary, 77)
+        reference = MarkovPathSampler(model.transition, model.stationary, 77)
+        reads = [(5,), [(k,) for k in range(-3, 20)], (-40,), [(k,) for k in range(-50, 60)],
+                 (90,), [(100,), (-3,), (-100,)], (-101,), [(k,) for k in range(95, 110)]]
+        for read in reads:
+            if isinstance(read, list):
+                assert mixed.symbols(read) == [reference.symbol_at(c) for c in read]
+            else:
+                assert mixed.symbol_at(read) == reference.symbol_at(read)
+        assert mixed.symbols([(k,) for k in range(-101, 110)]) == [
+            reference.symbol_at((k,)) for k in range(-101, 110)]
 
 
 def test_skew_point_group_mismatch():
