@@ -36,7 +36,7 @@ from .entropy import TraceRow, conditional_entropy_trace, smb_trace
 from .folner import validate_sequence, window_folner
 from .groups import random_element
 from .rds import check_cocycle, sample_point
-from .rng import derive_seed
+from .rng import VERSION as RNG_VERSION, derive_seed
 
 CSV_HEADER = "n,folner_size,estimate,target,abs_error,std_error"
 
@@ -276,6 +276,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     summary.append(("assertion", "pass" if ok else "fail"))
     summary.append(("seed", cfg.get("seed")))
+    summary.append(("rng", RNG_VERSION))
     summary.append(("csv", out_path))
     try:
         _write_atomic(out_path, _csv_text(rows))

@@ -3,41 +3,46 @@
 Every random quantity in this package is a pure function of a 64-bit root
 seed plus a path of labels (strings, integers, coordinate tuples).  The
 derivation is counter-based rather than stateful: stream i of a root seed
-is ``mix64(seed, "traj", i)``, and the symbol at lattice site g is drawn
-from ``uniform01(stream_seed, "c", g)``.  This makes results independent
-of evaluation order and of how work is sharded across processes.
+is ``mix64(seed, "traj", i)``, and the symbol at lattice site g is the draw
+at tail g of ``uniform01_stream(stream_seed, "c")``.  This makes results
+independent of evaluation order and of how work is sharded across processes.
 
-The mixing function is BLAKE2b with the seed as key, truncated to 64 bits,
-over the bytes ``_encode`` writes for the label path; those bytes are the
-contract.  Python's built-in ``hash`` is salted per process and must never
-be used for this purpose.
+``mix64`` is BLAKE2b keyed by the seed, truncated to 64 bits, over the
+bytes ``_encode`` writes for the label path; those bytes are the contract.
+Python's built-in ``hash`` is salted per process and must never be used.
 
-BLAKE2b hashes as a stream, so a sampler hashes seed || prefix once per
-stream (``uniform01_stream``) and each draw feeds only its tail.  The
-draws equal ``uniform01(seed, *prefix, tail)`` bit for bit; ``mix64`` and
-``uniform01`` stay the reference they are tested against.  A window of
-draws is one ``draw.many(tails)``: it hashes the same bytes, packed for all
-tails at once, and equals ``[draw(t) for t in tails]`` bit for bit.
+Site draws are generator version 2 (``rng: 2`` in every summary).  A
+stream's key is ``mix64(seed, *prefix)``, its one BLAKE2b.  A tail is
+uint64 words: a tag (a tuple's length, or ``_INT_TAG`` for an int), then
+each coordinate in two's complement.  From the key, each word is XORed
+into the state, which goes through the SplitMix64 finaliser (Steele, Lea &
+Flood, OOPSLA 2014); the draw is ``(h >> 11) * 2**-53``.  Any other tail (a
+bool, an int outside int64, a string) is the tag ``_FALLBACK_TAG`` and the
+word ``mix64(key, tail)``, so every label stays exact and distinct.
+``draw.many(tails)`` does the same on uint64 arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 import struct
 from hashlib import blake2b
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
+VERSION = 2  # of the site generator
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _UNIT = 1.0 / (1 << 53)
-# Packers of the bytes _encode writes for one tail: b"i" and an int64, or
-# b"(", the length of the inner bytes, then b"i" and an int64 per part.
-_INT_TAIL = struct.Struct("<Bq").pack
-_TUPLE_TAILS = tuple(struct.Struct("<BI" + "Bq" * n).pack for n in range(9))
-_PACK_1, _PACK_2 = _TUPLE_TAILS[1:3]
-# Tails per batch in `many`, so a 2^20-site window never holds all its digests.
-_CHUNK = 1 << 14
+_INT64 = range(-(1 << 63), 1 << 63)
+_INT_TAG, _FALLBACK_TAG = _MASK64, _MASK64 - 1  # above any tuple length
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# numpy uint64 scalars, so array ops stay uint64 under legacy and NEP 50
+# promotion alike; no arithmetic is done on scalars, which warns on overflow.
+_U1, _U2 = np.uint64(_M1), np.uint64(_M2)
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
+# Tails per block in `many`, so a 2^20-site window never holds all its words.
+_BLOCK = 1 << 14
 
 
 def _encode(parts: tuple) -> bytes:
@@ -75,96 +80,89 @@ def derive_seed(seed: int, *parts) -> int:
 
 
 def uniform01(seed: int, *parts) -> float:
-    """Uniform float in [0, 1) with 53 random bits."""
-    return (mix64(seed, *parts) >> 11) * (1.0 / (1 << 53))
+    """mix64(seed, *parts) as a float in [0, 1) with 53 random bits; not what
+    a stream draws: ``uniform01_stream(seed, *p)(t)`` is another value."""
+    return (mix64(seed, *parts) >> 11) * _UNIT
+
+
+def _fmix(z: int) -> int:
+    """The SplitMix64 finaliser of z < 2**64, on Python ints."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _fmix_array(h: np.ndarray) -> None:
+    """`_fmix` of each entry of a uint64 array, in place (products wrap mod 2**64)."""
+    h ^= h >> _S30
+    h *= _U1
+    h ^= h >> _S27
+    h *= _U2
+    h ^= h >> _S31
+
+
+def _columns(tails: Sequence):
+    """(tag, uint64 coordinate columns) if all tails are int64s or all are
+    tuples of n int64s, else None.  `chain` flattens tuples for numpy."""
+    kinds = set(map(type, tails))
+    if kinds == {int}:
+        tag, n, flat = _INT_TAG, 1, tails
+    elif kinds == {tuple} and len(lengths := set(map(len, tails))) == 1:
+        n = tag = lengths.pop()
+        flat = list(chain.from_iterable(tails))
+        if set(map(type, flat)) - {int}:  # a bool or a nested label
+            return None
+    else:
+        return None
+    try:
+        words = np.array(flat, dtype=np.int64).view(np.uint64)
+    except OverflowError:  # an int outside int64
+        return None
+    return tag, words.reshape(len(tails), n).T
 
 
 def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
-    """The draw function tail -> uniform01(seed, *prefix, tail), bit for bit.
+    """The draw function tail -> float in [0, 1) of the stream keyed
+    ``mix64(seed, *prefix)``, with the batch form ``draw.many(tails)``."""
+    key = mix64(seed, *prefix)
+    heads: dict = {}  # tag -> the state after the tag word
 
-    The keyed hasher takes ``_encode(prefix)`` once; each draw copies it
-    and feeds only the packed tail.  A hasher cannot be pickled, so a draw
-    function stays in the process that made it.
-    """
-    copy = blake2b(_encode(prefix), key=(seed & _MASK64).to_bytes(8, "little"), digest_size=8).copy
+    def head(tag: int) -> int:
+        if tag not in heads:
+            heads[tag] = _fmix(key ^ tag)
+        return heads[tag]
 
     def draw(tail) -> float:
-        h = copy()
-        h.update(_pack_tail(tail))
-        return (int.from_bytes(h.digest(), "little") >> 11) * _UNIT
+        if type(tail) is tuple:
+            tag, words = len(tail), tail
+        else:
+            tag, words = _INT_TAG, (tail,)
+        h = heads.get(tag) or head(tag)
+        for w in words:
+            if type(w) is not int or w not in _INT64:
+                h = _fmix(head(_FALLBACK_TAG) ^ mix64(key, tail))
+                break
+            z = h ^ (w & _MASK64)  # _fmix written out: a call per word costs 10%
+            z = ((z ^ (z >> 30)) * _M1) & _MASK64
+            z = ((z ^ (z >> 27)) * _M2) & _MASK64
+            h = z ^ (z >> 31)
+        return (h >> 11) * _UNIT
 
     def many(tails: Sequence) -> np.ndarray:
         """float64 array equal to [draw(t) for t in tails], bit for bit."""
         out = np.empty(len(tails))
-        for start in range(0, len(tails), _CHUNK):
-            buf, bounds = _pack_tails(tails[start:start + _CHUNK])
-            view, digests = memoryview(buf), bytearray()
-            for a, b in zip(bounds, bounds[1:]):
-                h = copy()
-                h.update(view[a:b])
-                digests += h.digest()
-            out[start:start + len(bounds) - 1] = np.frombuffer(digests, "<u8") >> 11
-        return out * _UNIT
+        for start in range(0, len(tails), _BLOCK):
+            block = tails[start:start + _BLOCK]
+            found = _columns(block)
+            if found is None:
+                out[start:start + len(block)] = [draw(t) for t in block]
+                continue
+            h = np.full(len(block), np.uint64(head(found[0])))
+            for column in found[1]:
+                h ^= column
+                _fmix_array(h)
+            out[start:start + len(block)] = (h >> _S11).astype(np.float64) * _UNIT
+        return out
 
     draw.many = many
     return draw
-
-
-def _pack_tail(tail) -> bytes:
-    """``_encode((tail,))``, packed by one precompiled Struct when the tail
-    is an int64 or a tuple of up to 8 int64s; any other tail (bools,
-    non-ints, ints outside int64, longer tuples) goes through ``_encode``.
-    1- and 2-tuples, the cover centers of Z and Z^2, have their Struct
-    calls written out."""
-    try:
-        if type(tail) is int:
-            return _INT_TAIL(0x69, tail)
-        if type(tail) is tuple:
-            n = len(tail)
-            if n == 1:
-                (a,) = tail
-                if type(a) is int:
-                    return _PACK_1(0x28, 9, 0x69, a)
-            elif n == 2:
-                a, b = tail
-                if type(a) is int and type(b) is int:
-                    return _PACK_2(0x28, 18, 0x69, a, 0x69, b)
-            elif n < len(_TUPLE_TAILS):
-                args = [0x28, 9 * n]
-                for part in tail:
-                    if type(part) is not int:
-                        break
-                    args += 0x69, part
-                else:
-                    return _TUPLE_TAILS[n](*args)
-    except struct.error:  # an int outside int64
-        pass
-    return _encode((tail,))
-
-
-def _pack_tails(tails: Sequence) -> tuple:
-    """(buf, bounds): buf is b"".join(map(_pack_tail, tails)), and tail i
-    owns buf[bounds[i]:bounds[i + 1]].  When every tail is an int64, or every
-    tail a tuple of n int64s with 0 < n <= 8, the Struct for one tail writes
-    the constant bytes of equal records and numpy writes every int64 through
-    one strided view; otherwise each tail goes through _pack_tail."""
-    kinds = set(map(type, tails))
-    if kinds == {int}:
-        arity, flat = 0, tails
-    elif kinds == {tuple} and len(arities := set(map(len, tails))) == 1:
-        arity, flat = arities.pop(), list(chain.from_iterable(tails))
-    else:
-        arity = flat = None
-    if flat and arity < len(_TUPLE_TAILS) and set(map(type, flat)) == {int}:
-        try:
-            values = np.array(flat, dtype=np.int64).reshape(len(tails), -1)
-        except OverflowError:  # an int outside int64
-            pass
-        else:
-            template, first = ((_TUPLE_TAILS[arity](0x28, 9 * arity, *(0x69, 0) * arity), 6)
-                               if arity else (_INT_TAIL(0x69, 0), 1))
-            buf = bytearray(template) * len(tails)
-            np.ndarray(values.shape, "<i8", buf, first, (len(template), 9))[...] = values
-            return buf, range(0, len(buf) + 1, len(template))
-    packed = [_pack_tail(t) for t in tails]
-    return b"".join(packed), list(accumulate(map(len, packed), initial=0))

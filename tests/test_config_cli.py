@@ -339,6 +339,7 @@ class TestCliRuns:
         summary = read_summary(out)
         assert summary["assertion"] == "pass"
         assert summary["seed"] == "9"
+        assert summary["rng"] == "2"
         assert summary["csv"] == out
 
     def test_cond_entropy_golden_csv(self, tmp_path):
@@ -784,37 +785,37 @@ class TestCliRuns:
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 # sha256 of each shipped config's CSV and of its .summary without the
-# echoed `csv:` path line.  Recorded before the per-model rules moved onto
-# the model classes; a change that alters samples or figures on purpose
-# updates these digests and says so.
+# echoed `csv:` path line.  Recorded when site and keep draws moved to
+# generator version 2 (the `rng: 2` summary line); a change that alters
+# samples or figures on purpose updates these digests and says so.
 SHIPPED_DIGESTS = {
     "cocycle_heisenberg.cfg": (
         "26a5c80268fe623119660137b683ffa8ee0134bbcf46b5aba4cc3c986a0aff8b",
-        "4c0e2d309259fece262d727763061ab5c84eaafce1c776619c502974795edb8d"),
+        "513d6228ce33529f5e120c8399476d38f1746fa609fea3a51a7e1467b076b1c6"),
     "cond_entropy_markov.cfg": (
         "ab1e6c48bd8f578240c13b3217928157ca306d0fc2c41b94152c281ad28e731d",
-        "dd79c78f6e071bdda90d3f320ba2cb9cb3f440764525ee3c8da546b50fe829e8"),
+        "bbd2307c0a2ad3cb427c41c8697c4368a8ba9d0fa4c031bbaea34a85b34114ed"),
     "cover_greedy.cfg": (
         "17389cd1e690bdaef425bdfb7c89d95908b31e82f6e3d2e62e02409d073b3305",
-        "cc7e721b6dc2c69e2f99e5afacf2dab68c63091512143c25fbdd50b2f884af3e"),
+        "5642a72e827598a15478a633211794e57824234f776fa9d3e2e2e83cbb273628"),
     "cover_random.cfg": (
-        "37b260b3b2a3ec3f4b97fd71cd7e6b91f1fdb0e194c2476ff0f199bf2792be19",
-        "fbcaad846abdf0b7fce251ebdbdfb6aad265d2b0dd7428fa570cafed67fa4287"),
+        "1cbe17172402828e6749e8f34bc9a611ff2074962223d15aed26a2ea0e79b569",
+        "46aa98d19cbf16604ed29e39577c349796034b8401c47c9f7cab5c8570022738"),
     "folner_heisenberg.cfg": (
         "26058472836dd5650c6c4a02841257b7c1494698961df4031626636c7e5516ac",
-        "767591a5f8783170df5d0317ebf895ac5ed8911c0eb98988936dca561d412ab8"),
+        "cf533705977877f1ff6ff253d6cdcfa58364c1b31a2b26613016bb243e1931a9"),
     "folner_z3.cfg": (
         "5d4fa3b5cc2fb808879800a84504dfaa1b174b22071b58afffc7f9f96e743c41",
-        "028a8b978297d00430a1c19871e66e060a06174b5e27dc6dd329f74fbeec4f36"),
+        "42fbe314388c87c252ebc32d0e3945e1a1e7a7d0fcd969642d0ae30434bc69bd"),
     "smb_bernoulli_z2.cfg": (
-        "e7aa545cf92da00d27dee13fcc6392dd47df4a00548a9f2a0495a16e70132403",
-        "215e7c5a1a7e88f5fa8a2eaaebb3c680ba162e6a13f1778f2cde29de096b0380"),
+        "a8c04930c1ed8d0f40292bb2b3f2f715aeecfd1ca8aa30742a8e33f1c20be784",
+        "d709160b603667b99ae1412b4d3ccc5dd767ce8ccd85d67d9d545b97e4a88f28"),
     "smb_markov.cfg": (
-        "50598ae5872f1904dec027aa4404e7c4baad004fd86104033cc3090a997cfb70",
-        "41bd3444848027af2f3f668150aed796bcdb9f4cec6185590c51aba3a1b633fc"),
+        "9e2c30811c2610c91e576d9e423d84932a62ca4e9112bb7918180393e0235eec",
+        "639a9efd600960d88718b230b1c3c166eb9c2d989782559fc1bff1f6ef383eed"),
     "smb_mixed_z2.cfg": (
-        "13b8f4e837939e73fe2b956d0c1163fc1e13df2dec0e112203bc66a08cc7ea29",
-        "e54e3ab3de25b83824de48953226b881300066f94731129b6c1b19614fed225a"),
+        "a0a1a76d8b21b46e2d7b44b70a4e7569c4c34ee610f40970f752656f5b8e1b46",
+        "26bd38d9d28a273208081f3815959684160716610d8364f9b6537cb642ceb550"),
 }
 
 

@@ -1,7 +1,9 @@
-"""Stream draws: the byte contract, the prefix-stream fast path and its
-batch form."""
+"""Stream draws: the mix64 byte contract, the version-2 site generator,
+its batch form and a statistical gate on its draws."""
 
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,18 +12,11 @@ from hypothesis import strategies as st
 
 import fiberent.rng as rng
 from fiberent.rds import MarkovModel, ProductSampler, _cumulative, _draw, exact_distribution
-from fiberent.rng import (
-    _encode,
-    _pack_tail,
-    _pack_tails,
-    derive_seed,
-    mix64,
-    uniform01,
-    uniform01_stream,
-)
+from fiberent.rng import _encode, derive_seed, mix64, uniform01, uniform01_stream
 
-# mix64 on fixed label paths.  Every realised sample in the package is a
-# function of these bytes, so a change here changes every shipped artifact.
+# mix64 on fixed label paths.  Every derived seed and stream key in the
+# package is a function of these bytes, so a change here changes every
+# shipped artifact.
 GOLDEN_MIX64 = [
     ((0, "traj", 0), 0x22A2DF2799759C42),
     ((1, "c", (0, 0)), 0x0A86BEC04404462E),
@@ -42,10 +37,59 @@ def test_encode_bytes_of_a_site_path():
     assert _encode(("c", (3, -7))) == b"s\x01\x00\x00\x00c" + b"(\x12\x00\x00\x00" + inner
 
 
+def _finaliser(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def spec_draw(seed, prefix, tail):
+    """A version-2 draw written out from its definition: the key is
+    mix64(seed, *prefix); the words are a tag (2^64 - 1 for an int, the
+    length for a tuple) and the coordinates mod 2^64, or, for any other
+    tail, the tag 2^64 - 2 and mix64(key, tail); each word is XORed into
+    the state and finalised."""
+    key = mix64(seed, *prefix)
+    parts = tail if type(tail) is tuple else (tail,)
+    if all(type(p) is int and -(2**63) <= p < 2**63 for p in parts):
+        words = [len(tail) if type(tail) is tuple else 2**64 - 1, *parts]
+    else:
+        words = [2**64 - 2, mix64(key, tail)]
+    h = key
+    for w in words:
+        h = _finaliser(h ^ w % 2**64)
+    return (h >> 11) / 2**53
+
+
+# Draws pinned as exact binary fractions: every realised sample, cover and
+# digest in the package is a function of these values.
+GOLDEN_DRAWS = [
+    (0, ("c",), (0, 0), "0x1.c2fce4387e154p-2"),
+    (1, ("c",), (3, -7), "0x1.0b1d7d1609a55p-1"),
+    (2**64 - 1, ("c",), (-(2**63), 2**63 - 1), "0x1.eefa21eeec690p-1"),
+    (12345, ("m",), -5, "0x1.3dfadcad6c64cp-3"),
+    (12345, ("m",), 0, "0x1.0df1c1a0de057p-1"),
+    (7, ("keep", 3, 2), (0, 5, -1), "0x1.3fd975ec516fbp-1"),
+    (42, ("c",), (), "0x1.e0d8fbc141fc7p-1"),
+    (42, ("c",), True, "0x1.fa44cbac78297p-1"),
+    (42, ("c",), 2**70, "0x1.cddff60dcde51p-1"),
+    (42, ("x",), "label", "0x1.5623d5d43b696p-2"),
+    (5, ("c",), (5,), "0x1.28f65bb972060p-1"),
+    (5, ("c",), 5, "0x1.c2e686a419dfep-2"),
+]
+
+
+@pytest.mark.parametrize("seed, prefix, tail, expected", GOLDEN_DRAWS)
+def test_stream_draw_golden_values(seed, prefix, tail, expected):
+    draw = uniform01_stream(seed, *prefix)
+    assert draw(tail) == float.fromhex(expected) == spec_draw(seed, prefix, tail)
+    assert draw.many([tail]).tolist() == [float.fromhex(expected)]
+
+
 int64 = st.integers(-(2**63), 2**63 - 1)
 labels = st.one_of(
     int64,
-    st.integers(-(2**70), 2**70),  # mostly outside int64: the _encode fallback
+    st.integers(-(2**70), 2**70),  # mostly outside int64: the fallback word
     st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63), -1, 0, 1]),
     st.booleans(),
 )
@@ -59,55 +103,74 @@ tails = st.one_of(labels, st.lists(labels, min_size=1, max_size=4).map(tuple))
 
 @settings(max_examples=400)
 @given(seed=st.integers(0, 2**64 - 1), prefix=prefixes, tail=tails)
-def test_stream_equals_uniform01(seed, prefix, tail):
-    assert _pack_tail(tail) == _encode((tail,))
-    assert uniform01_stream(seed, *prefix)(tail) == uniform01(seed, *prefix, tail)
+def test_stream_equals_spec_draw(seed, prefix, tail):
+    assert uniform01_stream(seed, *prefix)(tail) == spec_draw(seed, prefix, tail)
 
 
 @pytest.mark.parametrize("tail", [
     (), (True,), (1, False), 2**63, -(2**63) - 1, (0, 2**64), ("s",), ((1, 2), 3), "label",
-    tuple(range(-4, 5)),  # longer than any precompiled packer
+    tuple(range(-4, 5)),  # nine int64s: tuples of any length take the word path
 ])
 def test_stream_fallback_tails(tail):
-    assert _pack_tail(tail) == _encode((tail,))
-    assert uniform01_stream(99, "c")(tail) == uniform01(99, "c", tail)
+    draw = uniform01_stream(99, "c")
+    assert draw(tail) == spec_draw(99, ("c",), tail)
+    assert draw.many([tail, tail]).tolist() == [draw(tail)] * 2
+
+
+def test_fallback_and_word_tails_draw_differently():
+    # an int, its 1-tuple, a bool, an int equal to 5 mod 2^64 and a longer
+    # tuple: tags and the fallback word keep each label distinct
+    tails = [5, (5,), True, 2**64 + 5, (5, 0), 1, (1,), (True,)]
+    draw = uniform01_stream(2024, "c")
+    values = [draw(t) for t in tails]
+    assert len(set(values)) == len(tails)
+    assert draw.many(tails).tolist() == values
 
 
 @pytest.mark.parametrize("tail", [
-    (0,), (5,), (-1,), (-(2**63),), (2**63 - 1,),  # the written-out 1-tuple packer
-    (0, 0), (3, -7), (-(2**63), 2**63 - 1),  # the written-out 2-tuple packer
-    (1, 2, 3), (-4, 0, 2**62),  # the generic tuple packer
+    (0,), (5,), (-1,), (-(2**63),), (2**63 - 1,),  # 1-tuples, Z cover centers
+    (0, 0), (3, -7), (-(2**63), 2**63 - 1),  # 2-tuples, Z^2 sites and centers
+    (1, 2, 3), (-4, 0, 2**62),  # 3-tuples, Heisenberg sites
     (True,), (False,), (1, False), (True, 2), (1, 2, True),
     (2**63,), (-(2**63) - 1,), (1, 2**64), (-(2**70), 0), (0, 1, 2**63),
     ((1,),), ((1, 2),), ((1,), 2), (1, (2, 3)),
     tuple(range(9)), tuple(range(-9, 0)),
 ])
 def test_pack_tail_bit_for_bit(tail):
-    assert _pack_tail(tail) == _encode((tail,))
+    """A tail packs into the same words, scalar and batch, as the spec says."""
     prefix = ("keep", 2, 1)
-    assert uniform01_stream(2024, *prefix)(tail) == uniform01(2024, *prefix, tail)
+    draw = uniform01_stream(2024, *prefix)
+    assert draw(tail) == spec_draw(2024, prefix, tail)
+    assert draw.many([tail, tail, tail]).tolist() == [draw(tail)] * 3
 
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**64 - 1),
-       tail=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2).map(tuple))
-def test_short_int_tuples_pack_bit_for_bit(seed, tail):
-    assert _pack_tail(tail) == _encode((tail,))
-    assert uniform01_stream(seed, "keep", 1, 1)(tail) == uniform01(seed, "keep", 1, 1, tail)
+       window=st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2).map(tuple),
+                       min_size=1, max_size=6))
+def test_short_int_tuples_pack_bit_for_bit(seed, window):
+    draw = uniform01_stream(seed, "keep", 1, 1)
+    assert draw.many(window).tolist() == [spec_draw(seed, ("keep", 1, 1), t) for t in window]
 
 
-@pytest.mark.parametrize("tail", [1.5, (1, 2.0), (None,)])
+@pytest.mark.parametrize("tail", [1.5, (1, 2.0), (None,), None])
 def test_stream_rejects_what_encode_rejects(tail):
     with pytest.raises(TypeError):
         uniform01(5, "c", tail)
     with pytest.raises(TypeError):
         uniform01_stream(5, "c")(tail)
+    with pytest.raises(TypeError):
+        uniform01_stream(5, "c").many([(0, 0), tail])
 
 
 def test_one_stream_serves_many_draws():
+    # a stream caches the state after each tag; that cache never leaks
+    # into a value, whatever order the draws come in
+    centers = [(a, b) for a in range(-3, 4) for b in range(-3, 4)] + [5, (), (1,), True]
+    fresh = [uniform01_stream(2024, "keep", 2, 1)(c) for c in centers]
     draw = uniform01_stream(2024, "keep", 2, 1)
-    centers = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
-    assert [draw(c) for c in centers] == [uniform01(2024, "keep", 2, 1, c) for c in centers]
+    assert [draw(c) for c in reversed(centers)] == fresh[::-1]
+    assert [draw(c) for c in centers] == fresh
 
 
 def test_samplers_draw_the_reference_uniforms():
@@ -115,20 +178,20 @@ def test_samplers_draw_the_reference_uniforms():
     sampler = ProductSampler(dist, 31)
     cumulative = _cumulative(dist)
     for coords in [(0, 0), (-4, 9), (2**40, -3)]:
-        assert sampler.symbol_at(coords) == _draw(cumulative, uniform01(31, "c", coords))
+        assert sampler.symbol_at(coords) == _draw(cumulative, spec_draw(31, ("c",), coords))
 
     model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
     x = model.sample_x(model.sample_omega(8), 8)
     seed = derive_seed(8, "x")
     fwd = tuple(_cumulative(row) for row in model.transition)
-    expected = [_draw(_cumulative(model.stationary), uniform01(seed, "m", 0))]
+    expected = [_draw(_cumulative(model.stationary), spec_draw(seed, ("m",), 0))]
     for k in range(1, 6):
-        expected.append(_draw(fwd[expected[-1]], uniform01(seed, "m", k)))
+        expected.append(_draw(fwd[expected[-1]], spec_draw(seed, ("m",), k)))
     assert [x.sampler.symbol_at((k,)) for k in range(6)] == expected
 
 
-# Windows of tails: one int64 or one tuple arity throughout (the packed
-# record path), with one odd tail mixed in, or any labels at all.
+# Windows of tails: one int64 or one tuple arity throughout (the array
+# path), with one odd tail mixed in, or any labels at all.
 int64_tuples = st.integers(0, 9).flatmap(lambda n: st.tuples(*[int64] * n))
 odd_tails = st.one_of(tails, st.tuples(*[int64] * 9), st.just(()), st.just((True, 1)))
 tail_lists = st.one_of(
@@ -141,10 +204,6 @@ tail_lists = st.one_of(
 
 
 def _check_batch(seed, prefix, window):
-    buf, bounds = _pack_tails(window)
-    packed = [_pack_tail(t) for t in window]
-    assert bytes(buf) == b"".join(packed)
-    assert [bytes(buf[a:b]) for a, b in zip(bounds, bounds[1:])] == packed
     draw = uniform01_stream(seed, *prefix)
     batch = draw.many(window)
     assert batch.dtype == np.float64 and len(batch) == len(window)
@@ -152,9 +211,11 @@ def _check_batch(seed, prefix, window):
 
 
 @settings(max_examples=300)
-@given(seed=st.integers(0, 2**64 - 1), prefix=prefixes, window=tail_lists)
-def test_batch_draws_equal_scalar_draws(seed, prefix, window):
-    _check_batch(seed, prefix, window)
+@given(seed=st.integers(0, 2**64 - 1), prefix=prefixes, window=tail_lists,
+       block=st.sampled_from([1, 2, 3, 5, rng._BLOCK]))
+def test_batch_draws_equal_scalar_draws(seed, prefix, window, block):
+    with mock.patch.object(rng, "_BLOCK", block):  # blocks end anywhere in a window
+        _check_batch(seed, prefix, window)
 
 
 @pytest.mark.parametrize("window", [
@@ -167,8 +228,40 @@ def test_batch_draw_edge_windows(window):
 
 
 def test_batch_draws_work_in_chunks(monkeypatch):
-    # a record chunk, a mixed chunk, then a short record chunk
-    monkeypatch.setattr(rng, "_CHUNK", 4)
+    # an array block, a mixed block, then a short array block
+    monkeypatch.setattr(rng, "_BLOCK", 4)
     window = [(1, 2), (3, 4), (5, 6), (7, 8), (9,), (True, 0), 2**70, 5, (0, 0), (-1, -1)]
     draw = uniform01_stream(3, "c")
     assert draw.many(window).tolist() == [draw(t) for t in window]
+
+
+def test_site_draws_pass_a_statistical_gate():
+    """Draws over a 256 x 256 window of Z^2, one fixed seed, N = 65,536.
+
+    The bounds follow from independent uniforms, fixed before the test was
+    first run, each at about 5 standard errors:
+    - chi-square over 64 equal bins has 63 degrees of freedom, mean 63 and
+      SD sqrt(126) = 11.2: chi2 <= 63 + 5 sqrt(126) = 119.1;
+    - a lag-1 Pearson correlation over M pairs has SE 1/sqrt(M): |r| <= 5/sqrt(M)
+      to the right, down and along the diagonal;
+    - each of the 53 bits is 1 in Bin(N, 1/2) draws: |ones - N/2| <= 5 sqrt(N)/2.
+    """
+    side = 256
+    window = [(a, b) for a in range(side) for b in range(side)]
+    u = uniform01_stream(20261019, "c").many(window)
+    n = len(u)
+
+    counts = np.bincount((u * 64).astype(np.int64), minlength=64)
+    chi2 = float(((counts - n / 64) ** 2).sum() / (n / 64))
+    assert len(counts) == 64 and chi2 <= 63 + 5 * math.sqrt(126)
+
+    grid = u.reshape(side, side)  # grid[a, b] is the draw at (a, b)
+    for x, y in ((grid[:, :-1], grid[:, 1:]), (grid[:-1, :], grid[1:, :]),
+                 (grid[:-1, :-1], grid[1:, 1:])):
+        r = np.corrcoef(x.ravel(), y.ravel())[0, 1]
+        assert abs(r) <= 5 / math.sqrt(x.size)
+
+    mantissas = (u * 2.0**53).astype(np.uint64)  # exact: every draw is m / 2^53
+    for bit in range(53):
+        ones = int(((mantissas >> np.uint64(bit)) & np.uint64(1)).sum())
+        assert abs(ones - n / 2) <= 5 * math.sqrt(n) / 2
