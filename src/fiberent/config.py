@@ -81,9 +81,9 @@ class _Key(NamedTuple):
 # name_i (arity 1) / name_i_j (arity 2), -> its entry.  A key only another
 # choice of its selector reads is an issue at its line, and a key read by
 # one choice is required only when that choice is made.  Kinds: u64,
-# int:<min> (integer >= min), number, unit (rational in (0, 1)), string,
-# dist, intlist, group, choice:<a|b|...>.  Each int's minimum is the least
-# value its runner can use.
+# int:<min> or int:<min>:<max> (an integer in that range), number, unit
+# (rational in (0, 1)), string, dist, intlist, group, choice:<a|b|...>.
+# Each int's minimum is the least value its runner can use.
 _COMMON = {
     "seed": _Key("u64", REQUIRED),
     "out": _Key("string"),
@@ -101,18 +101,25 @@ _MODEL = {
 
 _SCHEDULE = {"n_max": _Key("int:1"), "sides": _Key("intlist"), "tolerance": _Key("number")}
 
+# The most trajectories, cocycle checks or Monte Carlo samples a run may ask
+# for.  At the smallest window (2-core x86_64, Python 3.11, numpy 2.4) 10^5
+# of each took 4.1-7.2 s and at most 6 MiB, but 10^5 smb-run trajectories
+# 28 MiB: 10^6 hold 270 MiB, as one _WINDOW_CAP trajectory does.  Each row
+# adds 40 bytes a trajectory, so trajectories x rows <= 2^22 (16384 x 256: 205 MiB).
+_COUNT_CAP = 10 ** 6
+
 # The index arity of each cover kind's shape_ and centers_ keys.
 _COVER_ARITY = {"greedy": 1, "random": 2}
 
 _SCHEMAS = {
     "smb-run": {
         **_COMMON, **_MODEL, **_SCHEDULE,
-        "workers": _Key("int:1", 1), "trajectories": _Key("int:1", 100),
+        "workers": _Key("int:1:64", 1), "trajectories": _Key(f"int:1:{_COUNT_CAP}", 100),
     },
     "cond-entropy": {
         **_COMMON, **_MODEL, **_SCHEDULE,
         "method": _Key("choice:exact|monte-carlo", "exact"),
-        "samples": _Key("int:1", 2000, ("method", "monte-carlo")),
+        "samples": _Key(f"int:1:{_COUNT_CAP}", 2000, ("method", "monte-carlo")),
     },
     "folner-check": {
         **_COMMON, "group": _Key("group", REQUIRED), "n_max": _Key("int:1", REQUIRED),
@@ -120,7 +127,8 @@ _SCHEMAS = {
     },
     "cocycle-check": {
         **_COMMON, **_MODEL,
-        "checks": _Key("int:1", 1000), "window_n": _Key("int:1", 4), "radius": _Key("int:0", 5),
+        "checks": _Key(f"int:1:{_COUNT_CAP}", 1000), "window_n": _Key("int:1", 4),
+        "radius": _Key("int:0", 5),
     },
     "cover-demo": {
         **_COMMON,
@@ -130,7 +138,7 @@ _SCHEMAS = {
         "k_set": _Key("intlist", REQUIRED, ("kind", "random")),
         "c": _Key("number", REQUIRED, ("kind", "random")),
         "alpha": _Key("unit", REQUIRED, ("kind", "random")),
-        "samples": _Key("int:100", 2000, ("kind", "random")),
+        "samples": _Key(f"int:100:{_COUNT_CAP}", 2000, ("kind", "random")),
         **{(name, arity): _Key(kind, read_by=("kind", cover))
            for cover, arity in _COVER_ARITY.items()
            for name, kind in (("shape", "int:1"), ("centers", "intlist"))},
@@ -160,9 +168,11 @@ def _parse_scalar(kind: str, raw: str):
         return v
     if kind.startswith("int:"):
         v = int(raw)
-        least = int(kind.split(":", 1)[1])
+        least, *most = map(int, kind.split(":")[1:])
         if v < least:
             raise ValueError(f"must be >= {least}")
+        if most and v > most[0]:
+            raise ValueError(f"must be in {least}..{most[0]}")
         return v
     if kind in ("number", "unit"):
         v = Fraction(raw)
@@ -286,6 +296,10 @@ def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
         issues.extend(_validate_model_rows(v))
     if sub in ("smb-run", "cond-entropy"):
         issues.extend(_validate_schedule(v))
+    if sub == "smb-run":
+        rows = len(v.get("sides") or range(v["n_max"]))
+        if v["trajectories"] * rows > 2 ** 22:
+            issues.append(("trajectories", f"{rows} rows x trajectories exceeds 2^22"))
     if sub == "cocycle-check" and _window_size(v["group"], v["window_n"]) > _WINDOW_CAP:
         issues.append(("window_n", "window exceeds 2^20 points"))
     if sub == "folner-check":
@@ -295,8 +309,6 @@ def _cross_validate(cfg: ExperimentConfig, lines: dict) -> list:
             issues.append(("n_max", f"must be in 1..{cap} for {group.tag}"))
     if sub == "cover-demo":
         issues.extend(_validate_cover_keys(v))
-    if "workers" in v and not 1 <= v["workers"] <= 64:
-        issues.append(("workers", "must be in 1..64"))
     return [ConfigIssue(key, lines.get(key, 0), reason) for key, reason in issues]
 
 
@@ -368,9 +380,7 @@ def _validate_schedule(v: dict) -> list:
     issues = []
     group, sides, n_max = v["group"], v.get("sides"), v.get("n_max")
     if sides is not None:
-        if isinstance(group, HeisenbergGroup):
-            issues.append(("sides", "side schedules apply to zd groups only"))
-        elif any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
+        if any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
             issues.append(("sides", "must be positive and strictly increasing"))
         elif _window_size(group, sides[-1]) > _WINDOW_CAP:
             issues.append(("sides", "largest window exceeds 2^20 points"))

@@ -161,8 +161,8 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     method "exact" evaluates `model.conditional_entropy`; "monte-carlo"
     averages the entropy of the exact conditional label law over sampled
     points, which stays unbiased.  Each sample reads the whole conditioning
-    window, to check its cell is not null; only the sites the law depends
-    on (a Markov chain's nearest neighbours) weigh the symbol at e.
+    window, and the law is the conditional measure of each symbol at e given
+    that cell, so a null cell raises.
     """
     if method not in ("exact", "monte-carlo"):
         raise ValueError(f"unknown method: {method}")

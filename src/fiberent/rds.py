@@ -20,13 +20,13 @@ The fiber map is the shift, F_{g, omega} x = g . x, independent of omega;
 it is written once, on ShiftModel, which every model extends, and the
 omega-dependence lives in the fiber measures mu_omega.  A model writes one
 cell factor rule, read exact (Fractions) or in logs, one rule saying when a
-window's factors extend its predecessor's, the conditioning sites that
-matter and its closed-form entropies.  ShiftModel builds the exact and log
-cell measures, the conditional measure and label law and the SMB plan from
-those rules, so nothing branches on the model's type.  Bernoulli is the
-random-alphabet model with a one-symbol base: one product and one Markov
-rule keep entropies closed-form, with a genuinely random disintegration
-for the mixed-alphabet model.
+window's factors extend its predecessor's, its samplers and its closed-form
+entropies.  ShiftModel builds the exact and log cell measures, the
+conditional measure, the label law (that measure once per symbol) and the
+SMB plan from those rules, so nothing branches on the model's type.
+Bernoulli is the random-alphabet model with a one-symbol base: one product
+and one Markov rule keep entropies closed-form, with a genuinely random
+disintegration for the mixed-alphabet model.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iterproduct
 from numbers import Rational
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,11 +114,15 @@ def _walk(rows: np.ndarray, s: int, u: np.ndarray) -> list:
     return maps[:, s].tolist()
 
 
-def _read(memo: dict, coords: Sequence, draw: Callable[[list], list]) -> list:
-    """memo[c] for each c in coords, after `draw` fills every unread one
-    (an unread c given twice is drawn twice, to the same symbol)."""
+def _read(memo: dict, coords: Sequence, draw: Callable[[list], list],
+          draw_one: Callable[[tuple], int]) -> list:
+    """memo[c] for each c in coords, after `draw` fills every unread one (an
+    unread c given twice is drawn twice, to the same symbol), or `draw_one`
+    fills the only one: a numpy batch of one costs about ten scalar draws."""
     new = [c for c in coords if c not in memo]
-    if new:
+    if len(new) == 1:
+        draw_one(new[0])
+    elif new:
         memo.update(zip(new, draw(new)))
     return [memo[c] for c in coords]
 
@@ -154,8 +158,8 @@ class ProductSampler:
         return s
 
     def symbols(self, coords: Sequence) -> list:
-        return _read(self._memo, coords,
-                     lambda new: _draw_many(np.array(self.cumulative), self._uniform.many(new)))
+        return _read(self._memo, coords, lambda new: _draw_many(
+            np.array(self.cumulative), self._uniform.many(new)), self.symbol_at)
 
 
 class ConditionalSampler:
@@ -183,7 +187,8 @@ class ConditionalSampler:
 
     def symbols(self, coords: Sequence) -> list:
         return _read(self._memo, coords, lambda new: _draw_many(
-            np.array(self.cumulatives)[self.governor.symbols(new)], self._uniform.many(new)))
+            np.array(self.cumulatives)[self.governor.symbols(new)], self._uniform.many(new)),
+            self.symbol_at)
 
 
 class MarkovPathSampler:
@@ -423,8 +428,11 @@ class ShiftModel:
     def conditional_measure(self, omega: SymbolicConfiguration, labels: tuple,
                             at: tuple) -> Fraction:
         """mu_omega(cell) / mu_omega(cell without site `at`), one Fraction n1 d2 / (d1 n2)."""
+        rest = [label for label in labels if label[0] != at]
+        if len(rest) != len(labels) - 1:
+            raise ValueError("the cell must hold the target coordinate exactly once")
         n1, d1 = self._product(omega, labels)
-        n2, d2 = self._product(omega, [label for label in labels if label[0] != at])
+        n2, d2 = self._product(omega, rest)
         if n2 == 0:
             raise ZeroMeasureError("conditioning cell has measure zero")
         return Fraction(n1 * d2, d1 * n2)
@@ -471,19 +479,12 @@ class ShiftModel:
 
     def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
                                        at: GroupElement) -> tuple:
-        """Law of the symbol at `at` given the cell `cond_labels`: the exact
-        cell measure of the labels that matter there, joined with each
-        symbol at `at`, normalised.  A null conditioning cell raises, even
-        when its zero factor lies outside the labels that matter; the test
-        compares each exact factor with 0, so it never rounds."""
-        if not all(self._cell_factors(omega, *_split(cond_labels))):
-            raise ZeroMeasureError("conditioning cell has measure zero")
-        near = self._conditioning_sites([c for c, _ in cond_labels], at.coords)
-        kept = [(c, label) for c, label in cond_labels if c in near]
-        weights = [self.cell_measure(omega, tuple(sorted(kept + [(at.coords, s)])))
-                   for s in range(self.fiber_alphabet_size)]
-        total = sum(weights)
-        return tuple(w / total for w in weights)
+        """Law of the symbol at `at` given the cell `cond_labels`: the conditional
+        measure of each symbol there, which sum to 1 as every model's measure is
+        consistent.  A null conditioning cell raises in `conditional_measure`."""
+        at = at.coords
+        return tuple(self.conditional_measure(omega, sorted(cond_labels + ((at, s),)), at)
+                     for s in range(self.fiber_alphabet_size))
 
 
 @dataclass(frozen=True)
@@ -530,25 +531,18 @@ class RandomAlphabetModel(ShiftModel):
             sampler = ConditionalSampler(omega.sampler, self.fiber_ps, seed)
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
-    def _rows_at(self, omega: SymbolicConfiguration, coords: Sequence, rows: tuple) -> list:
-        """rows[omega_c] for each coordinate c: the fiber row used there."""
-        if len(rows) == 1:
-            return [rows[0]] * len(coords)
-        return [rows[s] for s in omega.values_at(coords)]
-
     def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
                       log: bool = False) -> list:
-        """The probability of each symbol in its site's fiber row, or its log."""
-        rows = self._rows_at(omega, coords, self._log_tables if log else self.fiber_ps)
-        return [row[s] for row, s in zip(rows, symbols)]
+        """The probability of each symbol in the fiber row of omega at its
+        site, or its log; a one-row model never reads omega."""
+        rows = self._log_tables if log else self.fiber_ps
+        if len(rows) == 1:
+            return [rows[0][s] for s in symbols]
+        return [rows[w][s] for w, s in zip(omega.values_at(coords), symbols)]
 
     def _extends(self, prev: frozenset, cs: frozenset) -> bool:
         """Sites are independent: a run goes on into any window holding `prev`."""
         return prev <= cs
-
-    def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
-        """Sites are independent given omega: no other label matters."""
-        return ()
 
     def fiber_entropy(self) -> float:
         return math.fsum(
@@ -670,14 +664,6 @@ class MarkovModel(ShiftModel):
         and adds sites right of them ((k,) tuples; () is below every site)."""
         return prev <= cs and max(prev, default=()) < min(cs - prev, default=(math.inf,))
 
-    def _conditioning_sites(self, coords: Collection, at: tuple) -> tuple:
-        """Only the nearest conditioning site on each side of `at` matters."""
-        if at in coords:
-            raise ValueError("conditioning set may not contain the target coordinate")
-        left = max((c for c in coords if c < at), default=None)
-        right = min((c for c in coords if c > at), default=None)
-        return tuple(c for c in (left, right) if c is not None)
-
     def fiber_entropy(self) -> float:
         return math.fsum(
             float(pi_i) * shannon_entropy(row)
@@ -688,8 +674,11 @@ class MarkovModel(ShiftModel):
         """Entropy of the bridge law at 0 between its nearest conditioning
         neighbours, averaged over their joint law; labels of weight zero
         (a transient state, an impossible pair) are skipped."""
-        e = self.group.identity()
-        near = self._conditioning_sites(cond_set.coords, e.coords)
+        e, cond = self.group.identity(), sorted(cond_set.coords)
+        if e.coords in cond_set.coords:
+            raise ValueError("conditioning set may not contain the target coordinate")
+        i = bisect.bisect(cond, e.coords)
+        near = cond[max(i - 1, 0):i + 1]  # the nearest site on each side
         terms = []
         for labels in iterproduct(range(self.fiber_alphabet_size), repeat=len(near)):
             cell = tuple(zip(near, labels))

@@ -188,9 +188,16 @@ class TestDiagnostics:
         assert "strictly increasing" in issues_of(
             base + "sides = 4, 2\n", "smb-run"
         )[0].reason
-        heis = ("seed = 1\nmodel = bernoulli\np = 0.5, 0.5\n"
-                "group = heisenberg\nn_max = 2\nsides = 1, 2\n")
-        assert "zd groups only" in issues_of(heis, "smb-run")[0].reason
+
+    def test_heisenberg_sides_run_as_their_n_max(self, tmp_path):
+        heis = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\ngroup = heisenberg\ntrajectories = 4\n"
+        csvs = []
+        for name, schedule in (("sides", "sides = 1, 2, 3\n"), ("n_max", "n_max = 3\n")):
+            (tmp_path / name).mkdir()
+            rc, out = run(tmp_path / name, "smb-run", heis + schedule)
+            assert rc == EXIT_OK
+            csvs.append(Path(out).read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_workers_range(self):
         issues = issues_of(SMB_MIN + "workers = 65\n", "smb-run")
@@ -563,6 +570,47 @@ class TestCliRuns:
         assert f"config error: key '{key}' (line {line}): must be >=" in err
         assert not Path(out).exists()
 
+    # Each count key is capped in its kind: a run over the cap exits 2 at the
+    # key's line, before any work.  Uncapped, trajectories = 10^9 died of a
+    # MemoryError (exit 5) while smb_trace built its task list.
+    @pytest.mark.parametrize("subcommand, base, bad, reason", [
+        ("smb-run", SMB_BASE + "n_max = 4\n", "trajectories = 1000000000", "1..1000000"),
+        ("smb-run", SMB_BASE + "n_max = 4\n", "trajectories = 1000001", "1..1000000"),
+        ("smb-run", SMB_BASE + "n_max = 4\n", "workers = 65", "1..64"),
+        ("cocycle-check", COCYCLE_BASE, "checks = 1000001", "1..1000000"),
+        ("cond-entropy", SMB_BASE + "n_max = 3\nmethod = monte-carlo\n", "samples = 1000001",
+         "1..1000000"),
+        ("cover-demo", "seed = 11\nkind = random\nambient_n = 60\ndelta = 0.25\n"
+                       "epsilon = 0.5\nalpha = 0.08\nc = 6\nk_set = 0, 1\n"
+                       "shape_1_1 = 4\ncenters_1_1 = 0, 3\n", "samples = 1000001", "100..1000000"),
+    ], ids=["trajectories-1e9", "trajectories", "workers", "checks", "cond-samples",
+            "cover-samples"])
+    def test_int_above_its_maximum_is_config_error(self, tmp_path, capsys, subcommand, base,
+                                                   bad, reason):
+        text = base + bad + "\n"
+        rc, out = run(tmp_path, subcommand, text)
+        assert rc == EXIT_CONFIG
+        key = bad.split(" = ")[0]
+        line = text.splitlines().index(bad) + 1
+        assert capsys.readouterr().err == (
+            f"config error: key '{key}' (line {line}): must be in {reason}\n")
+        assert not Path(out).exists()
+
+    def test_count_caps_admit_their_maximum(self):
+        cfg = parse_config(COCYCLE_BASE + "checks = 1000000\n", "cocycle-check")
+        assert cfg.get("checks") == 10 ** 6
+
+    # smb-run keeps a value per trajectory per row, so their product is capped
+    # too, at the trajectories line.
+    def test_trajectories_times_rows_is_capped_at_its_line(self):
+        text = SMB_BASE + "trajectories = 1000000\nsides = 1, 2, 3, 4, 5\n"
+        assert [str(i) for i in issues_of(text, "smb-run")] == [
+            "key 'trajectories' (line 4): 5 rows x trajectories exceeds 2^22"]
+        assert parse_config(SMB_BASE + "trajectories = 1000000\nn_max = 4\n", "smb-run")
+        assert parse_config(SMB_BASE + "trajectories = 4096\nn_max = 1024\n", "smb-run")
+        assert issues_of(SMB_BASE + "trajectories = 4097\nn_max = 1024\n",
+                         "smb-run")[0].key == "trajectories"
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ok.cfg",
                         "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 2\ntrajectories = 2\n")
@@ -736,7 +784,7 @@ class TestCliRuns:
     # lacks, or replace a value the cross-key rules would reject.
     @pytest.mark.parametrize("text, flags", [
         ("model = bernoulli\np = 0.5, 0.5\nn_max = 2\n", ("--seed", "5")),
-        (SMB_MIN + "workers = 100\n", ("--workers", "2")),
+        (SMB_MIN + "workers = 3\n", ("--workers", "2")),
     ], ids=["seed-from-flag", "workers-replaced"])
     def test_flags_join_the_file_before_the_rules(self, tmp_path, capsys, text, flags):
         rc, out = run(tmp_path, "smb-run", text, *flags)
@@ -744,10 +792,11 @@ class TestCliRuns:
         assert read_summary(out)["seed"] == "5"
 
     def test_a_bad_file_line_stays_an_issue_under_its_flag(self, tmp_path, capsys):
-        rc, out = run(tmp_path, "smb-run", SMB_MIN + "workers = many\n", "--workers", "2")
-        assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: key 'workers' (line 7): ")
-        assert not Path(out).exists()
+        for value in ("many", "100"):  # not an integer, over the cap
+            rc, out = run(tmp_path, "smb-run", SMB_MIN + f"workers = {value}\n", "--workers", "2")
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: key 'workers' (line 7): ")
+            assert not Path(out).exists()
 
     # cover-demo holds its ambient window, and its blocks in total, to the
     # 2^20 points of a window; uncapped, an ambient_n of 10^8 exhausts memory.

@@ -407,6 +407,114 @@ class TestConditionalLabelDistribution:
         dist = model.conditional_label_distribution(None, (((1,), 1),), Z1.identity())
         assert dist == (1 - tiny, tiny)
 
+
+def _nearest_sites(coords, at):
+    """The nearest conditioning site on each side of `at` (a Markov chain's)."""
+    left = max((c for c in coords if c < at), default=None)
+    right = min((c for c in coords if c > at), default=None)
+    return [c for c in (left, right) if c is not None]
+
+
+def _normalised_law(model, omega, cond_labels, at, near):
+    """The law as normalised cell measures: a null test on every exact factor
+    of the conditioning cell, then the cell measure of the labels at `near`
+    joined with each symbol at `at`, over their sum."""
+    if not all(model._cell_factors(omega, [c for c, _ in cond_labels],
+                                   [s for _, s in cond_labels])):
+        raise ZeroMeasureError("conditioning cell has measure zero")
+    kept = [(c, s) for c, s in cond_labels if c in near]
+    weights = [model.cell_measure(omega, tuple(sorted(kept + [(at, s)])))
+               for s in range(model.fiber_alphabet_size)]
+    return tuple(w / sum(weights) for w in weights)
+
+
+def _outcome(law, *args):
+    """The law's value, or the type of the error it raises."""
+    try:
+        return law(*args)
+    except ZeroMeasureError as exc:
+        return type(exc)
+
+
+def _agrees_with_normalised_law(model, omega, cond_labels, at, near):
+    got = _outcome(model.conditional_label_distribution, omega, cond_labels,
+                   model.group.element(*at))
+    assert got == _outcome(_normalised_law, model, omega, cond_labels, at, near)
+    if got is not ZeroMeasureError:
+        assert sum(got) == 1
+    return got
+
+
+class TestLawTwin:
+    """The label law, as conditional_measure once per symbol, equals the
+    normalised cell measures exactly, or raises where they find a null cell."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_product_models_on_z2(self, data):
+        models = [*all_models()[:2],
+                  RandomAlphabetModel.create(Z2, [0.5, 0.5], [[1, 0], [0.5, 0.5]])]
+        model = data.draw(st.sampled_from(models), label="model")
+        omega = model.sample_omega(data.draw(st.integers(0, 10 ** 6), label="omega seed"))
+        at = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), label="at")
+        sites = data.draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                  max_size=10), label="sites") - {at}
+        cond = tuple((c, data.draw(st.integers(0, 1))) for c in sorted(sites))
+        # Sites are independent given omega: no other label matters.
+        _agrees_with_normalised_law(model, omega, cond, at, ())
+
+    @settings(max_examples=80)
+    @given(rows=chains, data=st.data())
+    def test_markov_chains(self, rows, data):
+        model = MarkovModel.create([[Fraction(v, sum(r)) for v in r] for r in rows])
+        try:
+            model.stationary
+        except ValueError:  # no unique stationary vector
+            return
+        at = (data.draw(st.integers(-3, 3), label="at"),)
+        sites = data.draw(st.sets(st.tuples(st.integers(-12, 12)), max_size=7),
+                          label="sites") - {at}
+        cond = tuple((c, data.draw(st.integers(0, len(rows) - 1))) for c in sorted(sites))
+        _agrees_with_normalised_law(model, None, cond, at, _nearest_sites(sites, at))
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_markov_chain_with_a_transient_state(self, data):
+        # pi = (0, 1): a label 0 anywhere makes the cell null.
+        model = MarkovModel.create([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+        sites = data.draw(st.sets(st.tuples(st.integers(-6, 6)), max_size=5)) - {(0,)}
+        cond = tuple((c, data.draw(st.integers(0, 1))) for c in sorted(sites))
+        got = _agrees_with_normalised_law(model, None, cond, (0,), _nearest_sites(sites, (0,)))
+        assert got == (ZeroMeasureError if any(s == 0 for _, s in cond) else (0, 1))
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_coset_chains(self, data):
+        # No rule says which labels matter here, so the reference joins them all.
+        model = coset_chain_model()
+        points = st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.integers(-2, 2))
+        at = data.draw(points, label="at")
+        sites = data.draw(st.sets(points, max_size=8), label="sites") - {at}
+        cond = tuple((c, data.draw(st.integers(0, 1))) for c in sorted(sites))
+        _agrees_with_normalised_law(model, None, cond, at, sites)
+
+    @pytest.mark.parametrize("model", [*all_models(), coset_chain_model()],
+                             ids=["bernoulli", "mixed", "markov", "coset-chain"])
+    def test_a_conditioning_cell_holding_the_target_raises(self, model):
+        e = model.group.identity()
+        with pytest.raises(ValueError, match="target coordinate"):
+            model.conditional_label_distribution(constant_omega(model), ((e.coords, 0),), e)
+
+
+class TestMarkovConditionalEntropy:
+    # Its values, null neighbour cells included, are checked against
+    # exhaustive enumeration in test_entropy.py.
+    def test_a_conditioning_set_holding_the_target_raises(self):
+        model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="target coordinate"):
+            model.conditional_entropy(subset_from_coords(Z1, [(-1,), (0,), (2,)]))
+
+
 def test_partition_spec_validation():
     model = BernoulliModel.create(Z1, [0.7, 0.3])
     xi = canonical_partition(model)
