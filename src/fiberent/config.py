@@ -376,16 +376,38 @@ def _window_size(group, n: int) -> int:
     return math.prod(group.window_extents(n))
 
 
+# The most points the windows of one SMB or cond-entropy schedule may hold
+# together: every window is built as its own FiniteSubset, and smb-run
+# sorts each one into the plan.  On zd:1 with one trajectory (same host as
+# _WINDOW_CAP), n_max = 1024 (524,800 points) peaked at 93 MiB RSS, 2047
+# (2,096,128) at 316 MiB and 4096 (8,390,656) at 1,040 MiB, so the cap
+# holds a schedule to about what one _WINDOW_CAP trajectory takes.
+_SCHEDULE_CAP = 2 ** 21
+
+
+def _schedule_size_issues(key: str, group, sides) -> list:
+    """The largest window within _WINDOW_CAP, then all of them within
+    _SCHEDULE_CAP; window k holds at least k points, so the sum stops early."""
+    if _window_size(group, sides[-1]) > _WINDOW_CAP:
+        return [(key, "largest window exceeds 2^20 points")]
+    total = 0
+    for side in sides:
+        total += _window_size(group, side)
+        if total > _SCHEDULE_CAP:
+            return [(key, "windows exceed 2^21 points in total")]
+    return []
+
+
 def _validate_schedule(v: dict) -> list:
     issues = []
     group, sides, n_max = v["group"], v.get("sides"), v.get("n_max")
     if sides is not None:
         if any(s < 1 for s in sides) or any(a >= b for a, b in zip(sides, sides[1:])):
             issues.append(("sides", "must be positive and strictly increasing"))
-        elif _window_size(group, sides[-1]) > _WINDOW_CAP:
-            issues.append(("sides", "largest window exceeds 2^20 points"))
-    if n_max is not None and _window_size(group, n_max) > _WINDOW_CAP:
-        issues.append(("n_max", "largest window exceeds 2^20 points"))
+        else:
+            issues.extend(_schedule_size_issues("sides", group, sides))
+    if n_max is not None:
+        issues.extend(_schedule_size_issues("n_max", group, range(1, n_max + 1)))
     if sides is not None and n_max is not None:
         issues.append(("sides", "give either n_max or sides, not both"))
     return issues

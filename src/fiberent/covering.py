@@ -62,7 +62,7 @@ def _layer(ambient: FiniteSubset, key: tuple, shape: FiniteSubset,
     the points f a; the order of points inside a block never matters."""
     group = ambient.group
     for part in (shape, centers):
-        if part.group != group:
+        if part.group is not group and part.group != group:
             raise GroupMismatchError(f"group mismatch: {part.group.tag} vs {group.tag}")
     mc = group.mul_coords
     offsets = tuple(shape.coords)

@@ -46,7 +46,7 @@ class FolnerSequence:
         if not self.sets:
             raise ValueError("a Folner sequence needs at least one set")
         for F in self.sets:
-            if F.group != self.group:
+            if F.group is not self.group and F.group != self.group:
                 raise ValueError("all sets must belong to the sequence's group")
             if not F.coords:
                 raise ValueError("every set F_n must be non-empty")

@@ -152,7 +152,7 @@ class GroupElement:
 
 
 def _require_same_group(a: DiscreteGroup, b: DiscreteGroup) -> None:
-    if a != b:
+    if a is not b and a != b:  # identity first: groups are values, usually shared
         raise GroupMismatchError(f"group mismatch: {a.tag} vs {b.tag}")
 
 
@@ -181,7 +181,7 @@ class FiniteSubset:
         return (GroupElement(self.group, c) for c in self.coords)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.group and g.coords in self.coords
+        return (g.group is self.group or g.group == self.group) and g.coords in self.coords
 
     def is_subset(self, other: "FiniteSubset") -> bool:
         _require_same_group(self.group, other.group)
@@ -199,7 +199,7 @@ def subset(group: DiscreteGroup, elements: Iterable[GroupElement]) -> FiniteSubs
     """The subset of `group` holding `elements`, each checked to be of `group`."""
     coords = set()
     for g in elements:
-        if g.group != group:
+        if g.group is not group and g.group != group:
             raise GroupMismatchError(f"element of {g.group.tag} in a {group.tag} subset")
         coords.add(g.coords)
     return FiniteSubset(group, frozenset(coords))

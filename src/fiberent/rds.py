@@ -7,7 +7,10 @@ a frame offset, a coordinate tuple like every site key; GroupElements appear
 only at the `shift`, `skew` and `value` boundary, which checks their group.
 Windows are read whole: `values_at` makes one `symbols` call, which draws
 every unread site in one `rng` batch, and `value_at` / `symbol_at` are the
-scalar twins it is tested against.
+scalar twins it is tested against.  A window with no drawn site reaches
+`rng` as the caller's own sequence, so an SMB plan's tuple is encoded once.
+The samplers' cumulative tables are built once per model (`_sampler_tables`),
+not per sampled point.
 
 Action convention, used everywhere: the group acts by
 
@@ -114,14 +117,20 @@ def _walk(rows: np.ndarray, s: int, u: np.ndarray) -> list:
     return maps[:, s].tolist()
 
 
-def _read(memo: dict, coords: Sequence, draw: Callable[[list], list],
+def _read(memo: dict, coords: Sequence, draw: Callable[[Sequence], list],
           draw_one: Callable[[tuple], int]) -> list:
     """memo[c] for each c in coords, after `draw` fills every unread one (an
     unread c given twice is drawn twice, to the same symbol), or `draw_one`
-    fills the only one: a numpy batch of one costs about ten scalar draws."""
+    fills the only one: a numpy batch of one costs about ten scalar draws.
+    A window with no memoised site goes to `draw` as the caller's own
+    sequence, so an SMB plan's tuple stays the one `rng` has encoded."""
     new = [c for c in coords if c not in memo]
     if len(new) == 1:
         draw_one(new[0])
+    elif len(new) == len(coords):
+        symbols = draw(coords)
+        memo.update(zip(coords, symbols))
+        return symbols
     elif new:
         memo.update(zip(new, draw(new)))
     return [memo[c] for c in coords]
@@ -142,10 +151,11 @@ class FixedSampler:
 
 
 class ProductSampler:
-    """Coordinates i.i.d. from one distribution, keyed by (seed, coords)."""
+    """Coordinates i.i.d. from one distribution, keyed by (seed, coords);
+    `cumulative` is its `_cumulative` table, which the model builds once."""
 
-    def __init__(self, dist: tuple, seed: int):
-        self.cumulative = _cumulative(dist)
+    def __init__(self, cumulative: tuple, seed: int):
+        self.cumulative = cumulative
         self._uniform = uniform01_stream(seed, "c")
         self._memo: dict = {}
 
@@ -168,11 +178,12 @@ class ConditionalSampler:
     The row at a physical coordinate is the `governor` sampler's symbol
     there (another configuration's sampler), so the conditional structure
     is preserved under simultaneous shifts of both configurations.
+    `cumulatives` holds each row's `_cumulative` table.
     """
 
-    def __init__(self, governor, tables: tuple, seed: int):
+    def __init__(self, governor, cumulatives: tuple, seed: int):
         self.governor = governor
-        self.cumulatives = tuple(_cumulative(t) for t in tables)
+        self.cumulatives = cumulatives
         self._uniform = uniform01_stream(seed, "c")
         self._memo: dict = {}
 
@@ -198,13 +209,12 @@ class MarkovPathSampler:
     rightward with the transition matrix and leftward with the reversed
     chain, so any finite window has the stationary law.  Extension order
     cannot change a symbol: each position's draw depends only on the seed,
-    the position, and the previously fixed inward neighbor.
+    the position, and the previously fixed inward neighbor.  `tables` is
+    `_chain_tables(transition, stationary)`, which the model builds once.
     """
 
-    def __init__(self, transition: tuple, stationary: tuple, seed: int):
-        self.fwd = tuple(_cumulative(row) for row in transition)
-        self.bwd = tuple(_cumulative(row) for row in _reversed_chain(transition, stationary))
-        self.start = _cumulative(stationary)
+    def __init__(self, tables: tuple, seed: int):
+        self.fwd, self.bwd, self.start = tables
         self._uniform = uniform01_stream(seed, "m")
         self._memo: dict = {}
         self._lo = 0
@@ -239,6 +249,14 @@ class MarkovPathSampler:
         return [memo[k] for k in ks]
 
 
+def _chain_tables(transition: tuple, stationary: tuple) -> tuple:
+    """The cumulative tables a `MarkovPathSampler` draws from: forward rows,
+    reversed-chain rows and the stationary start."""
+    return (tuple(_cumulative(row) for row in transition),
+            tuple(_cumulative(row) for row in _reversed_chain(transition, stationary)),
+            _cumulative(stationary))
+
+
 def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
     """Time-reversed transition matrix Q_ij = pi_j P_ji / pi_i.
 
@@ -253,7 +271,11 @@ def _reversed_chain(transition: tuple, stationary: tuple) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+# Configurations and skew points are values, compared and hashed by their
+# fields, but not frozen dataclasses: those set each field through
+# object.__setattr__, and a pointwise pass builds about 90,000 of them.
+# Nothing assigns to a field after construction.
+@dataclass(slots=True, unsafe_hash=True)
 class SymbolicConfiguration:
     """Lazy symbolic configuration: value(h) = sampler.symbol_at(h * offset),
     the offset being a coordinate tuple.  Shifting only changes the offset,
@@ -274,7 +296,7 @@ class SymbolicConfiguration:
         return self.sampler.symbols(coords)
 
     def require_group(self, group: DiscreteGroup) -> None:
-        if group != self.group:
+        if group is not self.group and group != self.group:
             raise GroupMismatchError(f"{group.tag} coordinates on a {self.group.tag} configuration")
 
     def value(self, g: GroupElement) -> int:
@@ -282,9 +304,15 @@ class SymbolicConfiguration:
         return self.value_at(g.coords)
 
     def agrees_on(self, other: "SymbolicConfiguration", window: FiniteSubset) -> bool:
+        """Every site of the window read on both sides, compared one by one."""
         self.require_group(window.group)
         other.require_group(window.group)
-        return all(self.value_at(c) == other.value_at(c) for c in window.coords)
+        mc, a, b = self.group.mul_coords, self.sampler.symbol_at, other.sampler.symbol_at
+        oa, ob = self.offset, other.offset
+        for c in window.coords:
+            if a(mc(c, oa)) != b(mc(c, ob)):
+                return False
+        return True
 
 
 def constant_configuration(
@@ -310,7 +338,7 @@ def shift(config: SymbolicConfiguration, g: GroupElement) -> SymbolicConfigurati
     return SymbolicConfiguration(config.group, config.sampler, offset)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SkewPoint:
     """A point (omega, x) of the skew-product space."""
 
@@ -318,7 +346,7 @@ class SkewPoint:
     x: SymbolicConfiguration
 
     def __post_init__(self) -> None:
-        if self.omega.group != self.x.group:
+        if self.omega.group is not self.x.group and self.omega.group != self.x.group:
             raise GroupMismatchError("omega and x live over different groups")
 
 
@@ -393,6 +421,9 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
+_TARGET_ONCE = "the cell must hold the target coordinate exactly once"
+
+
 def _split(labels: tuple) -> tuple:
     """A cell's coordinates and its symbols, as two lists."""
     return [c for c, _ in labels], [s for _, s in labels]
@@ -413,28 +444,37 @@ class ShiftModel:
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
         return shift(x, g)
 
-    def _product(self, omega: SymbolicConfiguration, labels) -> tuple:
+    def _product(self, omega: SymbolicConfiguration, coords: Sequence,
+                 symbols: Sequence) -> tuple:
         """The cell's exact factors multiplied as ints: (numerator, denominator)."""
         num = den = 1
-        for f in self._cell_factors(omega, *_split(labels)):
+        for f in self._cell_factors(omega, coords, symbols):
             num *= f.numerator
             den *= f.denominator
         return num, den
 
+    def _conditioning_product(self, omega: SymbolicConfiguration, coords: list,
+                              symbols: list) -> tuple:
+        """_product of a conditioning cell, which may not be null."""
+        n2, d2 = self._product(omega, coords, symbols)
+        if n2 == 0:
+            raise ZeroMeasureError("conditioning cell has measure zero")
+        return n2, d2
+
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         """Exact mu_omega of the cylinder cell."""
-        return Fraction(*self._product(omega, labels))
+        return Fraction(*self._product(omega, *_split(labels)))
 
     def conditional_measure(self, omega: SymbolicConfiguration, labels: tuple,
                             at: tuple) -> Fraction:
         """mu_omega(cell) / mu_omega(cell without site `at`), one Fraction n1 d2 / (d1 n2)."""
-        rest = [label for label in labels if label[0] != at]
-        if len(rest) != len(labels) - 1:
-            raise ValueError("the cell must hold the target coordinate exactly once")
-        n1, d1 = self._product(omega, labels)
-        n2, d2 = self._product(omega, rest)
-        if n2 == 0:
-            raise ZeroMeasureError("conditioning cell has measure zero")
+        coords, symbols = _split(labels)
+        if coords.count(at) != 1:
+            raise ValueError(_TARGET_ONCE)
+        i = coords.index(at)
+        n1, d1 = self._product(omega, coords, symbols)
+        n2, d2 = self._conditioning_product(omega, coords[:i] + coords[i + 1:],
+                                            symbols[:i] + symbols[i + 1:])
         return Fraction(n1 * d2, d1 * n2)
 
     def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
@@ -481,10 +521,18 @@ class ShiftModel:
                                        at: GroupElement) -> tuple:
         """Law of the symbol at `at` given the cell `cond_labels`: the conditional
         measure of each symbol there, which sum to 1 as every model's measure is
-        consistent.  A null conditioning cell raises in `conditional_measure`."""
+        consistent.  The conditioning cell's product is taken once, after the
+        cells', and a null one raises, as in `conditional_measure`."""
         at = at.coords
-        return tuple(self.conditional_measure(omega, sorted(cond_labels + ((at, s),)), at)
-                     for s in range(self.fiber_alphabet_size))
+        coords, symbols = _split(sorted(cond_labels))
+        if at in coords:
+            raise ValueError(_TARGET_ONCE)
+        i = bisect.bisect(coords, at)
+        with_at = coords[:i] + [at] + coords[i:]
+        cells = [self._product(omega, with_at, symbols[:i] + [s] + symbols[i:])
+                 for s in range(self.fiber_alphabet_size)]
+        n2, d2 = self._conditioning_product(omega, coords, symbols)
+        return tuple(Fraction(n1 * d2, d1 * n2) for n1, d1 in cells)
 
 
 @dataclass(frozen=True)
@@ -520,15 +568,15 @@ class RandomAlphabetModel(ShiftModel):
     def sample_omega(self, stream_seed: int) -> SymbolicConfiguration:
         if len(self.base_p) == 1:
             return constant_configuration(self.group, 1)
-        sampler = ProductSampler(self.base_p, derive_seed(stream_seed, "omega"))
+        sampler = ProductSampler(self._sampler_tables[0], derive_seed(stream_seed, "omega"))
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
-        seed = derive_seed(stream_seed, "x")
+        seed, rows = derive_seed(stream_seed, "x"), self._sampler_tables[1]
         if len(self.base_p) == 1:
-            sampler = ProductSampler(self.fiber_ps[0], seed)
+            sampler = ProductSampler(rows[0], seed)
         else:
-            sampler = ConditionalSampler(omega.sampler, self.fiber_ps, seed)
+            sampler = ConditionalSampler(omega.sampler, rows, seed)
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
@@ -556,6 +604,11 @@ class RandomAlphabetModel(ShiftModel):
     @cached_property
     def _log_tables(self) -> tuple:
         return tuple(_log_table(row) for row in self.fiber_ps)
+
+    @cached_property
+    def _sampler_tables(self) -> tuple:
+        """The base's and each fiber row's `_cumulative` table, built once."""
+        return _cumulative(self.base_p), tuple(_cumulative(row) for row in self.fiber_ps)
 
 
 class BernoulliModel(RandomAlphabetModel):
@@ -600,13 +653,19 @@ class MarkovModel(ShiftModel):
             raise ValueError("transition matrix must be square")
         return MarkovModel(rows)
 
-    @property
+    @cached_property
     def group(self) -> ZdGroup:
+        """One object, so group checks pass on identity."""
         return ZdGroup(1)
 
     @cached_property
     def stationary(self) -> tuple:
         return _stationary_distribution(self.transition)
+
+    @cached_property
+    def _sampler_tables(self) -> tuple:
+        """`_chain_tables` of the chain, built once: the reversed chain is Fractions."""
+        return _chain_tables(self.transition, self.stationary)
 
     @cached_property
     def _log_stationary(self) -> tuple:
@@ -639,7 +698,7 @@ class MarkovModel(ShiftModel):
         return constant_configuration(self.group, 1)
 
     def sample_x(self, omega: SymbolicConfiguration, stream_seed: int) -> SymbolicConfiguration:
-        sampler = MarkovPathSampler(self.transition, self.stationary, derive_seed(stream_seed, "x"))
+        sampler = MarkovPathSampler(self._sampler_tables, derive_seed(stream_seed, "x"))
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
     def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,

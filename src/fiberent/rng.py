@@ -19,7 +19,12 @@ into the state, which goes through the SplitMix64 finaliser (Steele, Lea &
 Flood, OOPSLA 2014); the draw is ``(h >> 11) * 2**-53``.  Any other tail (a
 bool, an int outside int64, a string) is the tag ``_FALLBACK_TAG`` and the
 word ``mix64(key, tail)``, so every label stays exact and distinct.
-``draw.many(tails)`` does the same on uint64 arrays, bit for bit.
+``draw.many(tails)`` does the same on uint64 arrays, bit for bit.  The
+columns of a tuple of tails do not depend on the stream, so the last tuple
+encoded is kept with its columns, by reference and matched by identity:
+every trajectory over one SMB plan, and both streams of a mixed-model
+trajectory, encode the plan once.  A ``range`` of int64s is encoded by
+``np.arange``.
 """
 
 from __future__ import annotations
@@ -103,7 +108,13 @@ def _fmix_array(h: np.ndarray) -> None:
 
 def _columns(tails: Sequence):
     """(tag, uint64 coordinate columns) if all tails are int64s or all are
-    tuples of n int64s, else None.  `chain` flattens tuples for numpy."""
+    tuples of n int64s, else None.  `chain` flattens tuples for numpy; a
+    range is start + i * step, exact as int64 products wrap mod 2**64."""
+    if type(tails) is range:
+        if not (tails[0] in _INT64 and tails[-1] in _INT64 and tails.step in _INT64):
+            return None
+        words = np.arange(len(tails), dtype=np.int64) * tails.step + tails.start
+        return _INT_TAG, words.view(np.uint64).reshape(1, len(tails))
     kinds = set(map(type, tails))
     if kinds == {int}:
         tag, n, flat = _INT_TAG, 1, tails
@@ -119,6 +130,26 @@ def _columns(tails: Sequence):
     except OverflowError:  # an int outside int64
         return None
     return tag, words.reshape(len(tails), n).T
+
+
+_encoded: tuple = (None, [])  # the last tuple `_blocks` encoded, and its blocks
+
+
+def _blocks(tails: Sequence) -> list:
+    """(start, stop, _columns(tails[start:stop])) for each block of _BLOCK
+    tails; a tuple is immutable, so its blocks are kept for the next call
+    with it."""
+    global _encoded
+    last, blocks = _encoded
+    if last is tails:
+        return blocks
+    blocks = []
+    for start in range(0, len(tails), _BLOCK):
+        stop = min(start + _BLOCK, len(tails))
+        blocks.append((start, stop, _columns(tails[start:stop])))
+    if type(tails) is tuple:
+        _encoded = tails, blocks
+    return blocks
 
 
 def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
@@ -151,17 +182,15 @@ def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
     def many(tails: Sequence) -> np.ndarray:
         """float64 array equal to [draw(t) for t in tails], bit for bit."""
         out = np.empty(len(tails))
-        for start in range(0, len(tails), _BLOCK):
-            block = tails[start:start + _BLOCK]
-            found = _columns(block)
+        for start, stop, found in _blocks(tails):
             if found is None:
-                out[start:start + len(block)] = [draw(t) for t in block]
+                out[start:stop] = [draw(t) for t in tails[start:stop]]
                 continue
-            h = np.full(len(block), np.uint64(head(found[0])))
+            h = np.full(stop - start, np.uint64(head(found[0])))
             for column in found[1]:
                 h ^= column
                 _fmix_array(h)
-            out[start:start + len(block)] = (h >> _S11).astype(np.float64) * _UNIT
+            out[start:stop] = (h >> _S11).astype(np.float64) * _UNIT
         return out
 
     draw.many = many

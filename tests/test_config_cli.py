@@ -1,7 +1,10 @@
 """Config parsing, validation diagnostics, and the CLI contract."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import weakref
 from fractions import Fraction
@@ -183,6 +186,26 @@ class TestDiagnostics:
         assert issues[0].key == "n_max"
         assert "2^20" in issues[0].reason
 
+    @pytest.mark.parametrize("group, n_max", [("zd:1", 2047), ("zd:2", 184), ("heisenberg", 24)])
+    @pytest.mark.parametrize("subcommand", ["smb-run", "cond-entropy"])
+    def test_schedule_points_are_capped_in_total_at_their_line(self, subcommand, group, n_max):
+        # n_max is the last schedule whose windows hold at most 2^21 points
+        # together (zd:1: 2,096,128; n_max + 1 gives 2,098,176).
+        base = f"seed = 1\nmodel = bernoulli\np = 0.5, 0.5\ngroup = {group}\n"
+        assert parse_config(base + f"n_max = {n_max}\n", subcommand).get("n_max") == n_max
+        assert [str(i) for i in issues_of(base + f"n_max = {n_max + 1}\n", subcommand)] == [
+            "key 'n_max' (line 5): windows exceed 2^21 points in total"]
+
+    def test_sides_points_are_capped_in_total_at_their_line(self):
+        base = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\n"
+        top = 2 ** 20  # the largest window allowed, summing to 2^21 with its partners
+        assert parse_config(base + f"sides = 1, {top - 1}, {top}\n", "smb-run").get("sides")
+        assert [str(i) for i in issues_of(base + f"sides = 2, {top - 1}, {top}\n", "smb-run")] == [
+            "key 'sides' (line 4): windows exceed 2^21 points in total"]
+        # the largest window's own cap is reported first, and alone
+        assert [i.reason for i in issues_of(base + f"sides = 1, {top + 1}\n", "smb-run")] == [
+            "largest window exceeds 2^20 points"]
+
     def test_sides_schedule_validation(self):
         base = "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\nn_max = 4\n"
         assert "strictly increasing" in issues_of(
@@ -320,6 +343,35 @@ def run(tmp_path, subcommand, text, *extra):
     out = str(tmp_path / f"{subcommand}.csv")
     rc = main([subcommand, "--config", cfg, "--out", out, *extra])
     return rc, out
+
+
+def test_schedules_stay_within_a_memory_limit(tmp_path):
+    """In a child process with its own RLIMIT_AS of 768 MiB, zd:1 n_max = 4096
+    (8.4 M window points, 1,040 MiB RSS when it was accepted) exits 2 at its
+    line before it builds a window, and the largest schedule the cap admits,
+    n_max = 2047 (about 316 MiB RSS), runs to its CSV."""
+    limit = 768 << 20
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from fiberent.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli_mod.__file__).resolve().parents[1]),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def smb_run(n_max):
+        cfg = write_cfg(tmp_path, f"n{n_max}.cfg", "seed = 1\nmodel = bernoulli\np = 0.5, 0.5\n"
+                        f"n_max = {n_max}\ntrajectories = 1\n")
+        out = tmp_path / f"n{n_max}.csv"
+        return subprocess.run(
+            [sys.executable, "-c", code, "smb-run", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120), out
+
+    over, out = smb_run(4096)
+    assert over.returncode == EXIT_CONFIG, over.stderr
+    assert "key 'n_max' (line 4): windows exceed 2^21 points in total" in over.stderr
+    assert not out.exists()
+    largest, out = smb_run(2047)
+    assert largest.returncode == EXIT_OK, largest.stderr
+    assert len(out.read_text().splitlines()) == 1 + 2047
 
 
 def read_summary(out):

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, mul, random_element
+import fiberent.rng as rng
+from fiberent.groups import (
+    GroupMismatchError,
+    HeisenbergGroup,
+    ZdGroup,
+    mul,
+    random_element,
+    subset,
+)
 from fiberent.rds import (
     BernoulliModel,
     ConditionalSampler,
@@ -19,6 +27,8 @@ from fiberent.rds import (
     ProductSampler,
     RandomAlphabetModel,
     SkewPoint,
+    SymbolicConfiguration,
+    _chain_tables,
     _cumulative,
     _draw,
     _walk,
@@ -198,8 +208,8 @@ class TestSamplers:
 
     def test_markov_extension_order_independent(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
-        s1 = MarkovPathSampler(model.transition, model.stationary, 61)
-        s2 = MarkovPathSampler(model.transition, model.stationary, 61)
+        s1 = MarkovPathSampler(model._sampler_tables, 61)
+        s2 = MarkovPathSampler(model._sampler_tables, 61)
         order1 = [(5,), (-3,), (0,), (2,), (-7,)]
         order2 = [(-7,), (0,), (5,), (-3,), (2,)]
         vals1 = {c: s1.symbol_at(c) for c in order1}
@@ -265,10 +275,11 @@ _CHAIN = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
 _ROWS = exact_distribution([0.5, 0.5]), exact_distribution([0.9, 0.1])
 # Each maker builds a fresh sampler from a seed; twins share no memo.
 SAMPLERS = {
-    "product": lambda seed: ProductSampler(exact_distribution([0.2, 0.5, 0.3]), seed),
+    "product": lambda seed: ProductSampler(_cumulative(exact_distribution([0.2, 0.5, 0.3])), seed),
     "conditional": lambda seed: ConditionalSampler(
-        ProductSampler(exact_distribution([0.4, 0.6]), seed + 1), _ROWS, seed),
-    "markov": lambda seed: MarkovPathSampler(_CHAIN.transition, _CHAIN.stationary, seed),
+        ProductSampler(_cumulative(exact_distribution([0.4, 0.6])), seed + 1),
+        tuple(map(_cumulative, _ROWS)), seed),
+    "markov": lambda seed: MarkovPathSampler(_CHAIN._sampler_tables, seed),
     "fixed": lambda seed: FixedSampler({(seed % 5, 0): 1, (-3, 2): 2, (4, 1): 2}, 0),
 }
 z2_sites = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -352,8 +363,8 @@ class TestArrayWalk:
     @pytest.mark.parametrize("seed", [3, 41, 2**64 - 1])
     def test_windows_right_then_left_then_both(self, chain, seed):
         model = WALK_CHAINS[chain]
-        batch = MarkovPathSampler(model.transition, model.stationary, seed)
-        scalar = MarkovPathSampler(model.transition, model.stationary, seed)
+        batch = MarkovPathSampler(model._sampler_tables, seed)
+        scalar = MarkovPathSampler(model._sampler_tables, seed)
         for lo, hi in [(0, 130), (-75, 0), (-200, 260), (-201, -201), (261, 261)]:
             window = [(k,) for k in range(lo, hi + 1)]
             assert batch.symbols(window) == [scalar.symbol_at(c) for c in window]
@@ -361,8 +372,8 @@ class TestArrayWalk:
     @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
     def test_scalar_and_window_reads_interleave(self, chain):
         model = WALK_CHAINS[chain]
-        mixed = MarkovPathSampler(model.transition, model.stationary, 77)
-        reference = MarkovPathSampler(model.transition, model.stationary, 77)
+        mixed = MarkovPathSampler(model._sampler_tables, 77)
+        reference = MarkovPathSampler(model._sampler_tables, 77)
         reads = [(5,), [(k,) for k in range(-3, 20)], (-40,), [(k,) for k in range(-50, 60)],
                  (90,), [(100,), (-3,), (-100,)], (-101,), [(k,) for k in range(95, 110)]]
         for read in reads:
@@ -395,3 +406,92 @@ def test_models_and_shifted_pinned_points_pickle():
         moved2 = pickle.loads(pickle.dumps(moved))
         assert moved2.x.offset == moved.x.offset == g.coords
         assert moved2.x.agrees_on(moved.x, window_for(group, 4))
+
+
+class TestHoistedReads:
+    """Work moved out of the per-point and per-read loops gives the reads it
+    replaced."""
+
+    @pytest.mark.parametrize("kind", ["product", "conditional"])
+    def test_an_all_unread_window_with_a_repeat_equals_scalar_reads(self, kind):
+        window = ((0, 0), (3, -1), (0, 0), (-2, 5), (3, -1), (0, 0))
+        batch, scalar = SAMPLERS[kind](41), SAMPLERS[kind](41)
+        expected = [scalar.symbol_at(c) for c in window]
+        assert batch.symbols(window) == expected
+        assert rng._encoded[0] is window  # reached rng as the caller's own tuple
+        assert batch.symbols(window) == expected  # now read back from the memo
+        assert [batch.symbol_at(c) for c in window] == expected
+
+    @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
+    def test_markov_sampler_from_the_models_tables(self, chain):
+        model = WALK_CHAINS[chain]
+        fresh = _chain_tables(model.transition, model.stationary)
+        assert model._sampler_tables == fresh
+        window = [(k,) for k in range(-3000, 3001)]
+        from_model = MarkovPathSampler(model._sampler_tables, 19)
+        reference = MarkovPathSampler(fresh, 19)
+        assert from_model.symbols(window) == [reference.symbol_at(c) for c in window]
+
+    def test_models_build_their_sampler_tables_once(self):
+        bernoulli, mixed, markov = all_models()
+        assert mixed._sampler_tables == (_cumulative(mixed.base_p),
+                                         tuple(map(_cumulative, mixed.fiber_ps)))
+        for index in range(2):  # every point's samplers read the same tables
+            point = sample_point(mixed, 3, index)
+            assert point.omega.sampler.cumulative is mixed._sampler_tables[0]
+            assert point.x.sampler.cumulatives is mixed._sampler_tables[1]
+            x = sample_point(bernoulli, 3, index).x
+            assert x.sampler.cumulative is bernoulli._sampler_tables[1][0]
+            x = sample_point(markov, 3, index).x
+            assert (x.sampler.fwd, x.sampler.bwd, x.sampler.start) == markov._sampler_tables
+            assert x.sampler.fwd is markov._sampler_tables[0]
+
+
+class TestValueSemantics:
+    """Configurations and skew points are values: equal fields make equal,
+    equally hashed objects, and groups are checked by equality."""
+
+    def test_configurations_compare_and_hash_by_their_fields(self):
+        sampler = FixedSampler({(1, 1): 1}, 0)
+        a = SymbolicConfiguration(Z2, sampler, (2, 3))
+        b = SymbolicConfiguration(ZdGroup(2), sampler, (2, 3))
+        assert (a.group, a.sampler, a.offset) == (Z2, sampler, (2, 3))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SymbolicConfiguration(Z2, sampler, (2, 4))
+        assert a != SymbolicConfiguration(Z2, FixedSampler({(1, 1): 1}, 0), (2, 3))
+        assert a != SymbolicConfiguration(ZdGroup(3), sampler, (2, 3))
+        assert a != (Z2, sampler, (2, 3))
+        assert "offset=(2, 3)" in repr(a)
+
+    def test_skew_points_compare_and_hash_by_their_fields(self):
+        omega, x = constant_configuration(Z2, 1), configuration_from_pins(Z2, 2, {(0, 0): 1})
+        p = SkewPoint(omega, x)
+        assert (p.omega, p.x) == (omega, x)
+        q = SkewPoint(constant_configuration(ZdGroup(2), 1), x)
+        assert p != q  # another FixedSampler object
+        assert p == SkewPoint(omega, x) and hash(p) == hash(SkewPoint(omega, x))
+        assert p != SkewPoint(x, omega) and p != x
+        with pytest.raises(GroupMismatchError, match="different groups"):
+            SkewPoint(omega, constant_configuration(Z1, 1))
+        with pytest.raises(GroupMismatchError):
+            SkewPoint(constant_configuration(H, 1), constant_configuration(ZdGroup(3), 1))
+
+    @pytest.mark.parametrize("make_group", [lambda: ZdGroup(2), HeisenbergGroup],
+                             ids=["z2", "heisenberg"])
+    def test_an_equal_group_of_another_object_passes_every_check(self, make_group):
+        group, twin = make_group(), make_group()
+        assert group == twin and group is not twin
+        model = RandomAlphabetModel.create(group, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])
+        point = sample_point(model, 23, 0)
+        x = SymbolicConfiguration(twin, point.x.sampler, point.x.offset)
+        moved = SkewPoint(point.omega, x)  # omega over group, x over twin
+        g = twin.element(*([1] * len(point.x.offset)))
+        window = window_for(twin, 2)
+        assert shift(x, g).offset == g.coords
+        assert x.value(twin.identity()) == point.x.value(group.identity())
+        assert x.agrees_on(point.x, window) and point.x.agrees_on(x, window)
+        assert skew(model, g, moved).x.agrees_on(skew(model, g, point).x, window)
+        assert check_cocycle(model, g, g, moved, window)
+        assert g in window_for(group, 2) and subset(group, [g]).is_subset(window)
+        x.require_group(group)
+        point.x.require_group(twin)

@@ -175,7 +175,7 @@ def test_one_stream_serves_many_draws():
 
 def test_samplers_draw_the_reference_uniforms():
     dist = exact_distribution([0.2, 0.5, 0.3])
-    sampler = ProductSampler(dist, 31)
+    sampler = ProductSampler(_cumulative(dist), 31)
     cumulative = _cumulative(dist)
     for coords in [(0, 0), (-4, 9), (2**40, -3)]:
         assert sampler.symbol_at(coords) == _draw(cumulative, spec_draw(31, ("c",), coords))
@@ -233,6 +233,76 @@ def test_batch_draws_work_in_chunks(monkeypatch):
     window = [(1, 2), (3, 4), (5, 6), (7, 8), (9,), (True, 0), 2**70, 5, (0, 0), (-1, -1)]
     draw = uniform01_stream(3, "c")
     assert draw.many(window).tolist() == [draw(t) for t in window]
+
+
+class TestEncodedOnce:
+    """`many` keeps the last tuple it encoded, matched by identity; a draw
+    from the kept columns equals the scalar draws bit for bit."""
+
+    WINDOW = tuple((a, b) for a in range(-20, 20) for b in range(-3, 3))
+
+    def test_the_same_tuple_drawn_twice(self):
+        draw = uniform01_stream(5, "c")
+        expected = [draw(t) for t in self.WINDOW]
+        assert draw.many(self.WINDOW).tolist() == expected
+        assert rng._encoded[0] is self.WINDOW
+        assert draw.many(self.WINDOW).tolist() == expected
+
+    def test_the_same_tuple_in_two_streams(self):
+        omega, x = uniform01_stream(5, "omega"), uniform01_stream(5, "x")
+        assert omega.many(self.WINDOW).tolist() == [omega(t) for t in self.WINDOW]
+        assert x.many(self.WINDOW).tolist() == [x(t) for t in self.WINDOW]
+
+    def test_another_tuple_drawn_in_between(self):
+        draw = uniform01_stream(9, "c")
+        other = tuple((a, a) for a in range(50))
+        first = draw.many(self.WINDOW).tolist()
+        assert draw.many(other).tolist() == [draw(t) for t in other]
+        assert rng._encoded[0] is other
+        assert draw.many(self.WINDOW).tolist() == first == [draw(t) for t in self.WINDOW]
+
+    def test_a_list_is_not_kept(self):
+        draw = uniform01_stream(9, "c")
+        draw.many(self.WINDOW)
+        window = list(self.WINDOW)
+        assert draw.many(window).tolist() == [draw(t) for t in window]
+        assert rng._encoded[0] is self.WINDOW
+
+    def test_a_tuple_longer_than_a_block(self):
+        # The second block holds an odd tail, so it is drawn scalar from the
+        # kept blocks too.
+        window = tuple((k, -k) for k in range(rng._BLOCK + 7)) + ((True, 1),)
+        draw = uniform01_stream(11, "c")
+        expected = [draw(t) for t in window]
+        assert draw.many(window).tolist() == expected
+        assert [stop for _, stop, _ in rng._encoded[1]] == [rng._BLOCK, len(window)]
+        assert draw.many(window).tolist() == expected
+
+    def test_kept_blocks_do_not_depend_on_the_block_size(self, monkeypatch):
+        draw = uniform01_stream(12, "c")
+        monkeypatch.setattr(rng, "_BLOCK", 7)
+        draw.many(self.WINDOW)
+        monkeypatch.setattr(rng, "_BLOCK", 1 << 14)
+        assert draw.many(self.WINDOW).tolist() == [draw(t) for t in self.WINDOW]
+
+
+@pytest.mark.parametrize("tails", [
+    range(-5, 40), range(30, -31, -7), range(3, 3), range(9, 0),
+    range(2**63 - 4, 2**63), range(-(2**63), -(2**63) + 3), range(2**63 - 6, 2**63 + 3),
+    range(-(2**63), 2**63 - 1, 2**64 - 2), range(0, rng._BLOCK + 9),
+])
+def test_range_tails_equal_scalar_draws(tails):
+    # int64 ranges, the empty ones, one past int64 (the fallback) and a step
+    # outside int64
+    draw = uniform01_stream(13, "m")
+    assert draw.many(tails).tolist() == [draw(t) for t in tails] == draw.many(list(tails)).tolist()
+
+
+def test_range_columns_are_arange():
+    tag, columns = rng._columns(range(5, -6, -2))
+    assert tag == rng._INT_TAG
+    assert columns.tolist() == [[v & rng._MASK64 for v in range(5, -6, -2)]]
+    assert rng._columns(range(2**63 - 1, 2**63 + 1)) is None
 
 
 def test_site_draws_pass_a_statistical_gate():
