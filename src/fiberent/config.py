@@ -209,14 +209,15 @@ def _lookup(schema: dict, key: str) -> Optional[_Key]:
 
 
 def decode_config(raw: bytes) -> str:
-    """A config file's bytes as text; a config must be UTF-8, and the first
-    byte that is not is an issue at its line."""
+    """A config file's bytes as text; a config must be UTF-8, with or without
+    a byte-order mark, and the first byte that is not is an issue at its line."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # The bad byte starts or continues the last line of the text before it.
-        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
-        reason = f"not UTF-8 text (byte {raw[exc.start]:#04x})"
+        # exc.start counts in exc.object, the bytes after any byte-order
+        # mark; the bad byte starts or continues the last line before it.
+        line = len((exc.object[:exc.start].decode("utf-8") + "?").splitlines())
+        reason = f"not UTF-8 text (byte {exc.object[exc.start]:#04x})"
         raise ConfigError([ConfigIssue("-", line, reason)]) from None
 
 

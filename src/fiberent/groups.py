@@ -30,6 +30,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
+from .rng import mix64
+
 
 class GroupMismatchError(ValueError):
     """Raised when an operation mixes elements of different groups."""
@@ -449,8 +451,6 @@ def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
 
 def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> GroupElement:
     """Seeded element with coordinates uniform in [-radius, radius]."""
-    from .rng import mix64
-
     n = 2 * radius + 1
     coords = tuple(
         int(mix64(seed, "coord", i, *path) % n) - radius for i in range(group.rank)

@@ -6,17 +6,16 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fiberent import (
+from fiberent.groups import HeisenbergGroup, ZdGroup
+from fiberent.rds import (
     BernoulliModel,
-    HeisenbergGroup,
     MarkovModel,
     RandomAlphabetModel,
+    ShiftModel,
     SkewPoint,
-    ZdGroup,
     configuration_from_pins,
     constant_configuration,
 )
-from fiberent.rds import ShiftModel
 
 settings.register_profile(
     "suite",

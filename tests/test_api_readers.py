@@ -1,28 +1,36 @@
-"""Every name the package exports has a reader outside its own definition,
-and every name a package module imports is read in that module.
+"""Every public name the package defines has a reader outside its own
+definition, and every name a package module imports is read in that module.
 
-A name counts as read when it appears as a whole word in a package
-module other than `__init__.py`, in `scripts/*.py`, in `perfbench/*.py`
-or in the acceptance criteria, on a line that is not its own `def` or
-`class` line.  An export that only its unit tests call is dead weight.
+A public name is a top-level `def`, `class` or assigned name of a package
+module with no leading underscore.  It counts as read when it appears as
+a whole word in a package module other than `__init__.py`, in
+`scripts/*.py`, in `perfbench/*.py` or in the acceptance criteria, on a
+line that is not its own `def`, `class` or top-level assignment line.  A
+name that only its unit tests call is dead weight.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fiberent"
 
 
-def exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return sorted(
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    )
+def public_names(source: str) -> list:
+    """The top-level `def`, `class` and assigned names of a module that
+    have no leading underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(name for name in names if not name.startswith("_"))
 
 
 def reader_lines():
@@ -35,15 +43,22 @@ def reader_lines():
     return [line for path in paths for line in path.read_text().splitlines()]
 
 
-def test_every_export_has_a_reader():
+def test_every_public_name_has_a_reader():
     lines = reader_lines()
     unread = []
-    for name in exported_names():
+    for name in (n for path in sorted(PACKAGE.glob("*.py")) for n in public_names(path.read_text())):
         word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b"
+                         rf"|^{re.escape(name)}\s*(:|=(?!=))")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unread.append(name)
-    assert not unread, f"exported names with no reader: {', '.join(unread)}"
+    assert not unread, f"public names with no reader: {', '.join(unread)}"
+
+
+def test_public_names_are_found():
+    source = ("import os\nX = 1\nA, _b = 1, 2\nY: int = 3\n_z = 4\n"
+              "def f():\n    inner = 1\nclass C:\n    attr = 2\ndef _g(): pass\n")
+    assert public_names(source) == ["A", "C", "X", "Y", "f"]
 
 
 def unread_imports(source: str) -> list:
@@ -61,12 +76,33 @@ def unread_imports(source: str) -> list:
 
 
 def test_every_import_is_read():
-    # __init__.py imports to export; the test above checks those names.
     unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
-              if path.name != "__init__.py" and (names := unread_imports(path.read_text()))}
+              if (names := unread_imports(path.read_text()))}
     assert not unread, f"imported names never read: {unread}"
 
 
 def test_an_unread_import_is_found():
     source = "from typing import Callable, Collection\nimport numpy as np\nf: Callable = np.sum\n"
     assert unread_imports(source) == ["Collection (line 1)"]
+
+
+def modules_loaded_by(statement: str) -> set:
+    """sys.modules of a fresh interpreter that ran `statement`, with the
+    checkout's src/ first on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = f"import sys; {statement}; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return set(out.stdout.split())
+
+
+def test_each_import_loads_only_what_it_uses():
+    root = modules_loaded_by("import fiberent")
+    assert "fiberent" in root
+    assert sorted(m for m in root if m.startswith("fiberent.") or m == "numpy") == []
+    groups = modules_loaded_by("import fiberent.groups")
+    assert "fiberent.groups" in groups
+    others = {f"fiberent.{m}" for m in ("rds", "covering", "entropy", "measures", "folner",
+                                        "config", "cli")}
+    assert sorted(groups & others) == []

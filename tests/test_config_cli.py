@@ -22,6 +22,7 @@ from fiberent.config import (
     ConfigError,
     build_cover,
     build_model,
+    decode_config,
     parse_config,
 )
 from fiberent.covering import CoverInstance, RandomCoverInstance
@@ -583,7 +584,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("raw, line, byte", [
         (b"seed = 1\xff\n", 1, "0xff"),
         (b"seed = 1\r\n# caf\xc3\xa9\r\ngroup = zd:2\nn_max = \xe9\n", 4, "0xe9"),
-    ], ids=["first-line", "later-line"])
+        (b"\xef\xbb\xbfseed = 1\n\xff\n", 2, "0xff"),
+    ], ids=["first-line", "later-line", "after-byte-order-mark"])
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys, raw, line, byte):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(raw)
@@ -954,6 +956,14 @@ def test_shipped_config_runs_and_passes(path, tmp_path, capsys):
     with open(out + ".summary", "rb") as fh:
         summary = b"".join(line for line in fh if not line.startswith(b"csv: "))
     assert (csv_digest, hashlib.sha256(summary).hexdigest()) == SHIPPED_DIGESTS[path.name]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_with_byte_order_mark_parses_the_same(path):
+    raw = path.read_bytes()
+    subcommand = re.search(rb"^subcommand\s*=\s*(\S+)", raw, re.M).group(1).decode()
+    plain = parse_config(decode_config(raw), subcommand)
+    assert parse_config(decode_config(b"\xef\xbb\xbf" + raw), subcommand) == plain
 
 
 # Small valid configs per subcommand; the fuzz test overrides, drops and
