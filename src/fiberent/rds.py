@@ -6,9 +6,11 @@ physical coordinate to a symbol (a seeded draw, or a `FixedSampler`), plus
 a frame offset, a coordinate tuple like every site key; GroupElements appear
 only at the `shift`, `skew` and `value` boundary, which checks their group.
 Windows are read whole: `values_at` makes one `symbols` call, which draws
-every unread site in one `rng` batch, and `value_at` / `symbol_at` are the
-scalar twins it is tested against.  A window with no drawn site reaches
-`rng` as the caller's own sequence, so an SMB plan's tuple is encoded once.
+the unread sites in one `rng` batch, or one by one if fewer than
+`_BATCH_MIN` are unread, and `value_at` / `symbol_at` are the scalar twins
+it is tested against.  A cocycle check (`agrees_on`) reads both sides so,
+in blocks of `rng._BLOCK` sites.  A window with no drawn site reaches `rng`
+as the caller's own sequence, so an SMB plan's tuple is encoded once.
 The samplers' cumulative tables are built once per model (`_sampler_tables`),
 not per sampled point.
 
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iterproduct
+from itertools import islice, product as iterproduct
 from numbers import Rational
 from typing import Callable, Sequence
 
@@ -53,7 +55,7 @@ from .groups import (
     ZdGroup,
     mul,
 )
-from .rng import derive_seed, uniform01_stream
+from .rng import _BLOCK, derive_seed, uniform01_stream
 
 
 def exact_distribution(values: Sequence) -> tuple:
@@ -117,21 +119,34 @@ def _walk(rows: np.ndarray, s: int, u: np.ndarray) -> list:
     return maps[:, s].tolist()
 
 
+# Fewer unread sites than this are drawn one by one, more in one `rng` batch.
+# Reads of n unread 3-tuple sites by fresh samplers (2-core x86-64 host,
+# best of 7) broke even at n = 12 (product: 42 us batch, 45 us scalar),
+# 12-16 (conditional) and 48 (Markov extension: 124 us, 127 us); at the
+# 81-site Heisenberg window a product batch took 91 us against 406 us.
+_BATCH_MIN = 24
+
+
 def _read(memo: dict, coords: Sequence, draw: Callable[[Sequence], list],
           draw_one: Callable[[tuple], int]) -> list:
-    """memo[c] for each c in coords, after `draw` fills every unread one (an
-    unread c given twice is drawn twice, to the same symbol), or `draw_one`
-    fills the only one: a numpy batch of one costs about ten scalar draws.
-    A window with no memoised site goes to `draw` as the caller's own
-    sequence, so an SMB plan's tuple stays the one `rng` has encoded."""
+    """memo[c] for each c in coords.  Fewer than _BATCH_MIN unread sites are
+    filled by `draw_one`, more by one `draw` (an unread c given twice is
+    drawn twice, to the same symbol).  A window with no memoised site goes
+    to `draw` as the caller's own sequence, so an SMB plan's tuple stays the
+    one `rng` has encoded."""
+    try:
+        return [memo[c] for c in coords]
+    except KeyError:
+        pass
     new = [c for c in coords if c not in memo]
-    if len(new) == 1:
-        draw_one(new[0])
+    if len(new) < _BATCH_MIN:
+        for c in new:
+            draw_one(c)
     elif len(new) == len(coords):
         symbols = draw(coords)
         memo.update(zip(coords, symbols))
         return symbols
-    elif new:
+    else:
         memo.update(zip(new, draw(new)))
     return [memo[c] for c in coords]
 
@@ -242,9 +257,11 @@ class MarkovPathSampler:
         hi, lo = max([self._hi, *ks]), min([self._lo, *ks])
         for rows, end, to, step in ((self.fwd, self._hi, hi, 1), (self.bwd, self._lo, lo, -1)):
             positions = range(end + step, to + step, step)
-            if positions:
+            if len(positions) >= _BATCH_MIN:
                 u = self._uniform.many(positions)
                 memo.update(zip(positions, _walk(np.array(rows), memo[end], u)))
+            elif positions:
+                self.symbol_at((to,))  # a short extension in scalar steps
         self._hi, self._lo = hi, lo
         return [memo[k] for k in ks]
 
@@ -304,13 +321,14 @@ class SymbolicConfiguration:
         return self.value_at(g.coords)
 
     def agrees_on(self, other: "SymbolicConfiguration", window: FiniteSubset) -> bool:
-        """Every site of the window read on both sides, compared one by one."""
+        """Every site of the window read on both sides with `values_at`, a
+        block of at most rng._BLOCK sites at a time, so a 2^20-site window
+        never holds all its symbols; False at the first block that differs."""
         self.require_group(window.group)
         other.require_group(window.group)
-        mc, a, b = self.group.mul_coords, self.sampler.symbol_at, other.sampler.symbol_at
-        oa, ob = self.offset, other.offset
-        for c in window.coords:
-            if a(mc(c, oa)) != b(mc(c, ob)):
+        sites = iter(window.coords)
+        while block := tuple(islice(sites, _BLOCK)):
+            if self.values_at(block) != other.values_at(block):
                 return False
         return True
 

@@ -50,10 +50,23 @@ _S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 _BLOCK = 1 << 14
 
 
+_INT_CHUNK = struct.Struct("<cq")  # b"i" and an int64: the chunk of a plain int
+_STR_CHUNKS: dict = {}  # str label -> its chunk, for the first _STR_CHUNKS_CAP labels
+_STR_CHUNKS_CAP = 1024
+
+
 def _encode(parts: tuple) -> bytes:
+    """The bytes of a label path.  A plain int or str takes a fast path; a
+    bool, int or str subclass, an int past int64 or a tuple the general one,
+    which writes the same bytes."""
     chunks = []
     for part in parts:
-        if isinstance(part, bool):
+        kind = type(part)
+        if kind is int and part in _INT64:
+            chunks.append(_INT_CHUNK.pack(b"i", part))
+        elif kind is str and part in _STR_CHUNKS:
+            chunks.append(_STR_CHUNKS[part])
+        elif isinstance(part, bool):
             chunks.append(b"b1" if part else b"b0")
         elif isinstance(part, int):
             if -(2**63) <= part < 2**63:
@@ -64,6 +77,8 @@ def _encode(parts: tuple) -> bytes:
         elif isinstance(part, str):
             raw = part.encode()
             chunks.append(b"s" + struct.pack("<I", len(raw)) + raw)
+            if kind is str and len(_STR_CHUNKS) < _STR_CHUNKS_CAP:
+                _STR_CHUNKS[part] = chunks[-1]
         elif isinstance(part, tuple):
             inner = _encode(part)
             chunks.append(b"(" + struct.pack("<I", len(inner)) + inner)

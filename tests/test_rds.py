@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberent.rds as rds
 import fiberent.rng as rng
 from fiberent.groups import (
+    FiniteSubset,
     GroupMismatchError,
     HeisenbergGroup,
     ZdGroup,
@@ -28,6 +30,7 @@ from fiberent.rds import (
     RandomAlphabetModel,
     SkewPoint,
     SymbolicConfiguration,
+    _BATCH_MIN,
     _chain_tables,
     _cumulative,
     _draw,
@@ -41,7 +44,7 @@ from fiberent.rds import (
     skew,
 )
 
-from conftest import coset_chain_model
+from conftest import coset_chain_model, coset_chain_point
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -414,7 +417,8 @@ class TestHoistedReads:
 
     @pytest.mark.parametrize("kind", ["product", "conditional"])
     def test_an_all_unread_window_with_a_repeat_equals_scalar_reads(self, kind):
-        window = ((0, 0), (3, -1), (0, 0), (-2, 5), (3, -1), (0, 0))
+        repeats = ((0, 0), (3, -1), (0, 0), (-2, 5), (3, -1), (0, 0))
+        window = repeats + tuple((k, -k) for k in range(10, 10 + _BATCH_MIN))
         batch, scalar = SAMPLERS[kind](41), SAMPLERS[kind](41)
         expected = [scalar.symbol_at(c) for c in window]
         assert batch.symbols(window) == expected
@@ -445,6 +449,144 @@ class TestHoistedReads:
             x = sample_point(markov, 3, index).x
             assert (x.sampler.fwd, x.sampler.bwd, x.sampler.start) == markov._sampler_tables
             assert x.sampler.fwd is markov._sampler_tables[0]
+
+
+def agrees_site_by_site(a, b, window):
+    """agrees_on's scalar twin: every site read with value_at, one by one."""
+    return all(a.value_at(c) == b.value_at(c) for c in window.coords)
+
+
+def first_sites(group, box, n):
+    """n sites of a box, as a window: sizes either side of _BATCH_MIN."""
+    return FiniteSubset(group, frozenset(sorted(box.coords)[:n]))
+
+
+class TestWholeWindowReads:
+    """agrees_on reads each side whole with values_at, in blocks; small
+    unread sets are drawn one by one.  Every read equals its scalar twin."""
+
+    SIZES = (_BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1)
+
+    def windows(self, group):
+        if isinstance(group, HeisenbergGroup):
+            return [first_sites(group, group.box(5, 5, 25), n) for n in self.SIZES] + [
+                group.box(3, 3, 9)]  # the shipped 81-site window
+        if group.d == 1:
+            return [group.box(n) for n in self.SIZES]
+        return [first_sites(group, group.box(6, 6), n) for n in self.SIZES]
+
+    def models(self):
+        return [*all_models(), BernoulliModel.create(H, [0.7, 0.3]),
+                RandomAlphabetModel.create(H, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])]
+
+    def test_cocycle_sides_agree_as_site_by_site(self):
+        for model in self.models():
+            group = model.group
+            for w, window in enumerate(self.windows(group)):
+                for i in range(4):
+                    g1 = random_element(group, 3, 61, "g1", w, i)
+                    g2 = random_element(group, 3, 61, "g2", w, i)
+                    sides = []
+                    for _ in range(2):  # twin points: fresh samplers, no shared memo
+                        p = sample_point(model, 67, i)
+                        lhs = skew(model, g2, skew(model, g1, p))
+                        sides.append((lhs.x, skew(model, mul(g2, g1), p).x))
+                    assert sides[0][0].agrees_on(sides[0][1], window)
+                    assert agrees_site_by_site(*sides[1], window)
+
+    def test_shifted_pairs_agree_as_site_by_site(self):
+        # A point against its own shift mostly differs: both answers occur.
+        seen = set()
+        for model in self.models():
+            group = model.group
+            for w, window in enumerate(self.windows(group)):
+                for i in range(6):
+                    g = random_element(group, 1, 71, w, i)
+                    fast, slow = sample_point(model, 73, i).x, sample_point(model, 73, i).x
+                    got = fast.agrees_on(shift(fast, g), window)
+                    assert got == agrees_site_by_site(slow, shift(slow, g), window)
+                    seen.add(got)
+        assert seen == {True, False}
+
+    def test_pinned_and_coset_chain_points(self):
+        model = coset_chain_model()
+        for w, window in enumerate(self.windows(H)):
+            for i in range(4):
+                p = coset_chain_point(80 + i)
+                g = random_element(H, 2, 79, w, i)
+                moved = skew(model, g, p).x
+                assert p.x.agrees_on(moved, window) == agrees_site_by_site(p.x, moved, window)
+                assert moved.agrees_on(moved, window)
+        pins = {(k,): k % 2 for k in range(40)}
+        a, b = configuration_from_pins(Z1, 2, pins), configuration_from_pins(Z1, 2, dict(pins))
+        for window in self.windows(Z1):
+            assert a.agrees_on(b, window) and not a.agrees_on(shift(b, Z1.element(1)), window)
+
+    def test_sites_past_int64_fall_back_to_scalar_draws(self):
+        far = Z1.element(2**63 - 10)  # the window runs past 2^63 - 1
+        model = BernoulliModel.create(Z1, [0.5, 0.5])
+        window = Z1.box(_BATCH_MIN + 20)
+        fast, slow = sample_point(model, 83, 0).x, sample_point(model, 83, 0).x
+        expected = [shift(slow, far).value_at(c) for c in sorted(window.coords)]
+        assert shift(fast, far).values_at(sorted(window.coords)) == expected
+        fast, slow = sample_point(model, 83, 1).x, sample_point(model, 83, 1).x
+        for g in (far, Z1.element(-(2**64)), Z1.identity()):
+            assert shift(fast, g).agrees_on(shift(fast, g), window)
+            got = shift(fast, g).agrees_on(shift(fast, Z1.element(2**63)), window)
+            assert got == agrees_site_by_site(shift(slow, g), shift(slow, Z1.element(2**63)), window)
+
+    def test_one_differing_site_in_the_last_block(self):
+        window = Z1.box(rng._BLOCK + 7)
+        last = list(window.coords)[-1]  # read in the last block
+        a = configuration_from_pins(Z1, 2, {})
+        assert not a.agrees_on(configuration_from_pins(Z1, 2, {last: 1}), window)
+        assert a.agrees_on(configuration_from_pins(Z1, 2, {(-1,): 1}), window)
+        x = sample_point(BernoulliModel.create(Z1, [0.5, 0.5]), 89, 0).x
+        pins = {c: x.value_at(c) for c in window.coords}
+        assert x.agrees_on(configuration_from_pins(Z1, 2, pins), window)
+        pins[last] = 1 - pins[last]
+        assert not x.agrees_on(configuration_from_pins(Z1, 2, pins), window)
+
+    def test_reads_stop_at_the_first_differing_block(self, monkeypatch):
+        class CountingSampler(FixedSampler):
+            def symbols(self, coords):
+                self.reads += 1
+                return super().symbols(coords)
+
+        monkeypatch.setattr(rds, "_BLOCK", 4)
+        window = Z1.box(12)
+        first = list(window.coords)[0]
+        a, b = CountingSampler({}, 0), CountingSampler({first: 1}, 0)
+        a.reads = b.reads = 0
+        offset = (0,)
+        assert not SymbolicConfiguration(Z1, a, offset).agrees_on(
+            SymbolicConfiguration(Z1, b, offset), window)
+        assert (a.reads, b.reads) == (1, 1)
+        b.pins = {}
+        assert SymbolicConfiguration(Z1, a, offset).agrees_on(
+            SymbolicConfiguration(Z1, b, offset), window)
+        assert (a.reads, b.reads) == (4, 4)
+
+    @pytest.mark.parametrize("kind", ["product", "conditional", "fixed"])
+    @pytest.mark.parametrize("n", [_BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1])
+    def test_read_either_side_of_the_batch_size(self, kind, n):
+        sites = [(k, 2 * k - 5) for k in range(n)]
+        window = sites + sites[::3]  # repeats, and n unread sites
+        for warm in ([], sites[:2], sites[: n // 2]):
+            batch, scalar = SAMPLERS[kind](97), SAMPLERS[kind](97)
+            batch.symbols(warm)
+            expected = [scalar.symbol_at(c) for c in window]
+            assert batch.symbols(window) == expected
+            assert batch.symbols(tuple(window)) == expected  # all memo hits
+
+    @pytest.mark.parametrize("n", [_BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1])
+    def test_markov_extensions_either_side_of_the_batch_size(self, n):
+        batch, scalar = SAMPLERS["markov"](101), SAMPLERS["markov"](101)
+        reads = [[(0,), (3,), (3,)], [(k,) for k in range(n + 3)] + [(1,), (n + 2,)],
+                 [(-n,), (-n,), (2,)], [(-n - k,) for k in range(n + 1)] * 2,
+                 [(n + 3 + n - 1,), (-2 * n - (n - 1),)]]
+        for read in reads:
+            assert batch.symbols(read) == [scalar.symbol_at(c) for c in read]
 
 
 class TestValueSemantics:

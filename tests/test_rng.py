@@ -1,6 +1,7 @@
 """Stream draws: the mix64 byte contract, the version-2 site generator,
 its batch form and a statistical gate on its draws."""
 
+import enum
 import math
 import struct
 from unittest import mock
@@ -35,6 +36,76 @@ def test_mix64_golden_values(args, expected):
 def test_encode_bytes_of_a_site_path():
     inner = b"i" + struct.pack("<q", 3) + b"i" + struct.pack("<q", -7)
     assert _encode(("c", (3, -7))) == b"s\x01\x00\x00\x00c" + b"(\x12\x00\x00\x00" + inner
+
+
+class Label(str):
+    pass
+
+
+class Colour(enum.IntEnum):
+    RED = 3
+
+
+# _encode's byte layout written out: "i" and an int64; "I", a length and the
+# decimal digits past int64; "b1" / "b0"; "s", a length and UTF-8; "(", a
+# length and the parts.  Lengths are little-endian uint32s.
+GOLDEN_ENCODE = [
+    ((-(2**63),), b"i" + bytes(7) + b"\x80"),
+    ((2**63 - 1,), b"i" + b"\xff" * 7 + b"\x7f"),
+    ((2**63,), b"I\x13\x00\x00\x009223372036854775808"),
+    ((-(2**63) - 1,), b"I\x14\x00\x00\x00-9223372036854775809"),
+    ((True, False, 1), b"b1b0i\x01" + bytes(7)),
+    ((Colour.RED, -1), b"i\x03" + bytes(7) + b"i" + b"\xff" * 8),
+    ((Label("c"), "c"), b"s\x01\x00\x00\x00c" * 2),
+    (("\u03c9x",), b"s\x03\x00\x00\x00\xcf\x89x"),
+    (((1, ("a",)), ()), b"(\x14\x00\x00\x00i\x01" + bytes(7)
+     + b"(\x06\x00\x00\x00s\x01\x00\x00\x00a" + b"(\x00\x00\x00\x00"),
+]
+
+
+@pytest.mark.parametrize("parts, expected", GOLDEN_ENCODE)
+def test_encode_golden_bytes(parts, expected):
+    assert _encode(parts) == expected
+    assert _encode(parts) == expected  # again, with any str label memoised
+
+
+def general_encode(parts):
+    """_encode without its fast paths: every part by its isinstance branch."""
+    chunks = []
+    for part in parts:
+        if isinstance(part, bool):
+            chunks.append(b"b1" if part else b"b0")
+        elif isinstance(part, int) and -(2**63) <= part < 2**63:
+            chunks.append(b"i" + struct.pack("<q", part))
+        elif isinstance(part, (int, str)):
+            raw = (str(part) if isinstance(part, int) else part).encode()
+            chunks.append((b"I" if isinstance(part, int) else b"s")
+                          + struct.pack("<I", len(raw)) + raw)
+        else:
+            inner = general_encode(part)
+            chunks.append(b"(" + struct.pack("<I", len(inner)) + inner)
+    return b"".join(chunks)
+
+
+labels = st.recursive(
+    st.integers(-(2**70), 2**70) | st.booleans() | st.text(max_size=4)
+    | st.sampled_from(["c", "traj", Label("c"), Colour.RED]),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8)
+
+
+@given(parts=st.lists(labels, max_size=5).map(tuple))
+def test_encode_equals_its_general_branch(parts):
+    assert _encode(parts) == general_encode(parts)
+
+
+def test_str_chunks_stay_bounded_and_exact(monkeypatch):
+    monkeypatch.setattr(rng, "_STR_CHUNKS", {})
+    labels = [Label("sub")] + [f"label-{i}" for i in range(rng._STR_CHUNKS_CAP + 50)]
+    for label in labels * 2:
+        raw = label.encode()
+        assert _encode((label,)) == b"s" + struct.pack("<I", len(raw)) + raw
+    assert len(rng._STR_CHUNKS) == rng._STR_CHUNKS_CAP
+    assert set(map(type, rng._STR_CHUNKS)) == {str}  # a subclass is never kept
 
 
 def _finaliser(z):
