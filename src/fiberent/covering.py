@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groups import FiniteSubset, GroupMismatchError, inverse_set, product_set_size, union_of
+from .groups import FiniteSubset, inverse_set, product_set_size, require_same_group, union_of
 from .rds import mean_and_se
 from .rng import derive_seed, uniform01_stream
 
@@ -62,8 +62,7 @@ def _layer(ambient: FiniteSubset, key: tuple, shape: FiniteSubset,
     the points f a; the order of points inside a block never matters."""
     group = ambient.group
     for part in (shape, centers):
-        if part.group is not group and part.group != group:
-            raise GroupMismatchError(f"group mismatch: {part.group.tag} vs {group.tag}")
+        require_same_group(part.group, group)
     mc = group.mul_coords
     offsets = tuple(shape.coords)
     blocks = tuple((a, tuple([mc(f, a) for f in offsets])) for a in sorted(centers.coords))

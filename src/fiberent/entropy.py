@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .folner import FolnerSequence
-from .groups import FiniteSubset, GroupElement, subset
+from .groups import FiniteSubset, GroupElement, require_same_group, subset
 from .measures import PartitionSpec, canonical_partition, cell_measure, cell_of
 from .rds import SkewPoint, ZeroMeasureError, mean_and_se, sample_point, shannon_entropy, skew
 
@@ -47,7 +47,7 @@ def information(mu, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> float:
 def conditional_information(mu, xi: PartitionSpec,
                             cond_set: FiniteSubset, p: SkewPoint) -> float:
     """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(that cell without e)."""
-    p.x.require_group(cond_set.group)
+    require_same_group(cond_set.group, p.x.group)
     e = cond_set.group.identity().coords
     if e in cond_set.coords:
         raise ValueError("conditioning set may not contain the identity")
@@ -166,6 +166,8 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     """
     if method not in ("exact", "monte-carlo"):
         raise ValueError(f"unknown method: {method}")
+    if method == "monte-carlo" and samples < 1:
+        raise ValueError("samples must be >= 1")
     xi = canonical_partition(model)
     target = model.fiber_entropy()
     e = seq.group.identity()

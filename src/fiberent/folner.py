@@ -30,6 +30,7 @@ from .groups import (
     inverse_set,
     product_set,
     product_set_size,
+    require_same_group,
     symmetric_difference_size,
     union_of,
 )
@@ -46,8 +47,7 @@ class FolnerSequence:
         if not self.sets:
             raise ValueError("a Folner sequence needs at least one set")
         for F in self.sets:
-            if F.group is not self.group and F.group != self.group:
-                raise ValueError("all sets must belong to the sequence's group")
+            require_same_group(F.group, self.group)
             if not F.coords:
                 raise ValueError("every set F_n must be non-empty")
 

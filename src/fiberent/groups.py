@@ -153,14 +153,14 @@ class GroupElement:
         return f"{self.group.tag}{self.coords}"
 
 
-def _require_same_group(a: DiscreteGroup, b: DiscreteGroup) -> None:
+def require_same_group(a: DiscreteGroup, b: DiscreteGroup) -> None:
     if a is not b and a != b:  # identity first: groups are values, usually shared
         raise GroupMismatchError(f"group mismatch: {a.tag} vs {b.tag}")
 
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product g * h."""
-    _require_same_group(g.group, h.group)
+    require_same_group(g.group, h.group)
     return GroupElement(g.group, g.group.mul_coords(g.coords, h.coords))
 
 
@@ -186,7 +186,7 @@ class FiniteSubset:
         return (g.group is self.group or g.group == self.group) and g.coords in self.coords
 
     def is_subset(self, other: "FiniteSubset") -> bool:
-        _require_same_group(self.group, other.group)
+        require_same_group(self.group, other.group)
         return self.coords <= other.coords
 
     def sorted_elements(self) -> list:
@@ -201,8 +201,7 @@ def subset(group: DiscreteGroup, elements: Iterable[GroupElement]) -> FiniteSubs
     """The subset of `group` holding `elements`, each checked to be of `group`."""
     coords = set()
     for g in elements:
-        if g.group is not group and g.group != group:
-            raise GroupMismatchError(f"element of {g.group.tag} in a {group.tag} subset")
+        require_same_group(g.group, group)
         coords.add(g.coords)
     return FiniteSubset(group, frozenset(coords))
 
@@ -215,13 +214,13 @@ def union_of(sets: Iterable[FiniteSubset]) -> FiniteSubset:
     """The union of one or more subsets of one group."""
     first, *rest = sets
     for S in rest:
-        _require_same_group(first.group, S.group)
+        require_same_group(first.group, S.group)
     return FiniteSubset(first.group, first.coords.union(*(S.coords for S in rest)))
 
 
 def translate(F: FiniteSubset, a: GroupElement) -> FiniteSubset:
     """Right translate {f * a : f in F}; cardinality is preserved."""
-    _require_same_group(F.group, a.group)
+    require_same_group(F.group, a.group)
     mc = F.group.mul_coords
     ac = a.coords
     return FiniteSubset(F.group, frozenset(mc(f, ac) for f in F.coords))
@@ -410,7 +409,7 @@ def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
     others by enumerating every pair in numpy.  When int64 cannot hold
     the box with margin, the pairs are enumerated in Python integers.
     """
-    _require_same_group(E.group, F.group)
+    require_same_group(E.group, F.group)
     if not E.coords or not F.coords:
         return FiniteSubset(E.group, frozenset())
     plan = _plan(E, F)
@@ -434,7 +433,7 @@ def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: _Plan) -> FiniteSubs
 
 def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
     """|EF| without building EF's elements; the keys are only counted."""
-    _require_same_group(E.group, F.group)
+    require_same_group(E.group, F.group)
     if not E.coords or not F.coords:
         return 0
     plan = _plan(E, F)
@@ -445,12 +444,14 @@ def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
 
 def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
     """|A symmetric-difference B|, exactly."""
-    _require_same_group(A.group, B.group)
+    require_same_group(A.group, B.group)
     return len(A.coords ^ B.coords)
 
 
 def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> GroupElement:
-    """Seeded element with coordinates uniform in [-radius, radius]."""
+    """Seeded element with coordinates uniform in [-radius, radius], radius >= 0."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     n = 2 * radius + 1
     coords = tuple(
         int(mix64(seed, "coord", i, *path) % n) - radius for i in range(group.rank)

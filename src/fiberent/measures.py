@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
 
-from .groups import FiniteSubset, GroupElement
+from .groups import FiniteSubset, GroupElement, require_same_group
 from .rds import EnumerationSizeError, SkewPoint, SymbolicConfiguration, shift
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -56,7 +56,7 @@ def cell_of(model, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> tuple:
     is just x_g.
     """
     x = p.x
-    x.require_group(F.group)
+    require_same_group(F.group, x.group)
     coords = list(F.coords)
     return tuple(sorted(zip(coords, x.values_at(coords))))
 
@@ -94,7 +94,7 @@ def check_invariance(mu, g: GroupElement,
     pullback of C under the shift by g, which is the cylinder over F g
     with the labels carried along.
     """
-    omega.require_group(F.group)
+    require_same_group(F.group, omega.group)
     mc = F.group.mul_coords
     for labels, forward in enumerate_cells(mu, shift(omega, g), xi, F):
         pulled = tuple(sorted((mc(coords, g.coords), label) for coords, label in labels))

@@ -10,7 +10,7 @@ the unread sites in one `rng` batch, or one by one if fewer than
 `_BATCH_MIN` are unread, and `value_at` / `symbol_at` are the scalar twins
 it is tested against.  A cocycle check (`agrees_on`) reads both sides so,
 in blocks of `rng._BLOCK` sites.  A window with no drawn site reaches `rng`
-as the caller's own sequence, so an SMB plan's tuple is encoded once.
+as the caller's own sequence, so an SMB run's tuple is encoded once.
 The samplers' cumulative tables are built once per model (`_sampler_tables`),
 not per sampled point.
 
@@ -26,9 +26,9 @@ it is written once, on ShiftModel, which every model extends, and the
 omega-dependence lives in the fiber measures mu_omega.  A model writes one
 cell factor rule, read exact (Fractions) or in logs, one rule saying when a
 window's factors extend its predecessor's, its samplers and its closed-form
-entropies.  ShiftModel builds the exact and log cell measures, the
-conditional measure, the label law (that measure once per symbol) and the
-SMB plan from those rules, so nothing branches on the model's type.
+entropies.  ShiftModel builds the exact cell measure, the conditional
+measure, the label law (that measure once per symbol) and the SMB plan, runs
+of windows summed in logs, so nothing branches on the model's type.
 Bernoulli is the random-alphabet model with a one-symbol base: one product
 and one Markov rule keep entropies closed-form, with a genuinely random
 disintegration for the mixed-alphabet model.
@@ -54,6 +54,7 @@ from .groups import (
     GroupMismatchError,
     ZdGroup,
     mul,
+    require_same_group,
 )
 from .rng import _BLOCK, derive_seed, uniform01_stream
 
@@ -312,20 +313,16 @@ class SymbolicConfiguration:
             coords = [mc(c, oc) for c in coords]
         return self.sampler.symbols(coords)
 
-    def require_group(self, group: DiscreteGroup) -> None:
-        if group is not self.group and group != self.group:
-            raise GroupMismatchError(f"{group.tag} coordinates on a {self.group.tag} configuration")
-
     def value(self, g: GroupElement) -> int:
-        self.require_group(g.group)
+        require_same_group(g.group, self.group)
         return self.value_at(g.coords)
 
     def agrees_on(self, other: "SymbolicConfiguration", window: FiniteSubset) -> bool:
         """Every site of the window read on both sides with `values_at`, a
         block of at most rng._BLOCK sites at a time, so a 2^20-site window
         never holds all its symbols; False at the first block that differs."""
-        self.require_group(window.group)
-        other.require_group(window.group)
+        require_same_group(window.group, self.group)
+        require_same_group(window.group, other.group)
         sites = iter(window.coords)
         while block := tuple(islice(sites, _BLOCK)):
             if self.values_at(block) != other.values_at(block):
@@ -351,7 +348,7 @@ def configuration_from_pins(
 
 def shift(config: SymbolicConfiguration, g: GroupElement) -> SymbolicConfiguration:
     """The action (g . c)_h = c_{h g}: left-multiply the frame offset."""
-    config.require_group(g.group)
+    require_same_group(g.group, config.group)
     offset = config.group.mul_coords(g.coords, config.offset)
     return SymbolicConfiguration(config.group, config.sampler, offset)
 
@@ -420,6 +417,8 @@ def shannon_entropy(dist: Sequence) -> float:
 def mean_and_se(values: Sequence) -> tuple:
     """Sample mean and its standard error sqrt(s^2 / k); 0 for one value."""
     k = len(values)
+    if not k:
+        raise ValueError("mean_and_se needs at least one value")
     mean = math.fsum(values) / k
     if k < 2:
         return mean, 0.0
@@ -455,7 +454,7 @@ class ShiftModel:
     coords.  `_cell_factors(omega, coords, symbols, log)` gives the exact
     Fractions whose product is the cell measure, or their log-table entries
     (None for a zero).  `_extends(prev, cs)` says whether the factors of
-    window `cs` continue those of `prev`, so an SMB schedule is one run.
+    window `cs` continue those of `prev` in one SMB run.
     """
 
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
@@ -495,44 +494,33 @@ class ShiftModel:
                                             symbols[:i] + symbols[i + 1:])
         return Fraction(n1 * d2, d1 * n2)
 
-    def cell_log_measure(self, omega: SymbolicConfiguration, labels: tuple) -> float:
-        """ln of cell_measure, summed from log tables: stable at windows of
-        thousands of sites, where the probability underflows any float."""
-        try:
-            return math.fsum(self._cell_factors(omega, *_split(labels), log=True))
-        except TypeError:  # fsum met the None of a zero factor
-            raise ZeroMeasureError("zero-measure cell") from None
-
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
-        """How `smb_totals` reads a schedule of windows.  If each window
-        extends its predecessor, the plan is a "run": every row's new
-        coordinates in one run, and where each row ends.  Otherwise each
-        window is "whole"."""
-        coords, ends, prev = [], [], frozenset()
+        """How `smb_totals` reads a schedule of windows: runs (coords, ends), each
+        row's new coordinates in order and where it ends.  A window that does not
+        extend its predecessor starts a new run, so a run reads each site once."""
+        runs, coords, ends, prev = [], [], [], frozenset()
         for cs in windows:
             if not self._extends(prev, cs):
-                return "whole", tuple(tuple(sorted(cs)) for cs in windows)
+                runs.append((tuple(coords), tuple(ends)))
+                coords, ends, prev = [], [], frozenset()
             coords.extend(sorted(cs - prev))
             ends.append(len(coords))
             prev = cs
-        return "run", tuple(coords), tuple(ends)
+        return (*runs, (tuple(coords), tuple(ends)))
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
-        """-ln mu_omega of the cell of `point` over each planned window; a
+        """-ln mu_omega of the cell of `point` over each planned window; each
         run's factors are read once, and each row is summed with fsum."""
-        x = point.x
-        if plan[0] == "whole":
-            return [-self.cell_log_measure(point.omega, tuple(zip(cs, x.values_at(cs))))
-                    for cs in plan[1]]
-        _, coords, ends = plan
-        logs = self._cell_factors(point.omega, coords, x.values_at(coords), log=True)
-        running, totals = 0.0, []
-        try:  # each site is in some row, so fsum meets the None of any zero factor
-            for start, end in zip((0,) + ends, ends):
-                running -= math.fsum(logs[start:end])
-                totals.append(running)
-        except TypeError:
-            raise ZeroMeasureError("zero-measure cell") from None
+        totals = []
+        for coords, ends in plan:
+            logs = self._cell_factors(point.omega, coords, point.x.values_at(coords), log=True)
+            running = 0.0
+            try:  # each site is in some row, so fsum meets the None of any zero factor
+                for start, end in zip((0,) + ends, ends):
+                    running -= math.fsum(logs[start:end])
+                    totals.append(running)
+            except TypeError:
+                raise ZeroMeasureError("zero-measure cell") from None
         return totals
 
     def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,

@@ -22,7 +22,7 @@ word ``mix64(key, tail)``, so every label stays exact and distinct.
 ``draw.many(tails)`` does the same on uint64 arrays, bit for bit.  The
 columns of a tuple of tails do not depend on the stream, so the last tuple
 encoded is kept with its columns, by reference and matched by identity:
-every trajectory over one SMB plan, and both streams of a mixed-model
+every trajectory over a one-run SMB plan, and both streams of a mixed-model
 trajectory, encode the plan once.  A ``range`` of int64s is encoded by
 ``np.arange``.
 """

@@ -52,6 +52,21 @@ def constant_omega(model):
     return constant_configuration(model.group, 1)
 
 
+def pinned_point(model, coords_to_label):
+    """A point whose fiber holds the given symbols, 0 elsewhere, over a constant base."""
+    x = configuration_from_pins(model.group, model.fiber_alphabet_size, coords_to_label)
+    return SkewPoint(constant_omega(model), x)
+
+
+def log_measure(model, labels, omega=None):
+    """ln mu_omega of the cell `labels` by the log route: -smb_totals of a
+    one-window plan over a point pinned to those labels."""
+    x = configuration_from_pins(model.group, model.fiber_alphabet_size, dict(labels))
+    point = SkewPoint(constant_omega(model) if omega is None else omega, x)
+    (total,) = model.smb_totals(model.smb_plan([frozenset(c for c, _ in labels)]), point)
+    return -total
+
+
 @dataclass(frozen=True)
 class CosetChainModel(ShiftModel):
     """Independent stationary chains along the right cosets <t>h of

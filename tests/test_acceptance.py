@@ -24,7 +24,6 @@ from fiberent.covering import (
     check_hypotheses,
     greedy_cover,
     sample_many,
-    sample_random_cover,
     verify_greedy_cover,
     verify_random_cover,
 )

@@ -1,5 +1,6 @@
 """Every public name the package defines has a reader outside its own
-definition, and every name a package module imports is read in that module.
+definition, and every name a package module, test or script imports is read
+in that file.
 
 A public name is a top-level `def`, `class` or assigned name of a package
 module with no leading underscore.  It counts as read when it appears as
@@ -76,7 +77,9 @@ def unread_imports(source: str) -> list:
 
 
 def test_every_import_is_read():
-    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
+    unread = {str(path.relative_to(ROOT)): names for path in sorted(paths)
               if (names := unread_imports(path.read_text()))}
     assert not unread, f"imported names never read: {unread}"
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberent.covering as covering_mod
-from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, mul, subset_from_coords
+from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, subset_from_coords
 from fiberent.rng import derive_seed, uniform01_stream
 from fiberent.covering import (
     CoverInstance,

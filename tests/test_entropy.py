@@ -21,9 +21,7 @@ from fiberent.rds import (
     BernoulliModel,
     MarkovModel,
     RandomAlphabetModel,
-    SkewPoint,
     ZeroMeasureError,
-    configuration_from_pins,
     sample_point,
     shannon_entropy,
     skew,
@@ -39,7 +37,7 @@ from fiberent.entropy import (
     smb_trace,
 )
 
-from conftest import coset_chain_model, coset_chain_point, constant_omega
+from conftest import coset_chain_model, coset_chain_point, constant_omega, log_measure, pinned_point
 
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -78,11 +76,6 @@ class TestShannonEntropy:
         assert log_fraction(fr) == pytest.approx(400 * math.log(10) - 1000 * math.log(3))
         with pytest.raises(ZeroMeasureError):
             log_fraction(Fraction(0, 1))
-
-
-def pinned_point(model, coords_to_label):
-    x = configuration_from_pins(model.group, model.fiber_alphabet_size, coords_to_label)
-    return SkewPoint(constant_omega(model), x)
 
 
 class TestInformation:
@@ -370,7 +363,7 @@ class TestSmbTrace:
         # No rule and no fiber draw of the one-symbol model looks at omega.
         labels = (((0, 0), 1), ((0, 1), 0))
         assert one.cell_measure(None, labels) == Fraction(21, 100)
-        assert one.cell_log_measure(None, labels) == pytest.approx(math.log(0.21), abs=1e-15)
+        assert log_measure(one, labels) == pytest.approx(math.log(0.21), abs=1e-15)
         x = one.sample_x(None, 41)
         assert [x.value_at(c) for c in sorted(seq.set(8).coords)] == [
             bern.sample_x(None, 41).value_at(c) for c in sorted(seq.set(8).coords)]
@@ -415,6 +408,12 @@ def _z1_windows(coord_lists):
     return FolnerSequence(Z1, sets)
 
 
+SMB_MODELS_Z1 = [
+    BernoulliModel.create(Z1, [0.7, 0.3]),
+    RandomAlphabetModel.create(Z1, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]]),
+    MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+]
+
 SMB_PLANS = {
     "product": (BernoulliModel.create(Z2, [0.7, 0.3]), box_folner(2, 5)),
     "conditional": (
@@ -448,6 +447,11 @@ SMB_PLANS = {
         MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
         _z1_windows([range(8), range(3)]),
     ),
+    # a window that adds a site left of its predecessor starts a second run
+    "markov-left": (
+        MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
+        _z1_windows([[0, 1], [0, 1, 2], range(-1, 3), range(-1, 4)]),
+    ),
     # not prefix intervals, but each window adds sites right of the last
     "markov-right": (
         MarkovModel.create([[0.9, 0.1], [0.2, 0.8]]),
@@ -455,10 +459,9 @@ SMB_PLANS = {
     ),
 }
 
-# The plan each case takes: one "run" of sites, unless named otherwise here.
-SMB_PLAN_KINDS = {"markov-general": "whole", "markov-moving": "whole",
-                  "markov-shrinking": "whole", "product-moving": "whole",
-                  "conditional-moving": "whole"}
+# The runs each case's plan takes: one, unless named otherwise here.
+SMB_PLAN_RUNS = {"markov-general": 4, "markov-moving": 4, "markov-shrinking": 2,
+                 "product-moving": 4, "conditional-moving": 4, "markov-left": 2}
 
 
 class TestSmbFastPath:
@@ -469,7 +472,7 @@ class TestSmbFastPath:
         model, seq = SMB_PLANS[case]
         ns = list(range(1, len(seq.sets) + 1))
         plan = model.smb_plan([seq.set(n).coords for n in ns])
-        assert plan[0] == SMB_PLAN_KINDS.get(case, "run")
+        assert len(plan) == SMB_PLAN_RUNS.get(case, 1)
         xi = canonical_partition(model)
         for index in range(3):
             totals = _smb_worker((model, plan, 53, index))
@@ -477,21 +480,39 @@ class TestSmbFastPath:
             assert len(totals) == len(ns)
             for n, total in zip(ns, totals):
                 cell = cell_of(model, xi, seq.set(n), point)
-                log_rule = -model.cell_log_measure(point.omega, cell)
                 exact = -log_fraction(cell_measure(model, point.omega, cell))
-                assert total == pytest.approx(log_rule, rel=1e-12, abs=1e-12)
                 assert total == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("model, windows, kind", [
-        (BernoulliModel.create(Z1, [1, 0]), [[0], [0, 1, 2]], "run"),
-        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0], [0, 1, 2]], "run"),
-        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0, 1, 2], [1, 2]], "whole"),
-    ], ids=["product-run", "markov-run", "markov-whole"])
-    def test_null_cell_raises_in_either_plan(self, model, windows, kind):
+    @settings(max_examples=80)
+    @given(model=st.sampled_from(SMB_MODELS_Z1), index=st.integers(0, 20),
+           nested=st.booleans(),
+           parts=st.lists(st.sets(st.integers(-8, 8), min_size=1, max_size=6),
+                          min_size=1, max_size=5))
+    def test_random_schedules_match_exact_cell_measures(self, model, index, nested, parts):
+        # nested schedules grow on either side; free ones move and shrink
+        windows = [frozenset((k,) for k in (set().union(*parts[:i + 1]) if nested else part))
+                   for i, part in enumerate(parts)]
+        plan = model.smb_plan(windows)
+        for coords, ends in plan:  # a run reads each of its sites once
+            assert len(set(coords)) == len(coords) == ends[-1]
+        point = sample_point(model, 59, index)
+        totals = model.smb_totals(plan, point)
+        assert len(totals) == len(windows)
+        for cs, total in zip(windows, totals):
+            cell = tuple(sorted(zip(cs, point.x.values_at(list(cs)))))
+            exact = -log_fraction(model.cell_measure(point.omega, cell))
+            assert total == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("model, windows, runs", [
+        (BernoulliModel.create(Z1, [1, 0]), [[0], [0, 1, 2]], 1),
+        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0], [0, 1, 2]], 1),
+        (MarkovModel.create([[0.5, 0.5], [1, 0]]), [[0, 1, 2], [1, 2]], 2),
+    ], ids=["product-run", "markov-run", "markov-two-runs"])
+    def test_null_cell_raises_in_either_plan(self, model, windows, runs):
         # the window [0, 1, 2] holds the null pattern 1, 1 at sites 1 and 2
         point = pinned_point(model, {(1,): 1, (2,): 1})
         plan = model.smb_plan([frozenset((k,) for k in ks) for ks in windows])
-        assert plan[0] == kind
+        assert len(plan) == runs
         with pytest.raises(ZeroMeasureError):
             model.smb_totals(plan, point)
 
@@ -499,7 +520,7 @@ class TestSmbFastPath:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         labels = (((0,), 0), ((1,), 1))
         assert model.cell_measure(None, labels) == Fraction(21, 100)
-        assert model.cell_log_measure(None, labels) == pytest.approx(math.log(0.21))
+        assert log_measure(model, labels) == pytest.approx(math.log(0.21))
 
 
 def chain_weights(k):
@@ -619,3 +640,12 @@ class TestConditionalEntropy:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         with pytest.raises(ValueError):
             conditional_entropy_trace(model, box_folner(1, 2), method="bootstrap")
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_monte_carlo_needs_a_sample(self, samples):
+        model = BernoulliModel.create(Z1, [0.7, 0.3])
+        with pytest.raises(ValueError, match="samples"):
+            conditional_entropy_trace(model, box_folner(1, 2), method="monte-carlo",
+                                      samples=samples)
+        # the exact method draws no samples, so it ignores the count
+        assert conditional_entropy_trace(model, box_folner(1, 2), samples=0).rows

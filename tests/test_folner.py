@@ -19,6 +19,7 @@ from fiberent.folner import (
     window_folner,
 )
 from fiberent.groups import (
+    GroupMismatchError,
     HeisenbergGroup,
     ZdGroup,
     _product_set_naive,
@@ -221,6 +222,12 @@ def test_sequence_rejects_an_empty_set(where):
     sets[where] = subset_from_coords(Z1, [])
     with pytest.raises(ValueError, match="non-empty"):
         FolnerSequence(Z1, tuple(sets))
+
+
+def test_sequence_rejects_a_set_of_another_group():
+    # the same error type as every other layer's group check
+    with pytest.raises(GroupMismatchError, match="zd:2 vs zd:1"):
+        FolnerSequence(Z1, (Z1.box(2), ZdGroup(2).box(2, 2)))
 
 
 def test_validator_flags_size_gate():

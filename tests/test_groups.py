@@ -433,6 +433,14 @@ def test_random_element_is_deterministic_and_bounded():
     assert max(abs(c) for c in other.coords) <= 5
 
 
+@pytest.mark.parametrize("radius", [-1, -2])
+def test_random_element_rejects_a_negative_radius(radius):
+    # n = 2 radius + 1 would be <= -1, and the draws land outside [-radius, radius]
+    with pytest.raises(ValueError, match="radius"):
+        random_element(Z2, radius, 123, "a")
+    assert random_element(Z2, 0, 123, "a").coords == (0, 0)
+
+
 def test_finite_subset_set_algebra():
     A = Z1.box(4)
     B = translate(A, Z1.element(2))

@@ -18,6 +18,7 @@ from fiberent.groups import (
     ZdGroup,
     mul,
     random_element,
+    require_same_group,
     subset,
 )
 from fiberent.rds import (
@@ -39,6 +40,7 @@ from fiberent.rds import (
     configuration_from_pins,
     constant_configuration,
     exact_distribution,
+    mean_and_se,
     sample_point,
     shift,
     skew,
@@ -85,6 +87,16 @@ class TestExactDistribution:
             exact_distribution([1.2, -0.2])
         with pytest.raises(ValueError):
             exact_distribution([])
+
+
+class TestMeanAndSe:
+    def test_sample_mean_and_standard_error(self):
+        assert mean_and_se([1.0, 2.0, 3.0]) == (2.0, pytest.approx((1 / 3) ** 0.5, rel=1e-15))
+        assert mean_and_se([2.5]) == (2.5, 0.0)
+
+    def test_an_empty_sample_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            mean_and_se([])
 
 
 class TestShiftConvention:
@@ -635,5 +647,5 @@ class TestValueSemantics:
         assert skew(model, g, moved).x.agrees_on(skew(model, g, point).x, window)
         assert check_cocycle(model, g, g, moved, window)
         assert g in window_for(group, 2) and subset(group, [g]).is_subset(window)
-        x.require_group(group)
-        point.x.require_group(twin)
+        require_same_group(group, x.group)
+        require_same_group(twin, point.x.group)
