@@ -175,7 +175,7 @@ def _parse_scalar(kind: str, raw: str):
             raise ValueError(f"must be in {least}..{most[0]}")
         return v
     if kind in ("number", "unit"):
-        v = Fraction(raw)
+        v = _finite(Fraction(raw))
         if kind == "unit" and not 0 < v < 1:
             raise ValueError("must lie strictly between 0 and 1")
         return v
@@ -183,8 +183,17 @@ def _parse_scalar(kind: str, raw: str):
         return tuple(int(part.strip()) for part in raw.split(","))
     if kind == "dist":
         parts = [Fraction(part.strip()) for part in raw.split(",")]
+        _finite(sum(map(abs, parts)))  # so each entry and the total are finite
         return exact_distribution(parts)
     raise AssertionError(f"unknown kind {kind}")
+
+
+def _finite(v: Fraction) -> Fraction:
+    """v, if float(v) is finite, as every run reads it: 2^1024 - 2^970,
+    halfway past the largest float, is the least |v| that rounds to inf."""
+    if abs(v) >= 2 ** 1024 - 2 ** 970:
+        raise ValueError("must convert to a finite float")
+    return v
 
 
 def _split_key(key: str) -> tuple:

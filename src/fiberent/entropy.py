@@ -11,11 +11,12 @@ decomposes it) and Monte Carlo traces with standard errors, whose targets
 are the models' closed-form entropies (`fiber_entropy`, `conditional_entropy`).
 
 The identity checks are exact: each conditional term is one Fraction of the
-model's integer factor products (`conditional_measure`), and the chain rule
-builds each D = R g^-1 as coordinates.  Long-window traces sum the same
-factors as logs, since a 4096-site cylinder's probability underflows any
-float; `smb_trace` reads the whole sequence by one model plan.  Both traces
-give one `TraceRow` per set F_1, ..., F_N, the row the CLI writes.
+model's integer factor products (`conditional_measure` of the symbol at e),
+and the chain rule builds each D = R g^-1 as coordinates.  Long-window
+traces sum the same factors as logs, since a 4096-site cylinder's
+probability underflows any float; `smb_trace` reads the whole sequence by
+one model plan.  Both traces give one `TraceRow` per set F_1, ..., F_N,
+the row the CLI writes.
 """
 
 from __future__ import annotations
@@ -46,19 +47,17 @@ def information(mu, xi: PartitionSpec, F: FiniteSubset, p: SkewPoint) -> float:
 
 def conditional_information(mu, xi: PartitionSpec,
                             cond_set: FiniteSubset, p: SkewPoint) -> float:
-    """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(that cell without e)."""
+    """-ln of mu_omega(cell over {e} + cond_set) / mu_omega(that cell without e);
+    a set holding e raises ValueError in `conditional_measure`."""
     require_same_group(cond_set.group, p.x.group)
-    e = cond_set.group.identity().coords
-    if e in cond_set.coords:
-        raise ValueError("conditioning set may not contain the identity")
-    return _conditional_term(mu, cond_set.coords, e, p)
+    return _conditional_term(mu, cond_set.coords, cond_set.group.identity().coords, p)
 
 
 def _conditional_term(mu, cond: set, e: tuple, p: SkewPoint) -> float:
     """-ln of mu_omega(cell of p over {e} + cond) / mu_omega(that cell without e)."""
     coords = [e, *cond]
-    labels = tuple(sorted(zip(coords, p.x.values_at(coords))))
-    return -log_fraction(mu.conditional_measure(p.omega, labels, e))
+    s = p.x.values_at(coords)
+    return -log_fraction(mu.conditional_measure(p.omega, zip(coords[1:], s[1:]), e, s[:1])[0])
 
 
 def chain_rule_terms(mu, xi: PartitionSpec, F: FiniteSubset,
@@ -170,10 +169,10 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
         raise ValueError("samples must be >= 1")
     xi = canonical_partition(model)
     target = model.fiber_entropy()
-    e = seq.group.identity()
+    e, symbols = seq.group.identity().coords, range(model.fiber_alphabet_size)
     rows = []
     for n, F in enumerate(seq.sets, start=1):
-        cond = FiniteSubset(seq.group, F.coords - {e.coords})
+        cond = FiniteSubset(seq.group, F.coords - {e})
         if method == "exact":
             est, se = model.conditional_entropy(cond), None
         else:
@@ -181,7 +180,7 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
             for i in range(samples):
                 point = sample_point(model, seed, i)
                 labels = cell_of(model, xi, cond, point)
-                dist = model.conditional_label_distribution(point.omega, labels, e)
+                dist = model.conditional_measure(point.omega, labels, e, symbols)
                 values.append(shannon_entropy(dist))
             est, se = mean_and_se(values)
         rows.append(TraceRow(n=n, folner_size=len(F), estimate=est, target=target, std_error=se))

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .rng import mix64
+from .rng import uniform01_stream
 
 
 class GroupMismatchError(ValueError):
@@ -449,11 +449,10 @@ def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
 
 
 def random_element(group: DiscreteGroup, radius: int, seed: int, *path) -> GroupElement:
-    """Seeded element with coordinates uniform in [-radius, radius], radius >= 0."""
+    """Seeded element with coordinates uniform in [-radius, radius], radius >= 0:
+    coordinate i is draw u = m / 2^53 of one stream, taken to (m n) >> 53."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    n = 2 * radius + 1
-    coords = tuple(
-        int(mix64(seed, "coord", i, *path) % n) - radius for i in range(group.rank)
-    )
+    n, draw = 2 * radius + 1, uniform01_stream(seed, "coord", *path)
+    coords = tuple((int(draw(i) * 2.0 ** 53) * n >> 53) - radius for i in range(group.rank))
     return GroupElement(group, coords)

@@ -26,9 +26,9 @@ it is written once, on ShiftModel, which every model extends, and the
 omega-dependence lives in the fiber measures mu_omega.  A model writes one
 cell factor rule, read exact (Fractions) or in logs, one rule saying when a
 window's factors extend its predecessor's, its samplers and its closed-form
-entropies.  ShiftModel builds the exact cell measure, the conditional
-measure, the label law (that measure once per symbol) and the SMB plan, runs
-of windows summed in logs, so nothing branches on the model's type.
+entropies.  ShiftModel builds the exact cell measure, the one conditional
+rule (`conditional_measure`, also the label law) and the SMB plan, runs of
+windows summed in logs, so nothing branches on the model's type.
 Bernoulli is the random-alphabet model with a one-symbol base: one product
 and one Markov rule keep entropies closed-form, with a genuinely random
 disintegration for the mixed-alphabet model.
@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product as iterproduct
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -438,9 +438,6 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-_TARGET_ONCE = "the cell must hold the target coordinate exactly once"
-
-
 def _split(labels: tuple) -> tuple:
     """A cell's coordinates and its symbols, as two lists."""
     return [c for c, _ in labels], [s for _, s in labels]
@@ -470,29 +467,30 @@ class ShiftModel:
             den *= f.denominator
         return num, den
 
-    def _conditioning_product(self, omega: SymbolicConfiguration, coords: list,
-                              symbols: list) -> tuple:
-        """_product of a conditioning cell, which may not be null."""
-        n2, d2 = self._product(omega, coords, symbols)
-        if n2 == 0:
-            raise ZeroMeasureError("conditioning cell has measure zero")
-        return n2, d2
-
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         """Exact mu_omega of the cylinder cell."""
         return Fraction(*self._product(omega, *_split(labels)))
 
-    def conditional_measure(self, omega: SymbolicConfiguration, labels: tuple,
-                            at: tuple) -> Fraction:
-        """mu_omega(cell) / mu_omega(cell without site `at`), one Fraction n1 d2 / (d1 n2)."""
-        coords, symbols = _split(labels)
-        if coords.count(at) != 1:
-            raise ValueError(_TARGET_ONCE)
-        i = coords.index(at)
-        n1, d1 = self._product(omega, coords, symbols)
-        n2, d2 = self._conditioning_product(omega, coords[:i] + coords[i + 1:],
-                                            symbols[:i] + symbols[i + 1:])
-        return Fraction(n1 * d2, d1 * n2)
+    def conditional_measure(self, omega: SymbolicConfiguration, cond_labels: Iterable,
+                            at: tuple, symbols: Iterable) -> tuple:
+        """mu_omega(cell + (at, s)) / mu_omega(cell), one Fraction n1 d2 / (d1 n2) for
+        each s in `symbols`: k + 1 products.  Over every symbol it is the label
+        law at `at`, which sums to 1 as every model's measure is consistent."""
+        coords, labels = _split(sorted(cond_labels))
+        if at in coords:
+            raise ValueError("the conditioning cell may not hold the target coordinate")
+        n2, d2 = self._product(omega, coords, labels)
+        if n2 == 0:
+            raise ZeroMeasureError("conditioning cell has measure zero")
+        i = bisect.bisect(coords, at)
+        coords.insert(i, at)
+        labels.insert(i, None)
+        out = []
+        for s in symbols:  # rewritten in place: a copy per symbol cost a term 8-10%
+            labels[i] = s
+            n1, d1 = self._product(omega, coords, labels)
+            out.append(Fraction(n1 * d2, d1 * n2))
+        return tuple(out)
 
     def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
         """How `smb_totals` reads a schedule of windows: runs (coords, ends), each
@@ -522,23 +520,6 @@ class ShiftModel:
             except TypeError:
                 raise ZeroMeasureError("zero-measure cell") from None
         return totals
-
-    def conditional_label_distribution(self, omega: SymbolicConfiguration, cond_labels: tuple,
-                                       at: GroupElement) -> tuple:
-        """Law of the symbol at `at` given the cell `cond_labels`: the conditional
-        measure of each symbol there, which sum to 1 as every model's measure is
-        consistent.  The conditioning cell's product is taken once, after the
-        cells', and a null one raises, as in `conditional_measure`."""
-        at = at.coords
-        coords, symbols = _split(sorted(cond_labels))
-        if at in coords:
-            raise ValueError(_TARGET_ONCE)
-        i = bisect.bisect(coords, at)
-        with_at = coords[:i] + [at] + coords[i:]
-        cells = [self._product(omega, with_at, symbols[:i] + [s] + symbols[i:])
-                 for s in range(self.fiber_alphabet_size)]
-        n2, d2 = self._conditioning_product(omega, coords, symbols)
-        return tuple(Fraction(n1 * d2, d1 * n2) for n1, d1 in cells)
 
 
 @dataclass(frozen=True)
@@ -738,18 +719,17 @@ class MarkovModel(ShiftModel):
     def conditional_entropy(self, cond_set: FiniteSubset) -> float:
         """Entropy of the bridge law at 0 between its nearest conditioning
         neighbours, averaged over their joint law; labels of weight zero
-        (a transient state, an impossible pair) are skipped."""
-        e, cond = self.group.identity(), sorted(cond_set.coords)
-        if e.coords in cond_set.coords:
-            raise ValueError("conditioning set may not contain the target coordinate")
-        i = bisect.bisect(cond, e.coords)
+        (a transient state, an impossible pair) are skipped; a set holding 0
+        raises in `conditional_measure`."""
+        e, cond = self.group.identity().coords, sorted(cond_set.coords)
+        i = bisect.bisect(cond, e)
         near = cond[max(i - 1, 0):i + 1]  # the nearest site on each side
         terms = []
         for labels in iterproduct(range(self.fiber_alphabet_size), repeat=len(near)):
             cell = tuple(zip(near, labels))
             weight = self.cell_measure(None, cell)
             if weight:
-                dist = self.conditional_label_distribution(None, cell, e)
+                dist = self.conditional_measure(None, cell, e, range(self.fiber_alphabet_size))
                 terms.append(float(weight) * shannon_entropy(dist))
         return math.fsum(terms)
 

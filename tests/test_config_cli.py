@@ -650,6 +650,47 @@ class TestCliRuns:
             f"config error: key '{key}' (line {line}): must be in {reason}\n")
         assert not Path(out).exists()
 
+    # Runs read every number and distribution as floats: a value past float
+    # range is rejected at its line.  `p` and its kin escaped parse_config as
+    # an OverflowError (a traceback, exit 1), and `tolerance` exited 5 at the
+    # summary.
+    @pytest.mark.parametrize("subcommand, base, bad", [
+        ("smb-run", "seed = 5\nmodel = bernoulli\nn_max = 4\n", "p = 1e400, 1"),
+        ("smb-run", "seed = 5\nmodel = bernoulli\nn_max = 4\n", "p = 1e308, 1e308"),
+        ("smb-run", "seed = 5\nmodel = random-alphabet\nn_max = 4\nfiber_p_0 = 0.5, 0.5\n",
+         "base_p = 1e400, 1"),
+        ("smb-run", "seed = 5\nmodel = random-alphabet\nn_max = 4\nbase_p = 1\n",
+         "fiber_p_0 = 1e400, 1"),
+        ("smb-run", "seed = 5\nmodel = markov\nn_max = 4\ntransition_1 = 0.5, 0.5\n",
+         "transition_0 = 1e400, 1"),
+        ("smb-run", SMB_BASE + "n_max = 4\n", "tolerance = 1e400"),
+        ("cover-demo", "seed = 11\nkind = random\nambient_n = 60\ndelta = 0.25\n"
+                       "epsilon = 0.5\nalpha = 0.08\nk_set = 0, 1\n"
+                       "shape_1_1 = 4\ncenters_1_1 = 0, 3\n", "c = 1e400"),
+        ("folner-check", "seed = 1\ngroup = zd:2\nn_max = 2\n", "tempered_bound = 1e400"),
+    ], ids=["p", "p-total", "base_p", "fiber_p_0", "transition_0", "tolerance", "c",
+            "tempered_bound"])
+    def test_value_past_float_range_is_config_error(self, tmp_path, capsys, subcommand, base,
+                                                    bad):
+        text = base + bad + "\n"
+        rc, out = run(tmp_path, subcommand, text)
+        assert rc == EXIT_CONFIG
+        key = bad.split(" = ")[0]
+        line = text.splitlines().index(bad) + 1
+        assert capsys.readouterr().err == (
+            f"config error: key '{key}' (line {line}): must convert to a finite float\n")
+        assert not Path(out).exists()
+
+    def test_float_range_ends_where_float_rounds_to_inf(self):
+        least_inf = 2 ** 1024 - 2 ** 970  # the largest float plus half its ulp
+        for v in (least_inf - 1, -(least_inf - 1)):
+            cfg = parse_config(SMB_BASE + f"n_max = 4\ntolerance = {v}\n", "smb-run")
+            assert abs(float(cfg.get("tolerance"))) == 1.7976931348623157e308
+        (issue,) = issues_of(SMB_BASE + f"n_max = 4\ntolerance = {least_inf}\n", "smb-run")
+        assert (issue.key, issue.line) == ("tolerance", 5)
+        with pytest.raises(OverflowError):
+            float(Fraction(least_inf))
+
     def test_count_caps_admit_their_maximum(self):
         cfg = parse_config(COCYCLE_BASE + "checks = 1000000\n", "cocycle-check")
         assert cfg.get("checks") == 10 ** 6

@@ -155,7 +155,7 @@ class TestConditionalInformation:
     def test_identity_in_conditioning_set_rejected(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         p = pinned_point(model, {(0,): 0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target coordinate"):
             conditional_information(
                 model, canonical_partition(model), Z1.box(2), p
             )
@@ -270,8 +270,9 @@ class TestChainRuleTwin:
             cond = FiniteSubset(F.group, F.coords - {e})
             big = cell_of(model, xi, FiniteSubset(F.group, cond.coords | {e}), p)
             small = tuple(label for label in big if label[0] != e)
+            (label,) = (s for c, s in big if c == e)
             quotient = cell_measure(model, p.omega, big) / cell_measure(model, p.omega, small)
-            assert model.conditional_measure(p.omega, big, e) == quotient
+            assert model.conditional_measure(p.omega, small, e, [label]) == (quotient,)
             assert conditional_information(model, xi, cond, p) == -log_fraction(quotient)
 
 

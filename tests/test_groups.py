@@ -433,6 +433,21 @@ def test_random_element_is_deterministic_and_bounded():
     assert max(abs(c) for c in other.coords) <= 5
 
 
+@pytest.mark.parametrize("radius", [0, 1, 10 ** 23])
+@pytest.mark.parametrize("group", [Z1, Z3, H], ids=["z1", "z3", "heisenberg"])
+def test_random_element_stays_in_range_at_any_radius(group, radius):
+    # config's `radius` has no maximum, so the integer map must hold past 2^53
+    for i in range(50):
+        coords = random_element(group, radius, 9, "r", i).coords
+        assert len(coords) == group.rank
+        assert all(type(c) is int and -radius <= c <= radius for c in coords)
+
+
+def test_random_element_reaches_every_value():
+    draws = {c for i in range(100) for c in random_element(Z2, 2, 31, "v", i).coords}
+    assert draws == set(range(-2, 3))
+
+
 @pytest.mark.parametrize("radius", [-1, -2])
 def test_random_element_rejects_a_negative_radius(radius):
     # n = 2 radius + 1 would be <= -1, and the draws land outside [-radius, radius]

@@ -34,6 +34,7 @@ from conftest import constant_omega, coset_chain_model, log_measure, pinned_poin
 Z1 = ZdGroup(1)
 Z2 = ZdGroup(2)
 H = HeisenbergGroup()
+BOTH = range(2)  # the symbols of a two-symbol alphabet
 
 
 def all_models():
@@ -201,13 +202,12 @@ class TestExactCellMeasureCaches:
         b = MarkovModel.create([[Fraction(9, 10), Fraction(1, 10)], [0.2, 0.8]])
         labels = (((-3,), 0), ((0,), 1), ((7,), 1))
         cond = (((-2,), 1), ((5,), 0))
-        e = Z1.identity()
         a.cell_measure(None, (((0,), 0), ((40,), 1)))  # fills a's cache first
         assert a == b and a.stationary == b.stationary
         assert a.cell_measure(None, labels) == b.cell_measure(None, labels)
         assert log_measure(a, labels) == log_measure(b, labels)
-        assert (a.conditional_label_distribution(None, cond, e)
-                == b.conditional_label_distribution(None, cond, e))
+        assert (a.conditional_measure(None, cond, (0,), BOTH)
+                == b.conditional_measure(None, cond, (0,), BOTH))
         assert a.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)])) == \
             b.conditional_entropy(subset_from_coords(Z1, [(-2,), (5,)]))
 
@@ -323,7 +323,7 @@ class TestConditionalLabelDistribution:
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         mu = model
         cond = (((1,), 1),)
-        dist = mu.conditional_label_distribution(constant_omega(model), cond, Z1.identity())
+        dist = mu.conditional_measure(constant_omega(model), cond, (0,), BOTH)
         assert dist == (Fraction(7, 10), Fraction(3, 10))
 
     def test_random_alphabet_reads_base_row(self):
@@ -331,14 +331,14 @@ class TestConditionalLabelDistribution:
         mu = model
         omega = configuration_from_pins(Z1, 2, {(0,): 1})
         cond = (((1,), 0),)
-        dist = mu.conditional_label_distribution(omega, cond, Z1.identity())
+        dist = mu.conditional_measure(omega, cond, (0,), BOTH)
         assert dist == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_two_sided_bridge(self):
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
         cond = (((-1,), 0), ((1,), 0))
-        dist = mu.conditional_label_distribution(constant_omega(model), cond, Z1.identity())
+        dist = mu.conditional_measure(constant_omega(model), cond, (0,), BOTH)
         # P_{0c} P_{c0} / (P^2)_{00}
         assert dist == (Fraction(81, 83), Fraction(2, 83))
 
@@ -346,13 +346,13 @@ class TestConditionalLabelDistribution:
         model = MarkovModel.create([[0.9, 0.1], [0.2, 0.8]])
         mu = model
         left = (((-1,), 0),)
-        assert mu.conditional_label_distribution(
-            constant_omega(model), left, Z1.identity()
+        assert mu.conditional_measure(
+            constant_omega(model), left, (0,), BOTH
         ) == (Fraction(9, 10), Fraction(1, 10))
         right = (((1,), 0),)
         # Bayes: P(x_0 = c | x_1 = 0) = pi_c P_c0 / pi_0
-        assert mu.conditional_label_distribution(
-            constant_omega(model), right, Z1.identity()
+        assert mu.conditional_measure(
+            constant_omega(model), right, (0,), BOTH
         ) == (Fraction(9, 10), Fraction(1, 10))
 
     def test_markov_only_nearest_neighbors_matter(self):
@@ -361,10 +361,8 @@ class TestConditionalLabelDistribution:
         near = (((-1,), 0), ((1,), 0))
         far = (((-3,), 1), ((-1,), 0), ((1,), 0), ((4,), 1))
         omega = constant_omega(model)
-        e = Z1.identity()
-        assert mu.conditional_label_distribution(
-            omega, near, e
-        ) == mu.conditional_label_distribution(omega, far, e)
+        assert mu.conditional_measure(omega, near, (0,), BOTH) == \
+            mu.conditional_measure(omega, far, (0,), BOTH)
 
 
     @pytest.mark.parametrize("cond", [{(1,): 0}, {(-1,): 0}, {(-1,): 0, (1,): 0}],
@@ -374,27 +372,27 @@ class TestConditionalLabelDistribution:
         model = MarkovModel.create([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
         labels = tuple(sorted(cond.items()))
         with pytest.raises(ZeroMeasureError):
-            model.conditional_label_distribution(None, labels, Z1.identity())
+            model.conditional_measure(None, labels, (0,), BOTH)
 
     def test_null_factor_outside_the_sites_that_matter_raises(self):
         # Bernoulli: no label matters, yet the cell x_1 = 1 has p_1 = 0.
         bernoulli = BernoulliModel.create(Z1, [1, 0])
         with pytest.raises(ZeroMeasureError):
-            bernoulli.conditional_label_distribution(None, (((1,), 1),), Z1.identity())
+            bernoulli.conditional_measure(None, (((1,), 1),), (0,), BOTH)
         # Markov: the nearest left label 1 at -1 is fine, but the transient
         # state 0 at -3 has stationary weight 0, so the whole cell is null.
         markov = MarkovModel.create([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
         labels = (((-3,), 0), ((-1,), 1))
         assert markov.cell_measure(None, labels) == 0
         with pytest.raises(ZeroMeasureError):
-            markov.conditional_label_distribution(None, labels, Z1.identity())
+            markov.conditional_measure(None, labels, (0,), BOTH)
 
     def test_tiny_positive_conditioning_cell_is_not_null(self):
         # 10^-400 underflows a float to 0.0; the exact test must not.
         tiny = Fraction(1, 10 ** 400)
         model = BernoulliModel.create(Z1, [1 - tiny, tiny])
         assert float(tiny) == 0.0
-        dist = model.conditional_label_distribution(None, (((1,), 1),), Z1.identity())
+        dist = model.conditional_measure(None, (((1,), 1),), (0,), BOTH)
         assert dist == (1 - tiny, tiny)
 
 
@@ -427,17 +425,32 @@ def _outcome(law, *args):
 
 
 def _agrees_with_normalised_law(model, omega, cond_labels, at, near):
-    got = _outcome(model.conditional_label_distribution, omega, cond_labels,
-                   model.group.element(*at))
+    """The full law equals the normalised one and sums to 1; each symbol's
+    own call equals its entry and the quotient of two cell measures; a null
+    cell raises for every symbol, and a cell holding `at` raises ValueError."""
+    symbols = range(model.fiber_alphabet_size)
+    got = _outcome(model.conditional_measure, omega, cond_labels, at, symbols)
     assert got == _outcome(_normalised_law, model, omega, cond_labels, at, near)
     if got is not ZeroMeasureError:
         assert sum(got) == 1
+    cond = model.cell_measure(omega, cond_labels)
+    for s in symbols:
+        one = _outcome(model.conditional_measure, omega, cond_labels, at, [s])
+        if got is ZeroMeasureError:
+            assert one is ZeroMeasureError and cond == 0
+            continue
+        cell = model.cell_measure(omega, tuple(sorted(cond_labels + ((at, s),))))
+        assert one == (got[s],) and got[s] == cell / cond
+    with pytest.raises(ValueError, match="target coordinate"):
+        model.conditional_measure(omega, cond_labels + ((at, 0),), at, symbols)
     return got
 
 
 class TestLawTwin:
-    """The label law, as conditional_measure once per symbol, equals the
-    normalised cell measures exactly, or raises where they find a null cell."""
+    """conditional_measure, the one conditional rule: over every symbol it is
+    the label law, equal to the normalised cell measures exactly, and for
+    one symbol a quotient of cell measures; it raises where they find a
+    null cell."""
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -493,7 +506,7 @@ class TestLawTwin:
     def test_a_conditioning_cell_holding_the_target_raises(self, model):
         e = model.group.identity()
         with pytest.raises(ValueError, match="target coordinate"):
-            model.conditional_label_distribution(constant_omega(model), ((e.coords, 0),), e)
+            model.conditional_measure(constant_omega(model), ((e.coords, 0),), e.coords, [0, 1])
 
 
 class TestMarkovConditionalEntropy:
