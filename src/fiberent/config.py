@@ -372,12 +372,12 @@ def _validate_model_rows(v: dict) -> list:
 
 
 # The most points one window may hold, in SMB schedules, cocycle checks and
-# the cover-demo ambient window; the cover's blocks share it in total.  One
-# smb-run trajectory at a 2^20-site window (site generator 2, one worker, a
-# 2-core x86_64 host, Python 3.11, numpy 2.4) took 3.2 s and peaked at
-# 242 MiB RSS for Bernoulli on zd:2, 4.4 s and 282 MiB for the mixed model on
-# zd:2, 3.9 s and 284 MiB for Markov on zd:1.  The site memo holds most of
-# that memory, and each worker holds a window, so memory sets the cap.
+# the cover-demo ambient window; the cover's blocks share it in total.  At
+# 2^20 sites (site generator 2, one worker, a 2-core x86_64 host, Python 3.11,
+# numpy 2.4) a smb-run trajectory peaked at 207 MiB RSS for Bernoulli and the
+# mixed model on zd:2, 284 MiB for Markov on zd:1 (its path memo), and a
+# Heisenberg cocycle check at 134 MiB.  The window's coordinate set and the
+# plan's sorted copy hold most of that; each worker holds one, so memory sets the cap.
 _WINDOW_CAP = 2 ** 20
 
 

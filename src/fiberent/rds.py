@@ -5,12 +5,12 @@ group into a finite alphabet.  A configuration is a sampler, which maps a
 physical coordinate to a symbol (a seeded draw, or a `FixedSampler`), plus
 a frame offset, a coordinate tuple like every site key; GroupElements appear
 only at the `shift`, `skew` and `value` boundary, which checks their group.
-Windows are read whole: `values_at` makes one `symbols` call, which draws
-the unread sites in one `rng` batch, or one by one if fewer than
-`_BATCH_MIN` are unread, and `value_at` / `symbol_at` are the scalar twins
-it is tested against.  A cocycle check (`agrees_on`) reads both sides so,
-in blocks of `rng._BLOCK` sites.  A window with no drawn site reaches `rng`
-as the caller's own sequence, so an SMB run's tuple is encoded once.
+Windows are read whole: `values_at` makes one `symbols` call.  A window of
+`_BATCH_MIN` or more sites is drawn in one `rng` batch, as the caller's own
+sequence (so an SMB run's tuple is encoded once), and leaves the memo alone:
+a draw is a pure function of stream and site.  A smaller one is memo lookups
+or `symbol_at`, the scalar twin it is tested against.  A cocycle check
+(`agrees_on`) reads both sides so, in blocks of `rng._BLOCK` sites.
 The samplers' cumulative tables are built once per model (`_sampler_tables`),
 not per sampled point.
 
@@ -120,36 +120,25 @@ def _walk(rows: np.ndarray, s: int, u: np.ndarray) -> list:
     return maps[:, s].tolist()
 
 
-# Fewer unread sites than this are drawn one by one, more in one `rng` batch.
-# Reads of n unread 3-tuple sites by fresh samplers (2-core x86-64 host,
-# best of 7) broke even at n = 12 (product: 42 us batch, 45 us scalar),
-# 12-16 (conditional) and 48 (Markov extension: 124 us, 127 us); at the
-# 81-site Heisenberg window a product batch took 91 us against 406 us.
+# Reads of fewer sites than this go through the memo site by site, larger
+# ones in one `rng` batch.  Reads of n unread 3-tuple sites by fresh samplers
+# (2-core x86-64 host, best of 7) broke even at n = 12 (product: 42 us batch,
+# 45 us scalar), 12-16 (conditional) and 48 (Markov extension: 124 us, 127 us);
+# at the 81-site Heisenberg window a product batch took 91 us against 406 us.
 _BATCH_MIN = 24
 
 
 def _read(memo: dict, coords: Sequence, draw: Callable[[Sequence], list],
           draw_one: Callable[[tuple], int]) -> list:
-    """memo[c] for each c in coords.  Fewer than _BATCH_MIN unread sites are
-    filled by `draw_one`, more by one `draw` (an unread c given twice is
-    drawn twice, to the same symbol).  A window with no memoised site goes
-    to `draw` as the caller's own sequence, so an SMB plan's tuple stays the
-    one `rng` has encoded."""
+    """The symbols at coords.  _BATCH_MIN or more sites are drawn by one
+    `draw` of the caller's own sequence, which leaves the memo alone; fewer
+    are memo lookups, or `draw_one` of each site if one is unread."""
+    if len(coords) >= _BATCH_MIN:
+        return draw(coords)
     try:
         return [memo[c] for c in coords]
     except KeyError:
-        pass
-    new = [c for c in coords if c not in memo]
-    if len(new) < _BATCH_MIN:
-        for c in new:
-            draw_one(c)
-    elif len(new) == len(coords):
-        symbols = draw(coords)
-        memo.update(zip(coords, symbols))
-        return symbols
-    else:
-        memo.update(zip(new, draw(new)))
-    return [memo[c] for c in coords]
+        return [draw_one(c) for c in coords]
 
 
 class FixedSampler:
@@ -184,8 +173,8 @@ class ProductSampler:
         return s
 
     def symbols(self, coords: Sequence) -> list:
-        return _read(self._memo, coords, lambda new: _draw_many(
-            np.array(self.cumulative), self._uniform.many(new)), self.symbol_at)
+        return _read(self._memo, coords, lambda cs: _draw_many(
+            np.array(self.cumulative), self._uniform.many(cs)), self.symbol_at)
 
 
 class ConditionalSampler:
@@ -213,8 +202,8 @@ class ConditionalSampler:
         return s
 
     def symbols(self, coords: Sequence) -> list:
-        return _read(self._memo, coords, lambda new: _draw_many(
-            np.array(self.cumulatives)[self.governor.symbols(new)], self._uniform.many(new)),
+        return _read(self._memo, coords, lambda cs: _draw_many(
+            np.array(self.cumulatives)[self.governor.symbols(cs)], self._uniform.many(cs)),
             self.symbol_at)
 
 
@@ -232,15 +221,12 @@ class MarkovPathSampler:
     def __init__(self, tables: tuple, seed: int):
         self.fwd, self.bwd, self.start = tables
         self._uniform = uniform01_stream(seed, "m")
-        self._memo: dict = {}
-        self._lo = 0
-        self._hi = 0
+        self._memo = {0: _draw(self.start, self._uniform(0))}
+        self._lo = self._hi = 0
 
     def symbol_at(self, coords: tuple) -> int:
         (k,) = coords
         memo = self._memo
-        if not memo:
-            memo[0] = _draw(self.start, self._uniform(0))
         while self._hi < k:
             i = self._hi + 1
             memo[i] = _draw(self.fwd[memo[i - 1]], self._uniform(i))
@@ -253,8 +239,6 @@ class MarkovPathSampler:
 
     def symbols(self, coords: Sequence) -> list:
         ks, memo = [k for (k,) in coords], self._memo
-        if not memo:
-            memo[0] = _draw(self.start, self._uniform(0))
         hi, lo = max([self._hi, *ks]), min([self._lo, *ks])
         for rows, end, to, step in ((self.fwd, self._hi, hi, 1), (self.bwd, self._lo, lo, -1)):
             positions = range(end + step, to + step, step)
@@ -318,9 +302,9 @@ class SymbolicConfiguration:
         return self.value_at(g.coords)
 
     def agrees_on(self, other: "SymbolicConfiguration", window: FiniteSubset) -> bool:
-        """Every site of the window read on both sides with `values_at`, a
-        block of at most rng._BLOCK sites at a time, so a 2^20-site window
-        never holds all its symbols; False at the first block that differs."""
+        """Every site of the window read on both sides with `values_at`, in
+        blocks of at most rng._BLOCK sites, so a 2^20-site window never holds
+        its symbols or fills a memo; False at the first block that differs."""
         require_same_group(window.group, self.group)
         require_same_group(window.group, other.group)
         sites = iter(window.coords)
@@ -448,47 +432,52 @@ class ShiftModel:
     cell rule is built here from the model's two own rules.
 
     A cell is `labels`, a tuple of (coords, atom index) pairs sorted by
-    coords.  `_cell_factors(omega, coords, symbols, log)` gives the exact
-    Fractions whose product is the cell measure, or their log-table entries
-    (None for a zero).  `_extends(prev, cs)` says whether the factors of
-    window `cs` continue those of `prev` in one SMB run.
+    coords.  `_cell_factors(_base(omega, coords), coords, symbols, log)` gives
+    the exact Fractions whose product is the cell measure, or their log-table
+    entries (None for a zero); each rule call reads omega once.  `_extends`
+    says whether a window's factors continue its predecessor's in one SMB run.
     """
 
     def fiber_map(self, g: GroupElement, omega: SymbolicConfiguration,
                   x: SymbolicConfiguration) -> SymbolicConfiguration:
         return shift(x, g)
 
-    def _product(self, omega: SymbolicConfiguration, coords: Sequence,
-                 symbols: Sequence) -> tuple:
+    def _base(self, omega: SymbolicConfiguration, coords: Sequence):
+        """What the factors at coords read of omega: None, as these read none of it."""
+        return None
+
+    def _product(self, base, coords: Sequence, symbols: Sequence) -> tuple:
         """The cell's exact factors multiplied as ints: (numerator, denominator)."""
         num = den = 1
-        for f in self._cell_factors(omega, coords, symbols):
+        for f in self._cell_factors(base, coords, symbols):
             num *= f.numerator
             den *= f.denominator
         return num, den
 
     def cell_measure(self, omega: SymbolicConfiguration, labels: tuple) -> Fraction:
         """Exact mu_omega of the cylinder cell."""
-        return Fraction(*self._product(omega, *_split(labels)))
+        coords, symbols = _split(labels)
+        return Fraction(*self._product(self._base(omega, coords), coords, symbols))
 
     def conditional_measure(self, omega: SymbolicConfiguration, cond_labels: Iterable,
                             at: tuple, symbols: Iterable) -> tuple:
         """mu_omega(cell + (at, s)) / mu_omega(cell), one Fraction n1 d2 / (d1 n2) for
-        each s in `symbols`: k + 1 products.  Over every symbol it is the label
-        law at `at`, which sums to 1 as every model's measure is consistent."""
+        each s in `symbols`: k + 1 products and one read of omega.  Over every symbol
+        it is the label law at `at`, which sums to 1 as every model's measure is consistent."""
         coords, labels = _split(sorted(cond_labels))
         if at in coords:
             raise ValueError("the conditioning cell may not hold the target coordinate")
-        n2, d2 = self._product(omega, coords, labels)
+        i = bisect.bisect(coords, at)
+        base = self._base(omega, [*coords[:i], at, *coords[i:]])
+        n2, d2 = self._product(base and base[:i] + base[i + 1:], coords, labels)
         if n2 == 0:
             raise ZeroMeasureError("conditioning cell has measure zero")
-        i = bisect.bisect(coords, at)
         coords.insert(i, at)
         labels.insert(i, None)
         out = []
         for s in symbols:  # rewritten in place: a copy per symbol cost a term 8-10%
             labels[i] = s
-            n1, d1 = self._product(omega, coords, labels)
+            n1, d1 = self._product(base, coords, labels)
             out.append(Fraction(n1 * d2, d1 * n2))
         return tuple(out)
 
@@ -511,7 +500,8 @@ class ShiftModel:
         run's factors are read once, and each row is summed with fsum."""
         totals = []
         for coords, ends in plan:
-            logs = self._cell_factors(point.omega, coords, point.x.values_at(coords), log=True)
+            logs = self._cell_factors(self._base(point.omega, coords), coords,
+                                      point.x.values_at(coords), log=True)
             running = 0.0
             try:  # each site is in some row, so fsum meets the None of any zero factor
                 for start, end in zip((0,) + ends, ends):
@@ -566,14 +556,17 @@ class RandomAlphabetModel(ShiftModel):
             sampler = ConditionalSampler(omega.sampler, rows, seed)
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
-    def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
-                      log: bool = False) -> list:
-        """The probability of each symbol in the fiber row of omega at its
-        site, or its log; a one-row model never reads omega."""
+    def _base(self, omega: SymbolicConfiguration, coords: Sequence):
+        """omega's symbols at coords, the factors' fiber rows; None for one row."""
+        return omega.values_at(coords) if len(self.fiber_ps) > 1 else None
+
+    def _cell_factors(self, base, coords: Sequence, symbols: Sequence, log: bool = False) -> list:
+        """The probability of each symbol in the fiber row `base` gives at its
+        site (the one row if None), or its log."""
         rows = self._log_tables if log else self.fiber_ps
-        if len(rows) == 1:
+        if base is None:
             return [rows[0][s] for s in symbols]
-        return [rows[w][s] for w, s in zip(omega.values_at(coords), symbols)]
+        return [rows[w][s] for w, s in zip(base, symbols)]
 
     def _extends(self, prev: frozenset, cs: frozenset) -> bool:
         """Sites are independent: a run goes on into any window holding `prev`."""
@@ -688,8 +681,7 @@ class MarkovModel(ShiftModel):
         sampler = MarkovPathSampler(self._sampler_tables, derive_seed(stream_seed, "x"))
         return SymbolicConfiguration(self.group, sampler, (0,) * self.group.rank)
 
-    def _cell_factors(self, omega: SymbolicConfiguration, coords: Sequence, symbols: Sequence,
-                      log: bool = False) -> list:
+    def _cell_factors(self, base, coords: Sequence, symbols: Sequence, log: bool = False) -> list:
         """The stationary weight of the leftmost symbol, then one gap-power
         transition per pair of neighbouring sites, exact or as logs."""
         if not coords:

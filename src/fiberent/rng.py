@@ -24,7 +24,7 @@ columns of a tuple of tails do not depend on the stream, so the last tuple
 encoded is kept with its columns, by reference and matched by identity:
 every trajectory over a one-run SMB plan, and both streams of a mixed-model
 trajectory, encode the plan once.  A ``range`` of int64s is encoded by
-``np.arange``.
+``np.arange``; other tails, unless all tuples of one length, are drawn one by one.
 """
 
 from __future__ import annotations
@@ -122,29 +122,25 @@ def _fmix_array(h: np.ndarray) -> None:
 
 
 def _columns(tails: Sequence):
-    """(tag, uint64 coordinate columns) if all tails are int64s or all are
-    tuples of n int64s, else None.  `chain` flattens tuples for numpy; a
+    """(tag, uint64 coordinate columns) if the tails are a range of int64s or
+    all tuples of n int64s, else None.  `chain` flattens tuples for numpy; a
     range is start + i * step, exact as int64 products wrap mod 2**64."""
     if type(tails) is range:
         if not (tails[0] in _INT64 and tails[-1] in _INT64 and tails.step in _INT64):
             return None
         words = np.arange(len(tails), dtype=np.int64) * tails.step + tails.start
         return _INT_TAG, words.view(np.uint64).reshape(1, len(tails))
-    kinds = set(map(type, tails))
-    if kinds == {int}:
-        tag, n, flat = _INT_TAG, 1, tails
-    elif kinds == {tuple} and len(lengths := set(map(len, tails))) == 1:
-        n = tag = lengths.pop()
-        flat = list(chain.from_iterable(tails))
-        if set(map(type, flat)) - {int}:  # a bool or a nested label
-            return None
-    else:
+    if set(map(type, tails)) != {tuple} or len(lengths := set(map(len, tails))) != 1:
+        return None
+    n = lengths.pop()
+    flat = list(chain.from_iterable(tails))
+    if set(map(type, flat)) - {int}:  # a bool or a nested label
         return None
     try:
         words = np.array(flat, dtype=np.int64).view(np.uint64)
     except OverflowError:  # an int outside int64
         return None
-    return tag, words.reshape(len(tails), n).T
+    return n, words.reshape(len(tails), n).T
 
 
 _encoded: tuple = (None, [])  # the last tuple `_blocks` encoded, and its blocks

@@ -90,7 +90,7 @@ class CosetChainModel(ShiftModel):
     def fiber_alphabet_size(self) -> int:
         return self.chain.fiber_alphabet_size
 
-    def _cell_factors(self, omega, coords, symbols, log=False):
+    def _cell_factors(self, base, coords, symbols, log=False):
         """The chain's factors of each coset's labels, which sorted coords
         list in increasing position a."""
         runs = {}

@@ -21,6 +21,7 @@ from fiberent.rds import (
     BernoulliModel,
     MarkovModel,
     RandomAlphabetModel,
+    SymbolicConfiguration,
     ZeroMeasureError,
     sample_point,
     shannon_entropy,
@@ -219,6 +220,30 @@ class TestChainRule:
         for order in (Z1.box(2).sorted_elements(), twice, Z2.box(3, 1).sorted_elements()):
             with pytest.raises(ValueError):
                 chain_rule_terms(model, canonical_partition(model), F, order, p)
+
+
+class TestOmegaReads:
+    """Each cell rule reads the mixed model's omega once, over its window."""
+
+    def test_each_rule_call_reads_omega_once(self, monkeypatch):
+        model = all_models()[1]
+        xi, F, p = canonical_partition(model), Z2.box(3, 3), sample_point(model, 19, 0)
+        reads, values_at = [], SymbolicConfiguration.values_at
+
+        def counted(config, coords):
+            if config.sampler is p.omega.sampler:
+                reads.append(len(coords))
+            return values_at(config, coords)
+
+        monkeypatch.setattr(SymbolicConfiguration, "values_at", counted)
+        labels = cell_of(model, xi, F, p)
+        model.cell_measure(p.omega, labels)
+        model.conditional_measure(p.omega, labels[1:], labels[0][0], range(2))
+        model.smb_totals(model.smb_plan([F.coords]), p)
+        assert reads == [9, 9, 9]
+        reads.clear()
+        chain_rule_terms(model, xi, F, F.sorted_elements(), p)
+        assert (len(reads), sum(reads)) == (9, 45)  # one read per term
 
 
 def reference_chain_rule_terms(mu, xi, F, order, p):

@@ -407,7 +407,8 @@ def _normalised_law(model, omega, cond_labels, at, near):
     """The law as normalised cell measures: a null test on every exact factor
     of the conditioning cell, then the cell measure of the labels at `near`
     joined with each symbol at `at`, over their sum."""
-    if not all(model._cell_factors(omega, [c for c, _ in cond_labels],
+    coords = [c for c, _ in cond_labels]
+    if not all(model._cell_factors(model._base(omega, coords), coords,
                                    [s for _, s in cond_labels])):
         raise ZeroMeasureError("conditioning cell has measure zero")
     kept = [(c, s) for c, s in cond_labels if c in near]

@@ -435,7 +435,7 @@ class TestHoistedReads:
         expected = [scalar.symbol_at(c) for c in window]
         assert batch.symbols(window) == expected
         assert rng._encoded[0] is window  # reached rng as the caller's own tuple
-        assert batch.symbols(window) == expected  # now read back from the memo
+        assert batch.symbols(window) == expected  # drawn whole again, to the same symbols
         assert [batch.symbol_at(c) for c in window] == expected
 
     @pytest.mark.parametrize("chain", sorted(WALK_CHAINS))
@@ -461,6 +461,33 @@ class TestHoistedReads:
             x = sample_point(markov, 3, index).x
             assert (x.sampler.fwd, x.sampler.bwd, x.sampler.start) == markov._sampler_tables
             assert x.sampler.fwd is markov._sampler_tables[0]
+
+
+class TestPureBatchReads:
+    """A read of _BATCH_MIN or more sites is drawn whole and leaves every
+    memo alone, since a draw is a pure function of stream and site; a
+    smaller read goes through the memo."""
+
+    @pytest.mark.parametrize("kind", ["product", "conditional"])
+    def test_only_small_reads_fill_the_memos(self, kind):
+        window = [(k, 3 - 2 * k) for k in range(_BATCH_MIN)]
+        sampler, scalar = SAMPLERS[kind](103), SAMPLERS[kind](103)
+        samplers = (sampler, getattr(sampler, "governor", sampler))
+        assert sampler.symbols(window) == [scalar.symbol_at(c) for c in window]
+        assert [s._memo for s in samplers] == [{}, {}]
+        small = window[1:]
+        assert sampler.symbols(small) == [scalar.symbol_at(c) for c in small]
+        assert [sorted(s._memo) for s in samplers] == [sorted(small)] * 2
+
+    def test_cocycle_checks_leave_both_memos_empty(self):
+        window = H.box(3, 3, 9)  # the shipped 81-site window
+        for model in (BernoulliModel.create(H, [0.7, 0.3]),
+                      RandomAlphabetModel.create(H, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]])):
+            p = sample_point(model, 3, 0)
+            for i in range(5):
+                g1, g2 = (random_element(H, 3, 107, side, i) for side in ("g1", "g2"))
+                assert check_cocycle(model, g1, g2, p, window)
+            assert [getattr(s, "_memo", {}) for s in (p.omega.sampler, p.x.sampler)] == [{}, {}]
 
 
 def agrees_site_by_site(a, b, window):
@@ -589,7 +616,7 @@ class TestWholeWindowReads:
             batch.symbols(warm)
             expected = [scalar.symbol_at(c) for c in window]
             assert batch.symbols(window) == expected
-            assert batch.symbols(tuple(window)) == expected  # all memo hits
+            assert batch.symbols(tuple(window)) == expected  # read again, as a tuple
 
     @pytest.mark.parametrize("n", [_BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1])
     def test_markov_extensions_either_side_of_the_batch_size(self, n):
