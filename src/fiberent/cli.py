@@ -65,15 +65,16 @@ def _summary_text(pairs) -> str:
     return "".join(f"{k}: {v}\n" for k, v in pairs)
 
 
-def _build_sequence(cfg: ExperimentConfig, group):
-    return window_folner(group, cfg.get("sides") or range(1, cfg.get("n_max") + 1))
+def _windows(cfg: ExperimentConfig, group):
+    """The schedule's windows, each built as a trace reads it, so a run holds one."""
+    sides = cfg.get("sides") or range(1, cfg.get("n_max") + 1)
+    return (group.box(*group.window_extents(s)) for s in sides)
 
 
 def _run_smb(cfg: ExperimentConfig):
     model = build_model(cfg)
-    seq = _build_sequence(cfg, model.group)
     trace = smb_trace(
-        model, seq, trajectories=cfg.get("trajectories"),
+        model, _windows(cfg, model.group), trajectories=cfg.get("trajectories"),
         seed=cfg.get("seed"), workers=cfg.get("workers"),
     )
     tolerance = cfg.get("tolerance")
@@ -95,9 +96,8 @@ def _run_smb(cfg: ExperimentConfig):
 
 def _run_cond_entropy(cfg: ExperimentConfig):
     model = build_model(cfg)
-    seq = _build_sequence(cfg, model.group)
     trace = conditional_entropy_trace(
-        model, seq, seed=cfg.get("seed"),
+        model, _windows(cfg, model.group), seed=cfg.get("seed"),
         method=cfg.get("method"), samples=cfg.get("samples"),
     )
     tolerance = cfg.get("tolerance")
@@ -118,7 +118,7 @@ def _run_cond_entropy(cfg: ExperimentConfig):
 
 def _run_folner_check(cfg: ExperimentConfig):
     group = cfg.get("group")
-    seq = _build_sequence(cfg, group)
+    seq = window_folner(group, range(1, cfg.get("n_max") + 1))
     report = validate_sequence(seq)
     rows = [TraceRow(n, len(seq.set(n)), float(c), None, None)
             for n, c in enumerate(report.tempered, start=2)]

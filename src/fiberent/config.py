@@ -103,9 +103,9 @@ _SCHEDULE = {"n_max": _Key("int:1"), "sides": _Key("intlist"), "tolerance": _Key
 
 # The most trajectories, cocycle checks or Monte Carlo samples a run may ask
 # for.  At the smallest window (2-core x86_64, Python 3.11, numpy 2.4) 10^5
-# of each took 4.1-7.2 s and at most 6 MiB, but 10^5 smb-run trajectories
-# 28 MiB: 10^6 hold 270 MiB, as one _WINDOW_CAP trajectory does.  Each row
-# adds 40 bytes a trajectory, so trajectories x rows <= 2^22 (16384 x 256: 205 MiB).
+# of each took 4.1-7.2 s and at most 6 MiB, but smb-run peaked at 64 MiB RSS
+# with 10^5 trajectories and 319 MiB with 10^6, more than a _WINDOW_CAP run.  Each
+# row adds 40 bytes a trajectory, so trajectories x rows <= 2^22 (16384 x 256: 202 MiB).
 _COUNT_CAP = 10 ** 6
 
 # The index arity of each cover kind's shape_ and centers_ keys.
@@ -374,10 +374,10 @@ def _validate_model_rows(v: dict) -> list:
 # The most points one window may hold, in SMB schedules, cocycle checks and
 # the cover-demo ambient window; the cover's blocks share it in total.  At
 # 2^20 sites (site generator 2, one worker, a 2-core x86_64 host, Python 3.11,
-# numpy 2.4) a smb-run trajectory peaked at 207 MiB RSS for Bernoulli and the
-# mixed model on zd:2, 284 MiB for Markov on zd:1 (its path memo), and a
-# Heisenberg cocycle check at 134 MiB.  The window's coordinate set and the
-# plan's sorted copy hold most of that; each worker holds one, so memory sets the cap.
+# numpy 2.4) a smb-run trajectory peaked at 155 MiB RSS for Bernoulli and 172 MiB
+# for the mixed model on zd:2, 211 MiB for Markov on zd:1, and a Heisenberg
+# cocycle check at 134 MiB.  The window's coordinate set and the plan's sorted
+# coordinates hold most of that; each worker holds one, so memory sets the cap.
 _WINDOW_CAP = 2 ** 20
 
 
@@ -387,11 +387,9 @@ def _window_size(group, n: int) -> int:
 
 
 # The most points the windows of one SMB or cond-entropy schedule may hold
-# together: every window is built as its own FiniteSubset, and smb-run
-# sorts each one into the plan.  On zd:1 with one trajectory (same host as
-# _WINDOW_CAP), n_max = 1024 (524,800 points) peaked at 93 MiB RSS, 2047
-# (2,096,128) at 316 MiB and 4096 (8,390,656) at 1,040 MiB, so the cap
-# holds a schedule to about what one _WINDOW_CAP trajectory takes.
+# together.  A run builds and holds one window at a time, so this bounds build
+# and plan time, not memory: at n_max = 2047 on zd:1 (same host as _WINDOW_CAP)
+# smb-run took 0.6-0.75 s CPU and cond-entropy 1.1-1.3 s, each peaking at 37 MiB RSS.
 _SCHEDULE_CAP = 2 ** 21
 
 

@@ -14,9 +14,9 @@ The identity checks are exact: each conditional term is one Fraction of the
 model's integer factor products (`conditional_measure` of the symbol at e),
 and the chain rule builds each D = R g^-1 as coordinates.  Long-window
 traces sum the same factors as logs, since a 4096-site cylinder's
-probability underflows any float; `smb_trace` reads the whole sequence by
-one model plan.  Both traces give one `TraceRow` per set F_1, ..., F_N,
-the row the CLI writes.
+probability underflows any float; `smb_trace` reads the whole schedule by
+one model plan.  Both traces read any iterable of windows once, holding one
+at a time, and give one `TraceRow` per window F_n, the row the CLI writes.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .folner import FolnerSequence
 from .groups import FiniteSubset, GroupElement, require_same_group, subset
-from .measures import PartitionSpec, canonical_partition, cell_measure, cell_of
+from .measures import PartitionSpec, cell_measure, cell_of
 from .rds import SkewPoint, ZeroMeasureError, mean_and_se, sample_point, shannon_entropy, skew
 
 
@@ -123,18 +122,21 @@ def _smb_worker(args) -> list:
     return model.smb_totals(plan, sample_point(model, seed, index))
 
 
-def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
+def smb_trace(model, windows: Iterable[FiniteSubset], trajectories: int, seed: int,
               workers: int = 1) -> ConvergenceTrace:
-    """Empirical information rate per set F_n, averaged over trajectories.
+    """Empirical information rate per window F_n, averaged over trajectories.
 
-    Each trajectory is an independent (omega, x) draw on its own derived
-    stream; the per-row estimate is the mean of information/|F_n| with its
-    standard error.  Workers only split the trajectory loop; the reduction
-    is by trajectory index, so results do not depend on `workers`.
+    The windows are read once, into the model's plan, whose run ends are the
+    sizes |F_n|.  Each trajectory is an independent (omega, x) draw on its
+    own stream; a row is the mean of information/|F_n| and its standard
+    error.  Workers split only the trajectory loop, so rows do not depend on them.
     """
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
-    plan = model.smb_plan([F.coords for F in seq.sets])
+    plan = model.smb_plan(F.coords for F in windows)
+    sizes = [end for _, ends in plan for end in ends]
+    if not sizes or not all(sizes):
+        raise ValueError("a schedule needs at least one window, and every window a site")
     target = model.fiber_entropy()
     tasks = [(model, plan, seed, t) for t in range(trajectories)]
     if workers > 1:
@@ -143,15 +145,13 @@ def smb_trace(model, seq: FolnerSequence, trajectories: int, seed: int,
     else:
         per_trajectory = [_smb_worker(t) for t in tasks]
     rows = []
-    for n, F in enumerate(seq.sets, start=1):
-        size = len(F)
-        rates = [totals[n - 1] / size for totals in per_trajectory]
-        mean, se = mean_and_se(rates)
+    for n, (size, totals) in enumerate(zip(sizes, zip(*per_trajectory)), start=1):
+        mean, se = mean_and_se([total / size for total in totals])
         rows.append(TraceRow(n=n, folner_size=size, estimate=mean, target=target, std_error=se))
     return ConvergenceTrace(tuple(rows))
 
 
-def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
+def conditional_entropy_trace(model, windows: Iterable[FiniteSubset], seed: int = 0,
                               method: str = "exact", samples: int = 2000) -> ConvergenceTrace:
     """Base-averaged conditional entropy given the join over F_n minus {e}.
 
@@ -160,28 +160,32 @@ def conditional_entropy_trace(model, seq: FolnerSequence, seed: int = 0,
     method "exact" evaluates `model.conditional_entropy`; "monte-carlo"
     averages the entropy of the exact conditional label law over sampled
     points, which stays unbiased.  Each sample reads the whole conditioning
-    window, and the law is the conditional measure of each symbol at e given
-    that cell, so a null cell raises.
+    window with one `values_at`, and the law is the conditional measure of
+    each symbol at e given that cell, so a null cell raises.
     """
     if method not in ("exact", "monte-carlo"):
         raise ValueError(f"unknown method: {method}")
     if method == "monte-carlo" and samples < 1:
         raise ValueError("samples must be >= 1")
-    xi = canonical_partition(model)
-    target = model.fiber_entropy()
-    e, symbols = seq.group.identity().coords, range(model.fiber_alphabet_size)
+    target, symbols = model.fiber_entropy(), range(model.fiber_alphabet_size)
     rows = []
-    for n, F in enumerate(seq.sets, start=1):
-        cond = FiniteSubset(seq.group, F.coords - {e})
+    for n, F in enumerate(windows, start=1):
+        if not F.coords:
+            raise ValueError("every window F_n must be non-empty")
+        require_same_group(F.group, model.group)
+        e = F.group.identity().coords
+        cond = FiniteSubset(F.group, F.coords - {e})
         if method == "exact":
             est, se = model.conditional_entropy(cond), None
         else:
-            values = []
+            values, coords = [], list(cond.coords)
             for i in range(samples):
                 point = sample_point(model, seed, i)
-                labels = cell_of(model, xi, cond, point)
+                labels = zip(coords, point.x.values_at(coords))
                 dist = model.conditional_measure(point.omega, labels, e, symbols)
                 values.append(shannon_entropy(dist))
             est, se = mean_and_se(values)
         rows.append(TraceRow(n=n, folner_size=len(F), estimate=est, target=target, std_error=se))
+    if not rows:
+        raise ValueError("a schedule needs at least one window")
     return ConvergenceTrace(tuple(rows))

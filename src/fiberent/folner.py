@@ -54,6 +54,9 @@ class FolnerSequence:
     def __len__(self) -> int:
         return len(self.sets)
 
+    def __iter__(self):
+        return iter(self.sets)
+
     def set(self, n: int) -> FiniteSubset:
         """F_n, 1-indexed as in the usual notation."""
         if not 1 <= n <= len(self.sets):

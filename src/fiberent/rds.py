@@ -5,11 +5,12 @@ group into a finite alphabet.  A configuration is a sampler, which maps a
 physical coordinate to a symbol (a seeded draw, or a `FixedSampler`), plus
 a frame offset, a coordinate tuple like every site key; GroupElements appear
 only at the `shift`, `skew` and `value` boundary, which checks their group.
-Windows are read whole: `values_at` makes one `symbols` call.  A window of
-`_BATCH_MIN` or more sites is drawn in one `rng` batch, as the caller's own
-sequence (so an SMB run's tuple is encoded once), and leaves the memo alone:
-a draw is a pure function of stream and site.  A smaller one is memo lookups
-or `symbol_at`, the scalar twin it is tested against.  A cocycle check
+Windows are read whole: `values_at` makes one `symbols` call.  A product
+window of `_BATCH_MIN` or more sites is drawn in one `rng` batch, as the
+caller's own sequence (so an SMB run's tuple is encoded once), and leaves the
+memo alone: a draw is a pure function of stream and site.  A smaller one is
+memo lookups or `symbol_at`, the scalar twin it is tested against.  A Markov
+read extends its path's two lists, then indexes them.  A cocycle check
 (`agrees_on`) reads both sides so, in blocks of `rng._BLOCK` sites.
 The samplers' cumulative tables are built once per model (`_sampler_tables`),
 not per sampled point.
@@ -221,34 +222,28 @@ class MarkovPathSampler:
     def __init__(self, tables: tuple, seed: int):
         self.fwd, self.bwd, self.start = tables
         self._uniform = uniform01_stream(seed, "m")
-        self._memo = {0: _draw(self.start, self._uniform(0))}
-        self._lo = self._hi = 0
+        self._right = [_draw(self.start, self._uniform(0))]  # positions 0, 1, ...
+        self._left = self._right[:]  # positions 0, -1, ...
+
+    def _extend(self, k: int) -> list:
+        """The path on k's side of 0, drawn out to k by one `_walk` or by `_draw` steps."""
+        path, rows, step = (self._right, self.fwd, 1) if k >= 0 else (self._left, self.bwd, -1)
+        positions = range(len(path) * step, k + step, step)
+        if len(positions) >= _BATCH_MIN:
+            path += _walk(np.array(rows), path[-1], self._uniform.many(positions))
+        else:
+            for i in positions:
+                path.append(_draw(rows[path[-1]], self._uniform(i)))
+        return path
 
     def symbol_at(self, coords: tuple) -> int:
         (k,) = coords
-        memo = self._memo
-        while self._hi < k:
-            i = self._hi + 1
-            memo[i] = _draw(self.fwd[memo[i - 1]], self._uniform(i))
-            self._hi = i
-        while self._lo > k:
-            i = self._lo - 1
-            memo[i] = _draw(self.bwd[memo[i + 1]], self._uniform(i))
-            self._lo = i
-        return memo[k]
+        return self._extend(k)[abs(k)]
 
     def symbols(self, coords: Sequence) -> list:
-        ks, memo = [k for (k,) in coords], self._memo
-        hi, lo = max([self._hi, *ks]), min([self._lo, *ks])
-        for rows, end, to, step in ((self.fwd, self._hi, hi, 1), (self.bwd, self._lo, lo, -1)):
-            positions = range(end + step, to + step, step)
-            if len(positions) >= _BATCH_MIN:
-                u = self._uniform.many(positions)
-                memo.update(zip(positions, _walk(np.array(rows), memo[end], u)))
-            elif positions:
-                self.symbol_at((to,))  # a short extension in scalar steps
-        self._hi, self._lo = hi, lo
-        return [memo[k] for k in ks]
+        ks = [k for (k,) in coords]  # each list is read only on its own side of 0
+        right, left = self._extend(max(ks, default=0)), self._extend(min(ks, default=0))
+        return [right[k] if k >= 0 else left[-k] for k in ks]
 
 
 def _chain_tables(transition: tuple, stationary: tuple) -> tuple:
@@ -481,7 +476,7 @@ class ShiftModel:
             out.append(Fraction(n1 * d2, d1 * n2))
         return tuple(out)
 
-    def smb_plan(self, windows: Sequence[frozenset]) -> tuple:
+    def smb_plan(self, windows: Iterable[frozenset]) -> tuple:
         """How `smb_totals` reads a schedule of windows: runs (coords, ends), each
         row's new coordinates in order and where it ends.  A window that does not
         extend its predecessor starts a new run, so a run reads each site once."""
@@ -490,7 +485,7 @@ class ShiftModel:
             if not self._extends(prev, cs):
                 runs.append((tuple(coords), tuple(ends)))
                 coords, ends, prev = [], [], frozenset()
-            coords.extend(sorted(cs - prev))
+            coords.extend(sorted(cs - prev if prev else cs))  # no copy of a run's first window
             ends.append(len(coords))
             prev = cs
         return (*runs, (tuple(coords), tuple(ends)))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fiberent.cli as cli_mod
 import fiberent.config as config_mod
+import fiberent.folner as folner_mod
 from fiberent.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from fiberent.config import (
     SUBCOMMANDS,
@@ -347,11 +348,14 @@ def run(tmp_path, subcommand, text, *extra):
 
 
 def test_schedules_stay_within_a_memory_limit(tmp_path):
-    """In a child process with its own RLIMIT_AS of 768 MiB, zd:1 n_max = 4096
-    (8.4 M window points, 1,040 MiB RSS when it was accepted) exits 2 at its
-    line before it builds a window, and the largest schedule the cap admits,
-    n_max = 2047 (about 316 MiB RSS), runs to its CSV."""
-    limit = 768 << 20
+    """In a child process with its own RLIMIT_AS of 256 MiB, zd:1 n_max = 4096
+    (8.4 M window points, 1,040 MiB RSS when every window was held at once)
+    exits 2 at its line before it builds a window, and the largest schedule
+    the cap admits, n_max = 2047, runs to its CSV.  Holding one window at a
+    time, that run peaked at 37 MiB RSS and passed under 128 MiB of address
+    space; holding them all, it peaked at 316 MiB and failed (exit 5) under
+    256, 320 and 384 MiB."""
+    limit = 256 << 20
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
             "from fiberent.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
@@ -373,6 +377,23 @@ def test_schedules_stay_within_a_memory_limit(tmp_path):
     largest, out = smb_run(2047)
     assert largest.returncode == EXIT_OK, largest.stderr
     assert len(out.read_text().splitlines()) == 1 + 2047
+
+
+def test_smb_and_cond_entropy_runs_build_no_folner_sequence(tmp_path, monkeypatch):
+    """Both runners hand the traces a generator of windows, one at a time."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FolnerSequence was built")
+
+    monkeypatch.setattr(cli_mod, "window_folner", refuse)
+    monkeypatch.setattr(folner_mod, "FolnerSequence", refuse)
+    rc, out = run(tmp_path, "smb-run", SMB_BASE + "sides = 2, 5, 9\ntrajectories = 3\n")
+    assert rc == EXIT_OK
+    assert [line.split(",")[1] for line in Path(out).read_text().splitlines()[1:]] == [
+        "2", "5", "9"]
+    rc, out = run(tmp_path, "cond-entropy", "seed = 7\nmodel = markov\ntransition_0 = 0.9, 0.1\n"
+                  "transition_1 = 0.2, 0.8\nn_max = 4\nmethod = monte-carlo\nsamples = 5\n")
+    assert rc == EXIT_OK
+    assert len(Path(out).read_text().splitlines()) == 1 + 4
 
 
 def read_summary(out):

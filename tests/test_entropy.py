@@ -10,7 +10,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fiberent.folner import FolnerSequence, box_folner, box_folner_sizes
-from fiberent.groups import FiniteSubset, ZdGroup, inverse, subset_from_coords, translate
+from fiberent.groups import (FiniteSubset, GroupMismatchError, ZdGroup, inverse, subset_from_coords,
+                             translate)
 from fiberent.measures import (
     canonical_partition,
     cell_measure,
@@ -23,6 +24,7 @@ from fiberent.rds import (
     RandomAlphabetModel,
     SymbolicConfiguration,
     ZeroMeasureError,
+    mean_and_se,
     sample_point,
     shannon_entropy,
     skew,
@@ -547,6 +549,64 @@ class TestSmbFastPath:
         labels = (((0,), 0), ((1,), 1))
         assert model.cell_measure(None, labels) == Fraction(21, 100)
         assert log_measure(model, labels) == pytest.approx(math.log(0.21))
+
+
+class TestStreamedWindows:
+    """Both traces read any iterable of windows once, one window at a time."""
+
+    @pytest.mark.parametrize("case", ["product", "conditional", "markov-interval",
+                                      "markov-shrinking", "product-moving"])
+    def test_a_generator_gives_the_rows_of_its_sequence(self, case):
+        model, seq = SMB_PLANS[case]
+        sizes = [len(F) for F in seq.sets]
+        streamed = smb_trace(model, (F for F in seq.sets), trajectories=4, seed=71)
+        assert streamed == smb_trace(model, seq, trajectories=4, seed=71)
+        assert [r.folner_size for r in streamed.rows] == sizes
+        for method in ("exact", "monte-carlo"):
+            streamed = conditional_entropy_trace(model, (F for F in seq.sets), seed=73,
+                                                 method=method, samples=15)
+            assert streamed == conditional_entropy_trace(model, seq, seed=73,
+                                                         method=method, samples=15)
+            assert [r.folner_size for r in streamed.rows] == sizes
+
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind)
+    def test_monte_carlo_law_reads_the_cell_of_each_sample(self, model):
+        # twin: each sample's cell built by `cell_of`, as a cell of the join
+        seq = box_folner(model.group.rank, 3)
+        trace = conditional_entropy_trace(model, seq, seed=79, method="monte-carlo", samples=12)
+        e = model.group.identity().coords
+        xi, symbols = canonical_partition(model), range(model.fiber_alphabet_size)
+        for row, F in zip(trace.rows, seq.sets):
+            cond = FiniteSubset(F.group, F.coords - {e})
+            values = []
+            for i in range(12):
+                point = sample_point(model, 79, i)
+                labels = cell_of(model, xi, cond, point)
+                values.append(shannon_entropy(model.conditional_measure(point.omega, labels,
+                                                                        e, symbols)))
+            assert (row.estimate, row.std_error) == mean_and_se(values)
+
+    @pytest.mark.parametrize("windows", [[], [Z1.box(2), FiniteSubset(Z1, frozenset())],
+                                         [FiniteSubset(Z1, frozenset()), Z1.box(2)]],
+                             ids=["no-window", "empty-second", "empty-first"])
+    def test_an_empty_schedule_or_window_raises(self, windows, monkeypatch):
+        model = BernoulliModel.create(Z1, [0.7, 0.3])
+        for method in ("exact", "monte-carlo"):
+            with pytest.raises(ValueError):
+                conditional_entropy_trace(model, iter(windows), method=method, samples=3)
+
+        def refuse(*args):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr("fiberent.entropy.sample_point", refuse)
+        with pytest.raises(ValueError):  # before any trajectory runs
+            smb_trace(model, iter(windows), trajectories=2, seed=1)
+
+    def test_a_window_of_another_group_raises(self):
+        model = BernoulliModel.create(Z1, [0.7, 0.3])
+        for method in ("exact", "monte-carlo"):
+            with pytest.raises(GroupMismatchError):
+                conditional_entropy_trace(model, iter([Z2.box(2, 2)]), method=method, samples=3)
 
 
 def chain_weights(k):

@@ -400,6 +400,21 @@ class TestArrayWalk:
             reference.symbol_at((k,)) for k in range(-101, 110)]
 
 
+@pytest.mark.parametrize("n", [1, _BATCH_MIN - 1, _BATCH_MIN, 300])
+def test_markov_path_is_two_lists_out_to_the_farthest_read(n):
+    """A read of -n..n holds positions 0..n and 0..-n, each once, and rereads
+    or a scalar read inside them draw nothing more."""
+    sampler, scalar = SAMPLERS["markov"](89), SAMPLERS["markov"](89)
+    window = [(k,) for k in range(-n, n + 1)]
+    assert sampler.symbols(window) == [scalar.symbol_at(c) for c in window]
+    assert len(sampler._right) == len(sampler._left) == n + 1
+    assert sampler.symbols(window[::-1]) == [scalar.symbol_at(c) for c in window[::-1]]
+    ends = [(n,), (-n,), (0,)]
+    assert [sampler.symbol_at(c) for c in ends] == [scalar.symbol_at(c) for c in ends]
+    assert len(sampler._right) == len(sampler._left) == len(scalar._right) == n + 1
+    assert not hasattr(sampler, "_memo")
+
+
 def test_skew_point_group_mismatch():
     omega = constant_configuration(Z1, 1)
     x = constant_configuration(Z2, 2)
