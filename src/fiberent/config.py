@@ -105,7 +105,7 @@ _SCHEDULE = {"n_max": _Key("int:1"), "sides": _Key("intlist"), "tolerance": _Key
 # for.  At the smallest window (2-core x86_64, Python 3.11, numpy 2.4) 10^5
 # of each took 4.1-7.2 s and at most 6 MiB, but smb-run peaked at 64 MiB RSS
 # with 10^5 trajectories and 319 MiB with 10^6, more than a _WINDOW_CAP run.  Each
-# row adds 40 bytes a trajectory, so trajectories x rows <= 2^22 (16384 x 256: 202 MiB).
+# row adds a float64 a trajectory, so trajectories x rows <= 2^22 (16384 x 256: 68 MiB).
 _COUNT_CAP = 10 ** 6
 
 # The index arity of each cover kind's shape_ and centers_ keys.
@@ -374,10 +374,10 @@ def _validate_model_rows(v: dict) -> list:
 # The most points one window may hold, in SMB schedules, cocycle checks and
 # the cover-demo ambient window; the cover's blocks share it in total.  At
 # 2^20 sites (site generator 2, one worker, a 2-core x86_64 host, Python 3.11,
-# numpy 2.4) a smb-run trajectory peaked at 155 MiB RSS for Bernoulli and 172 MiB
+# numpy 2.4) a smb-run trajectory peaked at 150 MiB RSS for Bernoulli and 172 MiB
 # for the mixed model on zd:2, 211 MiB for Markov on zd:1, and a Heisenberg
 # cocycle check at 134 MiB.  The window's coordinate set and the plan's sorted
-# coordinates hold most of that; each worker holds one, so memory sets the cap.
+# coordinates hold most of that; each worker holds one plan, sent once, so memory sets the cap.
 _WINDOW_CAP = 2 ** 20
 
 

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .groups import FiniteSubset, GroupElement, require_same_group, subset
 from .measures import PartitionSpec, cell_measure, cell_of
@@ -112,14 +115,18 @@ class ConvergenceTrace:
         return self.rows[-1]
 
 
-def _smb_worker(args) -> list:
-    """Information totals for one trajectory, one value per set F_n.
+def _smb_worker(args) -> np.ndarray:
+    """Information totals of a share of trajectories: a float64 table with a
+    row per trajectory index and a column per set F_n, filled a row at a time.
 
-    Pure function of (model, plan, seed, index): safe to farm out to
+    Pure function of (model, plan, seed, indices): safe to farm out to
     worker processes, and byte-identical regardless of scheduling.
     """
-    model, plan, seed, index = args
-    return model.smb_totals(plan, sample_point(model, seed, index))
+    model, plan, seed, indices = args
+    table = np.empty((len(indices), sum(len(ends) for _, ends in plan)))
+    for row, index in zip(table, indices):
+        row[:] = model.smb_totals(plan, sample_point(model, seed, index))
+    return table
 
 
 def smb_trace(model, windows: Iterable[FiniteSubset], trajectories: int, seed: int,
@@ -129,7 +136,8 @@ def smb_trace(model, windows: Iterable[FiniteSubset], trajectories: int, seed: i
     The windows are read once, into the model's plan, whose run ends are the
     sizes |F_n|.  Each trajectory is an independent (omega, x) draw on its
     own stream; a row is the mean of information/|F_n| and its standard
-    error.  Workers split only the trajectory loop, so rows do not depend on them.
+    error.  Each worker gets the plan once, with one contiguous share of the
+    trajectories (one run is the one-share case), so rows do not depend on them.
     """
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
@@ -137,16 +145,15 @@ def smb_trace(model, windows: Iterable[FiniteSubset], trajectories: int, seed: i
     sizes = [end for _, ends in plan for end in ends]
     if not sizes or not all(sizes):
         raise ValueError("a schedule needs at least one window, and every window a site")
-    target = model.fiber_entropy()
-    tasks = [(model, plan, seed, t) for t in range(trajectories)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trajectory = list(pool.map(_smb_worker, tasks, chunksize=8))
-    else:
-        per_trajectory = [_smb_worker(t) for t in tasks]
+    target, shares = model.fiber_entropy(), min(workers, trajectories)
+    cuts = [trajectories * k // shares for k in range(shares + 1)]
+    tasks = [(model, plan, seed, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(shares) if shares > 1 else nullcontext() as pool:
+        tables = list((pool.map if pool else map)(_smb_worker, tasks))
     rows = []
-    for n, (size, totals) in enumerate(zip(sizes, zip(*per_trajectory)), start=1):
-        mean, se = mean_and_se([total / size for total in totals])
+    for n, size in enumerate(sizes, start=1):  # one column at a time: no copy of the tables
+        column = np.concatenate([table[:, n - 1] for table in tables])
+        mean, se = mean_and_se((column / size).tolist())
         rows.append(TraceRow(n=n, folner_size=size, estimate=mean, target=target, std_error=se))
     return ConvergenceTrace(tuple(rows))
 

@@ -146,6 +146,7 @@ def validate_sequence(seq: FolnerSequence) -> ValidationReport:
         nested_ok=nested_ok,
         size_ok=all(len(F) >= n for n, F in enumerate(sets, start=1)),
         size_strict=all(len(F) > n for n, F in enumerate(sets, start=1)),
-        tempered=tuple(tempered_constant(seq, n) for n in range(2, len(sets) + 1))
-        if nested_ok else (),
+        # nested, so the union in tempered_constant(seq, n) is F_{n-1}, with no re-join
+        tempered=tuple(Fraction(product_set_size(inverse_set(a), b), len(b))
+                       for a, b in zip(sets, sets[1:])) if nested_ok else (),
     )

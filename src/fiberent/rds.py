@@ -7,13 +7,13 @@ a frame offset, a coordinate tuple like every site key; GroupElements appear
 only at the `shift`, `skew` and `value` boundary, which checks their group.
 Windows are read whole: `values_at` makes one `symbols` call.  A product
 window of `_BATCH_MIN` or more sites is drawn in one `rng` batch, as the
-caller's own sequence (so an SMB run's tuple is encoded once), and leaves the
-memo alone: a draw is a pure function of stream and site.  A smaller one is
-memo lookups or `symbol_at`, the scalar twin it is tested against.  A Markov
-read extends its path's two lists, then indexes them.  A cocycle check
-(`agrees_on`) reads both sides so, in blocks of `rng._BLOCK` sites.
-The samplers' cumulative tables are built once per model (`_sampler_tables`),
-not per sampled point.
+caller's own sequence (an SMB run is an `rng.Tails`, which keeps its own
+encoding), and leaves the memo alone: a draw is a pure function of stream
+and site.  A smaller one is memo lookups or `symbol_at`, the scalar twin it
+is tested against.  A Markov read extends its path's two lists, then indexes
+them.  A cocycle check (`agrees_on`) reads both sides so, in blocks of
+`rng._BLOCK` sites.  The samplers' cumulative tables are built once per
+model (`_sampler_tables`), not per sampled point.
 
 Action convention, used everywhere: the group acts by
 
@@ -57,7 +57,7 @@ from .groups import (
     mul,
     require_same_group,
 )
-from .rng import _BLOCK, derive_seed, uniform01_stream
+from .rng import _BLOCK, Tails, derive_seed, uniform01_stream
 
 
 def exact_distribution(values: Sequence) -> tuple:
@@ -478,17 +478,18 @@ class ShiftModel:
 
     def smb_plan(self, windows: Iterable[frozenset]) -> tuple:
         """How `smb_totals` reads a schedule of windows: runs (coords, ends), each
-        row's new coordinates in order and where it ends.  A window that does not
-        extend its predecessor starts a new run, so a run reads each site once."""
+        row's new coordinates in order (one `Tails` a run) and where it ends.  A window
+        that does not extend its predecessor starts a new run, so a run reads each site once."""
         runs, coords, ends, prev = [], [], [], frozenset()
         for cs in windows:
             if not self._extends(prev, cs):
-                runs.append((tuple(coords), tuple(ends)))
+                runs.append((Tails(coords), tuple(ends)))
                 coords, ends, prev = [], [], frozenset()
             coords.extend(sorted(cs - prev if prev else cs))  # no copy of a run's first window
             ends.append(len(coords))
             prev = cs
-        return (*runs, (tuple(coords), tuple(ends)))
+        cs = prev = None  # Tails(list) copies through a tuple: drop the last window first
+        return (*runs, (Tails(coords), tuple(ends)))
 
     def smb_totals(self, plan: tuple, point: SkewPoint) -> list:
         """-ln mu_omega of the cell of `point` over each planned window; each

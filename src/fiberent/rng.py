@@ -20,16 +20,17 @@ Flood, OOPSLA 2014); the draw is ``(h >> 11) * 2**-53``.  Any other tail (a
 bool, an int outside int64, a string) is the tag ``_FALLBACK_TAG`` and the
 word ``mix64(key, tail)``, so every label stays exact and distinct.
 ``draw.many(tails)`` does the same on uint64 arrays, bit for bit.  The
-columns of a tuple of tails do not depend on the stream, so the last tuple
-encoded is kept with its columns, by reference and matched by identity:
-every trajectory over a one-run SMB plan, and both streams of a mixed-model
-trajectory, encode the plan once.  A ``range`` of int64s is encoded by
-``np.arange``; other tails, unless all tuples of one length, are drawn one by one.
+columns of tails do not depend on the stream, so a `Tails` tuple keeps its
+own, encoded on its first draw: an SMB plan's runs are encoded once for every
+trajectory and stream.  Other tails are encoded afresh and nothing is kept.
+A ``range`` of int64s is encoded by ``np.arange``; other tails, unless all
+tuples of one length, are drawn one by one.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from hashlib import blake2b
 from itertools import chain
 from typing import Callable, Sequence
@@ -143,24 +144,18 @@ def _columns(tails: Sequence):
     return n, words.reshape(len(tails), n).T
 
 
-_encoded: tuple = (None, [])  # the last tuple `_blocks` encoded, and its blocks
-
-
 def _blocks(tails: Sequence) -> list:
-    """(start, stop, _columns(tails[start:stop])) for each block of _BLOCK
-    tails; a tuple is immutable, so its blocks are kept for the next call
-    with it."""
-    global _encoded
-    last, blocks = _encoded
-    if last is tails:
-        return blocks
-    blocks = []
-    for start in range(0, len(tails), _BLOCK):
-        stop = min(start + _BLOCK, len(tails))
-        blocks.append((start, stop, _columns(tails[start:stop])))
-    if type(tails) is tuple:
-        _encoded = tails, blocks
-    return blocks
+    """(start, stop, _columns(tails[start:stop])) for each block of _BLOCK tails."""
+    return [(start, min(start + _BLOCK, len(tails)), _columns(tails[start:start + _BLOCK]))
+            for start in range(0, len(tails), _BLOCK)]
+
+
+class Tails(tuple):
+    """A tuple of tails that keeps its `_blocks`, built on its first `many`."""
+
+    @cached_property
+    def blocks(self) -> list:
+        return _blocks(self)
 
 
 def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
@@ -193,7 +188,7 @@ def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
     def many(tails: Sequence) -> np.ndarray:
         """float64 array equal to [draw(t) for t in tails], bit for bit."""
         out = np.empty(len(tails))
-        for start, stop, found in _blocks(tails):
+        for start, stop, found in tails.blocks if isinstance(tails, Tails) else _blocks(tails):
             if found is None:
                 out[start:stop] = [draw(t) for t in tails[start:stop]]
                 continue

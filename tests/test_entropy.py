@@ -2,9 +2,12 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -356,6 +359,51 @@ class TestFiberEntropyClosedForm:
             assert 0.0 <= h <= math.log(model.fiber_alphabet_size)
 
 
+def _chi2_quantile(k: int, q: float) -> float:
+    """The q-quantile of chi^2 with k degrees of freedom, by Wilson-Hilferty."""
+    z = NormalDist().inv_cdf(q)
+    return k * (1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k))) ** 3
+
+
+def _site_varentropy(model) -> float:
+    """Var of one site's information -ln p_(omega_g)(x_g) for a product model:
+    v = sum_w b_w sum_s p_ws (ln p_ws)^2 - h^2, from the model's exact rows."""
+    h = model.fiber_entropy()
+    second = math.fsum(float(b * p) * math.log(p) ** 2
+                       for b, row in zip(model.base_p, model.fiber_ps) for p in row if p)
+    return second - h * h
+
+
+class TestVarianceOracle:
+    """The final SMB row of criteria 1 and 2 (the runs of smb_bernoulli_z2.cfg
+    and smb_mixed_z2.cfg, at their seeds) against closed forms.  Sites are
+    i.i.d., so Var(I_F) = |F| v and the mean rate over T trajectories has
+    sigma_pred = sqrt(v / (|F| T)).  Both bands were fixed before any run:
+    |estimate - h| <= 5 sigma_pred, and std_error / sigma_pred inside the
+    two-sided chi^2_(T-1) band of the sample deviation at level 10^-6."""
+
+    INPUTS = {
+        "bernoulli": (BernoulliModel.create(Z2, [0.7, 0.3]), 424242),
+        "mixed": (RandomAlphabetModel.create(Z2, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.1]]), 52),
+    }
+    LEVEL, T = 1e-6, 100
+
+    def test_varentropy_of_a_coin_is_its_closed_form(self):
+        assert _site_varentropy(BernoulliModel.create(Z1, [0.5, 0.5])) == pytest.approx(0, abs=1e-15)
+        v = _site_varentropy(BernoulliModel.create(Z1, [0.7, 0.3]))
+        assert v == pytest.approx(0.21 * math.log(7 / 3) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_final_row_is_inside_both_bands(self, name):
+        model, seed = self.INPUTS[name]
+        final = smb_trace(model, box_folner(2, 32), trajectories=self.T, seed=seed).final
+        sigma = math.sqrt(_site_varentropy(model) / (final.folner_size * self.T))
+        assert abs(final.estimate - final.target) <= 5 * sigma
+        k = self.T - 1
+        lo, hi = (math.sqrt(_chi2_quantile(k, q) / k) for q in (self.LEVEL / 2, 1 - self.LEVEL / 2))
+        assert lo <= final.std_error / sigma <= hi
+
+
 class TestSmbTrace:
     def test_uniform_bernoulli_is_exact_with_zero_variance(self):
         model = BernoulliModel.create(Z1, [0.5, 0.5])
@@ -416,6 +464,12 @@ class TestSmbTrace:
         one = smb_trace(model, seq, trajectories=12, seed=37, workers=1)
         two = smb_trace(model, seq, trajectories=12, seed=37, workers=2)
         assert one == two
+
+    def test_more_workers_than_trajectories(self):
+        # one share a trajectory, never an empty one
+        model = BernoulliModel.create(Z2, [0.7, 0.3])
+        one = smb_trace(model, box_folner(2, 6), trajectories=2, seed=43)
+        assert smb_trace(model, box_folner(2, 6), trajectories=2, seed=43, workers=5) == one
 
     def test_mean_rate_bounded_by_log_atoms(self):
         # The pointwise rate can exceed ln(atoms) (an all-minority window
@@ -503,7 +557,7 @@ class TestSmbFastPath:
         assert len(plan) == SMB_PLAN_RUNS.get(case, 1)
         xi = canonical_partition(model)
         for index in range(3):
-            totals = _smb_worker((model, plan, 53, index))
+            (totals,) = _smb_worker((model, plan, 53, range(index, index + 1)))
             point = sample_point(model, 53, index)
             assert len(totals) == len(ns)
             for n, total in zip(ns, totals):
@@ -543,6 +597,27 @@ class TestSmbFastPath:
         assert len(plan) == runs
         with pytest.raises(ZeroMeasureError):
             model.smb_totals(plan, point)
+
+    @pytest.mark.parametrize("case", ["product", "conditional", "product-moving"])
+    def test_totals_keep_no_reference_to_a_plan_run(self, case):
+        # a run's encoding lives on the run itself, so nothing outlives the plan
+        model, seq = SMB_PLANS[case]
+        plan = model.smb_plan(F.coords for F in seq)
+        counts = [sys.getrefcount(coords) for coords, _ in plan]
+        model.smb_totals(plan, sample_point(model, 61, 0))
+        assert [sys.getrefcount(coords) for coords, _ in plan] == counts
+
+    @pytest.mark.parametrize("case", ["product", "conditional", "markov-moving"])
+    def test_any_split_into_shares_gives_the_same_table(self, case):
+        model, seq = SMB_PLANS[case]
+        plan = model.smb_plan(F.coords for F in seq)
+        whole = _smb_worker((model, plan, 67, range(7)))
+        assert whole.dtype == np.float64 and whole.shape == (7, len(seq))
+        assert whole.tolist() == [model.smb_totals(plan, sample_point(model, 67, t))
+                                  for t in range(7)]
+        for cuts in ([0, 1, 7], [0, 3, 4, 7], [0, 2, 4, 6, 7], list(range(8))):
+            shares = [_smb_worker((model, plan, 67, range(a, b))) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(shares).tolist() == whole.tolist()
 
     def test_bernoulli_rules_never_read_omega(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])

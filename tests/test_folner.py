@@ -1,13 +1,16 @@
 """Følner sequences: defects, tempered constants, validation gates."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import product as iterproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberent.config import parse_config
 from fiberent.folner import (
     FolnerSequence,
     box_folner,
@@ -203,6 +206,38 @@ def test_report_carries_tempered_constants():
     single = validate_sequence(box_folner(2, 1))
     assert single.tempered == ()
     assert single.max_tempered is None
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _nested_heisenberg(steps: int, seed: int) -> FolnerSequence:
+    """Growing unions of scattered points of H around e: nested, not boxes."""
+    rand, coords, sets = random.Random(seed), {(0, 0, 0)}, []
+    for _ in range(steps):
+        coords |= {tuple(rand.randint(-3, 3) for _ in range(3)) for _ in range(rand.randint(1, 9))}
+        sets.append(subset_from_coords(H, coords))
+    return FolnerSequence(H, tuple(sets))
+
+
+@pytest.mark.parametrize("name", ["folner_z3.cfg", "folner_heisenberg.cfg"])
+def test_report_reads_constants_against_the_previous_set_of_shipped_schedules(name):
+    # a nested sequence's union of F_1..F_(n-1) is F_(n-1): the report and
+    # the general definition agree at every n
+    cfg = parse_config((CONFIGS / name).read_text(), "folner-check")
+    seq = window_folner(cfg.get("group"), range(1, cfg.get("n_max") + 1))
+    assert validate_sequence(seq).tempered == tuple(
+        tempered_constant(seq, n) for n in range(2, len(seq) + 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_reads_constants_against_the_previous_set_of_nested_heisenberg_sets(seed):
+    seq = _nested_heisenberg(6, seed)
+    report = validate_sequence(seq)
+    assert report.nested_ok
+    assert report.tempered == tuple(tempered_constant(seq, n) for n in range(2, len(seq) + 1))
+    shuffled = FolnerSequence(H, seq.sets[::-1])  # not nested: no constants
+    assert validate_sequence(shuffled).tempered == ()
 
 
 def test_validator_rejects_identity_failure():

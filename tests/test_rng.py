@@ -3,6 +3,7 @@ its batch form and a statistical gate on its draws."""
 
 import enum
 import math
+import pickle
 import struct
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import fiberent.rng as rng
 from fiberent.rds import MarkovModel, ProductSampler, _cumulative, _draw, exact_distribution
-from fiberent.rng import _encode, derive_seed, mix64, uniform01, uniform01_stream
+from fiberent.rng import Tails, _encode, derive_seed, mix64, uniform01, uniform01_stream
 
 # mix64 on fixed label paths.  Every derived seed and stream key in the
 # package is a function of these bytes, so a change here changes every
@@ -307,54 +308,79 @@ def test_batch_draws_work_in_chunks(monkeypatch):
 
 
 class TestEncodedOnce:
-    """`many` keeps the last tuple it encoded, matched by identity; a draw
-    from the kept columns equals the scalar draws bit for bit."""
+    """A `Tails` tuple keeps its own blocks, encoded on its first `many`, in
+    every stream; other tails are encoded afresh and nothing is kept.  A draw
+    from kept columns equals the scalar draws bit for bit."""
 
     WINDOW = tuple((a, b) for a in range(-20, 20) for b in range(-3, 3))
 
-    def test_the_same_tuple_drawn_twice(self):
-        draw = uniform01_stream(5, "c")
-        expected = [draw(t) for t in self.WINDOW]
-        assert draw.many(self.WINDOW).tolist() == expected
-        assert rng._encoded[0] is self.WINDOW
-        assert draw.many(self.WINDOW).tolist() == expected
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        """The tails each `_columns` call encodes, in order."""
+        seen, columns = [], rng._columns
+        monkeypatch.setattr(rng, "_columns", lambda tails: seen.append(tails) or columns(tails))
+        return seen
 
-    def test_the_same_tuple_in_two_streams(self):
+    def test_the_same_tuple_drawn_twice(self, encodings):
+        window, draw = Tails(self.WINDOW), uniform01_stream(5, "c")
+        expected = [draw(t) for t in window]
+        assert draw.many(window).tolist() == expected
+        assert draw.many(window).tolist() == expected
+        assert encodings == [self.WINDOW]
+
+    def test_the_same_tuple_in_two_streams(self, encodings):
+        window = Tails(self.WINDOW)
         omega, x = uniform01_stream(5, "omega"), uniform01_stream(5, "x")
-        assert omega.many(self.WINDOW).tolist() == [omega(t) for t in self.WINDOW]
-        assert x.many(self.WINDOW).tolist() == [x(t) for t in self.WINDOW]
+        assert omega.many(window).tolist() == [omega(t) for t in window]
+        assert x.many(window).tolist() == [x(t) for t in window]
+        assert len(encodings) == 1
 
-    def test_another_tuple_drawn_in_between(self):
+    def test_another_tuple_drawn_in_between(self, encodings):
+        # the runs of a plan each keep their own blocks, however many there are
+        window, other = Tails(self.WINDOW), Tails((a, a) for a in range(50))
         draw = uniform01_stream(9, "c")
-        other = tuple((a, a) for a in range(50))
-        first = draw.many(self.WINDOW).tolist()
+        first = draw.many(window).tolist()
         assert draw.many(other).tolist() == [draw(t) for t in other]
-        assert rng._encoded[0] is other
-        assert draw.many(self.WINDOW).tolist() == first == [draw(t) for t in self.WINDOW]
+        assert draw.many(window).tolist() == first == [draw(t) for t in window]
+        assert draw.many(other).tolist() == [draw(t) for t in other]
+        assert len(encodings) == 2
 
-    def test_a_list_is_not_kept(self):
+    def test_a_list_is_not_kept(self, encodings):
         draw = uniform01_stream(9, "c")
-        draw.many(self.WINDOW)
-        window = list(self.WINDOW)
-        assert draw.many(window).tolist() == [draw(t) for t in window]
-        assert rng._encoded[0] is self.WINDOW
+        for window in (self.WINDOW, list(self.WINDOW)):  # a plain tuple, then a list
+            assert draw.many(window).tolist() == [draw(t) for t in window]
+            assert draw.many(window).tolist() == [draw(t) for t in window]
+        assert len(encodings) == 4
+        assert not hasattr(rng, "_encoded")
 
-    def test_a_tuple_longer_than_a_block(self):
+    def test_a_tuple_longer_than_a_block(self, encodings):
         # The second block holds an odd tail, so it is drawn scalar from the
         # kept blocks too.
-        window = tuple((k, -k) for k in range(rng._BLOCK + 7)) + ((True, 1),)
+        window = Tails([*((k, -k) for k in range(rng._BLOCK + 7)), (True, 1)])
         draw = uniform01_stream(11, "c")
         expected = [draw(t) for t in window]
         assert draw.many(window).tolist() == expected
-        assert [stop for _, stop, _ in rng._encoded[1]] == [rng._BLOCK, len(window)]
+        assert [stop for _, stop, _ in window.blocks] == [rng._BLOCK, len(window)]
         assert draw.many(window).tolist() == expected
+        assert len(encodings) == 2
 
     def test_kept_blocks_do_not_depend_on_the_block_size(self, monkeypatch):
-        draw = uniform01_stream(12, "c")
+        window, draw = Tails(self.WINDOW), uniform01_stream(12, "c")
         monkeypatch.setattr(rng, "_BLOCK", 7)
-        draw.many(self.WINDOW)
+        draw.many(window)
         monkeypatch.setattr(rng, "_BLOCK", 1 << 14)
-        assert draw.many(self.WINDOW).tolist() == [draw(t) for t in self.WINDOW]
+        assert len(window.blocks) == 35
+        assert draw.many(window).tolist() == [draw(t) for t in window]
+
+    def test_a_pickled_tuple_draws_the_same_values(self):
+        # as a plan sent to a worker, before and after it was drawn
+        window, draw = Tails(self.WINDOW), uniform01_stream(14, "c")
+        fresh = pickle.loads(pickle.dumps(window))
+        expected = draw.many(window).tolist()
+        drawn = pickle.loads(pickle.dumps(window))
+        for copy in (fresh, drawn):
+            assert type(copy) is Tails and copy == window
+            assert draw.many(copy).tolist() == expected
 
 
 @pytest.mark.parametrize("tails", [
