@@ -17,6 +17,8 @@ limit floor(delta |S|) is an integer division too.  The randomized
 verifier reads its samples from any iterable, once, and tallies each
 covered point at its position in F with np.bincount, so samples can be
 verified as they are drawn (iter_samples) without holding them all.
+iter_samples draws a layer's keep decisions for a chunk of samples as one
+rng.uniform01_table, whose row equals the sample's own draw.many (one key).
 
 The underlying covering lemmas are existence statements; these builders
 realize the standard constructions and the verifiers evaluate the stated
@@ -36,7 +38,7 @@ import numpy as np
 
 from .groups import FiniteSubset, inverse_set, product_set_size, require_same_group, union_of
 from .rds import mean_and_se
-from .rng import derive_seed, uniform01_stream
+from .rng import _BLOCK, Tails, derive_seed, uniform01_stream, uniform01_table
 
 
 # Covered points per tally chunk: the verifier holds at most this many, or
@@ -152,6 +154,11 @@ class RandomCoverInstance:
     def hypotheses(self) -> "HypothesisReport":
         """check_hypotheses(self), evaluated once: instances are immutable."""
         return check_hypotheses(self)
+
+    @functools.cached_property
+    def keep_tails(self) -> dict:
+        """Each layer key -> its centers in block order, as one rng.Tails."""
+        return {key: Tails(a for a, _ in blocks) for key, _, blocks in self.layers}
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,7 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     return sol
 
 
-def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
+def sample_random_cover(inst: RandomCoverInstance, seed: int, keeps=None) -> CoverSolution:
     """Seeded randomized cover: one pass over layers in decreasing (i, j).
 
     At the start of each layer the retention probability is
@@ -296,7 +303,8 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
     Coverage never shrinks, so the pass ends at the first layer with
     q = 0.  q is num / den in integers: both tests are exact, and int
     true division rounds correctly, so the keep threshold is float(q).
-    The output is a pure function of (instance, seed).
+    The output is a pure function of (instance, seed).  `keeps(i, j)`, if given,
+    is that stream's row of layer (i, j) in iter_samples' keep table.
     """
     _require_hypotheses(inst)
     dn, dd = inst.delta.numerator, inst.delta.denominator
@@ -309,8 +317,9 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int) -> CoverSolution:
                 return
             if num < den:
                 q_float = num / den
-                keep = uniform01_stream(seed, "keep", i, j)
-                blocks = [(a, block) for a, block in blocks if keep(a) < q_float]
+                draws = (keeps(i, j) if keeps else
+                         map(uniform01_stream(seed, "keep", i, j), inst.keep_tails[i, j]))
+                blocks = [ab for ab, u in zip(blocks, draws) if u < q_float]
             yield (i, j), size, blocks
 
     return _thin(inst.delta, layers)
@@ -453,9 +462,20 @@ def _tally(tally: np.ndarray, pos: list, mult: list) -> None:
 def iter_samples(inst: RandomCoverInstance, samples: int, seed: int) -> Iterator[CoverSolution]:
     """Independent seeded cover samples, stream-split from one root seed and
     drawn one at a time: sample s is sample_random_cover(inst,
-    derive_seed(seed, "cover", s))."""
-    for s in range(samples):
-        yield sample_random_cover(inst, derive_seed(seed, "cover", s))
+    derive_seed(seed, "cover", s)).  In each chunk of max(1, _BLOCK // most
+    centers in a layer) samples, the first to open layer (i, j) with q < 1
+    draws the layer's keep table (uniform01_table) for the whole chunk."""
+    width = max(1, _BLOCK // max(1, *(len(A) for row in inst.centers for A in row)))
+    for first in range(0, samples, width):
+        seeds = [derive_seed(seed, "cover", s) for s in range(first, min(first + width, samples))]
+
+        @functools.cache
+        def table(i, j, seeds=seeds):
+            return uniform01_table(seeds, ("keep", i, j), inst.keep_tails[i, j])
+
+        for row, sample_seed in enumerate(seeds):
+            yield sample_random_cover(inst, sample_seed, keeps=lambda i, j, row=row, table=table:
+                                      table(i, j)[row].tolist())
 
 
 def sample_many(inst: RandomCoverInstance, samples: int, seed: int) -> list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .groups import (
     DiscreteGroup,
@@ -119,7 +119,7 @@ class ValidationReport:
     strict bound |F_n| > n fails for [0,n) in Z^1, so strictness is
     reported separately in `size_strict` rather than failing the sequence.
     `tempered` holds the tempered constants for n = 2..N, and is empty
-    when the sequence is not nested.
+    when the sequence is not nested; `sizes` holds |F_1|, ..., |F_N|.
     """
 
     identity_ok: bool
@@ -127,6 +127,7 @@ class ValidationReport:
     size_ok: bool
     size_strict: bool
     tempered: tuple
+    sizes: tuple
 
     @property
     def ok(self) -> bool:
@@ -137,16 +138,17 @@ class ValidationReport:
         return max(self.tempered, default=None)
 
 
-def validate_sequence(seq: FolnerSequence) -> ValidationReport:
-    """Check identity membership, nesting, size growth, and temperedness."""
-    sets = seq.sets
-    nested_ok = all(a.is_subset(b) for a, b in zip(sets, sets[1:]))
-    return ValidationReport(
-        identity_ok=seq.group.identity() in sets[0],
-        nested_ok=nested_ok,
-        size_ok=all(len(F) >= n for n, F in enumerate(sets, start=1)),
-        size_strict=all(len(F) > n for n, F in enumerate(sets, start=1)),
-        # nested, so the union in tempered_constant(seq, n) is F_{n-1}, with no re-join
-        tempered=tuple(Fraction(product_set_size(inverse_set(a), b), len(b))
-                       for a, b in zip(sets, sets[1:])) if nested_ok else (),
-    )
+def validate_sequence(sets: Iterable[FiniteSubset]) -> ValidationReport:
+    """Check identity membership, nesting, size growth, and temperedness of
+    F_1, F_2, ... read once from any iterable (a FolnerSequence too), holding
+    F_{n-1} and F_n only: while nested, the union in tempered_constant is F_{n-1}."""
+    sizes, tempered, nested_ok, identity_ok = [], [], True, False
+    for F in sets:
+        if not sizes:
+            identity_ok = F.group.identity() in F
+        elif nested_ok := nested_ok and prev.is_subset(F):
+            tempered.append(Fraction(product_set_size(inverse_set(prev), F), len(F)))
+        sizes.append(len(prev := F))
+    return ValidationReport(identity_ok, nested_ok, all(s >= n for n, s in enumerate(sizes, 1)),
+                            all(s > n for n, s in enumerate(sizes, 1)),
+                            tuple(tempered) if nested_ok else (), tuple(sizes))

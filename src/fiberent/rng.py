@@ -19,8 +19,9 @@ into the state, which goes through the SplitMix64 finaliser (Steele, Lea &
 Flood, OOPSLA 2014); the draw is ``(h >> 11) * 2**-53``.  Any other tail (a
 bool, an int outside int64, a string) is the tag ``_FALLBACK_TAG`` and the
 word ``mix64(key, tail)``, so every label stays exact and distinct.
-``draw.many(tails)`` does the same on uint64 arrays, bit for bit.  The
-columns of tails do not depend on the stream, so a `Tails` tuple keeps its
+``uniform01_table(seeds, prefix, tails)`` does the same on uint64 arrays for a
+column of stream keys, bit for bit; ``draw.many(tails)`` is its one-key case.
+The columns of tails do not depend on the stream, so a `Tails` tuple keeps its
 own, encoded on its first draw: an SMB plan's runs are encoded once for every
 trajectory and stream.  Other tails are encoded afresh and nothing is kept.
 A ``range`` of int64s is encoded by ``np.arange``; other tails, unless all
@@ -161,7 +162,11 @@ class Tails(tuple):
 def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
     """The draw function tail -> float in [0, 1) of the stream keyed
     ``mix64(seed, *prefix)``, with the batch form ``draw.many(tails)``."""
-    key = mix64(seed, *prefix)
+    return _stream(mix64(seed, *prefix))
+
+
+def _stream(key: int) -> Callable[[object], float]:
+    """The draw function of the stream keyed `key`; `many` is its row of `_table`."""
     heads: dict = {}  # tag -> the state after the tag word
 
     def head(tag: int) -> int:
@@ -185,19 +190,33 @@ def uniform01_stream(seed: int, *prefix) -> Callable[[object], float]:
             h = z ^ (z >> 31)
         return (h >> 11) * _UNIT
 
-    def many(tails: Sequence) -> np.ndarray:
-        """float64 array equal to [draw(t) for t in tails], bit for bit."""
-        out = np.empty(len(tails))
-        for start, stop, found in tails.blocks if isinstance(tails, Tails) else _blocks(tails):
-            if found is None:
-                out[start:stop] = [draw(t) for t in tails[start:stop]]
-                continue
-            h = np.full(stop - start, np.uint64(head(found[0])))
-            for column in found[1]:
-                h ^= column
-                _fmix_array(h)
-            out[start:stop] = (h >> _S11).astype(np.float64) * _UNIT
-        return out
-
-    draw.many = many
+    draw.many = lambda tails: _table([key], tails)[0]  # [draw(t) for t in tails]
     return draw
+
+
+def uniform01_table(seeds: Sequence[int], prefix: tuple, tails: Sequence) -> np.ndarray:
+    """float64 array of shape (len(seeds), len(tails)) whose row s equals
+    ``uniform01_stream(seeds[s], *prefix).many(tails)``, bit for bit."""
+    return _table([mix64(seed, *prefix) for seed in seeds], tails)
+
+
+def _table(keys: list, tails: Sequence) -> np.ndarray:
+    """The one batch kernel: row r holds the draws at `tails` of the stream keyed
+    keys[r].  Per block of tails, each row's head is _fmix(key ^ tag), and the
+    block's columns are absorbed into (keys x block) arrays of at most _BLOCK
+    words; a block `_columns` rejects is drawn by the scalar draw, row by row."""
+    out = np.empty((len(keys), len(tails)))
+    for start, stop, found in tails.blocks if isinstance(tails, Tails) else _blocks(tails):
+        if found is None:
+            for row, key in zip(out, keys):
+                row[start:stop] = list(map(_stream(key), tails[start:stop]))
+            continue
+        heads = np.array([_fmix(key ^ found[0]) for key in keys], dtype=np.uint64)
+        rows = max(1, _BLOCK // (stop - start))
+        for first in range(0, len(keys), rows):
+            h = np.repeat(heads[first:first + rows, None], stop - start, axis=1)
+            for words in found[1]:
+                h ^= words
+                _fmix_array(h)
+            out[first:first + rows, start:stop] = (h >> _S11).astype(np.float64) * _UNIT
+    return out

@@ -384,7 +384,7 @@ def test_smb_and_cond_entropy_runs_build_no_folner_sequence(tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a FolnerSequence was built")
 
-    monkeypatch.setattr(cli_mod, "window_folner", refuse)
+    monkeypatch.setattr(folner_mod, "window_folner", refuse)
     monkeypatch.setattr(folner_mod, "FolnerSequence", refuse)
     rc, out = run(tmp_path, "smb-run", SMB_BASE + "sides = 2, 5, 9\ntrajectories = 3\n")
     assert rc == EXIT_OK
@@ -394,6 +394,31 @@ def test_smb_and_cond_entropy_runs_build_no_folner_sequence(tmp_path, monkeypatc
                   "transition_1 = 0.2, 0.8\nn_max = 4\nmethod = monte-carlo\nsamples = 5\n")
     assert rc == EXIT_OK
     assert len(Path(out).read_text().splitlines()) == 1 + 4
+
+
+def test_folner_check_streams_its_windows(tmp_path, monkeypatch):
+    """folner-check builds no FolnerSequence and holds at most two windows at a
+    time, and writes the artifacts the sequence-built check wrote."""
+    text = "seed = 1\ngroup = zd:2\nn_max = 6\n"
+    live = weakref.WeakSet()
+    box = ZdGroup.box
+
+    def tracked(self, *extents):
+        F = box(self, *extents)
+        assert len(live) <= 1, "a third window is held"
+        live.add(F)
+        return F
+
+    expected_csv = "\n".join([CSV_HEADER, *(
+        f"{n},{n * n},{float(Fraction(2 * n - 2, n) ** 2):.12g},,," for n in range(2, 7))]) + "\n"
+    monkeypatch.setattr(folner_mod, "window_folner", lambda *a: pytest.fail("sequence built"))
+    monkeypatch.setattr(ZdGroup, "box", tracked)
+    rc, out = run(tmp_path, "folner-check", text)
+    assert rc == EXIT_OK
+    assert Path(out).read_text() == expected_csv
+    summary = read_summary(out)
+    assert summary["sets"] == "6"
+    assert summary["max_tempered"] == str(Fraction(100, 36))
 
 
 def read_summary(out):

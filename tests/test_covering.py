@@ -1,6 +1,7 @@
 """Greedy and randomized quasi-tiling covers and their exact verifiers."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -781,12 +782,15 @@ class TestHypothesesOncePerInstance:
         assert sample_many(inst, 50, seed) == expected
 
     def test_failing_instances_still_raise(self):
-        inst = growth_failing_random_instance()
-        for _ in range(2):  # the cached failing verdict raises again
-            with pytest.raises(HypothesisError):
-                sample_random_cover(inst, 1)
-            with pytest.raises(HypothesisError):
-                sample_many(inst, 100, 1)
+        no_centers = RandomCoverInstance.create(
+            Z1.box(20), [[Z1.box(2)]], [[subset_from_coords(Z1, [])]], K=Z1.box(4), C=Fraction(6),
+            alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2))
+        for inst in (growth_failing_random_instance(), no_centers):
+            for _ in range(2):  # the cached failing verdict raises again
+                with pytest.raises(HypothesisError):
+                    sample_random_cover(inst, 1)
+                with pytest.raises(HypothesisError):
+                    sample_many(inst, 100, 1)
         escaping = CoverInstance.create(
             Z1.box(10), [Z1.box(3)], [subset_from_coords(Z1, [(8,)])],
             delta=Fraction(1, 10), epsilon=Fraction(1, 2),
@@ -817,6 +821,100 @@ def test_cover_outputs_match_recorded_digest():
         multiplicity = tuple(sorted(sol.multiplicity.items()))
         h.update(repr((sol.picks, sol.total_size, multiplicity)).encode())
     assert h.hexdigest() == COVER_DIGEST
+
+
+def _most_centers(inst) -> int:
+    return max(len(A) for row in inst.centers for A in row)
+
+
+def two_open_layers_instance():
+    # q = 15/16 at layer (2, 1), whose three blocks cover at most 24 of the
+    # alpha |F| = 30 points, so layer (1, 1) opens with 0 < q < 1 too
+    return RandomCoverInstance.create(
+        Z1.box(60),
+        [[Z1.box(2)], [Z1.box(8)]],
+        [
+            [subset_from_coords(Z1, [(2 * k,) for k in range(28)])],
+            [subset_from_coords(Z1, [(16 * k,) for k in range(3)])],
+        ],
+        K=Z1.box(16), C=Fraction(6),
+        alpha=Fraction(1, 2), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+    )
+
+
+class TestKeepTables:
+    """iter_samples draws a layer's keep decisions as one table for a chunk of
+    samples; each sample equals sample_random_cover drawing its own stream one
+    center at a time."""
+
+    BUILDS = [*RANDOM_INSTANCES, *(THRESHOLD_INSTANCES[k] for k in sorted(THRESHOLD_INSTANCES)),
+              two_open_layers_instance]
+
+    @staticmethod
+    def per_sample(inst, samples, seed):
+        return [sample_random_cover(inst, derive_seed(seed, "cover", k)) for k in range(samples)]
+
+    def check(self, inst, samples, seed, monkeypatch) -> list:
+        """Compare iter_samples with the scalar twin, and return (seeds,
+        prefix, tails) of each table it drew; it draws no stream one by one."""
+        expected = self.per_sample(inst, samples, seed)
+        drawn, table = [], covering_mod.uniform01_table
+
+        def recording(seeds, prefix, tails):
+            drawn.append((tuple(seeds), prefix, tails))
+            return table(seeds, prefix, tails)
+
+        monkeypatch.setattr(covering_mod, "uniform01_table", recording)
+        monkeypatch.setattr(covering_mod, "uniform01_stream", lambda *a: pytest.fail("scalar"))
+        assert list(iter_samples(inst, samples, seed)) == expected
+        width = max(1, covering_mod._BLOCK // _most_centers(inst))
+        for seeds, (tag, i, j), tails in drawn:
+            assert tag == "keep" and tails is inst.keep_tails[i, j]
+            assert len(seeds) <= width and len(seeds) * len(tails) <= covering_mod._BLOCK
+        # at most one table per chunk and layer
+        assert len({(seeds[0], prefix) for seeds, prefix, _ in drawn}) == len(drawn)
+        return drawn
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_a_full_chunk_then_a_short_one(self, build, monkeypatch):
+        inst = build()
+        width = covering_mod._BLOCK // _most_centers(inst)
+        drawn = self.check(inst, width + 7, 29, monkeypatch)
+        assert {len(seeds) for seeds, _, _ in drawn} <= {width, 7}
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("width", [1, 3])  # one-sample chunks, then chunks of three
+    def test_small_chunks(self, build, width, monkeypatch):
+        inst = build()
+        monkeypatch.setattr(covering_mod, "_BLOCK", width * _most_centers(inst) + 1)
+        drawn = self.check(inst, 8, 5, monkeypatch)
+        assert {len(seeds) for seeds, _, _ in drawn} <= {width, 8 % width}
+
+    def test_the_instances_draw_their_tables(self, monkeypatch):
+        # the q = 1 and q <= 0 edge cases draw none; one instance opens two layers
+        layers = {}
+        for build in self.BUILDS:
+            layers[build] = [prefix for _, prefix, _ in self.check(build(), 10, 1, monkeypatch)]
+            monkeypatch.undo()
+        assert {build for build, drawn in layers.items() if not drawn} == {
+            THRESHOLD_INSTANCES[k] for k in ("q-exactly-1", "q-negative", "q-exactly-0")}
+        assert layers[two_open_layers_instance] == [("keep", 2, 1), ("keep", 1, 1)]
+
+    def test_samples_still_come_one_at_a_time(self):
+        # a chunk's seeds are derived as it starts, so a huge count costs nothing
+        inst = coverage_two_row_instance()
+        first = list(itertools.islice(iter_samples(inst, 10**12, 3), 3))
+        assert first == self.per_sample(inst, 3, 3)
+
+    def test_samples_are_drawn_through_sample_random_cover(self, monkeypatch):
+        # once per sample, so a wrapper around it sees every sample
+        seen, sample = [], covering_mod.sample_random_cover
+        monkeypatch.setattr(covering_mod, "sample_random_cover",
+                            lambda inst, seed, keeps: seen.append(seed) or sample(inst, seed, keeps))
+        inst = multiplicity_chain_instance()
+        sols = sample_many(inst, 20, 4)
+        assert seen == [derive_seed(4, "cover", k) for k in range(20)]
+        assert sols == self.per_sample(inst, 20, 4)
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import fiberent.rng as rng
 from fiberent.rds import MarkovModel, ProductSampler, _cumulative, _draw, exact_distribution
-from fiberent.rng import Tails, _encode, derive_seed, mix64, uniform01, uniform01_stream
+from fiberent.rng import (Tails, _encode, derive_seed, mix64, uniform01, uniform01_stream,
+                          uniform01_table)
 
 # mix64 on fixed label paths.  Every derived seed and stream key in the
 # package is a function of these bytes, so a change here changes every
@@ -381,6 +382,66 @@ class TestEncodedOnce:
         for copy in (fresh, drawn):
             assert type(copy) is Tails and copy == window
             assert draw.many(copy).tolist() == expected
+
+
+class TestTable:
+    """Row s of uniform01_table(seeds, prefix, tails) is the stream of seeds[s]
+    drawn at each tail by the scalar draw, bit for bit."""
+
+    SEEDS = [0, 1, 2**64 - 1, 77, 2**63, 12345678901234567890]
+
+    @staticmethod
+    def check(seeds, prefix, tails):
+        table = uniform01_table(seeds, prefix, tails)
+        assert table.dtype == np.float64 and table.shape == (len(seeds), len(tails))
+        for seed, row in zip(seeds, table):
+            draw = uniform01_stream(seed, *prefix)
+            assert row.tolist() == [draw(t) for t in tails]
+            assert row.tolist() == draw.many(tails).tolist()
+
+    @pytest.mark.parametrize("tails", [
+        [(0,), (-1,), (5,), (-(2**63),), (2**63 - 1,)],  # 1-tuples, Z cover centers
+        [(3, -7), (0, 0), (-(2**63), 2**63 - 1), (-1, -2)],  # Z^2
+        [(1, -2, 3), (-4, 0, 2**62), (0, 0, -1)],  # Heisenberg
+        [5, -3, 0, 2**63 - 1, -(2**63)], range(-6, 6),  # plain ints
+        [(1, 2), (True, 2), (3, 4)], [(1,), False], [(0,), (2**63,)], [1, 2**64 + 5],
+        [(1, 2), (3,), (4, 5, 6)], [5, (5,)], [(), ()],  # fallback tails, mixed lengths
+        [], (),  # zero tails
+    ])
+    @pytest.mark.parametrize("prefix", [("keep", 3, 2), ("c",)])
+    def test_rows_equal_the_scalar_draws(self, tails, prefix):
+        self.check(self.SEEDS, prefix, tails)
+        self.check(self.SEEDS[:1], prefix, Tails(tails))
+
+    def test_zero_keys(self):
+        assert uniform01_table([], ("keep", 1, 1), [(1,), (2,)]).shape == (0, 2)
+        assert uniform01_table([], ("keep", 1, 1), []).shape == (0, 0)
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_more_draws_than_a_block(self, block, monkeypatch):
+        # keys x tails past _BLOCK, a block of tails past _BLOCK // keys, and
+        # a rejected block between word blocks
+        monkeypatch.setattr(rng, "_BLOCK", block)
+        tails = [(k, -k) for k in range(9)] + [(True, 0)] + [(k, 1) for k in range(5)]
+        self.check(list(range(11)), ("keep", 1, 1), tails)
+        self.check(list(range(11)), ("keep", 1, 1), Tails(tails))
+
+    def test_more_draws_than_the_block_size(self):
+        self.check([1, 2, 3], ("c",), Tails((k, -k) for k in range(rng._BLOCK // 2 + 3)))
+
+    def test_no_array_holds_more_than_a_block(self, monkeypatch):
+        sizes, fmix = [], rng._fmix_array
+        monkeypatch.setattr(rng, "_fmix_array", lambda h: sizes.append(h.size) or fmix(h))
+        monkeypatch.setattr(rng, "_BLOCK", 64)
+        self.check(list(range(100)), ("keep", 2, 1), Tails((k, k) for k in range(40)))
+        assert sizes and max(sizes) <= 64
+
+    @settings(max_examples=150)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=5), prefix=prefixes,
+           window=tail_lists, block=st.sampled_from([1, 2, 3, 5, rng._BLOCK]))
+    def test_tables_equal_scalar_draws(self, seeds, prefix, window, block):
+        with mock.patch.object(rng, "_BLOCK", block):
+            self.check(seeds, prefix, window)
 
 
 @pytest.mark.parametrize("tails", [
