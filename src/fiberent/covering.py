@@ -9,16 +9,22 @@ Two constructions are implemented over finite windows of a group:
   candidate center with a probability proportional to the remaining
   coverage gap and then thins exactly like the greedy builder.
 
-Each instance builds every block S a once, as its cached `layers`; the
-containment hypotheses and every run of either construction read them.
+Each instance keeps the points of F once, in lexicographic order, as its
+`points`; a point's position is its index there.  It builds every block
+S a once, as its cached `layers`, each block an int array of positions
+(-1 for a point outside F, which the containment hypotheses read); the
+hypotheses and every run of either construction read them.  A solution
+is its picks, its total size and one count per position.
 The sampler keeps q as an integer ratio num / den, so its tests against 0
 and 1 are exact and its keep threshold num / den is float(q); the thinning
-limit floor(delta |S|) is an integer division too.  The randomized
-verifier reads its samples from any iterable, once, and tallies each
-covered point at its position in F with np.bincount, so samples can be
-verified as they are drawn (iter_samples) without holding them all.
-iter_samples draws a layer's keep decisions for a chunk of samples as one
-rng.uniform01_table, whose row equals the sample's own draw.many (one key).
+limit floor(delta |S|) is an integer division too.  iter_samples thins a
+chunk of samples at once: per layer, one rng.uniform01_table of keep
+draws (row s equals sample s's own draws), then one numpy step per block
+over every row of the chunk.  The greedy builder, a direct
+sample_random_cover and a small chunk thin one row at a time, by the
+scalar loop that is the chunk kernel's twin.  The randomized verifier
+reads its samples from any iterable, once, and sums their count rows, so
+samples can be verified as they are drawn without holding them all.
 
 The underlying covering lemmas are existence statements; these builders
 realize the standard constructions and the verifiers evaluate the stated
@@ -30,7 +36,8 @@ failure on a hypothesis-passing instance is reported, never masked.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -41,9 +48,18 @@ from .rds import mean_and_se
 from .rng import _BLOCK, Tails, derive_seed, uniform01_stream, uniform01_table
 
 
-# Covered points per tally chunk: the verifier holds at most this many, or
-# one sample's, positions and multiplicities at a time.
+# Counts per tally chunk: the verifier sums at most this many, or one
+# sample's, counts at a time, and a chunk of iter_samples holds no more.
 _TALLY_CHUNK = 1 << 16
+
+# The dtype of a solution's counts.
+_COUNT = np.int32
+
+# Chunks of fewer samples are thinned one sample at a time.  The kernel's
+# cost per block barely depends on the rows: over criterion 7's random
+# instances it took 5.4 times the scalar loop's time at one row, 1.08
+# times at six and 0.83 times at eight (2-core x86-64, numpy 2).
+_KERNEL_ROWS = 8
 
 
 class HypothesisError(ValueError):
@@ -57,22 +73,46 @@ def _as_unit_fraction(value, name: str) -> Fraction:
     return fr
 
 
-def _layer(ambient: FiniteSubset, key: tuple, shape: FiniteSubset,
-           centers: FiniteSubset) -> tuple:
-    """(key, |S|, blocks) for shape S and center set A: blocks holds
-    (a, S a) for every a in A in lexicographic order, with S a a tuple of
-    the points f a; the order of points inside a block never matters."""
-    group = ambient.group
-    for part in (shape, centers):
-        require_same_group(part.group, group)
-    mc = group.mul_coords
-    offsets = tuple(shape.coords)
-    blocks = tuple((a, tuple([mc(f, a) for f in offsets])) for a in sorted(centers.coords))
-    return key, len(offsets), blocks
+class _Instance:
+    """What both instance kinds share: F's points, the blocks, the hypotheses."""
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        """The points of F in lexicographic order; a position indexes this."""
+        return tuple(sorted(self.ambient.coords))
+
+    @functools.cached_property
+    def hypotheses(self) -> "HypothesisReport":
+        """check_hypotheses(self), evaluated once: instances are immutable."""
+        return check_hypotheses(self)
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """Each layer's blocks as lists of Python ints, for the one-row loop."""
+        return tuple(blocks.tolist() for _, _, _, blocks in self.layers)
+
+    def _layers(self, keyed) -> tuple:
+        """(key, |S|, centers, blocks) for each (key, S, A) of `keyed`: centers
+        holds A in lexicographic order as one rng.Tails, and row k of the int
+        array blocks holds the position of each point f a of S a for the k-th
+        center a, or -1 for a point outside F; a row's order never matters."""
+        group = self.ambient.group
+        index = {p: k for k, p in enumerate(self.points)}
+        mc = group.mul_coords
+        layers = []
+        for key, shape, centers in keyed:
+            for part in (shape, centers):
+                require_same_group(part.group, group)
+            offsets = tuple(shape.coords)
+            tails = Tails(sorted(centers.coords))
+            blocks = [[index.get(mc(f, a), -1) for f in offsets] for a in tails]
+            layers.append((key, len(offsets), tails,
+                           np.array(blocks, dtype=np.intp).reshape(len(tails), len(offsets))))
+        return tuple(layers)
 
 
 @dataclass(frozen=True)
-class CoverInstance:
+class CoverInstance(_Instance):
     """Single-indexed instance: shapes S_1..S_M, center sets A_1..A_M in F.
 
     Hypotheses: every translate of S_i by a center of A_i stays inside F,
@@ -97,18 +137,13 @@ class CoverInstance:
 
     @functools.cached_property
     def layers(self) -> tuple:
-        """_layer of each key (i,) in increasing order, built once."""
-        return tuple(_layer(self.ambient, (i,), S, A)
-                     for i, (S, A) in enumerate(zip(self.shapes, self.centers), start=1))
-
-    @functools.cached_property
-    def hypotheses(self) -> "HypothesisReport":
-        """check_hypotheses(self), evaluated once: instances are immutable."""
-        return check_hypotheses(self)
+        """The layer of each key (i,) in increasing order, built once."""
+        return self._layers(((i,), S, A)
+                            for i, (S, A) in enumerate(zip(self.shapes, self.centers), start=1))
 
 
 @dataclass(frozen=True)
-class RandomCoverInstance:
+class RandomCoverInstance(_Instance):
     """Double-indexed instance: shapes[i][j] with centers[i][j], plus the
     spreading set K, growth constant C, and coverage level alpha with
     |union_j K A_{i,j}| >= alpha |F| for every i.
@@ -143,22 +178,11 @@ class RandomCoverInstance:
 
     @functools.cached_property
     def layers(self) -> tuple:
-        """_layer of each key (i, j) in increasing order, built once."""
-        return tuple(
-            _layer(self.ambient, (i, j), S, A)
+        """The layer of each key (i, j) in increasing order, built once."""
+        return self._layers(
+            ((i, j), S, A)
             for i, (srow, crow) in enumerate(zip(self.shapes, self.centers), start=1)
-            for j, (S, A) in enumerate(zip(srow, crow), start=1)
-        )
-
-    @functools.cached_property
-    def hypotheses(self) -> "HypothesisReport":
-        """check_hypotheses(self), evaluated once: instances are immutable."""
-        return check_hypotheses(self)
-
-    @functools.cached_property
-    def keep_tails(self) -> dict:
-        """Each layer key -> its centers in block order, as one rng.Tails."""
-        return {key: Tails(a for a, _ in blocks) for key, _, blocks in self.layers}
+            for j, (S, A) in enumerate(zip(srow, crow), start=1))
 
 
 @dataclass(frozen=True)
@@ -194,8 +218,8 @@ def check_hypotheses(inst) -> HypothesisReport:
         raise TypeError(f"unsupported instance type {type(inst).__name__}")
     F = inst.ambient.coords
     rows = []
-    for key, _, blocks in inst.layers:
-        ok = all(a in F and F.issuperset(block) for a, block in blocks)
+    for key, _, centers, blocks in inst.layers:
+        ok = all(a in F for a in centers) and bool((blocks >= 0).all())
         name = "-".join(("shape", *map(str, key[:-1]), "containment", str(key[-1])))
         rows.append(CheckRow(name, Fraction(int(ok)), Fraction(1), ok))
 
@@ -230,22 +254,31 @@ def check_hypotheses(inst) -> HypothesisReport:
 
 @dataclass(frozen=True)
 class CoverSolution:
-    """Chosen translates plus the multiplicity of every covered point.
+    """Chosen translates, their total size and the count at every point of F.
 
     picks holds (shape index, center coords) for greedy output and
     (i, j, center coords) for sampled output, all 1-based indices in the
-    order the construction accepted them; multiplicity maps each covered
-    point's coords to the number of accepted blocks holding it.  Its
-    iteration order carries no meaning, and no verifier depends on it.
+    order the construction accepted them.  counts holds, as the bytes of
+    an int32 array, the number of accepted blocks holding each point of
+    `points` (the instance's), so solutions compare by value.
     """
 
     picks: tuple
     total_size: int
-    multiplicity: dict
+    points: tuple = field(repr=False)
+    counts: bytes = field(repr=False)
+
+    @property
+    def multiplicity(self) -> dict:
+        """Each covered point's coords -> its count, in position order."""
+        counts = np.frombuffer(self.counts, _COUNT)
+        covered = np.flatnonzero(counts)
+        return dict(zip(map(self.points.__getitem__, covered.tolist()),
+                        counts[covered].tolist()))
 
     @property
     def union_size(self) -> int:
-        return len(self.multiplicity)
+        return int(np.count_nonzero(np.frombuffer(self.counts, _COUNT)))
 
 
 def _require_hypotheses(inst) -> None:
@@ -254,28 +287,35 @@ def _require_hypotheses(inst) -> None:
         raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
 
 
-def _thin(delta: Fraction, layers) -> CoverSolution:
-    """The one thinning loop: accept a block iff its overlap with the
-    already-covered region is at most delta * |shape|.
+def _thin(inst, kept) -> CoverSolution:
+    """The one-row thinning loop, over the layers in decreasing key order:
+    accept a block iff its overlap with the already-covered region is at
+    most delta * |shape|.
 
-    `layers(lam)` yields (key, |shape|, blocks) per layer in scan order,
-    where lam maps each covered point to its multiplicity; it is resumed
-    only after the previous layer is thinned, so a layer may depend on how
-    much is covered so far.  Overlaps are integers, so comparing them with
-    floor(delta * |shape|), taken in integers, is exact.
+    As each layer opens, kept(key, |shape|, centers, covered) is given the
+    number of points covered so far and returns None to end the pass, or
+    whether each center is retained.  Overlaps are integers, so comparing
+    them with floor(delta * |shape|), taken in integers, is exact.
     """
-    lam: dict = {}
+    dn, dd = inst.delta.numerator, inst.delta.denominator
+    counts = [0] * len(inst.points)
+    held = counts.__getitem__
     picks = []
-    total = 0
-    for key, size, blocks in layers(lam):
-        limit = delta.numerator * size // delta.denominator
-        for center, block in blocks:
-            if sum(map(lam.__contains__, block)) <= limit:
+    total = covered = 0
+    for (key, size, centers, _), rows in zip(reversed(inst.layers), reversed(inst._rows)):
+        flags = kept(key, size, centers, covered)
+        if flags is None:
+            break
+        limit = dn * size // dd
+        for center, block in itertools.compress(zip(centers, rows), flags):
+            overlap = size - list(map(held, block)).count(0)
+            if overlap <= limit:
                 picks.append(key + (center,))
                 total += size
-                for c in block:
-                    lam[c] = lam.get(c, 0) + 1
-    return CoverSolution(tuple(picks), total, lam)
+                covered += size - overlap
+                for p in block:
+                    counts[p] += 1
+    return CoverSolution(tuple(picks), total, inst.points, np.array(counts, _COUNT).tobytes())
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
@@ -288,12 +328,12 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     inequalities are the verifier's to evaluate per instance.
     """
     _require_hypotheses(inst)
-    sol = _thin(inst.delta, lambda lam: reversed(inst.layers))
+    sol = _thin(inst, lambda *layer: itertools.repeat(True))
     assert (1 - inst.delta) * sol.total_size <= sol.union_size
     return sol
 
 
-def sample_random_cover(inst: RandomCoverInstance, seed: int, keeps=None) -> CoverSolution:
+def sample_random_cover(inst: RandomCoverInstance, seed: int, chunk=None) -> CoverSolution:
     """Seeded randomized cover: one pass over layers in decreasing (i, j).
 
     At the start of each layer the retention probability is
@@ -303,26 +343,70 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int, keeps=None) -> Cov
     Coverage never shrinks, so the pass ends at the first layer with
     q = 0.  q is num / den in integers: both tests are exact, and int
     true division rounds correctly, so the keep threshold is float(q).
-    The output is a pure function of (instance, seed).  `keeps(i, j)`, if given,
-    is that stream's row of layer (i, j) in iter_samples' keep table.
+    The output is a pure function of (instance, seed).  `chunk`, if given,
+    is (thin, row) from iter_samples: thin() is its chunk thinned at once
+    (_thin_chunk) on the first call, and this seed's is the row-th row.
     """
     _require_hypotheses(inst)
+    if chunk:
+        thin, row = chunk
+        picks, totals, counts = thin()
+        return CoverSolution(picks[row], totals[row], inst.points, counts[row].tobytes())
     dn, dd = inst.delta.numerator, inst.delta.denominator
     gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
 
-    def layers(lam):
-        for (i, j), size, blocks in reversed(inst.layers):
-            num, den = dn * (gn - len(lam) * gd), dd * gd * size
-            if num <= 0:
-                return
-            if num < den:
-                q_float = num / den
-                draws = (keeps(i, j) if keeps else
-                         map(uniform01_stream(seed, "keep", i, j), inst.keep_tails[i, j]))
-                blocks = [ab for ab, u in zip(blocks, draws) if u < q_float]
-            yield (i, j), size, blocks
+    def kept(key, size, centers, covered):
+        num, den = dn * (gn - covered * gd), dd * gd * size
+        if num <= 0:
+            return None
+        if num >= den:
+            return itertools.repeat(True)
+        q, keep = num / den, uniform01_stream(seed, "keep", *key)
+        return [keep(a) < q for a in centers]
 
-    return _thin(inst.delta, layers)
+    return _thin(inst, kept)
+
+
+def _thin_chunk(inst: RandomCoverInstance, seeds: list) -> tuple:
+    """The picks, total sizes and count rows of sample_random_cover(inst, seed)
+    for every seed, thinned at once; no CoverSolution is held here, so a
+    sample lives no longer than its reader keeps it.
+
+    counts has one column per sample, and each layer is one step for every
+    sample: its q as num / den in Python ints, one keep table for the
+    samples with 0 < q < 1; then, per block, gather its positions' counts,
+    count the overlaps, compare them with floor(delta |S|) and add one for
+    the accepted samples.  A sample with q <= 0 keeps nothing from then
+    on, as its pass would end there.  The count rows returned are a
+    transposed view, so no second matrix is made.
+    """
+    dn, dd = inst.delta.numerator, inst.delta.denominator
+    gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
+    counts = np.zeros((len(inst.points), len(seeds)), _COUNT)
+    picks = [[] for _ in seeds]
+    totals = np.zeros(len(seeds), np.int64)
+    for (i, j), size, centers, blocks in reversed(inst.layers):
+        den = dd * gd * size
+        nums = [dn * (gn - u * gd) for u in np.count_nonzero(counts, axis=0).tolist()]
+        if max(nums) <= 0:
+            break
+        keep = np.zeros((len(centers), len(seeds)), bool)
+        keep[:, [r for r, num in enumerate(nums) if num >= den]] = True
+        drawn = [r for r, num in enumerate(nums) if 0 < num < den]
+        if drawn:
+            table = uniform01_table([seeds[r] for r in drawn], ("keep", i, j), centers)
+            keep[:, drawn] = table.T < np.array([nums[r] / den for r in drawn])
+        limit = dn * size // dd
+        for block, kept in zip(blocks, keep):
+            held = counts[block]
+            kept &= np.count_nonzero(held, axis=0) <= limit
+            held += kept
+            counts[block] = held
+        totals += size * np.count_nonzero(keep, axis=0)
+        layer_picks = [(i, j, a) for a in centers]
+        for r, c in zip(*(ix.tolist() for ix in np.nonzero(keep.T))):
+            picks[r].append(layer_picks[c])
+    return list(map(tuple, picks)), totals.tolist(), counts.T
 
 
 @dataclass(frozen=True)
@@ -401,27 +485,25 @@ def verify_random_cover(inst: RandomCoverInstance,
     reported: the strictest slack, and one that no point order can change.
 
     `solutions` is any iterable, read once, so samples may be drawn as they
-    are verified.  Each covered point is tallied at its position in F, an
-    index local to this call: np.bincount adds up count, sum and sum of
-    squares of its multiplicities over chunks of at most _TALLY_CHUNK
-    points, and mean and variance take the float64 operations of the
-    scalar formula in its order.  At least 100 samples are required.
+    are verified.  Each solution counts the instance's points (a ValueError
+    otherwise); count rows are summed per position, at most _TALLY_CHUNK
+    counts, or one row, at a time, and mean and variance take the float64
+    operations of the scalar formula in its order.  At least 100 samples
+    are required.
     """
-    index = {coords: k for k, coords in enumerate(inst.ambient.coords)}
-    tally = np.zeros((3, len(index)))
+    points = inst.points
+    rows = max(1, _TALLY_CHUNK // max(1, len(points)))
+    tally = np.zeros((3, len(points)))
     totals = []
-    pos: list = []
-    mult: list = []
+    counts: list = []
     for sol in solutions:
+        if sol.points is not points and sol.points != points:
+            raise ValueError("a solution counts points other than the ambient set")
         totals.append(float(sol.total_size))
-        try:
-            pos += map(index.__getitem__, sol.multiplicity)
-        except KeyError as exc:
-            raise ValueError(f"covered point {exc.args[0]} lies outside the ambient set") from None
-        mult += sol.multiplicity.values()
-        if len(pos) >= _TALLY_CHUNK:
-            _tally(tally, pos, mult)
-    _tally(tally, pos, mult)
+        counts.append(sol.counts)
+        if len(counts) == rows:
+            _tally(tally, counts)
+    _tally(tally, counts)
     if len(totals) < 100:
         raise ValueError("need at least 100 samples for stable statistics")
     worst_mean, worst_se = 0.0, 0.0
@@ -445,37 +527,36 @@ def verify_random_cover(inst: RandomCoverInstance,
     )
 
 
-def _tally(tally: np.ndarray, pos: list, mult: list) -> None:
-    """Add the count, sum and sum of squares of `mult` at each position of
-    `pos` into the rows of `tally`, then empty both lists.  The sums are of
-    integers below 2^53, so float64 holds them exactly."""
-    n = tally.shape[1]
-    p = np.array(pos, dtype=np.intp)
-    m = np.array(mult, dtype=np.float64)
-    tally[0] += np.bincount(p, minlength=n)
-    tally[1] += np.bincount(p, m, n)
-    tally[2] += np.bincount(p, m * m, n)
-    pos.clear()
-    mult.clear()
+def _tally(tally: np.ndarray, counts: list) -> None:
+    """Add how many rows of `counts` cover each position, and the sum and
+    sum of squares of its counts, into the rows of `tally`, then empty
+    `counts`.  The sums are of integers below 2^53, so float64 holds them
+    exactly."""
+    if not counts:
+        return
+    m = np.frombuffer(b"".join(counts), _COUNT).reshape(len(counts), tally.shape[1])
+    tally[0] += np.count_nonzero(m, axis=0)
+    tally[1] += m.sum(axis=0, dtype=np.int64)
+    tally[2] += np.square(m, dtype=np.int64).sum(axis=0)
+    counts.clear()
 
 
 def iter_samples(inst: RandomCoverInstance, samples: int, seed: int) -> Iterator[CoverSolution]:
     """Independent seeded cover samples, stream-split from one root seed and
-    drawn one at a time: sample s is sample_random_cover(inst,
-    derive_seed(seed, "cover", s)).  In each chunk of max(1, _BLOCK // most
-    centers in a layer) samples, the first to open layer (i, j) with q < 1
-    draws the layer's keep table (uniform01_table) for the whole chunk."""
-    width = max(1, _BLOCK // max(1, *(len(A) for row in inst.centers for A in row)))
+    yielded one at a time: sample s is sample_random_cover(inst,
+    derive_seed(seed, "cover", s)).  The samples come in chunks of
+    max(1, min(_BLOCK // most centers in a layer, _TALLY_CHUNK // |F|)),
+    so a chunk's keep tables and counts stay within those sizes; the first
+    sample of a chunk of at least _KERNEL_ROWS thins the whole chunk
+    (_thin_chunk), and a smaller chunk's samples are thinned one by one."""
+    most = max(1, *(len(A) for row in inst.centers for A in row))
+    width = max(1, min(_BLOCK // most, _TALLY_CHUNK // max(1, len(inst.ambient))))
     for first in range(0, samples, width):
         seeds = [derive_seed(seed, "cover", s) for s in range(first, min(first + width, samples))]
-
-        @functools.cache
-        def table(i, j, seeds=seeds):
-            return uniform01_table(seeds, ("keep", i, j), inst.keep_tails[i, j])
-
+        thin = functools.cache(functools.partial(_thin_chunk, inst, seeds))
         for row, sample_seed in enumerate(seeds):
-            yield sample_random_cover(inst, sample_seed, keeps=lambda i, j, row=row, table=table:
-                                      table(i, j)[row].tolist())
+            yield sample_random_cover(inst, sample_seed,
+                                      (thin, row) if len(seeds) >= _KERNEL_ROWS else None)
 
 
 def sample_many(inst: RandomCoverInstance, samples: int, seed: int) -> list:

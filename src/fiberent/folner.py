@@ -13,11 +13,13 @@ Everything measurable about a sequence is an exact cardinality ratio:
 the defect |KF delta F| / |F| and the tempered (Shulman) constant
 |union_{k<n} F_k^{-1} F_n| / |F_n| are returned as Fractions.  The union
 in the tempered constant is one set product, (union_{k<n} F_k)^{-1} F_n,
-so the ratio is exact for any sequence, nested or not.
+so the ratio is exact for any sequence, nested or not; a sequence knows
+once whether it is nested, and then reads that union as F_{n-1}.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -56,6 +58,11 @@ class FolnerSequence:
 
     def __iter__(self):
         return iter(self.sets)
+
+    @functools.cached_property
+    def nested(self) -> bool:
+        """Whether F_1 <= F_2 <= ... <= F_N, computed once."""
+        return all(a.is_subset(b) for a, b in zip(self.sets, self.sets[1:]))
 
     def set(self, n: int) -> FiniteSubset:
         """F_n, 1-indexed as in the usual notation."""
@@ -103,12 +110,13 @@ def tempered_constant(seq: FolnerSequence, n: int) -> Fraction:
     """Exact Shulman ratio |union_{k<n} F_k^{-1} F_n| / |F_n|.
 
     The union of products is the one product (F_1 u ... u F_{n-1})^{-1} F_n;
-    for a nested sequence that union is F_{n-1}.
+    for a nested sequence that union is F_{n-1}, which is read as it is.
     """
     if not 2 <= n <= len(seq.sets):
         raise ValueError(f"n must be in 2..{len(seq.sets)}")
     Fn = seq.set(n)
-    return Fraction(product_set_size(inverse_set(union_of(seq.sets[:n - 1])), Fn), len(Fn))
+    union = seq.set(n - 1) if seq.nested else union_of(seq.sets[:n - 1])
+    return Fraction(product_set_size(inverse_set(union), Fn), len(Fn))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,14 @@ H = HeisenbergGroup()
 
 def grid2(xs, ys):
     return [(x, y) for x in xs for y in ys]
+
+
+def handmade_solution(inst, multiplicity, total_size=0, picks=()) -> CoverSolution:
+    """A CoverSolution over inst's points with the given point -> count map."""
+    counts = np.zeros(len(inst.points), covering_mod._COUNT)
+    for coords, m in multiplicity.items():
+        counts[inst.points.index(coords)] = m
+    return CoverSolution(picks, total_size, inst.points, counts.tobytes())
 
 
 def tiling_instance():
@@ -324,7 +333,7 @@ class TestGreedyConclusionFailure:
 
     def test_handmade_empty_solution_fails_coverage(self):
         inst = tiling_instance()
-        fake = CoverSolution(picks=(), total_size=0, multiplicity={})
+        fake = handmade_solution(inst, {})
         report = verify_greedy_cover(inst, fake)
         assert not report.coverage_ok
         assert not report.ok
@@ -526,7 +535,7 @@ class TestRandomCover:
             for s in range(100):
                 mult = {a: 1 + s % 2, b: 3 if s % 4 == 0 else 1}
                 ordered = {first: mult[first], **mult}
-                sols.append(CoverSolution(picks=(), total_size=0, multiplicity=ordered))
+                sols.append(handmade_solution(inst, ordered))
             report = verify_random_cover(inst, sols)
             assert report == dict_tally_report(inst, sols)
             assert report.max_conditional_multiplicity == 1.5
@@ -540,10 +549,17 @@ class TestRandomCover:
             verify_random_cover(inst, iter_samples(inst, 99, 1))
 
     def test_verifier_rejects_points_outside_the_ambient_set(self):
+        # a solution counts the points of its own instance's F, here one more
         inst = multiplicity_chain_instance()
-        sols = [CoverSolution(picks=(), total_size=1, multiplicity={(60,): 1})] * 100
-        with pytest.raises(ValueError, match="outside the ambient set"):
-            verify_random_cover(inst, sols)
+        wider = CoverSolution((), 1, inst.points + ((60,),), np.eye(1, 61, 60, np.int32).tobytes())
+        assert wider.multiplicity == {(60,): 1}
+        with pytest.raises(ValueError, match="other than the ambient set"):
+            verify_random_cover(inst, [wider] * 100)
+        # equal points held by another tuple are the same F
+        points = tuple(list(inst.points))
+        assert points is not inst.points
+        same = CoverSolution((), 0, points, bytes(4 * len(points)))
+        assert verify_random_cover(inst, [same] * 100).samples == 100
 
 
 class TestRandomConclusionFailures:
@@ -607,24 +623,29 @@ def dict_tally_report(inst, solutions) -> RandomCoverReport:
 
 def fraction_q_sample(inst, seed) -> CoverSolution:
     """The Fraction twin of sample_random_cover: q and floor(delta |S|) are
-    Fractions, each retained center is thinned as soon as it is drawn."""
+    Fractions, blocks are built from the shapes and centers as coordinates,
+    lam is a dict keyed by point, and each retained center is thinned as
+    soon as it is drawn."""
     goal = inst.alpha * len(inst.ambient)
     lam, picks, total = {}, [], 0
-    for (i, j), size, blocks in reversed(inst.layers):
-        q = inst.delta * (goal - len(lam)) / size
+    keys = [(i, j) for i, row in enumerate(inst.shapes, 1) for j in range(1, len(row) + 1)]
+    for i, j in reversed(keys):
+        shape, centers = inst.shapes[i - 1][j - 1], inst.centers[i - 1][j - 1]
+        q = inst.delta * (goal - len(lam)) / len(shape)
         if q <= 0:
             break
         keep = uniform01_stream(seed, "keep", i, j)
-        limit = math.floor(inst.delta * size)
-        for a, block in blocks:
+        limit = math.floor(inst.delta * len(shape))
+        for a in sorted(centers.coords):
             if q < 1 and not keep(a) < float(q):
                 continue
+            block = [inst.ambient.group.mul_coords(f, a) for f in shape.coords]
             if sum(c in lam for c in block) <= limit:
                 picks.append((i, j, a))
-                total += size
+                total += len(shape)
                 for c in block:
                     lam[c] = lam.get(c, 0) + 1
-    return CoverSolution(tuple(picks), total, lam)
+    return handmade_solution(inst, lam, total, tuple(picks))
 
 
 def exact_zero_q_instance():
@@ -674,11 +695,12 @@ class TestTallyAndThresholdTwins:
                 want = dict_tally_report(inst, sols)
                 assert verify_random_cover(inst, sols) == want, name
                 assert verify_random_cover(inst, iter(sols)) == want, name
-        # a tally flushed every few points adds up to the same report
-        monkeypatch.setattr(covering_mod, "_TALLY_CHUNK", 7)
-        for name, inst in instances:
-            sols = sample_many(inst, 120, 3)
-            assert verify_random_cover(inst, sols) == dict_tally_report(inst, sols), name
+        # a tally flushed every row, or every few rows, adds up to the same report
+        for counts in (7, 200):
+            monkeypatch.setattr(covering_mod, "_TALLY_CHUNK", counts)
+            for name, inst in instances:
+                sols = sample_many(inst, 120, 3)
+                assert verify_random_cover(inst, sols) == dict_tally_report(inst, sols), name
 
     def test_streamed_samples_give_the_listed_report(self):
         inst = coverage_two_row_instance()
@@ -696,7 +718,7 @@ class TestTallyAndThresholdTwins:
 
     def test_threshold_instances_reach_their_edge_cases(self):
         def first_q(inst):
-            _, size, _ = inst.layers[-1]
+            _, size, _, _ = inst.layers[-1]
             return inst.delta * inst.alpha * len(inst.ambient) / size
 
         assert first_q(THRESHOLD_INSTANCES["q-exactly-1"]()) == 1
@@ -827,6 +849,12 @@ def _most_centers(inst) -> int:
     return max(len(A) for row in inst.centers for A in row)
 
 
+def _width(inst) -> int:
+    """iter_samples' chunk width, at the module's current constants."""
+    return max(1, min(covering_mod._BLOCK // _most_centers(inst),
+                      covering_mod._TALLY_CHUNK // len(inst.points)))
+
+
 def two_open_layers_instance():
     # q = 15/16 at layer (2, 1), whose three blocks cover at most 24 of the
     # alpha |F| = 30 points, so layer (1, 1) opens with 0 < q < 1 too
@@ -843,9 +871,9 @@ def two_open_layers_instance():
 
 
 class TestKeepTables:
-    """iter_samples draws a layer's keep decisions as one table for a chunk of
-    samples; each sample equals sample_random_cover drawing its own stream one
-    center at a time."""
+    """iter_samples thins a chunk of samples at once (the chunk kernel), with
+    one keep table per layer; each sample equals sample_random_cover's one-row
+    scalar loop drawing its own stream one center at a time."""
 
     BUILDS = [*RANDOM_INSTANCES, *(THRESHOLD_INSTANCES[k] for k in sorted(THRESHOLD_INSTANCES)),
               two_open_layers_instance]
@@ -854,51 +882,83 @@ class TestKeepTables:
     def per_sample(inst, samples, seed):
         return [sample_random_cover(inst, derive_seed(seed, "cover", k)) for k in range(samples)]
 
-    def check(self, inst, samples, seed, monkeypatch) -> list:
-        """Compare iter_samples with the scalar twin, and return (seeds,
-        prefix, tails) of each table it drew; it draws no stream one by one."""
+    def check(self, inst, samples, seed, monkeypatch) -> tuple:
+        """Compare iter_samples, thinning every chunk by the kernel, with the
+        scalar twin sample by sample; return the seeds of each chunk it
+        thinned and (seeds, prefix, tails) of each keep table it drew.  It
+        draws no stream one by one."""
         expected = self.per_sample(inst, samples, seed)
-        drawn, table = [], covering_mod.uniform01_table
+        chunks, drawn = [], []
+        thin_chunk, table = covering_mod._thin_chunk, covering_mod.uniform01_table
+
+        def thinning(inst, seeds):
+            chunks.append(list(seeds))
+            return thin_chunk(inst, seeds)
 
         def recording(seeds, prefix, tails):
             drawn.append((tuple(seeds), prefix, tails))
             return table(seeds, prefix, tails)
 
+        monkeypatch.setattr(covering_mod, "_KERNEL_ROWS", 1)
+        monkeypatch.setattr(covering_mod, "_thin_chunk", thinning)
         monkeypatch.setattr(covering_mod, "uniform01_table", recording)
         monkeypatch.setattr(covering_mod, "uniform01_stream", lambda *a: pytest.fail("scalar"))
-        assert list(iter_samples(inst, samples, seed)) == expected
-        width = max(1, covering_mod._BLOCK // _most_centers(inst))
+        for k, (got, want) in enumerate(zip(iter_samples(inst, samples, seed), expected)):
+            assert got == want, k
+        assert [s for chunk in chunks for s in chunk] == [
+            derive_seed(seed, "cover", k) for k in range(samples)]
+        width = _width(inst)
+        assert all(len(chunk) <= width for chunk in chunks)
+        # a chunk of two or more rows holds at most _TALLY_CHUNK counts
+        assert all(len(chunk) * len(inst.points) <= covering_mod._TALLY_CHUNK
+                   for chunk in chunks if len(chunk) > 1)
+        centers = {key: centers for key, _, centers, _ in inst.layers}
+        chunk_of = {s: k for k, chunk in enumerate(chunks) for s in chunk}
         for seeds, (tag, i, j), tails in drawn:
-            assert tag == "keep" and tails is inst.keep_tails[i, j]
-            assert len(seeds) <= width and len(seeds) * len(tails) <= covering_mod._BLOCK
+            assert tag == "keep" and tails is centers[i, j]
+            assert len(seeds) * len(tails) <= covering_mod._BLOCK
+            assert len({chunk_of[s] for s in seeds}) == 1
         # at most one table per chunk and layer
-        assert len({(seeds[0], prefix) for seeds, prefix, _ in drawn}) == len(drawn)
-        return drawn
+        assert len({(chunk_of[seeds[0]], prefix) for seeds, prefix, _ in drawn}) == len(drawn)
+        return chunks, drawn
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_a_full_chunk_then_a_short_one(self, build, monkeypatch):
         inst = build()
-        width = covering_mod._BLOCK // _most_centers(inst)
-        drawn = self.check(inst, width + 7, 29, monkeypatch)
-        assert {len(seeds) for seeds, _, _ in drawn} <= {width, 7}
+        width = _width(inst)
+        chunks, _ = self.check(inst, width + 7, 29, monkeypatch)
+        assert [len(chunk) for chunk in chunks] == [width, 7]
 
     @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("width", [1, 3])  # one-sample chunks, then chunks of three
     def test_small_chunks(self, build, width, monkeypatch):
         inst = build()
         monkeypatch.setattr(covering_mod, "_BLOCK", width * _most_centers(inst) + 1)
-        drawn = self.check(inst, 8, 5, monkeypatch)
-        assert {len(seeds) for seeds, _, _ in drawn} <= {width, 8 % width}
+        chunks, _ = self.check(inst, 8, 5, monkeypatch)
+        assert [len(chunk) for chunk in chunks] == [width] * (8 // width) + [8 % width] * (width > 1)
 
     def test_the_instances_draw_their_tables(self, monkeypatch):
         # the q = 1 and q <= 0 edge cases draw none; one instance opens two layers
         layers = {}
         for build in self.BUILDS:
-            layers[build] = [prefix for _, prefix, _ in self.check(build(), 10, 1, monkeypatch)]
+            _, drawn = self.check(build(), 10, 1, monkeypatch)
+            layers[build] = [prefix for _, prefix, _ in drawn]
             monkeypatch.undo()
         assert {build for build, drawn in layers.items() if not drawn} == {
             THRESHOLD_INSTANCES[k] for k in ("q-exactly-1", "q-negative", "q-exactly-0")}
         assert layers[two_open_layers_instance] == [("keep", 2, 1), ("keep", 1, 1)]
+
+    @pytest.mark.parametrize("build", [multiplicity_chain_instance, two_open_layers_instance])
+    def test_chunks_below_the_kernel_rows_take_the_scalar_loop(self, build, monkeypatch):
+        inst = build()
+        thinned, thin_chunk = [], covering_mod._thin_chunk
+        monkeypatch.setattr(covering_mod, "_thin_chunk",
+                            lambda inst, seeds: thinned.append(len(seeds)) or thin_chunk(inst, seeds))
+        rows = covering_mod._KERNEL_ROWS
+        assert list(iter_samples(inst, rows - 1, 9)) == self.per_sample(inst, rows - 1, 9)
+        assert thinned == []
+        assert list(iter_samples(inst, rows, 9)) == self.per_sample(inst, rows, 9)
+        assert thinned == [rows]
 
     def test_samples_still_come_one_at_a_time(self):
         # a chunk's seeds are derived as it starts, so a huge count costs nothing
@@ -948,13 +1008,24 @@ class TestBlocksBuiltOnce:
 
     def test_layers_scan_keys_sizes_and_sorted_centers(self):
         inst = coverage_two_row_instance()
-        assert [(key, size) for key, size, _ in inst.layers] == [((1, 1), 3), ((2, 1), 6)]
-        for (i, j), _, blocks in inst.layers:
+        assert inst.points == tuple(sorted(inst.ambient.coords))
+        assert [(key, size) for key, size, _, _ in inst.layers] == [((1, 1), 3), ((2, 1), 6)]
+        for (i, j), size, centers, blocks in inst.layers:
             shape = inst.shapes[i - 1][j - 1]
-            assert [a for a, _ in blocks] == sorted(inst.centers[i - 1][j - 1].coords)
-            for a, block in blocks:
-                assert frozenset(block) == frozenset(
+            assert list(centers) == sorted(inst.centers[i - 1][j - 1].coords)
+            assert blocks.shape == (len(centers), size)
+            for a, block in zip(centers, blocks.tolist()):
+                assert frozenset(inst.points[p] for p in block) == frozenset(
                     Z1.mul_coords(f, a) for f in shape.coords)
+
+    def test_points_outside_the_ambient_set_are_minus_one(self):
+        # the escaping block [8, 11) has two points past F = [0, 10)
+        inst = CoverInstance.create(
+            Z1.box(10), [Z1.box(3)], [subset_from_coords(Z1, [(0,), (8,)])],
+            delta=Fraction(1, 10), epsilon=Fraction(1, 2))
+        (_, _, _, blocks), = inst.layers
+        assert [sorted(block) for block in blocks.tolist()] == [[0, 1, 2], [-1, 8, 9]]
+        assert check_hypotheses(inst).failures == ("shape-containment-1",)
 
     def test_random_containment_rows_name_their_layer(self):
         inst = RandomCoverInstance.create(

@@ -27,7 +27,9 @@ from fiberent.groups import (
     ZdGroup,
     _product_set_naive,
     inverse_set,
+    product_set_size,
     subset_from_coords,
+    union_of,
 )
 
 H = HeisenbergGroup()
@@ -168,6 +170,18 @@ def test_tempered_constant_of_non_nested_sequence():
     # (F_1 u F_2)^{-1} F_3 = {-6, ..., 7}: 14 points over |F_3| = 8.  The
     # F_2^{-1} F_3 of a nested sequence would give 9/8.
     assert tempered_constant(_skipping_sequence(), 3) == Fraction(7, 4)
+
+
+def test_tempered_constant_equals_the_union_form():
+    # a nested sequence reads F_{n-1} for the union; a non-nested one joins them
+    nested, skipping = box_folner(2, 6), _skipping_sequence()
+    assert nested.nested and not skipping.nested
+    for seq in (nested, skipping):
+        for n in range(2, len(seq) + 1):
+            Fn = seq.set(n)
+            union = union_of(seq.sets[:n - 1])
+            want = Fraction(product_set_size(inverse_set(union), Fn), len(Fn))
+            assert tempered_constant(seq, n) == want
 
 
 def test_heisenberg_defect_brute_force_oracle():
