@@ -22,7 +22,8 @@ chunk of samples at once: per layer, one rng.uniform01_table of keep
 draws (row s equals sample s's own draws), then one numpy step per block
 over every row of the chunk.  The greedy builder, a direct
 sample_random_cover and a small chunk thin one row at a time, by the
-scalar loop that is the chunk kernel's twin.  The randomized verifier
+scalar loop that is the chunk kernel's twin; a sample's one-row pass
+draws each layer's keeps by one draw.many.  The randomized verifier
 reads its samples from any iterable, once, and sums their count rows, so
 samples can be verified as they are drawn without holding them all.
 
@@ -57,8 +58,8 @@ _COUNT = np.int32
 
 # Chunks of fewer samples are thinned one sample at a time.  The kernel's
 # cost per block barely depends on the rows: over criterion 7's random
-# instances it took 5.4 times the scalar loop's time at one row, 1.08
-# times at six and 0.83 times at eight (2-core x86-64, numpy 2).
+# instances it took 4.8-5.4 times the scalar loop's time at one row, 1.0
+# times at six and 0.76-0.83 times at eight (2-core x86-64, numpy 2).
 _KERNEL_ROWS = 8
 
 
@@ -361,8 +362,7 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int, chunk=None) -> Cov
             return None
         if num >= den:
             return itertools.repeat(True)
-        q, keep = num / den, uniform01_stream(seed, "keep", *key)
-        return [keep(a) < q for a in centers]
+        return (uniform01_stream(seed, "keep", *key).many(centers) < num / den).tolist()
 
     return _thin(inst, kept)
 

@@ -873,7 +873,7 @@ def two_open_layers_instance():
 class TestKeepTables:
     """iter_samples thins a chunk of samples at once (the chunk kernel), with
     one keep table per layer; each sample equals sample_random_cover's one-row
-    scalar loop drawing its own stream one center at a time."""
+    scalar loop drawing its own stream's row of keeps."""
 
     BUILDS = [*RANDOM_INSTANCES, *(THRESHOLD_INSTANCES[k] for k in sorted(THRESHOLD_INSTANCES)),
               two_open_layers_instance]
@@ -903,7 +903,8 @@ class TestKeepTables:
         monkeypatch.setattr(covering_mod, "_thin_chunk", thinning)
         monkeypatch.setattr(covering_mod, "uniform01_table", recording)
         monkeypatch.setattr(covering_mod, "uniform01_stream", lambda *a: pytest.fail("scalar"))
-        for k, (got, want) in enumerate(zip(iter_samples(inst, samples, seed), expected)):
+        for k, (got, want) in enumerate(zip(iter_samples(inst, samples, seed), expected,
+                                            strict=True)):
             assert got == want, k
         assert [s for chunk in chunks for s in chunk] == [
             derive_seed(seed, "cover", k) for k in range(samples)]
