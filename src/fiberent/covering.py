@@ -15,15 +15,15 @@ S a once, as its cached `layers`, each block an int array of positions
 (-1 for a point outside F, which the containment hypotheses read); the
 hypotheses and every run of either construction read them.  A solution
 is its picks, its total size and one count per position.
-The sampler keeps q as an integer ratio num / den, so its tests against 0
-and 1 are exact and its keep threshold num / den is float(q); the thinning
-limit floor(delta |S|) is an integer division too.  iter_samples thins a
-chunk of samples at once: per layer, one rng.uniform01_table of keep
-draws (row s equals sample s's own draws), then one numpy step per block
-over every row of the chunk.  The greedy builder, a direct
-sample_random_cover and a small chunk thin one row at a time, by the
-scalar loop that is the chunk kernel's twin; a sample's one-row pass
-draws each layer's keeps by one draw.many.  The randomized verifier
+Both constructions run one thinning pass, _thin, over one or more rows:
+the greedy row, one sample, or a chunk of samples from iter_samples.  Per
+layer, each row's q is an integer ratio num / den, so its tests against
+0 and 1 are exact and its keep threshold is float(q), and the rows with
+0 < q < 1 draw their keeps as one rng.uniform01_table (row s equals
+sample s's own draws); the thinning limit floor(delta |S|) is an integer
+division too.  One row takes the blocks by a loop over a list of counts,
+the twin the tests hold the kernel to; more rows take each block by one
+numpy step over every row.  The randomized verifier
 reads its samples from any iterable, once, and sums their count rows, so
 samples can be verified as they are drawn without holding them all.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .groups import FiniteSubset, inverse_set, product_set_size, require_same_group, union_of
 from .rds import mean_and_se
-from .rng import _BLOCK, Tails, derive_seed, uniform01_stream, uniform01_table
+from .rng import _BLOCK, Tails, derive_seed, uniform01_table
 
 
 # Counts per tally chunk: the verifier sums at most this many, or one
@@ -56,10 +56,12 @@ _TALLY_CHUNK = 1 << 16
 # The dtype of a solution's counts.
 _COUNT = np.int32
 
-# Chunks of fewer samples are thinned one sample at a time.  The kernel's
-# cost per block barely depends on the rows: over criterion 7's random
-# instances it took 4.8-5.4 times the scalar loop's time at one row, 1.0
-# times at six and 0.76-0.83 times at eight (2-core x86-64, numpy 2).
+# Chunks of fewer samples are cut into one-row passes.  The kernel's cost
+# per block barely depends on the rows: over criterion 7's random instances
+# and the forced-q1 control, r rows took 2.1 times r one-row passes at two
+# rows, 1.1 times at four, 0.9 at five and 0.6 at eight (2-core x86-64,
+# numpy 2).  The rule ignores block size, and the kernel costs more per
+# point on small blocks, so it stays above that crossover.
 _KERNEL_ROWS = 8
 
 
@@ -91,6 +93,11 @@ class _Instance:
     def _rows(self) -> tuple:
         """Each layer's blocks as lists of Python ints, for the one-row loop."""
         return tuple(blocks.tolist() for _, _, _, blocks in self.layers)
+
+    @functools.cached_property
+    def _picks(self) -> tuple:
+        """Each layer's pick key + (center,) of every center, shared by all passes."""
+        return tuple([key + (a,) for a in centers] for key, _, centers, _ in self.layers)
 
     def _layers(self, keyed) -> tuple:
         """(key, |S|, centers, blocks) for each (key, S, A) of `keyed`: centers
@@ -288,35 +295,77 @@ def _require_hypotheses(inst) -> None:
         raise HypothesisError(f"instance fails hypotheses: {', '.join(report.failures)}")
 
 
-def _thin(inst, kept) -> CoverSolution:
-    """The one-row thinning loop, over the layers in decreasing key order:
-    accept a block iff its overlap with the already-covered region is at
-    most delta * |shape|.
+def _thin(inst, seeds) -> tuple:
+    """The one thinning pass: the picks, total sizes and count rows of the
+    cover of each seed of `seeds`, or of the greedy row if seeds is None.
+    It checks the hypotheses first, and holds no CoverSolution, so a sample
+    lives no longer than its reader keeps it.
 
-    As each layer opens, kept(key, |shape|, centers, covered) is given the
-    number of points covered so far and returns None to end the pass, or
-    whether each center is retained.  Overlaps are integers, so comparing
-    them with floor(delta * |shape|), taken in integers, is exact.
+    Layers are taken in decreasing key order.  As each opens, a row keeps
+    each center with probability q = num / den on Python ints:
+    q = delta (alpha |F| - |covered so far|) / |shape|, where the greedy
+    row's goal alpha |F| is 1 / 0, so its q stays above 1.  The pass ends
+    where every row has q <= 0: coverage never shrinks, so such a row would
+    keep nothing from then on.  The rows with 0 < q < 1 draw one keep table
+    (row r equals seeds[r]'s own stream), and int true division rounds
+    correctly, so the threshold is float(q).  Then a kept block is
+    accepted iff its overlap with the row's covered points is at most
+    floor(delta |shape|), exact in integers.  One row takes the blocks by
+    a loop over a list of counts; more rows take each block by one numpy
+    step over a matrix with one column per row.
     """
+    _require_hypotheses(inst)
     dn, dd = inst.delta.numerator, inst.delta.denominator
-    counts = [0] * len(inst.points)
-    held = counts.__getitem__
-    picks = []
-    total = covered = 0
-    for (key, size, centers, _), rows in zip(reversed(inst.layers), reversed(inst._rows)):
-        flags = kept(key, size, centers, covered)
-        if flags is None:
+    if seeds is None:
+        seeds, gn, gd = [None], 1, 0
+    else:
+        gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
+    one = len(seeds) == 1
+    counts = [0] * len(inst.points) if one else np.zeros((len(inst.points), len(seeds)), _COUNT)
+    covered = [0] * len(seeds)
+    picks = [[] for _ in seeds]
+    for layer, (key, size, centers, blocks) in reversed(tuple(enumerate(inst.layers))):
+        den = dd * gd * size
+        nums = [dn * (gn - u * gd) for u in covered]
+        if max(nums) <= 0:
             break
+        keep = np.zeros((len(centers), len(seeds)), bool)
+        keep[:, [r for r, num in enumerate(nums) if num >= den]] = True
+        drawn = [r for r, num in enumerate(nums) if 0 < num < den]
+        if drawn:
+            table = uniform01_table([seeds[r] for r in drawn], ("keep", *key), centers)
+            keep[:, drawn] = table.T < np.array([nums[r] / den for r in drawn])
         limit = dn * size // dd
-        for center, block in itertools.compress(zip(centers, rows), flags):
-            overlap = size - list(map(held, block)).count(0)
-            if overlap <= limit:
-                picks.append(key + (center,))
-                total += size
-                covered += size - overlap
-                for p in block:
-                    counts[p] += 1
-    return CoverSolution(tuple(picks), total, inst.points, np.array(counts, _COUNT).tobytes())
+        if one:
+            held, accepted, (u,) = counts.__getitem__, [], covered
+            for c, block in itertools.compress(enumerate(inst._rows[layer]), keep[:, 0].tolist()):
+                fresh = list(map(held, block)).count(0)
+                if size - fresh <= limit:
+                    accepted.append(c)
+                    u += fresh
+                    for p in block:
+                        counts[p] += 1
+            covered, hits = [u], zip(itertools.repeat(0), accepted)
+        else:
+            for block, kept in zip(blocks, keep):
+                held = counts[block]
+                kept &= np.count_nonzero(held, axis=0) <= limit
+                held += kept
+                counts[block] = held
+            covered = np.count_nonzero(counts, axis=0).tolist()
+            hits = zip(*(ix.tolist() for ix in np.nonzero(keep.T)))
+        layer_picks = inst._picks[layer]
+        for r, c in hits:
+            picks[r].append(layer_picks[c])
+    # the blocks of a passing instance lie in F, so a row's counts sum to its total size
+    counts = np.array([counts], _COUNT) if one else counts.T
+    return list(map(tuple, picks)), counts.sum(axis=1, dtype=np.int64).tolist(), counts
+
+
+def _solution(inst, thinned: tuple, row: int) -> CoverSolution:
+    """Row `row` of a _thin pass, as a CoverSolution."""
+    picks, totals, counts = thinned
+    return CoverSolution(picks[row], totals[row], inst.points, counts[row].tobytes())
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
@@ -328,8 +377,7 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
     that bound is asserted on every run.  The stronger conclusion
     inequalities are the verifier's to evaluate per instance.
     """
-    _require_hypotheses(inst)
-    sol = _thin(inst, lambda *layer: itertools.repeat(True))
+    sol = _solution(inst, _thin(inst, None), 0)
     assert (1 - inst.delta) * sol.total_size <= sol.union_size
     return sol
 
@@ -340,73 +388,13 @@ def sample_random_cover(inst: RandomCoverInstance, seed: int, chunk=None) -> Cov
     At the start of each layer the retention probability is
     q = min(1, delta * max(0, alpha |F| - |covered so far|) / |shape|),
     so sampling pressure decays as the target coverage is approached;
-    retained centers are then thinned exactly like the greedy builder.
-    Coverage never shrinks, so the pass ends at the first layer with
-    q = 0.  q is num / den in integers: both tests are exact, and int
-    true division rounds correctly, so the keep threshold is float(q).
-    The output is a pure function of (instance, seed).  `chunk`, if given,
-    is (thin, row) from iter_samples: thin() is its chunk thinned at once
-    (_thin_chunk) on the first call, and this seed's is the row-th row.
+    retained centers are then thinned exactly like the greedy builder
+    (_thin).  The output is a pure function of (instance, seed).
+    `chunk`, if given, is (thin, row) from iter_samples: thin() is the
+    _thin pass of this seed's chunk, cached, and this seed's is its row.
     """
-    _require_hypotheses(inst)
-    if chunk:
-        thin, row = chunk
-        picks, totals, counts = thin()
-        return CoverSolution(picks[row], totals[row], inst.points, counts[row].tobytes())
-    dn, dd = inst.delta.numerator, inst.delta.denominator
-    gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
-
-    def kept(key, size, centers, covered):
-        num, den = dn * (gn - covered * gd), dd * gd * size
-        if num <= 0:
-            return None
-        if num >= den:
-            return itertools.repeat(True)
-        return (uniform01_stream(seed, "keep", *key).many(centers) < num / den).tolist()
-
-    return _thin(inst, kept)
-
-
-def _thin_chunk(inst: RandomCoverInstance, seeds: list) -> tuple:
-    """The picks, total sizes and count rows of sample_random_cover(inst, seed)
-    for every seed, thinned at once; no CoverSolution is held here, so a
-    sample lives no longer than its reader keeps it.
-
-    counts has one column per sample, and each layer is one step for every
-    sample: its q as num / den in Python ints, one keep table for the
-    samples with 0 < q < 1; then, per block, gather its positions' counts,
-    count the overlaps, compare them with floor(delta |S|) and add one for
-    the accepted samples.  A sample with q <= 0 keeps nothing from then
-    on, as its pass would end there.  The count rows returned are a
-    transposed view, so no second matrix is made.
-    """
-    dn, dd = inst.delta.numerator, inst.delta.denominator
-    gn, gd = inst.alpha.numerator * len(inst.ambient), inst.alpha.denominator
-    counts = np.zeros((len(inst.points), len(seeds)), _COUNT)
-    picks = [[] for _ in seeds]
-    totals = np.zeros(len(seeds), np.int64)
-    for (i, j), size, centers, blocks in reversed(inst.layers):
-        den = dd * gd * size
-        nums = [dn * (gn - u * gd) for u in np.count_nonzero(counts, axis=0).tolist()]
-        if max(nums) <= 0:
-            break
-        keep = np.zeros((len(centers), len(seeds)), bool)
-        keep[:, [r for r, num in enumerate(nums) if num >= den]] = True
-        drawn = [r for r, num in enumerate(nums) if 0 < num < den]
-        if drawn:
-            table = uniform01_table([seeds[r] for r in drawn], ("keep", i, j), centers)
-            keep[:, drawn] = table.T < np.array([nums[r] / den for r in drawn])
-        limit = dn * size // dd
-        for block, kept in zip(blocks, keep):
-            held = counts[block]
-            kept &= np.count_nonzero(held, axis=0) <= limit
-            held += kept
-            counts[block] = held
-        totals += size * np.count_nonzero(keep, axis=0)
-        layer_picks = [(i, j, a) for a in centers]
-        for r, c in zip(*(ix.tolist() for ix in np.nonzero(keep.T))):
-            picks[r].append(layer_picks[c])
-    return list(map(tuple, picks)), totals.tolist(), counts.T
+    thin, row = chunk or (functools.partial(_thin, inst, [seed]), 0)
+    return _solution(inst, thin(), row)
 
 
 @dataclass(frozen=True)
@@ -547,16 +535,16 @@ def iter_samples(inst: RandomCoverInstance, samples: int, seed: int) -> Iterator
     derive_seed(seed, "cover", s)).  The samples come in chunks of
     max(1, min(_BLOCK // most centers in a layer, _TALLY_CHUNK // |F|)),
     so a chunk's keep tables and counts stay within those sizes; the first
-    sample of a chunk of at least _KERNEL_ROWS thins the whole chunk
-    (_thin_chunk), and a smaller chunk's samples are thinned one by one."""
+    sample of a chunk of at least _KERNEL_ROWS thins the whole chunk by one
+    _thin pass, and a narrower chunk is cut into one-row passes."""
     most = max(1, *(len(A) for row in inst.centers for A in row))
     width = max(1, min(_BLOCK // most, _TALLY_CHUNK // max(1, len(inst.ambient))))
     for first in range(0, samples, width):
         seeds = [derive_seed(seed, "cover", s) for s in range(first, min(first + width, samples))]
-        thin = functools.cache(functools.partial(_thin_chunk, inst, seeds))
-        for row, sample_seed in enumerate(seeds):
-            yield sample_random_cover(inst, sample_seed,
-                                      (thin, row) if len(seeds) >= _KERNEL_ROWS else None)
+        for part in [seeds] if len(seeds) >= _KERNEL_ROWS else [[s] for s in seeds]:
+            thin = functools.cache(functools.partial(_thin, inst, part))
+            for row, sample_seed in enumerate(part):
+                yield sample_random_cover(inst, sample_seed, (thin, row))
 
 
 def sample_many(inst: RandomCoverInstance, samples: int, seed: int) -> list:

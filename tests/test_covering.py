@@ -803,7 +803,20 @@ class TestHypothesesOncePerInstance:
         ]
         assert sample_many(inst, 50, seed) == expected
 
-    def test_failing_instances_still_raise(self):
+    def test_one_check_per_thinning_pass(self, monkeypatch):
+        # a full chunk and a one-sample chunk are two _thin passes, so two checks
+        inst = multiplicity_chain_instance()
+        width = _width(inst)
+        assert width >= covering_mod._KERNEL_ROWS
+        calls, require = [], covering_mod._require_hypotheses
+        monkeypatch.setattr(covering_mod, "_require_hypotheses",
+                            lambda inst: calls.append(inst) or require(inst))
+        assert len(sample_many(inst, width + 1, 7)) == width + 1
+        assert calls == [inst, inst]
+
+    def test_failing_instances_still_raise(self, monkeypatch):
+        # before any keep draw
+        monkeypatch.setattr(covering_mod, "uniform01_table", lambda *a: pytest.fail("drawn"))
         no_centers = RandomCoverInstance.create(
             Z1.box(20), [[Z1.box(2)]], [[subset_from_coords(Z1, [])]], K=Z1.box(4), C=Fraction(6),
             alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2))
@@ -883,26 +896,25 @@ class TestKeepTables:
         return [sample_random_cover(inst, derive_seed(seed, "cover", k)) for k in range(samples)]
 
     def check(self, inst, samples, seed, monkeypatch) -> tuple:
-        """Compare iter_samples, thinning every chunk by the kernel, with the
-        scalar twin sample by sample; return the seeds of each chunk it
-        thinned and (seeds, prefix, tails) of each keep table it drew.  It
-        draws no stream one by one."""
+        """Compare iter_samples, thinning every chunk of two or more rows by
+        the kernel, with the one-row list loop sample by sample; return the
+        seeds of each _thin pass and (seeds, prefix, tails) of each keep
+        table it drew."""
         expected = self.per_sample(inst, samples, seed)
         chunks, drawn = [], []
-        thin_chunk, table = covering_mod._thin_chunk, covering_mod.uniform01_table
+        thin, table = covering_mod._thin, covering_mod.uniform01_table
 
         def thinning(inst, seeds):
             chunks.append(list(seeds))
-            return thin_chunk(inst, seeds)
+            return thin(inst, seeds)
 
         def recording(seeds, prefix, tails):
             drawn.append((tuple(seeds), prefix, tails))
             return table(seeds, prefix, tails)
 
         monkeypatch.setattr(covering_mod, "_KERNEL_ROWS", 1)
-        monkeypatch.setattr(covering_mod, "_thin_chunk", thinning)
+        monkeypatch.setattr(covering_mod, "_thin", thinning)
         monkeypatch.setattr(covering_mod, "uniform01_table", recording)
-        monkeypatch.setattr(covering_mod, "uniform01_stream", lambda *a: pytest.fail("scalar"))
         for k, (got, want) in enumerate(zip(iter_samples(inst, samples, seed), expected,
                                             strict=True)):
             assert got == want, k
@@ -952,14 +964,19 @@ class TestKeepTables:
     @pytest.mark.parametrize("build", [multiplicity_chain_instance, two_open_layers_instance])
     def test_chunks_below_the_kernel_rows_take_the_scalar_loop(self, build, monkeypatch):
         inst = build()
-        thinned, thin_chunk = [], covering_mod._thin_chunk
-        monkeypatch.setattr(covering_mod, "_thin_chunk",
-                            lambda inst, seeds: thinned.append(len(seeds)) or thin_chunk(inst, seeds))
         rows = covering_mod._KERNEL_ROWS
-        assert list(iter_samples(inst, rows - 1, 9)) == self.per_sample(inst, rows - 1, 9)
-        assert thinned == []
-        assert list(iter_samples(inst, rows, 9)) == self.per_sample(inst, rows, 9)
-        assert thinned == [rows]
+        expected = self.per_sample(inst, rows, 9)
+        seeds = [derive_seed(9, "cover", k) for k in range(rows)]
+        thinned, thin = [], covering_mod._thin
+        monkeypatch.setattr(covering_mod, "_thin",
+                            lambda inst, seeds: thinned.append(seeds) or thin(inst, seeds))
+        # a chunk of rows - 1 samples is cut into one-row passes, one of rows is one pass
+        for width, passes in ((rows - 1, [[s] for s in seeds[:-1]]), (rows, [seeds])):
+            monkeypatch.setattr(covering_mod, "_BLOCK", width * _most_centers(inst) + 1)
+            assert _width(inst) == width
+            thinned.clear()
+            assert list(iter_samples(inst, width, 9)) == expected[:width]
+            assert thinned == passes
 
     def test_samples_still_come_one_at_a_time(self):
         # a chunk's seeds are derived as it starts, so a huge count costs nothing
