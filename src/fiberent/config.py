@@ -421,10 +421,20 @@ def _validate_schedule(v: dict) -> list:
     return issues
 
 
+# The most pairs |k_set| x |union_j centers_i_j| of one row i, which
+# check_hypotheses's alpha-coverage row multiplies out to size K A_i exactly.
+# At 2^21 (384 entries spaced 10^7 times the 5,461 centers of a 2^14-point
+# cover, same host as _WINDOW_CAP) cover-demo took 0.7-1.1 s at 82 MiB RSS on
+# the numpy sort route, and 1.8-3.3 s at 295 MiB when entries near 2^62 send
+# the product to the Python twin, whose set of products sets the cap.
+_COVERAGE_PAIRS_CAP = 2 ** 21
+
+
 def _validate_cover_keys(v: dict) -> list:
     """Each shape needs its center list and each center list its shape; the
     ambient window, and the blocks S a of all shapes in total, hold at most
-    _WINDOW_CAP points."""
+    _WINDOW_CAP points; k_set times each row's centers, at most
+    _COVERAGE_PAIRS_CAP pairs."""
     arity = _COVER_ARITY[v["kind"]]
     shapes, centers = family(v, "shape", arity), family(v, "centers", arity)
     issues = [(key.replace("shape", "centers"), f"missing centers for {key}")
@@ -441,6 +451,12 @@ def _validate_cover_keys(v: dict) -> list:
         if points > _WINDOW_CAP:
             issues.append((key, "cover blocks exceed 2^20 points"))
             break
+    rows: dict = {}
+    for index, key in centers.items():
+        rows.setdefault(index[0], set()).update(v[key])
+    k_size = len(set(v.get("k_set", ())))
+    if arity == 2 and k_size * max(map(len, rows.values()), default=0) > _COVERAGE_PAIRS_CAP:
+        issues.append(("k_set", "k_set times one row's centers exceeds 2^21 pairs"))
     return issues
 
 

@@ -10,14 +10,17 @@ Elements are immutable and carry their group, so mixed-group operations
 fail loudly.  A finite subset is its group plus a frozenset of coordinate
 tuples, the same keys every other layer uses for sites; GroupElements
 appear only at its boundary (`subset`, iteration, `in`,
-`sorted_elements`).  All set operations are exact.  Set products run as
-numpy int64 kernels: each product e * f is encoded as a linear key on the
-bounding box of E * F, which is worked out first in Python integers.
-When a coordinate, a bound or the box volume would not fit in int64 with
-a factor-2 margin (|value| <= 2^62), the product falls back to Python
-pair enumeration, whose integers never overflow.  A union of products
-with a common factor is taken as one product of the union, since
-(A_1 u ... u A_k) B = A_1 B u ... u A_k B.
+`sorted_elements`).  All set operations are exact.  A set product keys
+each e * f in int64 by its offset in the bounding box of E * F, which is
+worked out first in Python integers, and dedupes the keys by one of three
+routes: a bitmap over the box when it is small next to the pair count,
+the support of an FFT convolution for large dense Z^d products, and
+otherwise a sort of each chunk of keys, then of their union.  An empty
+factor, or a coordinate, bound or box volume past int64 with a factor-2
+margin (|value| <= 2^62), takes the Python twin, which enumerates every
+pair in Python integers.  A union of products with a common factor is
+taken as one product of the union, since (A_1 u ... u A_k) B = A_1 B u
+... u A_k B.
 """
 
 from __future__ import annotations
@@ -241,7 +244,11 @@ _INT64_MARGIN = 2 ** 62
 _CHUNK_PAIRS = 1 << 20
 # A bitmap over the box marks keys when the box is at most
 # _BITMAP_PAIRS_FACTOR times the pair count and at most _BITMAP_MAX cells;
-# sparser products keep a running sorted unique instead.
+# sparser products sort their keys.  At 2^20 pairs on Z (2-core x86_64,
+# numpy 2.4) the bitmap took 4-15 ms up to 8x and 30-48 ms at 16x and 32x,
+# the sort 20-33 ms at every ratio.  Factor 4 stays: the bitmap holds a
+# byte per box cell whatever the pair count, no benchmark part reaches the
+# sort route, and no test's sparse product has more than 7,200 pairs.
 _BITMAP_PAIRS_FACTOR = 4
 _BITMAP_MAX = 1 << 26
 
@@ -281,7 +288,11 @@ class _Plan(NamedTuple):
 
 
 def _plan(E: FiniteSubset, F: FiniteSubset) -> Optional[_Plan]:
-    """The keying plan for E * F, or None when int64 cannot hold it safely."""
+    """The keying plan for E * F, or None for the Python twin: when a factor
+    is empty or int64 cannot hold the product safely."""
+    require_same_group(E.group, F.group)
+    if not E.coords or not F.coords:
+        return None
     try:
         ea = np.array(list(E.coords), dtype=np.int64)
         fa = np.array(list(F.coords), dtype=np.int64)
@@ -323,6 +334,12 @@ def _key_chunks(plan: _Plan) -> Iterator[np.ndarray]:
         yield keys.ravel()
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Each key of a fresh, non-empty array once, in order; sorts it in place."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
 def _enumerated_keys(plan: _Plan) -> np.ndarray:
     """Sorted distinct keys of E * F from all pairs."""
     if plan.volume <= min(_BITMAP_PAIRS_FACTOR * plan.pairs, _BITMAP_MAX):
@@ -330,18 +347,7 @@ def _enumerated_keys(plan: _Plan) -> np.ndarray:
         for keys in _key_chunks(plan):
             seen[keys] = True
         return np.flatnonzero(seen)
-    # Merge chunk uniques only once they outweigh the running result, so
-    # each key is re-sorted O(log) times.
-    acc = np.empty(0, dtype=np.int64)
-    pending: list = []
-    waiting = 0
-    for keys in _key_chunks(plan):
-        pending.append(np.unique(keys))
-        waiting += pending[-1].size
-        if waiting > acc.size:
-            acc = np.unique(np.concatenate([acc, *pending]))
-            pending, waiting = [], 0
-    return np.unique(np.concatenate([acc, *pending])) if pending else acc
+    return _sorted_distinct(np.concatenate([_sorted_distinct(k) for k in _key_chunks(plan)]))
 
 
 def _fast_len(n: int) -> int:
@@ -401,17 +407,8 @@ def _decode(plan: _Plan, keys: np.ndarray) -> FiniteSubset:
 
 
 def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
-    """Exact set product {e * f : e in E, f in F}, deduplicated.
-
-    Products are keyed on the bounding box of E * F and deduplicated in
-    int64: large dense Z^d products as the support of an FFT convolution
-    of indicator arrays (checked entry by entry, else enumerated), all
-    others by enumerating every pair in numpy.  When int64 cannot hold
-    the box with margin, the pairs are enumerated in Python integers.
-    """
-    require_same_group(E.group, F.group)
-    if not E.coords or not F.coords:
-        return FiniteSubset(E.group, frozenset())
+    """Exact set product {e * f : e in E, f in F}, deduplicated by the
+    route its plan selects (see the module docstring)."""
     plan = _plan(E, F)
     if plan is None:
         return _product_set_naive(E, F)
@@ -433,9 +430,6 @@ def _zd_product_fft(E: FiniteSubset, F: FiniteSubset, plan: _Plan) -> FiniteSubs
 
 def product_set_size(E: FiniteSubset, F: FiniteSubset) -> int:
     """|EF| without building EF's elements; the keys are only counted."""
-    require_same_group(E.group, F.group)
-    if not E.coords or not F.coords:
-        return 0
     plan = _plan(E, F)
     if plan is None:
         return len(_product_set_naive(E, F))

@@ -956,6 +956,26 @@ class TestCliRuns:
         assert capsys.readouterr().err == f"config error: key '{key}' (line {line}): {reason}\n"
         assert not Path(out).exists()
 
+    # check_hypotheses sizes K A_i for each row i of a random cover, so k_set
+    # times a row's centers is capped at 2^21 pairs: 384 x 5,461 is at the
+    # cap, 385 x 5,461 past it.  A repeated entry or center counts once.
+    def test_cover_demo_coverage_pairs_cap(self, tmp_path, capsys):
+        centers = [str(c) for c in range(0, 16381, 3)]
+
+        def text(entries):
+            k_set = ", ".join(str(i * 10 ** 7) for i in [*range(entries), 0])
+            return ("seed = 1\nkind = random\nambient_n = 16384\ndelta = 0.25\n"
+                    f"epsilon = 0.5\nalpha = 0.5\nc = 6\nk_set = {k_set}\n"
+                    f"shape_1_1 = 4\ncenters_1_1 = {', '.join(centers[:3000])}\n"
+                    f"shape_1_2 = 4\ncenters_1_2 = {', '.join(centers[2000:])}\n")
+
+        assert parse_config(text(384), "cover-demo").get("k_set")[383] == 383 * 10 ** 7
+        rc, out = run(tmp_path, "cover-demo", text(385))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: key 'k_set' (line 8): k_set times one row's centers exceeds 2^21 pairs\n")
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("subcommand", ["cond-entropy", "folner-check", "cocycle-check",
                                             "cover-demo"])
     def test_workers_flag_is_smb_run_only(self, tmp_path, capsys, subcommand):

@@ -233,7 +233,11 @@ def test_product_kernel_dense_boxes_use_bitmap(group, monkeypatch):
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
-def test_product_kernel_sparse_sets_use_sorted_unique(group, monkeypatch):
+def test_product_kernel_sparse_sets_use_sort(group, monkeypatch):
+    def no_unique(*args, **kwargs):
+        raise AssertionError("sparse products dedupe by np.sort, not np.unique")
+
+    monkeypatch.setattr(np, "unique", no_unique)
     dims = len(group.identity().coords)
     E = subset_from_coords(
         group, {tuple(random_element(group, 10 ** 4, 5, "e", i).coords) for i in range(60)})
@@ -242,11 +246,17 @@ def test_product_kernel_sparse_sets_use_sorted_unique(group, monkeypatch):
         | {(0,) * dims, (1,) + (0,) * (dims - 1)})
     plan = groups_mod._plan(E, F)
     assert plan.volume > groups_mod._BITMAP_PAIRS_FACTOR * plan.pairs
-    # Chunks of a few rows each exercise the running merge of uniques.
+    # Chunks of a few rows each exercise the sort of each chunk and the
+    # sort of their union.
     monkeypatch.setattr(groups_mod, "_CHUNK_PAIRS", 90)
     assert_kernel_matches_naive(E, F)
-    # A set times its own translate repeats products across chunks.
-    assert_kernel_matches_naive(E, union_of([E, translate(E, group.element(*([1] * dims)))]))
+    # A set times its own translate repeats products across chunks in Z^d.
+    t = group.element(*([1] * dims))
+    assert_kernel_matches_naive(E, union_of([E, translate(E, t)]))
+    # (e t^-1) t = e: with a two-point right factor each chunk holds many
+    # rows, so in every group keys repeat within chunks and across them.
+    assert_kernel_matches_naive(union_of([E, translate(E, t.inverse())]),
+                                subset(group, [group.identity(), t]))
 
 
 def test_heisenberg_negative_coordinates_twist_bounds():
@@ -404,7 +414,17 @@ def test_group_mismatch_is_rejected():
     with pytest.raises(GroupMismatchError):
         product_set(Z1.box(2), Z2.box(2, 2))
     with pytest.raises(GroupMismatchError):
+        product_set_size(Z1.box(2), subset(Z2, []))
+    with pytest.raises(GroupMismatchError):
         translate(Z1.box(2), Z2.element(0, 0))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.tag)
+def test_product_with_an_empty_factor_is_empty(group):
+    empty, box = subset(group, []), group.box(*([2] * group.rank))
+    for E, F in ((empty, box), (box, empty), (empty, empty)):
+        assert product_set(E, F) == empty
+        assert product_set_size(E, F) == 0
 
 
 def test_element_arity_is_checked():
