@@ -8,10 +8,12 @@ runs; an issue with it cites line 0.
 
 Every run writes two artifacts: a CSV of the `entropy.TraceRow`s its
 runner returns, under the header of their six fields (12 significant
-digits, empty fields where a field is None) and a `key: value`
-summary report at <out>.summary.  Each file is written to a temporary
-file in its directory and then renamed over the target, so a failing run
-leaves each artifact either whole or untouched, never truncated.
+digits, empty fields where a field is None) at <out>, the config's out
+or else <subcommand>.csv, and a `key: value` summary report at
+<out>.summary, headed by the subcommand.  Each file is written to a
+temporary file in its directory and then renamed over the target, so a
+failing run leaves each artifact either whole or untouched, never
+truncated.
 
 Exit codes: 0 success, 2 configuration error, 3 assertion failure,
 4 I/O error, 5 internal error.  Every configuration error is caught by
@@ -81,7 +83,6 @@ def _run_smb(cfg: ExperimentConfig):
     final = trace.final
     ok = tolerance is None or final.abs_error <= tolerance
     summary = [
-        ("subcommand", "smb-run"),
         ("model", model.kind),
         ("group", model.group.tag),
         ("trajectories", cfg.get("trajectories")),
@@ -105,7 +106,6 @@ def _run_cond_entropy(cfg: ExperimentConfig):
     ok = tolerance is None or all(r.abs_error <= tolerance for r in checked)
     worst = max((r.abs_error for r in checked), default=0.0)
     summary = [
-        ("subcommand", "cond-entropy"),
         ("model", model.kind),
         ("method", cfg.get("method")),
         ("rows", len(trace.rows)),
@@ -124,7 +124,6 @@ def _run_folner_check(cfg: ExperimentConfig):
     bound = cfg.get("tempered_bound")
     ok = report.ok and (bound is None or all(c <= bound for c in report.tempered))
     summary = [
-        ("subcommand", "folner-check"),
         ("group", group.tag),
         ("sets", len(report.sizes)),
         ("identity_ok", report.identity_ok),
@@ -155,7 +154,6 @@ def _run_cocycle_check(cfg: ExperimentConfig):
     rows = [TraceRow(1, len(window), frac, 1.0, None)]
     ok = passed == checks
     summary = [
-        ("subcommand", "cocycle-check"),
         ("model", model.kind),
         ("group", group.tag),
         ("window_size", len(window)),
@@ -171,7 +169,6 @@ def _run_cover_demo(cfg: ExperimentConfig):
     kind = cfg.get("kind")
     hyp = inst.hypotheses
     summary = [
-        ("subcommand", "cover-demo"),
         ("kind", kind),
         ("ambient_size", len(ambient)),
         ("hypotheses", "pass" if hyp.ok else "fail"),
@@ -225,7 +222,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 # Config keys a command-line flag may give, each where its schema has it.
-_OVERRIDES = ("seed", "workers")
+_OVERRIDES = ("out", "seed", "workers")
 
 _RUNNERS = {
     "smb-run": _run_smb,
@@ -245,7 +242,6 @@ def _parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--out", help="CSV output path (default: <subcommand>.csv)")
         for key in _OVERRIDES:
             if key in _SCHEMAS[name]:
                 p.add_argument(f"--{key}", default=argparse.SUPPRESS, help=f"the config's {key}")
@@ -266,16 +262,14 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
         return EXIT_CONFIG
-    out_path = args.out or cfg.get("out") or f"{args.subcommand}.csv"
+    out_path = cfg.get("out") or f"{args.subcommand}.csv"
     try:
-        rows, summary, ok = _RUNNERS[args.subcommand](cfg)
+        rows, pairs, ok = _RUNNERS[args.subcommand](cfg)
     except Exception as exc:
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
-    summary.append(("assertion", "pass" if ok else "fail"))
-    summary.append(("seed", cfg.get("seed")))
-    summary.append(("rng", RNG_VERSION))
-    summary.append(("csv", out_path))
+    summary = [("subcommand", args.subcommand), *pairs, ("assertion", "pass" if ok else "fail"),
+               ("seed", cfg.get("seed")), ("rng", RNG_VERSION), ("csv", out_path)]
     try:
         _write_atomic(out_path, _csv_text(rows))
         _write_atomic(out_path + ".summary", _summary_text(summary))

@@ -327,8 +327,6 @@ def _validate_variant(schema: dict, v: dict, lines: dict) -> list:
     reads, and the required keys the chosen one reads but the config lacks."""
     issues = []
     for selector in dict.fromkeys(e.read_by[0] for e in schema.values() if e.read_by):
-        if selector not in v:
-            continue
         chosen, label = (selector, v[selector]), f"{selector} = {v[selector]}"
         for key in lines:
             read_by = _lookup(schema, key).read_by

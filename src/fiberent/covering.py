@@ -16,16 +16,12 @@ S a once, as its cached `layers`, each block an int array of positions
 hypotheses and every run of either construction read them.  A solution
 is its picks, its total size and one count per position.
 Both constructions run one thinning pass, _thin, over one or more rows:
-the greedy row, one sample, or a chunk of samples from iter_samples.  Per
-layer, each row's q is an integer ratio num / den, so its tests against
-0 and 1 are exact and its keep threshold is float(q), and the rows with
-0 < q < 1 draw their keeps as one rng.uniform01_table (row s equals
-sample s's own draws); the thinning limit floor(delta |S|) is an integer
-division too.  One row takes the blocks by a loop over a list of counts,
-the twin the tests hold the kernel to; more rows take each block by one
-numpy step over every row.  The randomized verifier
-reads its samples from any iterable, once, and sums their count rows, so
-samples can be verified as they are drawn without holding them all.
+the greedy row, one sample, or a chunk of samples from iter_samples; its
+docstring states the keep and acceptance rules.  check_hypotheses joins
+the inverted shapes once, in key order, and each growth row reads that
+running union.  The randomized verifier reads its samples from any
+iterable, once, and sums their count rows, so samples can be verified as
+they are drawn without holding them all.
 
 The underlying covering lemmas are existence statements; these builders
 realize the standard constructions and the verifiers evaluate the stated
@@ -170,17 +166,12 @@ class RandomCoverInstance(_Instance):
     def create(ambient, shapes, centers, K, C, alpha, delta, epsilon) -> "RandomCoverInstance":
         if len(shapes) != len(centers) or not shapes:
             raise ValueError("need one center family per shape family")
-        for srow, crow in zip(shapes, centers):
-            if len(srow) != len(crow) or not srow:
-                raise ValueError("ragged shape/center families must still align")
+        if any(len(srow) != len(crow) or not srow for srow, crow in zip(shapes, centers)):
+            raise ValueError("ragged shape/center families must still align")
         return RandomCoverInstance(
-            ambient,
-            tuple(tuple(r) for r in shapes),
-            tuple(tuple(r) for r in centers),
-            K,
+            ambient, tuple(map(tuple, shapes)), tuple(map(tuple, centers)), K,
             Fraction(repr(C)) if isinstance(C, float) else Fraction(C),
-            _as_unit_fraction(alpha, "alpha"),
-            _as_unit_fraction(delta, "delta"),
+            _as_unit_fraction(alpha, "alpha"), _as_unit_fraction(delta, "delta"),
             _as_unit_fraction(epsilon, "epsilon"),
         )
 
@@ -214,13 +205,27 @@ class HypothesisReport:
         return tuple(r.name for r in self.rows if not r.ok)
 
 
+def _inverted_unions(shapes) -> Iterator[FiniteSubset]:
+    """S_1^-1 u ... u S_t^-1 for t = 1, 2, ... over `shapes` in key order:
+    each shape is inverted once and joins the union only if it adds points."""
+    return itertools.accumulate(map(inverse_set, shapes),
+                                lambda u, S: u if S.coords <= u.coords else union_of((u, S)))
+
+
+def _growth_row(name, inverse, target, factor, strict) -> CheckRow:
+    """|inverse target| against factor |target|, by < if strict, else by <=."""
+    lhs, rhs = Fraction(product_set_size(inverse, target)), factor * len(target)
+    return CheckRow(name, lhs, rhs, lhs < rhs if strict else lhs <= rhs)
+
+
 def check_hypotheses(inst) -> HypothesisReport:
     """Exact evaluation of every hypothesis inequality of the instance.
 
     A containment row passes when every center of its layer lies in F and
     so does every block built from it.  Each union of products with a
-    common factor is evaluated as one product of the union:
-    union_j S_j^-1 T = (union_j S_j)^-1 T and union_A K A = K (union A).
+    common factor is evaluated as one product of the union: union_A K A =
+    K (union A), and union_j S_j^-1 T = (union_j S_j^-1) T, where each
+    growth row reads the running union of _inverted_unions at its prefix.
     """
     if not isinstance(inst, (CoverInstance, RandomCoverInstance)):
         raise TypeError(f"unsupported instance type {type(inst).__name__}")
@@ -232,27 +237,21 @@ def check_hypotheses(inst) -> HypothesisReport:
         rows.append(CheckRow(name, Fraction(int(ok)), Fraction(1), ok))
 
     if isinstance(inst, CoverInstance):
-        growth = Fraction(1) + inst.epsilon
-        for i in range(1, len(inst.shapes)):
-            lhs = Fraction(
-                product_set_size(inverse_set(union_of(inst.shapes[:i])), inst.shapes[i]))
-            rhs = growth * len(inst.shapes[i])
-            rows.append(CheckRow(f"growth-{i}", lhs, rhs, lhs < rhs))
+        pairs = zip(inst.shapes[1:], _inverted_unions(inst.shapes))
+        rows.extend(_growth_row(f"growth-{i}", union, T, 1 + inst.epsilon, True)
+                    for i, (T, union) in enumerate(pairs, start=1))
         return HypothesisReport(tuple(rows))
 
-    def growth_row(name, limit, target, factor) -> CheckRow:
-        shapes = union_of(S for i, row in enumerate(inst.shapes)
-                          for j, S in enumerate(row) if (i, j) <= limit)
-        lhs = Fraction(product_set_size(inverse_set(shapes), target))
-        rhs = factor * len(target)
-        return CheckRow(name, lhs, rhs, lhs <= rhs)
-
-    rows.extend(growth_row(f"growth-within-{i + 1}-{k + 1}", (i, k), row[k + 1], inst.C)
-                for i, row in enumerate(inst.shapes) for k in range(len(row) - 1))
-    rows.extend(growth_row(f"growth-across-{i + 1}-{k + 1}", (i, len(inst.shapes[i]) - 1),
-                           target, 1 + inst.epsilon)
-                for i in range(len(inst.shapes) - 1)
-                for k, target in enumerate(inst.shapes[i + 1]))
+    # Row i reads a union before each of its later shapes, and one through its end.
+    unions, across = _inverted_unions(S for row in inst.shapes for S in row), []
+    for i, row in enumerate(inst.shapes, start=1):
+        rows.extend(_growth_row(f"growth-within-{i}-{k}", next(unions), T, inst.C, False)
+                    for k, T in enumerate(row[1:], start=1))
+        if i < len(inst.shapes):
+            union = next(unions)
+            across.extend(_growth_row(f"growth-across-{i}-{k}", union, T, 1 + inst.epsilon, False)
+                          for k, T in enumerate(inst.shapes[i], start=1))
+    rows.extend(across)
     threshold = inst.alpha * len(inst.ambient)
     for i, crow in enumerate(inst.centers, start=1):
         lhs = Fraction(product_set_size(inst.K, union_of(crow)))
@@ -312,7 +311,8 @@ def _thin(inst, seeds) -> tuple:
     accepted iff its overlap with the row's covered points is at most
     floor(delta |shape|), exact in integers.  One row takes the blocks by
     a loop over a list of counts; more rows take each block by one numpy
-    step over a matrix with one column per row.
+    step over a matrix with one column per row; the loop is the twin the
+    tests hold the kernel to.
     """
     _require_hypotheses(inst)
     dn, dd = inst.delta.numerator, inst.delta.denominator

@@ -495,6 +495,20 @@ class TestCliRuns:
         assert rc1 == rc4 == EXIT_OK
         assert Path(out1).read_bytes() == Path(out4).read_bytes()
 
+    def test_out_comes_from_the_config_unless_a_flag_gives_it(self, tmp_path, monkeypatch):
+        # the config's own `out` names the CSV; --out replaces it, like --seed
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, "own.cfg", "seed = 1\ngroup = zd:2\nn_max = 3\nout = own.csv\n")
+        assert main(["folner-check", "--config", cfg]) == EXIT_OK
+        assert main(["folner-check", "--config", cfg, "--out", "flag.csv"]) == EXIT_OK
+        assert not (tmp_path / "folner-check.csv").exists()
+        assert (tmp_path / "own.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        for name in ("own.csv", "flag.csv"):
+            assert (tmp_path / f"{name}.summary").read_text() == (
+                "subcommand: folner-check\ngroup: zd:2\nsets: 3\nidentity_ok: True\n"
+                "nested_ok: True\nsize_ok: True\nsize_strict: False\nmax_tempered: 16/9\n"
+                f"tempered_bound: none\nassertion: pass\nseed: 1\nrng: 2\ncsv: {name}\n")
+
     def test_assertion_failure_still_writes_artifacts(self, tmp_path):
         text = ("seed = 9\nmodel = bernoulli\np = 0.7, 0.3\nn_max = 6\n"
                 "trajectories = 5\ntolerance = 1e-12\n")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberent.covering as covering_mod
+import fiberent.groups as groups_mod
 from fiberent.groups import GroupMismatchError, HeisenbergGroup, ZdGroup, subset_from_coords
 from fiberent.rng import derive_seed, uniform01_stream
 from fiberent.covering import (
@@ -146,6 +148,13 @@ class TestInstanceValidation:
                 [[Z1.box(2), Z1.box(2)]],
                 [[subset_from_coords(Z1, [(0,)])]],
                 K=Z1.box(2), C=Fraction(4),
+                alpha=Fraction(1, 2), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
+            )
+
+    def test_random_instance_needs_a_shape_family(self):
+        with pytest.raises(ValueError, match="one center family per shape family"):
+            RandomCoverInstance.create(
+                Z1.box(4), [], [], K=Z1.box(2), C=Fraction(4),
                 alpha=Fraction(1, 2), delta=Fraction(1, 4), epsilon=Fraction(1, 2),
             )
 
@@ -1080,3 +1089,134 @@ class TestBlocksBuiltOnce:
             greedy_cover(z2_shape)
         with pytest.raises(GroupMismatchError):
             sample_random_cover(z2_random, 1)
+
+
+def reference_growth_rows(inst) -> list:
+    """Every growth row by the rule as the lemmas state it: each row unions
+    every earlier shape, inverts that union and enumerates its product with
+    the target pair by pair."""
+    group = inst.ambient.group
+    mc, inv = group.mul_coords, group.inverse_coords
+
+    def row(name, earlier, target, factor, strict):
+        union = set().union(*(S.coords for S in earlier))
+        lhs = Fraction(len({mc(inv(s), t) for s in union for t in target.coords}))
+        rhs = factor * len(target)
+        return covering_mod.CheckRow(name, lhs, rhs, lhs < rhs if strict else lhs <= rhs)
+
+    if isinstance(inst, CoverInstance):
+        return [row(f"growth-{i}", inst.shapes[:i], inst.shapes[i], 1 + inst.epsilon, True)
+                for i in range(1, len(inst.shapes))]
+    flat = [(i, j, S) for i, srow in enumerate(inst.shapes) for j, S in enumerate(srow)]
+    within = [row(f"growth-within-{i + 1}-{k}", [S for a, b, S in flat if (a, b) < (i, k)],
+                  srow[k], inst.C, False)
+              for i, srow in enumerate(inst.shapes) for k in range(1, len(srow))]
+    across = [row(f"growth-across-{i}-{k + 1}", [S for a, _, S in flat if a < i],
+                  target, 1 + inst.epsilon, False)
+              for i in range(1, len(inst.shapes)) for k, target in enumerate(inst.shapes[i])]
+    return within + across
+
+
+ORACLE_GROUPS = {"zd:1": (Z1, (7,)), "zd:2": (Z2, (3, 3)), "heisenberg": (H, (2, 2, 4))}
+
+
+def oracle_shape(rng, group, extents, earlier):
+    """A random non-empty shape: the identity alone (so the next row
+    passes), a subset of an earlier shape (so it may add no point to the
+    union), or a subset of a box around the origin."""
+    draw = rng.random()
+    if draw < 0.2:
+        return subset_from_coords(group, [group.identity().coords])
+    if earlier and draw < 0.45:
+        pool = sorted(rng.choice(earlier).coords)
+    else:
+        pool = [tuple(c - e // 2 for c, e in zip(p, extents))
+                for p in sorted(group.box(*extents).coords)]
+    return subset_from_coords(group, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def oracle_instance(kind, group_tag, seed):
+    """A seeded instance of `kind` on that group: random shapes in any size
+    order, ragged random rows, and one-point center sets."""
+    rng = random.Random(f"{kind}-{group_tag}-{seed}")
+    group, extents = ORACLE_GROUPS[group_tag]
+    ambient = group.box(*(3 * e for e in extents))
+    center = subset_from_coords(group, [group.identity().coords])
+    epsilon = Fraction(rng.randint(1, 9), 10)
+    shapes = []
+    rows = [rng.randint(1, 4) for _ in range(rng.randint(1, 3) if kind == "random" else 1)]
+    for length in rows:
+        shapes.append([])
+        for _ in range(length):
+            shapes[-1].append(oracle_shape(rng, group, extents, sum(shapes, [])))
+    if kind == "greedy":
+        return CoverInstance.create(ambient, shapes[0], [center] * len(shapes[0]),
+                                    Fraction(1, 4), epsilon)
+    return RandomCoverInstance.create(
+        ambient, shapes, [[center] * len(row) for row in shapes], group.box(*extents),
+        rng.choice([1, 2, 6]), Fraction(1, 2), Fraction(1, 4), epsilon)
+
+
+class TestGrowthRowOracle:
+    """Every growth row of check_hypotheses equals the union-every-earlier-
+    shape reference, over seeded greedy and random instances on each group."""
+
+    @pytest.mark.parametrize("group_tag", sorted(ORACLE_GROUPS))
+    @pytest.mark.parametrize("kind", ["greedy", "random"])
+    def test_growth_rows_match_the_reference(self, kind, group_tag):
+        seen = {"pass": 0, "fail": 0, "shrinking": 0, "ragged": 0, "no new point": 0}
+        for seed in range(12):
+            inst = oracle_instance(kind, group_tag, seed)
+            want = reference_growth_rows(inst)
+            rows = check_hypotheses(inst).rows
+            layers = len(inst.layers)
+            assert rows[layers:layers + len(want)] == tuple(want)
+            assert all(r.name.startswith("alpha-coverage-") for r in rows[layers + len(want):])
+            seen["pass"] += sum(r.ok for r in want)
+            seen["fail"] += sum(not r.ok for r in want)
+            flat = inst.shapes if kind == "greedy" else sum(inst.shapes, ())
+            seen["shrinking"] += any(len(a) > len(b) for a, b in zip(flat, flat[1:]))
+            seen["no new point"] += any(S.coords <= set().union(*(T.coords for T in flat[:t]))
+                                        for t, S in enumerate(flat) if t)
+            seen["ragged"] += kind == "random" and len(set(map(len, inst.shapes))) > 1
+        assert seen["pass"] and seen["fail"] and seen["shrinking"] and seen["no new point"]
+        assert seen["ragged"] or kind == "greedy"
+
+    def test_the_reference_agrees_on_the_suite_instances(self):
+        for build in GREEDY_INSTANCES + RANDOM_INSTANCES + (growth_failing_random_instance,):
+            inst = build()
+            growth = [r for r in check_hypotheses(inst).rows if r.name.startswith("growth")]
+            assert growth == reference_growth_rows(inst)
+
+
+class TestUnionWork:
+    """check_hypotheses joins each inverted shape into one running union."""
+
+    def test_unions_take_each_shape_once(self, monkeypatch):
+        # two rows of N shapes of distinct sizes, so every shape adds points
+        n = 12
+        shapes = [[Z1.box(s) for s in range(1, n + 1)],
+                  [Z1.box(s) for s in range(n + 1, 2 * n + 1)]]
+        centers = [[subset_from_coords(Z1, [(0,)])] * n] * 2
+        inst = RandomCoverInstance.create(
+            Z1.box(4 * n), shapes, centers, K=Z1.box(4), C=Fraction(6),
+            alpha=Fraction(1, 10), delta=Fraction(1, 4), epsilon=Fraction(1, 2))
+        joined, inverted = [], []
+        union_of, inverse_set = groups_mod.union_of, groups_mod.inverse_set
+
+        def counted_union(sets):
+            sets = list(sets)
+            joined.append(len(sets))
+            return union_of(sets)
+
+        def counted_inverse(S):
+            inverted.append(S)
+            return inverse_set(S)
+
+        for module in (groups_mod, covering_mod):
+            monkeypatch.setattr(module, "union_of", counted_union)
+            monkeypatch.setattr(module, "inverse_set", counted_inverse)
+        rows = check_hypotheses(inst).rows
+        assert len(rows) == 2 * n + 2 * (n - 1) + n + 2
+        assert sum(joined) <= 2 * (2 * n) + 2 * n
+        assert len(inverted) <= 2 * n

@@ -273,6 +273,22 @@ def test_sequence_rejects_an_empty_set(where):
         FolnerSequence(Z1, tuple(sets))
 
 
+def test_sequence_needs_a_set():
+    with pytest.raises(ValueError, match="at least one set"):
+        FolnerSequence(Z1, ())
+
+
+def test_defect_needs_a_non_empty_window():
+    with pytest.raises(ValueError, match="non-empty"):
+        folner_defect(Z1.box(2), subset_from_coords(Z1, []))
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_tempered_constant_index_lies_in_2_to_n(n):
+    with pytest.raises(ValueError, match=r"n must be in 2\.\.8"):
+        tempered_constant(box_folner(1, 8), n)
+
+
 def test_sequence_rejects_a_set_of_another_group():
     # the same error type as every other layer's group check
     with pytest.raises(GroupMismatchError, match="zd:2 vs zd:1"):

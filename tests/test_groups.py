@@ -434,6 +434,15 @@ def test_element_arity_is_checked():
         Z1.element(1, 2)
 
 
+def test_dimension_and_box_extents_are_checked():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ZdGroup(0)
+    with pytest.raises(ValueError, match="expected 2 extents, got 1"):
+        Z2.box(3)
+    with pytest.raises(ValueError, match="expected 1 extents, got 2"):
+        Z1.box(3, 3)
+
+
 def test_box_and_ball_sizes():
     assert len(Z1.box(5)) == 5
     assert len(Z2.box(3, 4)) == 12

@@ -292,6 +292,20 @@ class TestInvariance:
                 moved += cell_measure(model, omega, pulled) != forward
         assert moved > 0
 
+    def test_a_measure_tied_to_absolute_sites_is_not_invariant(self):
+        class Anchored:
+            """Not a shift-invariant rule: a cell weighs less the farther its sites lie."""
+
+            def cell_measure(self, omega, labels):
+                return Fraction(1, 1 + sum(abs(c) for coords, _ in labels for c in coords))
+
+        model = BernoulliModel.create(Z1, [0.5, 0.5])
+        omega, xi, F = constant_omega(model), canonical_partition(model), Z1.box(2)
+        g = Z1.element(3)
+        assert check_invariance(model, g, omega, xi, F)
+        assert not check_invariance(Anchored(), g, omega, xi, F)
+        assert check_invariance(Anchored(), Z1.identity(), omega, xi, F)
+
     def test_window_of_another_group_raises(self):
         model = BernoulliModel.create(Z1, [0.7, 0.3])
         with pytest.raises(rds.GroupMismatchError):

@@ -1,6 +1,7 @@
 """RDS core: action convention, cocycle law, samplers."""
 
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,10 @@ class TestExactDistribution:
         d = exact_distribution([1 / 3, 2 / 3])
         assert sum(d) == 1
         assert abs(float(d[0]) - 1 / 3) < 1e-15
+
+    def test_other_numbers_are_read_by_their_text(self):
+        assert exact_distribution([Decimal("0.7"), Decimal("0.3")]) == (
+            Fraction(7, 10), Fraction(3, 10))
 
     def test_invalid_distributions_rejected(self):
         with pytest.raises(ValueError):
@@ -257,6 +262,15 @@ class TestSamplers:
         for i in range(5):
             x = sample_point(model, 83, i).x
             assert [x.value_at((k,)) for k in range(-6, 7)] == [0] * 13
+
+    @pytest.mark.parametrize("base, rows, reason", [
+        ([0.5, 0.5], [[0.5, 0.5]], "one fiber distribution per base symbol"),
+        ([1.0], [[0.5, 0.5], [0.9, 0.1]], "one fiber distribution per base symbol"),
+        ([0.5, 0.5], [[0.5, 0.5], [0.2, 0.3, 0.5]], "share one alphabet"),
+    ])
+    def test_random_alphabet_rows_must_match_the_base_and_each_other(self, base, rows, reason):
+        with pytest.raises(ValueError, match=reason):
+            RandomAlphabetModel.create(Z1, base, rows)
 
     def test_random_alphabet_fiber_follows_base(self):
         # fiber row 1 is (1, 0): wherever omega reads 1, x must read 0.
